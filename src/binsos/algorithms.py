@@ -226,10 +226,6 @@ class AlgorithmInstance:
         return self.n is not None
 
     @property
-    def allowed_timings(self) -> frozenset:
-        return frozenset({self.timing})
-
-    @property
     def effective_line(self) -> int:
         """Table line this instance serves, inferred from parameters."""
         if self.line is not None:

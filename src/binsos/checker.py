@@ -15,6 +15,7 @@ impossibility proofs: testing cannot quantify over all algorithms.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 from dataclasses import dataclass, field
@@ -32,16 +33,16 @@ from .outputsets import (
     tight_condition,
 )
 from .patterns import (
+    ALL_IMMEDIATE,
     NO_CRASHES,
+    SYNC_CANONICAL,
     DelayPattern,
     FailurePattern,
-    all_immediate,
     all_latest,
     enum_delay_patterns,
     enum_failure_patterns,
     sample_delay_pattern,
     sample_failure_pattern,
-    sync_canonical_delay,
 )
 from .program import ChoiceNeeded, ScriptedChoices, SeededChoices
 from .simkernel import (
@@ -54,6 +55,8 @@ from .simkernel import (
 )
 
 BUDGET_ENV_VAR = "BINSOS_BUDGET"
+#: Failure patterns explored per cell before the search stops being exhaustive.
+MAX_FAILURE_PATTERNS = 50_000
 
 
 class WitnessSearchError(Exception):
@@ -71,8 +74,6 @@ class ExplorationBudget:
     ``size_cap``.
     """
 
-    max_seeds: int = 64
-    max_failure_patterns: int = 50_000
     max_delay_patterns: int = 12
     horizon: Optional[int] = None
     exhaustive: Optional[bool] = None
@@ -209,25 +210,24 @@ def explore(
         target = instance.target_members()
     if target is None:
         raise ValueError("no target family: pass target= or use a table instance")
-    if cfg.timing not in instance.allowed_timings:
+    if cfg.timing is not instance.timing:
         raise PreconditionError(
             f"{instance.kind.value} instance is built for {instance.timing}"
         )
 
     horizon = budget.horizon or default_horizon(cfg.n)
-    programs = instance.programs()
-    slot_counts = [p.slot_count for p in programs]
+    slot_counts = [p.slot_count for p in instance.programs()]
 
     fps: List[FailurePattern] = []
     fps_truncated = False
     for fp in enum_failure_patterns(cfg.n, cfg.t, slot_counts):
-        if len(fps) >= budget.max_failure_patterns:
+        if len(fps) >= MAX_FAILURE_PATTERNS:
             fps_truncated = True
             break
         fps.append(fp)
 
     if cfg.timing is Timing.SYNC:
-        dps = [sync_canonical_delay()]
+        dps = [SYNC_CANONICAL]
         dp_exhaustive = True
     else:
         emissions = potential_emissions(instance)
@@ -284,26 +284,14 @@ def explore(
                     )
         verdict.exhaustive = not fps_truncated and dp_exhaustive
     else:
-        rng = random.Random(budget.sample_seed)
         if cfg.timing is Timing.SYNC:
-            canonical = sync_canonical_delay()
-            probes = [(0, NO_CRASHES, canonical), (1, NO_CRASHES, canonical)]
+            probes = [(0, NO_CRASHES, SYNC_CANONICAL), (1, NO_CRASHES, SYNC_CANONICAL)]
         else:
-            probes = [
-                (0, NO_CRASHES, all_immediate(horizon)),
-                (0, NO_CRASHES, all_latest(horizon)),
-            ]
-        emissions = potential_emissions(instance)
-        for i in range(len(probes) + budget.sample_runs):
-            if i < len(probes):
-                seed, fp, dp = probes[i]
-            else:
-                seed = rng.getrandbits(48)
-                fp = sample_failure_pattern(rng, cfg.n, cfg.t, slot_counts)
-                if cfg.timing is Timing.SYNC:
-                    dp = sync_canonical_delay()
-                else:
-                    dp = sample_delay_pattern(rng, emissions, cfg.n, horizon)
+            probes = [(0, NO_CRASHES, ALL_IMMEDIATE), (0, NO_CRASHES, all_latest(horizon))]
+        draws = itertools.islice(
+            _draws(instance, cfg, horizon, budget.sample_seed), budget.sample_runs
+        )
+        for seed, fp, dp in itertools.chain(probes, draws):
             trace = run(
                 instance, cfg, SeededChoices(seed), fp, dp, horizon=horizon,
                 record=False, validate=False,
@@ -320,6 +308,23 @@ def explore(
     return verdict
 
 
+def _draws(
+    instance: AlgorithmInstance, cfg: SystemConfig, horizon: int, meta_seed: int
+) -> Iterator[Tuple[int, FailurePattern, DelayPattern]]:
+    """Endless seeded random (choice seed, fp, dp) triples for a bound instance."""
+    rng = random.Random(meta_seed)
+    slot_counts = [p.slot_count for p in instance.programs()]
+    emissions = potential_emissions(instance)
+    while True:
+        seed = rng.getrandbits(48)
+        fp = sample_failure_pattern(rng, cfg.n, cfg.t, slot_counts)
+        if cfg.timing is Timing.SYNC:
+            dp = SYNC_CANONICAL
+        else:
+            dp = sample_delay_pattern(rng, emissions, cfg.n, horizon)
+        yield seed, fp, dp
+
+
 def sample_traces(
     instance: AlgorithmInstance,
     cfg: SystemConfig,
@@ -331,17 +336,9 @@ def sample_traces(
     """Randomized (seed, fp, dp) runs for safety audits and medium checks."""
     instance = _bind(instance, cfg)
     horizon = horizon or default_horizon(cfg.n)
-    programs = instance.programs()
-    slot_counts = [p.slot_count for p in programs]
-    emissions = potential_emissions(instance)
-    rng = random.Random(meta_seed)
-    for _ in range(count):
-        seed = rng.getrandbits(48)
-        fp = sample_failure_pattern(rng, cfg.n, cfg.t, slot_counts)
-        if cfg.timing is Timing.SYNC:
-            dp = sync_canonical_delay()
-        else:
-            dp = sample_delay_pattern(rng, emissions, cfg.n, horizon)
+    for seed, fp, dp in itertools.islice(
+        _draws(instance, cfg, horizon, meta_seed), count
+    ):
         yield run(
             instance, cfg, SeededChoices(seed), fp, dp, horizon=horizon, record=record
         )
@@ -531,7 +528,7 @@ def witness_lone_survivor(
         cfg.n, cfg.t, permissive=True
     )
     horizon = default_horizon(cfg.n)
-    dp = all_immediate(horizon) if cfg.timing is Timing.ASYNC else sync_canonical_delay()
+    dp = ALL_IMMEDIATE if cfg.timing is Timing.ASYNC else SYNC_CANONICAL
     picks, base = _find_both_execution(instance, cfg, NO_CRASHES, dp, horizon)
     first = min(_output_events(base), key=lambda e: e["seq"])
     survivor, value = first["pid"], first["value"]
@@ -607,13 +604,12 @@ def witness_split_crash(cfg: SystemConfig) -> WitnessResult:
         kind=AlgorithmKind.ASYNC_DISAGREEMENT, timing=Timing.ASYNC, no_out=False
     ).bind(cfg.n, cfg.t, permissive=True)
     horizon = default_horizon(cfg.n)
-    immediate = all_immediate(horizon)
     choices = ScriptedChoices({})  # no_out=False programs consume no picks
 
     def rerun(fp: FailurePattern, dp: DelayPattern) -> ExecutionTrace:
         return run(instance, cfg, choices, fp, dp, horizon=horizon)
 
-    base = rerun(NO_CRASHES, immediate)
+    base = rerun(NO_CRASHES, ALL_IMMEDIATE)
     if base.output_set() is not OutputSet.BOTH:
         raise WitnessSearchError("no crash-free execution producing both values")
 
@@ -632,11 +628,11 @@ def witness_split_crash(cfg: SystemConfig) -> WitnessResult:
     outputs = sorted(_output_events(base), key=lambda e: e["seq"])
     first = outputs[0]
     crashes = {first["pid"]: first["stmt"] + 1}  # right after its output
-    current = rerun(FailurePattern.of(crashes), immediate)
+    current = rerun(FailurePattern.of(crashes), ALL_IMMEDIATE)
     for stage in range(2, cfg.t + 1):
         if current.output_set() in (OutputSet.ZERO, OutputSet.ONE):
             return finish(
-                current, FailurePattern.of(crashes), immediate, f"stage {stage - 1}"
+                current, FailurePattern.of(crashes), ALL_IMMEDIATE, f"stage {stage - 1}"
             )
         events = sorted(_output_events(current), key=lambda e: e["seq"])
         seconds = [e for e in events if e["pid"] not in crashes and e["pid"] != first["pid"]]
@@ -646,10 +642,10 @@ def witness_split_crash(cfg: SystemConfig) -> WitnessResult:
             )
         second = seconds[0]
         crashes[second["pid"]] = second["stmt"]  # just before its output
-        current = rerun(FailurePattern.of(crashes), immediate)
+        current = rerun(FailurePattern.of(crashes), ALL_IMMEDIATE)
 
     if current.output_set() in (OutputSet.ZERO, OutputSet.ONE):
-        return finish(current, FailurePattern.of(crashes), immediate, f"stage {cfg.t}")
+        return finish(current, FailurePattern.of(crashes), ALL_IMMEDIATE, f"stage {cfg.t}")
 
     events = sorted(_output_events(current), key=lambda e: e["seq"])
     non_crashed = [e for e in events if e["pid"] not in crashes]

@@ -3,7 +3,9 @@
 Subcommands: ``run`` one execution and write its trace, ``replay`` a trace
 file, ``check`` one (algorithm, n, t, timing) cell, ``table`` the whole
 characterization matrix, ``witness`` a crash-schedule counterexample, and
-``conditions`` the machine-readable condition table.
+``conditions`` the machine-readable condition table.  Each job has one
+subcommand: only ``replay`` re-executes a trace, only ``conditions`` writes
+the condition table.
 
 Exit codes partition outcomes: 0 success, 1 verdict failure, 2 usage or
 precondition rejection, 3 completeness not witnessed within budget, 4
@@ -21,14 +23,8 @@ from typing import Dict, List, Optional
 
 from . import checker
 from .algorithms import AlgorithmInstance, AlgorithmKind, instance_for_line
-from .outputsets import (
-    SystemConfig,
-    Timing,
-    condition_table,
-    line_members,
-    sos_str,
-)
-from .patterns import NO_CRASHES, DelayPattern, FailurePattern, sync_canonical_delay
+from .outputsets import SystemConfig, Timing, condition_table, line_members
+from .patterns import NO_CRASHES, SYNC_CANONICAL, DelayPattern, FailurePattern
 from .program import SeededChoices
 from .simkernel import (
     HORIZON,
@@ -61,6 +57,7 @@ _ALG_ALIASES = {
 }
 
 _VALUE_TOKENS = {"0": 0, "1": 1, "bot": None, "none": None, "null": None, "⊥": None}
+_PARAM_NAMES = ("no_out", "default_value", "values")
 
 
 class CliError(Exception):
@@ -75,7 +72,11 @@ def _parse_params(text: Optional[str]) -> Dict[str, object]:
         return {}
     text = text.strip()
     if text.startswith("{"):
-        return json.loads(text)
+        params = json.loads(text)
+        unknown = sorted(set(params) - set(_PARAM_NAMES))
+        if unknown:
+            raise CliError(f"unknown parameter {unknown[0]!r}")
+        return params
     params: Dict[str, object] = {}
     for part in text.split(","):
         if not part.strip():
@@ -88,6 +89,9 @@ def _parse_params(text: Optional[str]) -> Dict[str, object]:
             params["default_value"] = int(raw)
         elif key in ("V", "values"):
             tokens = [tok for tok in raw.split("|") if tok]
+            unknown = [tok for tok in tokens if tok.lower() not in _VALUE_TOKENS]
+            if unknown:
+                raise CliError(f"parameter {key}: unknown value {unknown[0]!r}")
             params["values"] = tuple(_VALUE_TOKENS[tok.lower()] for tok in tokens)
         else:
             raise CliError(f"unknown parameter {key!r}")
@@ -99,8 +103,15 @@ def _load_literal(text: Optional[str]) -> Optional[dict]:
     if text is None:
         return None
     if text.startswith("@"):
-        return json.loads(Path(text[1:]).read_text())
+        return json.loads(_read_text(text[1:]))
     return json.loads(text)
+
+
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _timing(value: str) -> Timing:
@@ -155,22 +166,11 @@ def _write_out(path: Optional[str], text: str) -> None:
         sys.stdout.write(text)
 
 
-def _target_line(instance: AlgorithmInstance, cfg: SystemConfig, args):
-    if args.line is not None:
-        return line_members(args.line)
-    return instance.target_members()
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 
 
 def cmd_run(args) -> int:
-    if args.replay:
-        args.trace = args.replay
-        return cmd_replay(args)
-    if args.n is None or args.t is None:
-        raise CliError("-n and -t are required unless --replay is given")
     instance = _build_instance(args)
     cfg = SystemConfig(args.n, args.t, _timing(args.timing))
     bound = instance.bind(cfg.n, cfg.t, permissive=args.permissive)
@@ -178,15 +178,11 @@ def cmd_run(args) -> int:
     fp_literal = _load_literal(args.fp)
     fp = NO_CRASHES if fp_literal is None else FailurePattern.from_descriptor(fp_literal)
     dp_literal = _load_literal(args.dp)
-    dp = (
-        sync_canonical_delay()
-        if dp_literal is None
-        else DelayPattern.from_descriptor(dp_literal)
-    )
+    dp = SYNC_CANONICAL if dp_literal is None else DelayPattern.from_descriptor(dp_literal)
     trace = run(bound, cfg, choices, fp, dp, horizon=args.horizon)
     _write_out(args.out, trace.to_jsonl())
     summary = {
-        "output_set": sos_str(frozenset({trace.output_set()})),
+        "output_set": str(trace.output_set()),
         "outputs": list(trace.outputs),
         "termination": trace.termination,
     }
@@ -195,7 +191,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    text = Path(args.trace).read_text()
+    text = _read_text(args.trace)
     original = ExecutionTrace.parse(text)
     rerun = replay(text)
     identical = rerun.to_jsonl() == text
@@ -224,7 +220,7 @@ def cmd_check(args) -> int:
     instance = _build_instance(args)
     cfg = SystemConfig(args.n, args.t, _timing(args.timing))
     bound = instance.bind(cfg.n, cfg.t)
-    target = _target_line(bound, cfg, args)
+    target = line_members(args.line) if args.line is not None else bound.target_members()
     if target is None:
         raise CliError("no target family known; use --line")
     ok, reason = checker.bounds_screen(target, cfg)
@@ -236,13 +232,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.export_conditions:
-        doc = "\n".join(json.dumps(r, sort_keys=True) for r in condition_table())
-        _write_out(args.export_conditions, doc + "\n")
-        if args.n_max is None:
-            return EXIT_OK
-    if args.n_max is None:
-        raise CliError("--n-max is required")
     if args.n_max < 2:
         raise CliError(f"--n-max must be >= 2, got {args.n_max}")
     report = checker.check_table(args.n_max, _budget(args))
@@ -291,9 +280,9 @@ def cmd_conditions(args) -> int:
 # Argument plumbing.
 
 
-def _add_system_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("-n", type=int, required=required, help="number of processes")
-    p.add_argument("-t", type=int, required=required, help="crash bound")
+def _add_system_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-n", type=int, required=True, help="number of processes")
+    p.add_argument("-t", type=int, required=True, help="crash bound")
     p.add_argument(
         "--timing", default="async", choices=["async", "sync"], help="timing model"
     )
@@ -322,9 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one execution and write its trace")
     _add_instance_flags(p)
-    _add_system_flags(p, required=False)
-    p.add_argument("--replay", metavar="FILE",
-                   help="re-execute this trace instead of running fresh")
+    _add_system_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fp", help="failure pattern JSON literal or @file")
     p.add_argument("--dp", help="delay pattern JSON literal or @file")
@@ -346,15 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("table", help="reproduce the characterization matrix")
-    p.add_argument("--n-max", type=int, dest="n_max")
+    p.add_argument("--n-max", type=int, dest="n_max", required=True)
     p.add_argument("--budget", type=int)
     p.add_argument("--horizon", type=int)
     p.add_argument("--out", help="report file path (default: stdout)")
-    p.add_argument(
-        "--export-conditions",
-        metavar="PATH",
-        help="also write the machine-readable condition table",
-    )
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser(
@@ -376,13 +358,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(parser: argparse.ArgumentParser, argv: List[str]) -> List[str]:
+def _merge_config(argv: List[str]) -> List[str]:
     """Prepend flag defaults from --config FILE (flags on the line win)."""
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
-    path = argv[idx + 1]
-    defaults = json.loads(Path(path).read_text())
+    if idx + 1 == len(argv):
+        raise CliError("--config needs a file path")
+    defaults = json.loads(_read_text(argv[idx + 1]))
+    if not isinstance(defaults, dict):
+        raise CliError("--config file must hold a JSON object of flag defaults")
     rest = argv[:idx] + argv[idx + 2 :]
     command = rest[0] if rest else None
     injected: List[str] = []
@@ -402,7 +387,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _merge_config(parser, argv)
+        argv = _merge_config(argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except CliError as exc:

@@ -10,7 +10,6 @@ floating point is involved anywhere.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -274,7 +273,3 @@ def condition_table() -> List[Dict[str, object]]:
                 }
             )
     return rows
-
-
-def condition_table_json() -> str:
-    return "\n".join(json.dumps(row, sort_keys=True) for row in condition_table())

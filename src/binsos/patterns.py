@@ -53,7 +53,26 @@ class FailurePattern:
 
     @staticmethod
     def from_descriptor(d: Dict[str, object]) -> "FailurePattern":
-        return FailurePattern.of({int(p): int(s) for p, s in d["crashes"]})
+        if not isinstance(d, dict) or not isinstance(d.get("crashes"), list):
+            raise ValueError("failure pattern needs a 'crashes' list of [pid, slot] pairs")
+        crashes: Dict[int, int] = {}
+        for pair in d["crashes"]:
+            pid, slot = _int_row(pair, 2, "failure pattern crash")
+            if pid in crashes:
+                raise ValueError(f"failure pattern crashes process {pid} twice")
+            crashes[pid] = slot
+        return FailurePattern.of(crashes)
+
+
+def _int_row(row: object, size: int, what: str) -> Tuple[int, ...]:
+    """A JSON list of ``size`` integers, or a ValueError naming ``what``."""
+    if not (
+        isinstance(row, list)
+        and len(row) == size
+        and all(isinstance(x, int) for x in row)
+    ):
+        raise ValueError(f"{what} {row!r} must be a list of {size} integers")
+    return tuple(row)
 
 
 NO_CRASHES = FailurePattern()
@@ -151,12 +170,6 @@ class DelayPattern:
             object.__setattr__(self, "_cache", cache)
         return cache
 
-    def max_step(self) -> int:
-        steps = [step for *_, step in self.entries]
-        if self.default is not None:
-            steps.append(self.default)
-        return max(steps, default=0)
-
     def describe(self) -> Dict[str, object]:
         if self.kind == "sync_canonical":
             return {"kind": "sync_canonical"}
@@ -168,36 +181,33 @@ class DelayPattern:
 
     @staticmethod
     def from_descriptor(d: Dict[str, object]) -> "DelayPattern":
-        if d["kind"] == "sync_canonical":
+        kind = d.get("kind") if isinstance(d, dict) else None
+        if kind == "sync_canonical":
             return SYNC_CANONICAL
-        entries = tuple(tuple(int(x) for x in e) for e in d["entries"])
+        if kind != "map":
+            raise ValueError(f"delay pattern kind {kind!r} is not 'map' or 'sync_canonical'")
+        if not isinstance(d.get("entries"), list):
+            raise ValueError("delay pattern of kind 'map' needs an 'entries' list")
+        entries = tuple(
+            _int_row(e, 4, "delay pattern entry [sender, index, receiver, step]")
+            for e in d["entries"]
+        )
         default = d.get("default")
-        return DelayPattern("map", entries, None if default is None else int(default))
+        if default is not None and not isinstance(default, int):
+            raise ValueError(f"delay pattern default {default!r} must be an integer")
+        return DelayPattern("map", entries, default)
 
 
+#: The unique same-round delivery pattern of the synchronous model.
 SYNC_CANONICAL = DelayPattern(kind="sync_canonical")
 
-
-def sync_canonical_delay() -> DelayPattern:
-    """The unique same-round delivery pattern of the synchronous model."""
-    return SYNC_CANONICAL
-
-
-def uniform_delay_pattern(step: int) -> DelayPattern:
-    return DelayPattern("map", (), step)
-
-
-def all_immediate(horizon: int) -> DelayPattern:
-    return uniform_delay_pattern(0)
+#: Every item delivered at the step it is emitted.
+ALL_IMMEDIATE = DelayPattern("map", (), 0)
 
 
 def all_latest(horizon: int) -> DelayPattern:
-    return uniform_delay_pattern(horizon)
-
-
-def _lattice_steps(horizon: int) -> List[int]:
-    steps = sorted({0, (horizon + 1) // 2, horizon})
-    return steps
+    """Every item delivered at the horizon."""
+    return DelayPattern("map", (), horizon)
 
 
 def enum_delay_patterns(
@@ -218,10 +228,10 @@ def enum_delay_patterns(
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     edges = [(s, i, r) for (s, i) in emission_slots for r in range(1, n + 1)]
-    extremes = [all_immediate(horizon), all_latest(horizon)]
+    extremes = [ALL_IMMEDIATE, all_latest(horizon)]
     if not edges:
-        return [uniform_delay_pattern(0)]
-    steps = _lattice_steps(horizon)
+        return [ALL_IMMEDIATE]
+    steps = sorted({0, (horizon + 1) // 2, horizon})
     lattice_size = len(steps) ** len(edges)
     patterns: List[DelayPattern] = []
     seen = set()

@@ -65,6 +65,7 @@ _CRASHED = 3
 
 TRACE_FORMAT = "binsos-trace"
 TRACE_VERSION = 1
+_HEADER_FIELDS = ("alg", "cfg", "choices", "fp", "dp", "horizon")
 
 
 class KernelError(Exception):
@@ -142,9 +143,7 @@ class ExecutionTrace:
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise ValueError("empty trace")
-        header = json.loads(lines[0])
-        if header.get("format") != TRACE_FORMAT:
-            raise ValueError("not a trace file")
+        header = _read_header(lines[0])
         final = json.loads(lines[-1])
         if final.get("kind") != "final":
             raise ValueError("trace missing final record")
@@ -155,6 +154,23 @@ class ExecutionTrace:
 
 def _dumps(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _read_header(source) -> Dict[str, object]:
+    """Check a trace header, given as a dict or as trace text (whose first
+    line alone is parsed), against the format and version this kernel writes."""
+    header = json.loads(source.partition("\n")[0]) if isinstance(source, str) else source
+    if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
+        raise PreconditionError(f"not a trace: header format is not {TRACE_FORMAT!r}")
+    if header.get("version") != TRACE_VERSION:
+        version = header.get("version")
+        raise PreconditionError(
+            f"trace version {version!r} is not supported (expected {TRACE_VERSION})"
+        )
+    missing = [name for name in _HEADER_FIELDS if name not in header]
+    if missing:
+        raise PreconditionError(f"trace header lacks {', '.join(missing)}")
+    return header
 
 
 class _Proc:
@@ -537,13 +553,16 @@ def _validate_common(instance, cfg: SystemConfig, fp: FailurePattern) -> None:
     for pid, _slot in fp.crashes:
         if not 1 <= pid <= cfg.n:
             raise PreconditionError(f"failure pattern names unknown process {pid}")
-    if cfg.timing not in instance.allowed_timings:
+    if cfg.timing is not instance.timing:
         raise PreconditionError(
             f"algorithm {instance.kind.value} does not run under {cfg.timing}"
         )
 
 
-def _validate_dp(instance, cfg: SystemConfig, dp: DelayPattern, horizon: int) -> None:
+def validate_delay_pattern(
+    instance, cfg: SystemConfig, dp: DelayPattern, horizon: int
+) -> None:
+    """Screen a delay pattern against an instance and horizon."""
     if dp.kind == "sync_canonical":
         return
     comm_counts = [p.communicate_count for p in instance.programs()]
@@ -604,20 +623,17 @@ def run_async(
     if horizon < 1:
         raise PreconditionError("horizon must be >= 1")
     if validate:
-        _validate_dp(instance, cfg, dp, horizon)
+        validate_delay_pattern(instance, cfg, dp, horizon)
     return _AsyncKernel(instance, cfg, choices, fp, dp, horizon, record).run()
-
-
-def validate_delay_pattern(instance, cfg, dp: DelayPattern, horizon: int) -> None:
-    """Screen a delay pattern against an instance once, up front."""
-    _validate_dp(instance, cfg, dp, horizon)
 
 
 def run(
     instance, cfg, choices, fp, dp=None, horizon=None, record=True, validate=True
 ) -> ExecutionTrace:
-    """Dispatch on the configuration's timing model."""
+    """Dispatch on the configuration's timing model (SYNC takes only SYNC_CANONICAL)."""
     if cfg.timing is Timing.SYNC:
+        if dp not in (None, SYNC_CANONICAL):
+            raise PreconditionError("a SYNC run takes only the sync_canonical delay pattern")
         return run_sync(instance, cfg, choices, fp, record=record)
     dp = SYNC_CANONICAL if dp is None else dp
     return run_async(
@@ -627,24 +643,19 @@ def run(
 
 
 def replay(source) -> ExecutionTrace:
-    """Re-execute a trace from its header alone."""
+    """Re-execute a trace from its header alone (trace text or header dict)."""
     from . import algorithms  # deferred: algorithms depends on this module
     from .program import choices_from_descriptor
 
-    if isinstance(source, str):
-        header = json.loads(source.splitlines()[0])
-    elif isinstance(source, ExecutionTrace):
-        header = source.header
-    else:
-        header = source
-    instance = algorithms.instance_from_descriptor(header["alg"])
-    cfg = SystemConfig.from_descriptor(header["cfg"])
-    choices = choices_from_descriptor(header["choices"])
-    fp = FailurePattern.from_descriptor(header["fp"])
-    dp = DelayPattern.from_descriptor(header["dp"])
-    if cfg.timing is Timing.SYNC:
-        return run_sync(instance, cfg, choices, fp)
-    return run_async(instance, cfg, choices, fp, dp, horizon=int(header["horizon"]))
+    header = _read_header(source)
+    return run(
+        algorithms.instance_from_descriptor(header["alg"]),
+        SystemConfig.from_descriptor(header["cfg"]),
+        choices_from_descriptor(header["choices"]),
+        FailurePattern.from_descriptor(header["fp"]),
+        DelayPattern.from_descriptor(header["dp"]),
+        horizon=int(header["horizon"]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from binsos.algorithms import (
 )
 from binsos.checker import branch_choices, sample_traces
 from binsos.outputsets import OutputSet, SystemConfig, Timing
-from binsos.patterns import NO_CRASHES, all_immediate, enum_failure_patterns
+from binsos.patterns import ALL_IMMEDIATE, NO_CRASHES, enum_failure_patterns
 from binsos.program import Communicate, Output, Pick, ScriptedChoices, Wait
 from binsos.simkernel import PreconditionError, run, run_sync
 
@@ -117,7 +117,7 @@ class TestProgramShapes:
         cfg = SystemConfig(2, 2, Timing.ASYNC)
         for fp in enum_failure_patterns(2, 2, 3):
             for picks, trace in branch_choices(
-                lambda c, fp=fp: run(inst, cfg, c, fp, all_immediate(8))
+                lambda c, fp=fp: run(inst, cfg, c, fp, ALL_IMMEDIATE)
             ):
                 assert trace.output_set() is OutputSet.EMPTY
 

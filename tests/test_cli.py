@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from binsos import cli
 from binsos.checker import ExplorationBudget
 
@@ -25,10 +27,10 @@ class TestRunCommand:
         )
         assert code == 0
         summary = last_json(stdout)
-        assert summary["output_set"] in ("{{0}}", "{{1}}")
+        assert summary["output_set"] in ("{0}", "{1}")
         # Pin the concrete outcome of seed 7: a change means the choice
         # mixer is no longer stable across versions.
-        assert summary["output_set"] == "{{1}}"
+        assert summary["output_set"] == "{1}"
         assert summary["termination"] == "ALL_DONE"
         assert out.read_text().startswith('{"alg"')
 
@@ -39,7 +41,7 @@ class TestRunCommand:
             "-n", "1", "-t", "1", "--out", str(out),
         )
         assert code == 0
-        assert last_json(stdout)["output_set"] == "{{}}"
+        assert last_json(stdout)["output_set"] == "{}"
 
     def test_run_rejects_violated_condition(self, capsys):
         code, _, err = invoke(
@@ -64,7 +66,34 @@ class TestRunCommand:
             "--fp", f"@{fp}", "--out", str(out),
         )
         assert code == 0
-        assert last_json(stdout)["output_set"] == "{{}}"
+        assert last_json(stdout)["output_set"] == "{}"
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--line", "9", "--dp", '{"kind":"bogus"}'], "'bogus'"),
+            (["--line", "9", "--fp", '{"crash":[]}'], "'crashes'"),
+            (["--line", "9", "--fp", "[1]"], "'crashes'"),
+            (["--alg", "all_output", "--params", "V=2"], "'2'"),
+            (["--alg", "alg6", "--timing", "sync", "--params", '{"bogus":1}'], "'bogus'"),
+            (["--line", "9", "--config"], "--config"),
+            (
+                ["--alg", "alg6", "--timing", "sync", "--fp", '{"crashes":[[1,0],[1,2]]}'],
+                "process 1 twice",
+            ),
+            (
+                [
+                    "--line", "9", "--timing", "sync",
+                    "--dp", '{"kind":"map","entries":[[9,0,1,3]],"default":0}',
+                ],
+                "sync_canonical",
+            ),
+        ],
+    )
+    def test_bad_input_is_rejected_with_its_field_named(self, capsys, flags, named):
+        code, _, err = invoke(capsys, "run", "-n", "2", "-t", "1", *flags)
+        assert code == cli.EXIT_PRECONDITION
+        assert named in err
 
 
 class TestReplayCommand:
@@ -92,6 +121,24 @@ class TestReplayCommand:
         code, stdout, _ = invoke(capsys, "replay", str(out))
         assert code == cli.EXIT_VERDICT
         assert last_json(stdout)["identical"] is False
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda header: header.update(version=99), "version 99"),
+            (lambda header: header.pop("cfg"), "cfg"),
+        ],
+    )
+    def test_unreadable_header_rejected(self, tmp_path, capsys, edit, named):
+        out = self.make_trace(tmp_path, capsys)
+        lines = out.read_text().splitlines()
+        header = json.loads(lines[0])
+        edit(header)
+        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        out.write_text("\n".join(lines) + "\n")
+        code, stdout, err = invoke(capsys, "replay", str(out))
+        assert code == cli.EXIT_PRECONDITION
+        assert named in err and stdout == ""
 
 
 class TestCheckCommand:
@@ -134,14 +181,6 @@ class TestTableCommand:
         code, _, err = invoke(capsys, "table", "--n-max", "1")
         assert code == cli.EXIT_PRECONDITION
         assert "n-max" in err
-
-    def test_condition_export(self, tmp_path, capsys):
-        doc = tmp_path / "conditions.jsonl"
-        code, _, _ = invoke(capsys, "table", "--export-conditions", str(doc))
-        assert code == 0
-        rows = [json.loads(line) for line in doc.read_text().splitlines()]
-        assert len(rows) == 32
-        assert {"line", "members_mask", "timing", "condition"} <= set(rows[0])
 
 
 class TestWitnessCommand:

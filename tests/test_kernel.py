@@ -1,20 +1,23 @@
 """Execution kernel: lock-step rounds, delivery steps, audit, replay."""
 
+import json
+
 import pytest
 
 from binsos.algorithms import AlgorithmInstance, AlgorithmKind, instance_for_line
 from binsos.checker import sample_traces
 from binsos.outputsets import OutputSet, SystemConfig, Timing
 from binsos.patterns import (
+    ALL_IMMEDIATE,
     NO_CRASHES,
+    SYNC_CANONICAL,
     DelayPattern,
     FailurePattern,
-    all_immediate,
     all_latest,
-    sync_canonical_delay,
 )
 from binsos.program import ScriptedChoices, SeededChoices
 from binsos.simkernel import (
+    TRACE_VERSION,
     ExecutionTrace,
     PreconditionError,
     medium_check,
@@ -72,7 +75,7 @@ class TestAsyncDisagreementRuns:
         inst = instance_for_line(8, Timing.ASYNC).bind(5, 2)
         cfg = SystemConfig(5, 2, Timing.ASYNC)
         trace = run_async(
-            inst, cfg, SeededChoices(0), NO_CRASHES, all_immediate(20)
+            inst, cfg, SeededChoices(0), NO_CRASHES, ALL_IMMEDIATE
         )
         assert trace.termination == "ALL_DONE"
         # Value-group members output their group value; the flip group echoes
@@ -94,7 +97,7 @@ class TestAsyncDisagreementRuns:
         inst = instance_for_line(7, Timing.ASYNC).bind(5, 2)
         cfg = SystemConfig(5, 2, Timing.ASYNC)
         gates_closed = ScriptedChoices({(1, 0): 1, (2, 0): 1, (3, 0): 1})
-        for dp in (all_immediate(20), all_latest(20), sync_canonical_delay()):
+        for dp in (ALL_IMMEDIATE, all_latest(20), SYNC_CANONICAL):
             trace = run_async(inst, cfg, gates_closed, NO_CRASHES, dp)
             assert trace.termination == "QUIESCENT"
             assert trace.output_set() is OutputSet.EMPTY
@@ -104,7 +107,7 @@ class TestAsyncDisagreementRuns:
         cfg = SystemConfig(3, 1, Timing.ASYNC)
         runs = [
             run_async(inst, cfg, SeededChoices(5), NO_CRASHES, dp)
-            for dp in (all_immediate(12), all_latest(12))
+            for dp in (ALL_IMMEDIATE, all_latest(12))
         ]
         assert runs[0].outputs == runs[1].outputs
         assert runs[0].events == runs[1].events
@@ -126,7 +129,7 @@ class TestDeadlineSemantics:
         saw_flip = False
         for seed in range(40):
             trace = run_async(
-                inst, cfg, SeededChoices(seed), NO_CRASHES, all_immediate(8)
+                inst, cfg, SeededChoices(seed), NO_CRASHES, ALL_IMMEDIATE
             )
             assert trace.outputs[1] == 1
             if trace.outputs[0] == 0:
@@ -164,6 +167,18 @@ class TestDeterminismAndReplay:
         assert parsed.outputs == trace.outputs
         assert parsed.events == trace.events
         assert parsed.header == trace.header
+
+    def test_parse_and_replay_check_the_trace_version(self):
+        inst = instance_for_line(10, Timing.SYNC).bind(2, 1)
+        trace = run_sync(inst, SYNC2, SeededChoices(3), NO_CRASHES)
+        header = dict(trace.header, version=TRACE_VERSION + 1)
+        body = trace.to_jsonl().split("\n", 1)[1]
+        text = json.dumps(header) + "\n" + body
+        for read in (ExecutionTrace.parse, replay):
+            with pytest.raises(PreconditionError, match="version"):
+                read(text)
+        with pytest.raises(PreconditionError, match="version"):
+            replay(header)
 
 
 class TestTraceInvariants:
@@ -278,7 +293,7 @@ class TestRejections:
                 SystemConfig(2, 1, Timing.ASYNC),
                 SeededChoices(0),
                 NO_CRASHES,
-                all_immediate(8),
+                ALL_IMMEDIATE,
             )
 
     def test_sync_only_algorithm_rejected_async(self):
@@ -291,7 +306,7 @@ class TestRejections:
                 SystemConfig(4, 2, Timing.ASYNC),
                 SeededChoices(0),
                 NO_CRASHES,
-                all_immediate(8),
+                ALL_IMMEDIATE,
             )
 
     def test_delay_pattern_for_impossible_item(self):

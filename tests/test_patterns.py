@@ -6,15 +6,15 @@ import random
 import pytest
 
 from binsos.patterns import (
+    ALL_IMMEDIATE,
+    SYNC_CANONICAL,
     DelayPattern,
     FailurePattern,
-    all_immediate,
     all_latest,
     enum_delay_patterns,
     enum_failure_patterns,
     sample_delay_pattern,
     sample_failure_pattern,
-    sync_canonical_delay,
 )
 
 
@@ -101,7 +101,7 @@ def test_delay_patterns_respect_horizon():
 
 
 def test_sync_canonical_pattern():
-    p = sync_canonical_delay()
+    p = SYNC_CANONICAL
     assert p.kind == "sync_canonical"
     assert p.step_for(1, 0, 2) == 0
     assert DelayPattern.from_descriptor(p.describe()) == p
@@ -117,7 +117,7 @@ def test_delay_pattern_strict_lookup():
 def test_delay_pattern_descriptor_roundtrip():
     p = DelayPattern.of({(2, 1, 1): 5, (1, 0, 2): 0}, default=7)
     assert DelayPattern.from_descriptor(p.describe()) == p
-    assert all_immediate(9).step_for(4, 2, 1) == 0
+    assert ALL_IMMEDIATE.step_for(4, 2, 1) == 0
     assert all_latest(9).step_for(4, 2, 1) == 9
 
 
