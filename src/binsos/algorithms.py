@@ -42,6 +42,7 @@ from .outputsets import (
     Timing,
     Value,
     classify_line,
+    _descriptor_fields,
     line_members,
     output_set,
     tight_condition,
@@ -117,18 +118,6 @@ class RoleAssignment:
             "seq_one": list(self.seq_one),
             "designated": self.designated,
         }
-
-    @staticmethod
-    def from_descriptor(d: Dict[str, object]) -> "RoleAssignment":
-        return RoleAssignment(
-            zero_group=tuple(d["zero_group"]),
-            one_group=tuple(d["one_group"]),
-            flip_group=tuple(d["flip_group"]),
-            init_group=tuple(d["init_group"]),
-            seq_zero=tuple(d["seq_zero"]),
-            seq_one=tuple(d["seq_one"]),
-            designated=d["designated"],
-        )
 
 
 def _async_disagreement_sizes(t: int) -> Tuple[int, int, int]:
@@ -206,16 +195,25 @@ class AlgorithmInstance:
     permissive: bool = False
 
     def __post_init__(self) -> None:
+        if isinstance(self.values, list):
+            object.__setattr__(self, "values", tuple(self.values))
+        for name, kind in (("no_out", bool), ("default_value", int), ("line", int),
+                           ("n", int), ("t", int), ("permissive", bool)):
+            value = getattr(self, name)
+            if value is not None and type(value) is not kind:
+                raise ValueError(f"parameter {name} {value!r} must be {kind.__name__}")
         restriction = _TIMING_RESTRICTION.get(self.kind)
         if restriction is not None and self.timing is not restriction:
             raise PreconditionError(
                 f"{self.kind.value} runs only under {restriction}"
             )
-        if self.kind is AlgorithmKind.ALL_OUTPUT:
-            if not self.values:
-                raise ValueError("ALL_OUTPUT needs a non-empty value set")
-            if not set(self.values) <= {0, 1, None}:
-                raise ValueError(f"bad value set {self.values!r}")
+        if self.values is not None and not (
+            isinstance(self.values, tuple)
+            and all(v is None or (type(v) is int and v in (0, 1)) for v in self.values)
+        ):
+            raise ValueError(f"parameter values {self.values!r} must list 0, 1 or null")
+        if self.kind is AlgorithmKind.ALL_OUTPUT and not self.values:
+            raise ValueError("ALL_OUTPUT needs a non-empty value set")
         if self.kind is AlgorithmKind.TIMING_ADAPTIVE and self.default_value not in (0, 1):
             raise ValueError("TIMING_ADAPTIVE needs a default value in {0, 1}")
 
@@ -286,20 +284,27 @@ class AlgorithmInstance:
 
 
 def instance_from_descriptor(d: Dict[str, object]) -> AlgorithmInstance:
-    return AlgorithmInstance(
+    """The bound instance a trace header describes, or a ValueError."""
+    d = _descriptor_fields(d, "algorithm", kind=str, timing=str)
+    instance = AlgorithmInstance(
         kind=AlgorithmKind(d["kind"]),
         timing=Timing(d["timing"]),
         no_out=d.get("no_out"),
-        values=None if d.get("values") is None else tuple(d["values"]),
+        values=d.get("values"),
         default_value=d.get("default_value"),
         line=d.get("line"),
         n=d.get("n"),
         t=d.get("t"),
-        roles=None
-        if d.get("roles") is None
-        else RoleAssignment.from_descriptor(d["roles"]),
-        permissive=bool(d.get("permissive", False)),
+        permissive=d.get("permissive", False),
     )
+    n, t = instance.n, instance.t
+    if n is None or t is None or not 0 <= t <= n:
+        raise ValueError(f"algorithm must be bound to 0 <= t <= n, got n={n}, t={t}")
+    # Roles follow from (kind, n, t, permissive); a described set must match.
+    roles = make_roles(instance.kind, n, t, instance.permissive)
+    if d.get("roles") != roles.describe():
+        raise ValueError(f"algorithm roles {d.get('roles')!r} are not those of n={n}, t={t}")
+    return replace(instance, roles=roles)
 
 
 def _canonical_values(values) -> Tuple[Value, ...]:

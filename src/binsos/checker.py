@@ -15,8 +15,8 @@ impossibility proofs: testing cannot quantify over all algorithms.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -34,17 +34,19 @@ from .outputsets import (
 )
 from .patterns import (
     ALL_IMMEDIATE,
+    MAX_DELAY_PATTERNS,
     NO_CRASHES,
     SYNC_CANONICAL,
     DelayPattern,
     FailurePattern,
     all_latest,
+    count_failure_patterns,
     enum_delay_patterns,
     enum_failure_patterns,
     sample_delay_pattern,
     sample_failure_pattern,
 )
-from .program import ChoiceNeeded, ScriptedChoices, SeededChoices
+from .program import ChoiceNeeded, Communicate, Output, Pick, ScriptedChoices, SeededChoices
 from .simkernel import (
     HORIZON,
     ExecutionTrace,
@@ -54,9 +56,8 @@ from .simkernel import (
     validate_delay_pattern,
 )
 
-BUDGET_ENV_VAR = "BINSOS_BUDGET"
-#: Failure patterns explored per cell before the search stops being exhaustive.
-MAX_FAILURE_PATTERNS = 50_000
+#: Runs an exhaustive search may take; a larger space is sampled instead.
+SIZE_CAP = 1_000_000
 
 
 class WitnessSearchError(Exception):
@@ -65,29 +66,19 @@ class WitnessSearchError(Exception):
 
 @dataclass
 class ExplorationBudget:
-    """Caps on the explored product space.
+    """What a caller may set about one exploration.
 
-    In exhaustive mode picks are enumerated by branching over all choice
-    outcomes; otherwise ``sample_runs`` random (seed, fp, dp) triples are
-    drawn (always preceded by the extreme-delay probes).  ``exhaustive=None``
-    auto-selects exhaustive mode whenever the estimated product is within
-    ``size_cap``.
+    ``explore`` enumerates every pick outcome, failure pattern and delay
+    pattern when that product is at most ``max(SIZE_CAP, sample_runs)``
+    runs; otherwise it runs the two extreme-delay probes and then
+    ``sample_runs`` random (seed, fp, dp) triples drawn from ``sample_seed``,
+    which also seeds the sampled delay lattice.  ``horizon`` overrides the
+    default asynchronous horizon.
     """
 
-    max_delay_patterns: int = 12
     horizon: Optional[int] = None
-    exhaustive: Optional[bool] = None
-    size_cap: int = 1_000_000
     sample_runs: int = 10_000
     sample_seed: int = 0
-
-    @staticmethod
-    def default() -> "ExplorationBudget":
-        budget = ExplorationBudget()
-        env = os.environ.get(BUDGET_ENV_VAR)
-        if env:
-            budget.sample_runs = int(env)
-        return budget
 
 
 @dataclass
@@ -154,8 +145,6 @@ def potential_emissions(instance: AlgorithmInstance) -> List[Tuple[int, int]]:
 
 
 def _choice_bound(instance: AlgorithmInstance) -> int:
-    from .program import Pick
-
     bound = 1
     for program in instance.programs():
         for stmt in program.statements:
@@ -204,7 +193,7 @@ def explore(
     executions have no defined output set and are counted as conservative
     safety failures, never ignored.
     """
-    budget = budget or ExplorationBudget.default()
+    budget = budget or ExplorationBudget()
     instance = _bind(instance, cfg)
     if target is None:
         target = instance.target_members()
@@ -216,94 +205,57 @@ def explore(
         )
 
     horizon = budget.horizon or default_horizon(cfg.n)
-    slot_counts = [p.slot_count for p in instance.programs()]
-
-    fps: List[FailurePattern] = []
-    fps_truncated = False
-    for fp in enum_failure_patterns(cfg.n, cfg.t, slot_counts):
-        if len(fps) >= MAX_FAILURE_PATTERNS:
-            fps_truncated = True
-            break
-        fps.append(fp)
-
     if cfg.timing is Timing.SYNC:
-        dps = [SYNC_CANONICAL]
-        dp_exhaustive = True
+        dps, dp_exhaustive = [SYNC_CANONICAL], True
+        probes = [(0, NO_CRASHES, SYNC_CANONICAL), (1, NO_CRASHES, SYNC_CANONICAL)]
     else:
         emissions = potential_emissions(instance)
-        dps = enum_delay_patterns(
-            emissions, cfg.n, horizon, budget.max_delay_patterns, budget.sample_seed
-        )
+        dps = enum_delay_patterns(emissions, cfg.n, horizon, budget.sample_seed)
         edges = len(emissions) * cfg.n
-        dp_exhaustive = edges == 0 or 3 ** edges <= budget.max_delay_patterns
+        dp_exhaustive = edges == 0 or 3 ** edges <= MAX_DELAY_PATTERNS
         for dp in dps:
             validate_delay_pattern(instance, cfg, dp, horizon)
+        probes = [(0, NO_CRASHES, ALL_IMMEDIATE), (0, NO_CRASHES, all_latest(horizon))]
 
-    estimate = _choice_bound(instance) * len(fps) * len(dps)
-    exhaust = (
-        budget.exhaustive
-        if budget.exhaustive is not None
-        else estimate <= budget.size_cap
-    )
+    def unrecorded(choices, fp, dp):
+        trace = run(
+            instance, cfg, choices, fp, dp, horizon=horizon, record=False, validate=False
+        )
+        return choices, fp, dp, trace
 
+    # Every pick outcome under every (fp, dp) when the space fits the cap;
+    # otherwise the two extreme probes, then sample_runs seeded draws.
+    slot_counts = [p.slot_count for p in instance.programs()]
+    fp_count = count_failure_patterns(cfg.n, cfg.t, slot_counts)
     verdict = Verdict(target=target)
-    observed = set()
+    if _choice_bound(instance) * fp_count * len(dps) <= max(SIZE_CAP, budget.sample_runs):
+        verdict.exhaustive = dp_exhaustive
+        runs = (
+            leaf
+            for fp in enum_failure_patterns(cfg.n, cfg.t, slot_counts)
+            for dp in dps
+            for _, leaf in branch_choices(functools.partial(unrecorded, fp=fp, dp=dp))
+        )
+    else:
+        draws = _draws(instance, cfg, horizon, budget.sample_seed)
+        triples = itertools.chain(probes, itertools.islice(draws, budget.sample_runs))
+        runs = (unrecorded(SeededChoices(seed), fp, dp) for seed, fp, dp in triples)
 
-    def record(trace: ExecutionTrace, rerun) -> None:
+    observed = set()
+    for choices, fp, dp, trace in runs:
         verdict.executions += 1
         if trace.termination == HORIZON:
             verdict.horizon_hits += 1
-            return
+            continue
         os_ = trace.output_set()
         if os_ in observed:
-            return
+            continue
         observed.add(os_)
-        full = rerun()
-        if os_ not in target:
-            verdict.violations.append((full, os_))
-        else:
+        full = run(instance, cfg, choices, fp, dp, horizon=horizon)
+        if os_ in target:
             verdict.witnesses[os_] = full
-
-    if exhaust:
-        for fp in fps:
-            for dp in dps:
-
-                def run_one(choices, fp=fp, dp=dp):
-                    return run(
-                        instance, cfg, choices, fp, dp, horizon=horizon,
-                        record=False, validate=False,
-                    )
-
-                for picks, trace in branch_choices(run_one):
-                    script = dict(picks)
-                    record(
-                        trace,
-                        lambda s=script, fp=fp, dp=dp: run(
-                            instance, cfg, ScriptedChoices(s), fp, dp, horizon=horizon
-                        ),
-                    )
-        verdict.exhaustive = not fps_truncated and dp_exhaustive
-    else:
-        if cfg.timing is Timing.SYNC:
-            probes = [(0, NO_CRASHES, SYNC_CANONICAL), (1, NO_CRASHES, SYNC_CANONICAL)]
         else:
-            probes = [(0, NO_CRASHES, ALL_IMMEDIATE), (0, NO_CRASHES, all_latest(horizon))]
-        draws = itertools.islice(
-            _draws(instance, cfg, horizon, budget.sample_seed), budget.sample_runs
-        )
-        for seed, fp, dp in itertools.chain(probes, draws):
-            trace = run(
-                instance, cfg, SeededChoices(seed), fp, dp, horizon=horizon,
-                record=False, validate=False,
-            )
-            record(
-                trace,
-                lambda s=seed, fp=fp, dp=dp: run(
-                    instance, cfg, SeededChoices(s), fp, dp, horizon=horizon
-                ),
-            )
-        verdict.exhaustive = False
-
+            verdict.violations.append((full, os_))
     verdict.observed = frozenset(observed)
     return verdict
 
@@ -401,7 +353,6 @@ def check_table(
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    budget = budget or ExplorationBudget.default()
     report = TableReport(n_max=n_max)
     for line in lines if lines is not None else range(1, 17):
         for timing in (Timing.ASYNC, Timing.SYNC):
@@ -556,8 +507,6 @@ def _delayed_after_output_dp(
 ) -> DelayPattern:
     """All-immediate, except everything ``pids`` communicate after their
     output statement is delayed to the horizon (for every receiver)."""
-    from .program import Communicate, Output
-
     entries: Dict[Tuple[int, int, int], int] = {}
     programs = instance.programs()
     for pid in pids:

@@ -9,8 +9,8 @@ the condition table.
 
 Exit codes partition outcomes: 0 success, 1 verdict failure, 2 usage or
 precondition rejection, 3 completeness not witnessed within budget, 4
-horizon exhaustion.  The BINSOS_BUDGET environment variable overrides the
-sampled-run budget.
+horizon exhaustion.  ``--budget N`` sets the sampled-run budget and raises
+the exhaustive cap to N when N exceeds it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import checker
 from .algorithms import AlgorithmInstance, AlgorithmKind, instance_for_line
 from .outputsets import SystemConfig, Timing, condition_table, line_members
 from .patterns import NO_CRASHES, SYNC_CANONICAL, DelayPattern, FailurePattern
-from .program import SeededChoices
+from .program import ChoiceNeeded, SeededChoices
 from .simkernel import (
     HORIZON,
     ExecutionTrace,
@@ -58,6 +58,10 @@ _ALG_ALIASES = {
 
 _VALUE_TOKENS = {"0": 0, "1": 1, "bot": None, "none": None, "null": None, "⊥": None}
 _PARAM_NAMES = ("no_out", "default_value", "values")
+_NEEDS_NO_OUT = (
+    AlgorithmKind.SINGLE_OUTPUT, AlgorithmKind.TIMING_ADAPTIVE,
+    AlgorithmKind.ASYNC_DISAGREEMENT, AlgorithmKind.SYNC_DISAGREEMENT,
+)
 
 
 class CliError(Exception):
@@ -83,7 +87,9 @@ def _parse_params(text: Optional[str]) -> Dict[str, object]:
             continue
         key, _, raw = part.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key in ("no_out",):
+        if key == "no_out":
+            if raw.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                raise CliError(f"parameter no_out: {raw!r} is not true or false")
             params[key] = raw.lower() in ("1", "true", "yes")
         elif key in ("v", "default_value"):
             params["default_value"] = int(raw)
@@ -133,16 +139,7 @@ def _build_instance(args) -> AlgorithmInstance:
     params = _parse_params(args.params)
     if kind is AlgorithmKind.ALL_OUTPUT and "values" not in params:
         raise CliError("all_output needs --params V=...")
-    if (
-        kind
-        in (
-            AlgorithmKind.SINGLE_OUTPUT,
-            AlgorithmKind.TIMING_ADAPTIVE,
-            AlgorithmKind.ASYNC_DISAGREEMENT,
-            AlgorithmKind.SYNC_DISAGREEMENT,
-        )
-        and "no_out" not in params
-    ):
+    if kind in _NEEDS_NO_OUT and "no_out" not in params:
         raise CliError(f"{kind.value} needs --params no_out=true|false")
     if kind is AlgorithmKind.TIMING_ADAPTIVE and "default_value" not in params:
         raise CliError("timing_adaptive needs --params v=0|1")
@@ -150,13 +147,18 @@ def _build_instance(args) -> AlgorithmInstance:
 
 
 def _budget(args) -> checker.ExplorationBudget:
-    budget = checker.ExplorationBudget.default()
-    if getattr(args, "budget", None) is not None:
+    budget = checker.ExplorationBudget(horizon=args.horizon)
+    if args.budget is not None:
         budget.sample_runs = args.budget
-        budget.size_cap = max(budget.size_cap, args.budget)
-    if getattr(args, "horizon", None) is not None:
-        budget.horizon = args.horizon
     return budget
+
+
+def _system(args) -> SystemConfig:
+    """The -n/-t/--timing configuration; --horizon only bounds async runs."""
+    cfg = SystemConfig(args.n, args.t, _timing(args.timing))
+    if args.horizon is not None and cfg.timing is Timing.SYNC:
+        raise CliError("--horizon applies only to --timing async")
+    return cfg
 
 
 def _write_out(path: Optional[str], text: str) -> None:
@@ -172,7 +174,7 @@ def _write_out(path: Optional[str], text: str) -> None:
 
 def cmd_run(args) -> int:
     instance = _build_instance(args)
-    cfg = SystemConfig(args.n, args.t, _timing(args.timing))
+    cfg = _system(args)
     bound = instance.bind(cfg.n, cfg.t, permissive=args.permissive)
     choices = SeededChoices(args.seed)
     fp_literal = _load_literal(args.fp)
@@ -218,7 +220,7 @@ _STATUS_EXIT = {
 
 def cmd_check(args) -> int:
     instance = _build_instance(args)
-    cfg = SystemConfig(args.n, args.t, _timing(args.timing))
+    cfg = _system(args)
     bound = instance.bind(cfg.n, cfg.t)
     target = line_members(args.line) if args.line is not None else bound.target_members()
     if target is None:
@@ -334,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="reproduce the characterization matrix")
     p.add_argument("--n-max", type=int, dest="n_max", required=True)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--horizon", type=int)
+    p.add_argument("--budget", type=int, help="sampled-run budget override")
+    p.add_argument("--horizon", type=int, help="horizon of the async cells")
     p.add_argument("--out", help="report file path (default: stdout)")
     p.set_defaults(func=cmd_table)
 
@@ -396,7 +398,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except checker.WitnessSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (PreconditionError, ValueError) as exc:
+    except (PreconditionError, ValueError, ChoiceNeeded) as exc:
+        # ChoiceNeeded: a replayed trace's choice script lacks a pick it meets.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

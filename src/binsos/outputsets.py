@@ -171,7 +171,21 @@ class SystemConfig:
 
     @staticmethod
     def from_descriptor(d: Dict[str, object]) -> "SystemConfig":
-        return SystemConfig(int(d["n"]), int(d["t"]), Timing(d["timing"]))
+        d = _descriptor_fields(d, "system config", n=int, t=int, timing=str)
+        return SystemConfig(d["n"], d["t"], Timing(d["timing"]))
+
+
+def _descriptor_fields(d: object, what: str, **types: type) -> Dict[str, object]:
+    """``d`` if it is a JSON object whose named fields have the given types;
+    otherwise a ValueError naming ``what`` and the missing or malformed field."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object with {', '.join(map(repr, types))}")
+    for name, kind in types.items():
+        if name not in d:
+            raise ValueError(f"{what} lacks {name!r}")
+        if type(d[name]) is not kind:
+            raise ValueError(f"{what} {name} {d[name]!r} must be {kind.__name__}")
+    return d
 
 
 # Primitive comparisons over (n, t).  The strict rational bound n > (3/2)t+1

@@ -17,8 +17,13 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from .outputsets import _descriptor_fields
+
 #: A potential emission slot: (sender pid, emission ordinal within sender).
 EmissionSlot = Tuple[int, int]
+
+#: Delay patterns per asynchronous cell; a larger 3-point lattice is sampled.
+MAX_DELAY_PATTERNS = 12
 
 
 @dataclass(frozen=True)
@@ -53,10 +58,8 @@ class FailurePattern:
 
     @staticmethod
     def from_descriptor(d: Dict[str, object]) -> "FailurePattern":
-        if not isinstance(d, dict) or not isinstance(d.get("crashes"), list):
-            raise ValueError("failure pattern needs a 'crashes' list of [pid, slot] pairs")
         crashes: Dict[int, int] = {}
-        for pair in d["crashes"]:
+        for pair in _descriptor_fields(d, "failure pattern", crashes=list)["crashes"]:
             pid, slot = _int_row(pair, 2, "failure pattern crash")
             if pid in crashes:
                 raise ValueError(f"failure pattern crashes process {pid} twice")
@@ -69,7 +72,7 @@ def _int_row(row: object, size: int, what: str) -> Tuple[int, ...]:
     if not (
         isinstance(row, list)
         and len(row) == size
-        and all(isinstance(x, int) for x in row)
+        and all(type(x) is int for x in row)
     ):
         raise ValueError(f"{what} {row!r} must be a list of {size} integers")
     return tuple(row)
@@ -108,6 +111,20 @@ def enum_failure_patterns(
                 yield FailurePattern(tuple(zip(pids, slots)))
 
 
+def count_failure_patterns(
+    n: int, t: int, program_slots: Union[int, Sequence[int]]
+) -> int:
+    """How many patterns ``enum_failure_patterns`` yields: the sum over f <= t
+    of the f-th elementary symmetric sum of the per-process slot counts."""
+    if not 0 <= t <= n:
+        raise ValueError(f"need 0 <= t <= n, got n={n}, t={t}")
+    sums = [1] + [0] * n  # sums[f]: elementary symmetric sum of degree f
+    for count in _slot_counts(n, program_slots) if n else []:
+        for f in range(n, 0, -1):
+            sums[f] += sums[f - 1] * count
+    return sum(sums[: t + 1])
+
+
 def sample_failure_pattern(
     rng: random.Random, n: int, t: int, program_slots: Union[int, Sequence[int]]
 ) -> FailurePattern:
@@ -142,6 +159,8 @@ class DelayPattern:
             raise ValueError("entries must be sorted and unique per edge")
         if any(step < 0 for *_, step in self.entries):
             raise ValueError("delivery steps must be non-negative")
+        if self.default is not None and self.default < 0:
+            raise ValueError(f"delay pattern default {self.default} must be non-negative")
 
     @staticmethod
     def of(
@@ -181,19 +200,17 @@ class DelayPattern:
 
     @staticmethod
     def from_descriptor(d: Dict[str, object]) -> "DelayPattern":
-        kind = d.get("kind") if isinstance(d, dict) else None
+        kind = _descriptor_fields(d, "delay pattern", kind=str)["kind"]
         if kind == "sync_canonical":
             return SYNC_CANONICAL
         if kind != "map":
             raise ValueError(f"delay pattern kind {kind!r} is not 'map' or 'sync_canonical'")
-        if not isinstance(d.get("entries"), list):
-            raise ValueError("delay pattern of kind 'map' needs an 'entries' list")
         entries = tuple(
             _int_row(e, 4, "delay pattern entry [sender, index, receiver, step]")
-            for e in d["entries"]
+            for e in _descriptor_fields(d, "delay pattern", entries=list)["entries"]
         )
         default = d.get("default")
-        if default is not None and not isinstance(default, int):
+        if default is not None and type(default) is not int:
             raise ValueError(f"delay pattern default {default!r} must be an integer")
         return DelayPattern("map", entries, default)
 
@@ -214,15 +231,14 @@ def enum_delay_patterns(
     emission_slots: Sequence[EmissionSlot],
     n: int,
     horizon: int,
-    budget: int,
     sample_seed: int = 0,
 ) -> List[DelayPattern]:
     """Canonical bounded subset of the asynchronous delay space.
 
     Each (item, receiver) edge takes a delivery step from the 3-point
     lattice {immediate, mid, horizon}.  The full lattice is enumerated when
-    its size is within ``budget``; otherwise ``budget`` distinct patterns
-    are drawn with a seeded RNG.  The two extreme patterns (all-immediate,
+    its size is within ``MAX_DELAY_PATTERNS``; otherwise that many distinct
+    patterns are drawn with a seeded RNG.  The two extreme patterns (all-immediate,
     all-latest) are always included.
     """
     if horizon < 1:
@@ -241,7 +257,7 @@ def enum_delay_patterns(
         if explicit not in seen:
             seen.add(explicit)
             patterns.append(explicit)
-    if lattice_size <= budget:
+    if lattice_size <= MAX_DELAY_PATTERNS:
         for combo in itertools.product(steps, repeat=len(edges)):
             p = DelayPattern.of(dict(zip(edges, combo)), default=None)
             if p not in seen:
@@ -250,7 +266,7 @@ def enum_delay_patterns(
         return patterns
     rng = random.Random(sample_seed)
     attempts = 0
-    while len(patterns) < budget + 2 and attempts < budget * 20:
+    while len(patterns) < MAX_DELAY_PATTERNS + 2 and attempts < 20 * MAX_DELAY_PATTERNS:
         attempts += 1
         combo = {e: rng.choice(steps) for e in edges}
         p = DelayPattern.of(combo, default=None)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
-from .outputsets import Value
+from .outputsets import Value, _descriptor_fields
 
 # Information item tags (the wire vocabulary of all six algorithms).
 INIT = "INIT"
@@ -276,9 +276,15 @@ class ScriptedChoices(ChoiceStream):
 
 
 def choices_from_descriptor(d: Dict[str, object]) -> ChoiceStream:
-    if d["mode"] == "seed":
-        return SeededChoices(int(d["seed"]))
-    if d["mode"] == "script":
-        picks = {(int(p), int(c)): v for p, c, v in d["picks"]}
-        return ScriptedChoices(picks)
-    raise ValueError(f"unknown choice mode: {d['mode']!r}")
+    mode = _descriptor_fields(d, "choices", mode=str)["mode"]
+    if mode == "seed":
+        return SeededChoices(_descriptor_fields(d, "choices", seed=int)["seed"])
+    if mode == "script":
+        picks = _descriptor_fields(d, "choices", picks=list)["picks"]
+        if not all(
+            isinstance(row, list) and len(row) == 3 and type(row[0]) is type(row[1]) is int
+            for row in picks
+        ):
+            raise ValueError("choices picks must be a list of [pid, counter, value] rows")
+        return ScriptedChoices({(p, c): v for p, c, v in picks})
+    raise ValueError(f"unknown choice mode: {mode!r}")

@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .outputsets import OutputSet, SystemConfig, Timing, Value, output_set
+from .outputsets import OutputSet, SystemConfig, Timing, Value, _descriptor_fields, output_set
 from .patterns import SYNC_CANONICAL, DelayPattern, FailurePattern
 from .program import (
     COMM,
@@ -144,8 +144,10 @@ class ExecutionTrace:
         if not lines:
             raise ValueError("empty trace")
         header = _read_header(lines[0])
-        final = json.loads(lines[-1])
-        if final.get("kind") != "final":
+        final = _descriptor_fields(
+            json.loads(lines[-1]), "trace final record", kind=str, outputs=list, termination=str
+        )
+        if final["kind"] != "final":
             raise ValueError("trace missing final record")
         events = [json.loads(line) for line in lines[1:-1]]
         outputs = tuple(final["outputs"])
@@ -654,7 +656,7 @@ def replay(source) -> ExecutionTrace:
         choices_from_descriptor(header["choices"]),
         FailurePattern.from_descriptor(header["fp"]),
         DelayPattern.from_descriptor(header["dp"]),
-        horizon=int(header["horizon"]),
+        horizon=_descriptor_fields(header, "trace header", horizon=int)["horizon"],
     )
 
 

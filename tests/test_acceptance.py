@@ -55,7 +55,7 @@ def test_criterion_1_table_matrix_at_desk_scale():
 
 def test_criterion_2_oracle_equivalence():
     """The budgeted explorer and the full-interleaving interpreter agree."""
-    budget = ExplorationBudget(max_delay_patterns=12)
+    budget = ExplorationBudget()
     cells = checked = 0
     mismatches = []
     for line in range(1, 16):

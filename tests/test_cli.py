@@ -5,7 +5,6 @@ import json
 import pytest
 
 from binsos import cli
-from binsos.checker import ExplorationBudget
 
 
 def invoke(capsys, *argv):
@@ -88,12 +87,33 @@ class TestRunCommand:
                 ],
                 "sync_canonical",
             ),
+            (["--line", "9", "--timing", "sync", "--horizon", "3"], "--horizon"),
+            (["--alg", "all_output", "--params", '{"values":5}'], "values"),
+            (["--alg", "single_output", "--params", '{"no_out":"x"}'], "no_out"),
+            (["--alg", "single_output", "--params", '{"no_out":1}'], "no_out"),
+            (
+                ["--alg", "alg5", "--params", '{"no_out":false,"default_value":"1"}'],
+                "default_value",
+            ),
+            (
+                ["--line", "9", "--dp", '{"kind":"map","entries":[],"default":-1}'],
+                "default -1",
+            ),
+            (["--alg", "single_output", "--params", "no_out=x"], "no_out"),
         ],
     )
     def test_bad_input_is_rejected_with_its_field_named(self, capsys, flags, named):
         code, _, err = invoke(capsys, "run", "-n", "2", "-t", "1", *flags)
         assert code == cli.EXIT_PRECONDITION
         assert named in err
+
+    def test_json_params_take_a_values_list(self, capsys):
+        code, stdout, _ = invoke(
+            capsys, "run", "--alg", "all_output", "--params", '{"values":[0,1]}',
+            "-n", "2", "-t", "1",
+        )
+        assert code == 0
+        assert last_json(stdout)["termination"] == "ALL_DONE"
 
 
 class TestReplayCommand:
@@ -127,6 +147,9 @@ class TestReplayCommand:
         [
             (lambda header: header.update(version=99), "version 99"),
             (lambda header: header.pop("cfg"), "cfg"),
+            (lambda header: header.update(cfg={}), "system config lacks 'n'"),
+            (lambda header: header.update(choices={}), "choices lacks 'mode'"),
+            (lambda header: header.update(alg={}), "algorithm lacks 'kind'"),
         ],
     )
     def test_unreadable_header_rejected(self, tmp_path, capsys, edit, named):
@@ -139,6 +162,15 @@ class TestReplayCommand:
         code, stdout, err = invoke(capsys, "replay", str(out))
         assert code == cli.EXIT_PRECONDITION
         assert named in err and stdout == ""
+
+
+    def test_malformed_final_record_rejected(self, tmp_path, capsys):
+        out = self.make_trace(tmp_path, capsys)
+        lines = out.read_text().splitlines()
+        out.write_text("\n".join(lines[:-1] + ["[1]"]) + "\n")
+        code, stdout, err = invoke(capsys, "replay", str(out))
+        assert code == cli.EXIT_PRECONDITION
+        assert "final record" in err and stdout == ""
 
 
 class TestCheckCommand:
@@ -160,6 +192,14 @@ class TestCheckCommand:
             capsys, "check", "--line", "8", "--timing", "async", "-n", "2", "-t", "1"
         )
         assert code == cli.EXIT_PRECONDITION
+
+    def test_horizon_rejected_under_sync(self, capsys):
+        code, stdout, err = invoke(
+            capsys, "check", "--line", "10", "--timing", "sync", "-n", "2", "-t", "1",
+            "--horizon", "3",
+        )
+        assert code == cli.EXIT_PRECONDITION
+        assert "--horizon" in err and stdout == ""
 
 
 class TestTableCommand:
@@ -228,12 +268,6 @@ class TestPlumbing:
             cli.EXIT_HORIZON,
         }
         assert len(codes) == 5
-
-    def test_budget_env_override(self, monkeypatch):
-        monkeypatch.setenv(cli.checker.BUDGET_ENV_VAR, "123")
-        assert ExplorationBudget.default().sample_runs == 123
-        monkeypatch.delenv(cli.checker.BUDGET_ENV_VAR)
-        assert ExplorationBudget.default().sample_runs == 10_000
 
     def test_config_file_defaults(self, tmp_path, capsys):
         config = tmp_path / "defaults.json"

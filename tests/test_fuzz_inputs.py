@@ -1,0 +1,108 @@
+"""Fuzzed external inputs: every mutated --fp, --dp or --params literal and
+every mutated trace header ends in an exit code, never in a traceback."""
+
+import copy
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from binsos import cli
+
+EXIT_CODES = {
+    cli.EXIT_OK,
+    cli.EXIT_VERDICT,
+    cli.EXIT_PRECONDITION,
+    cli.EXIT_BUDGET,
+    cli.EXIT_HORIZON,
+}
+DELETE = object()
+
+# Small JSON values, nested a little, with the keys the descriptors use.
+KEYS = st.sampled_from(
+    ["kind", "n", "t", "mode", "seed", "picks", "crashes", "entries", "default",
+     "values", "no_out", "zero_group", "designated", "x"]
+)
+SCALARS = st.none() | st.booleans() | st.integers(-2, 9) | st.sampled_from(["", "x", "map"])
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=3),
+    max_leaves=8,
+)
+
+# (flags, flag whose JSON literal is mutated, the valid literal); n <= 3.
+LITERALS = [
+    (["--line", "9", "-n", "2", "-t", "1"], "--fp", {"crashes": [[1, 0]]}),
+    (
+        ["--line", "7", "-n", "3", "-t", "0"],
+        "--dp",
+        {"kind": "map", "default": 0, "entries": [[1, 0, 2, 3], [2, 0, 1, 5]]},
+    ),
+    (["--alg", "all_output", "-n", "2", "-t", "1"], "--params", {"values": [0, 1]}),
+    (["--alg", "single_output", "-n", "2", "-t", "1"], "--params", {"no_out": False}),
+    (
+        ["--alg", "timing_adaptive", "-n", "3", "-t", "1"],
+        "--params",
+        {"no_out": True, "default_value": 1},
+    ),
+]
+
+# Commands whose traces cover seeded and scripted choices, roles, sync and async.
+TRACE_COMMANDS = [
+    ["run", "--alg", "alg6", "-n", "2", "-t", "1", "--timing", "sync", "--seed", "3"],
+    ["run", "--line", "5", "-n", "3", "-t", "1", "--seed", "1"],
+    ["run", "--line", "7", "-n", "3", "-t", "0"],
+    ["witness", "lone_survivor", "-n", "3", "-t", "2"],
+]
+
+
+def _paths(doc, prefix=()):
+    """Every path into a JSON document, the document itself included."""
+    yield prefix
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutate(doc, path, value):
+    """A copy of ``doc`` with the node at ``path`` replaced (or deleted)."""
+    if not path:
+        return {} if value is DELETE else value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _mutated(data, doc):
+    path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+    value = data.draw(st.just(DELETE) | JSON, label="value")
+    return _mutate(doc, path, value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), case=st.sampled_from(LITERALS))
+def test_mutated_literals_exit_cleanly(data, case):
+    flags, flag, literal = case
+    text = json.dumps(_mutated(data, literal))
+    assert cli.main(["run", *flags, flag, text]) in EXIT_CODES
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), command=st.sampled_from(TRACE_COMMANDS))
+def test_mutated_trace_headers_exit_cleanly(tmp_path_factory, data, command):
+    path = tmp_path_factory.mktemp("trace") / "t.trace"
+    assert cli.main([*command, "--out", str(path)]) == cli.EXIT_OK
+    lines = path.read_text().splitlines()
+    header = _mutated(data, json.loads(lines[0]))
+    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["replay", str(path)]) in EXIT_CODES

@@ -7,10 +7,12 @@ import pytest
 
 from binsos.patterns import (
     ALL_IMMEDIATE,
+    MAX_DELAY_PATTERNS,
     SYNC_CANONICAL,
     DelayPattern,
     FailurePattern,
     all_latest,
+    count_failure_patterns,
     enum_delay_patterns,
     enum_failure_patterns,
     sample_delay_pattern,
@@ -33,6 +35,11 @@ def test_failure_pattern_counts():
     assert len(list(enum_failure_patterns(2, 1, 2))) == 1 + 2 * 2
     # t = n with one slot is just the powerset of processes.
     assert len(list(enum_failure_patterns(3, 3, 1))) == 8
+    for n in range(0, 6):
+        for t in range(0, n + 1):
+            for slots in (1, 3, [k % 3 + 1 for k in range(n)]):
+                enumerated = len(list(enum_failure_patterns(n, t, slots)))
+                assert count_failure_patterns(n, t, slots) == enumerated, (n, t, slots)
 
 
 def test_failure_pattern_enumeration_matches_brute_force():
@@ -68,13 +75,13 @@ def test_sample_failure_pattern_is_valid():
 
 
 def test_delay_patterns_empty_emissions():
-    patterns = enum_delay_patterns([], n=3, horizon=8, budget=100)
+    patterns = enum_delay_patterns([], n=3, horizon=8)
     assert len(patterns) == 1
     assert patterns[0].step_for(1, 0, 2) == 0
 
 
 def test_delay_patterns_exhaustive_product():
-    patterns = enum_delay_patterns([(1, 0)], n=2, horizon=8, budget=9)
+    patterns = enum_delay_patterns([(1, 0)], n=2, horizon=8)
     assert len(patterns) == 9  # 3 lattice steps ^ 2 receivers
     assert len(set(patterns)) == 9
     steps = {(p.step_for(1, 0, 1), p.step_for(1, 0, 2)) for p in patterns}
@@ -83,9 +90,9 @@ def test_delay_patterns_exhaustive_product():
 
 def test_delay_patterns_sampled_with_extremes():
     slots = [(1, 0), (2, 0), (3, 0)]  # 3 items x 2 receivers -> 3^6 = 729 edges
-    patterns = enum_delay_patterns(slots, n=2, horizon=8, budget=100, sample_seed=3)
+    patterns = enum_delay_patterns(slots, n=2, horizon=8, sample_seed=3)
     assert len(set(patterns)) == len(patterns)
-    assert 100 <= len(patterns) <= 102
+    assert MAX_DELAY_PATTERNS <= len(patterns) <= MAX_DELAY_PATTERNS + 2
     steps_of = lambda p: [p.step_for(s, i, r) for (s, i) in slots for r in (1, 2)]
     all_steps = [steps_of(p) for p in patterns]
     assert [0] * 6 in all_steps  # all-immediate extreme
@@ -94,7 +101,7 @@ def test_delay_patterns_sampled_with_extremes():
 
 def test_delay_patterns_respect_horizon():
     slots = [(1, 0), (2, 0)]
-    for p in enum_delay_patterns(slots, n=3, horizon=6, budget=50, sample_seed=1):
+    for p in enum_delay_patterns(slots, n=3, horizon=6, sample_seed=1):
         for (s, i) in slots:
             for r in (1, 2, 3):
                 assert 0 <= p.step_for(s, i, r) <= 6
@@ -112,6 +119,11 @@ def test_delay_pattern_strict_lookup():
     assert p.step_for(1, 0, 1) == 3
     with pytest.raises(ValueError):
         p.step_for(1, 0, 2)
+
+
+def test_negative_delay_pattern_default_rejected():
+    with pytest.raises(ValueError, match="default -1"):
+        DelayPattern.from_descriptor({"kind": "map", "entries": [], "default": -1})
 
 
 def test_delay_pattern_descriptor_roundtrip():
