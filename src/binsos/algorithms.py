@@ -3,9 +3,10 @@
 Each algorithm is described by an ``AlgorithmInstance``: its kind, its
 instantiation parameters, the timing model it is built for, and (once bound
 to a concrete system size) the deterministic role assignment its correctness
-argument requires.  Role assignment is canonical lowest-index so executions
-are replayable; the correctness arguments do not depend on which concrete
-processes take which role.
+argument requires together with every process's program.  Both are built
+once, when the instance is bound.  Role assignment is canonical lowest-index
+so executions are replayable; the correctness arguments do not depend on
+which concrete processes take which role.
 
 Kinds:
 
@@ -31,9 +32,8 @@ Kinds:
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .outputsets import (
@@ -85,11 +85,8 @@ class AlgorithmKind(enum.Enum):
         return self.value
 
 
-_TIMING_RESTRICTION = {
-    AlgorithmKind.ASYNC_DISAGREEMENT: Timing.ASYNC,
-    AlgorithmKind.SYNC_DISAGREEMENT: Timing.SYNC,
-    AlgorithmKind.SYNC_CONSENSUS: Timing.SYNC,
-}
+#: The instantiation parameters; each kind takes exactly those of its row.
+PARAM_NAMES = ("no_out", "values", "default_value")
 
 
 class RoleError(PreconditionError):
@@ -109,15 +106,7 @@ class RoleAssignment:
     designated: Optional[int] = None
 
     def describe(self) -> Dict[str, object]:
-        return {
-            "zero_group": list(self.zero_group),
-            "one_group": list(self.one_group),
-            "flip_group": list(self.flip_group),
-            "init_group": list(self.init_group),
-            "seq_zero": list(self.seq_zero),
-            "seq_one": list(self.seq_one),
-            "designated": self.designated,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
 
 def _async_disagreement_sizes(t: int) -> Tuple[int, int, int]:
@@ -181,7 +170,12 @@ def make_roles(
 
 @dataclass(frozen=True)
 class AlgorithmInstance:
-    """One algorithm with parameters, timing model and (optional) binding."""
+    """One algorithm with parameters, timing model and (optional) binding.
+
+    Construction checks the parameters against the kind's row of ``_KINDS``.
+    A bound instance (``n`` and ``t`` given) also derives its ``roles`` and
+    builds its programs, once; ``programs()`` hands out that tuple.
+    """
 
     kind: AlgorithmKind
     timing: Timing
@@ -191,8 +185,11 @@ class AlgorithmInstance:
     line: Optional[int] = None
     n: Optional[int] = None
     t: Optional[int] = None
-    roles: Optional[RoleAssignment] = None
     permissive: bool = False
+    roles: Optional[RoleAssignment] = field(default=None, init=False)
+    _programs: Optional[Tuple[Program, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if isinstance(self.values, list):
@@ -202,20 +199,43 @@ class AlgorithmInstance:
             value = getattr(self, name)
             if value is not None and type(value) is not kind:
                 raise ValueError(f"parameter {name} {value!r} must be {kind.__name__}")
-        restriction = _TIMING_RESTRICTION.get(self.kind)
-        if restriction is not None and self.timing is not restriction:
-            raise PreconditionError(
-                f"{self.kind.value} runs only under {restriction}"
-            )
+        timing, params, build = _KINDS[self.kind]
+        if timing is not None and self.timing is not timing:
+            raise PreconditionError(f"{self.kind.value} runs only under {timing}")
+        for name in PARAM_NAMES:
+            given = getattr(self, name) is not None
+            if given != (name in params):
+                verb = "does not take" if given else "needs"
+                raise ValueError(f"{self.kind.value} {verb} parameter {name}")
         if self.values is not None and not (
             isinstance(self.values, tuple)
+            and self.values
             and all(v is None or (type(v) is int and v in (0, 1)) for v in self.values)
         ):
             raise ValueError(f"parameter values {self.values!r} must list 0, 1 or null")
-        if self.kind is AlgorithmKind.ALL_OUTPUT and not self.values:
-            raise ValueError("ALL_OUTPUT needs a non-empty value set")
-        if self.kind is AlgorithmKind.TIMING_ADAPTIVE and self.default_value not in (0, 1):
-            raise ValueError("TIMING_ADAPTIVE needs a default value in {0, 1}")
+        if self.default_value not in (None, 0, 1):
+            raise ValueError(f"parameter default_value {self.default_value} must be 0 or 1")
+        if self.n is None and self.t is None:
+            return
+        if self.n is None or self.t is None or not 0 <= self.t <= self.n:
+            raise PreconditionError(f"need 0 <= t <= n, got n={self.n}, t={self.t}")
+        object.__setattr__(
+            self, "roles", make_roles(self.kind, self.n, self.t, self.permissive)
+        )
+        programs = tuple(build(self, pid) for pid in range(1, self.n + 1))
+        if self.timing is Timing.SYNC:
+            # The sync kernel runs tagged statements up to the last round's
+            # computation step; anything else would never run.
+            last = (self.round_count, COMP)
+            for pid, program in enumerate(programs, start=1):
+                if program.statements and not (
+                    program.is_sync and program.statements[-1].at <= last
+                ):
+                    raise ValueError(
+                        f"program of process {pid} is not tagged within "
+                        f"rounds 1..{self.round_count}"
+                    )
+        object.__setattr__(self, "_programs", programs)
 
     # -- binding --------------------------------------------------------------
 
@@ -231,13 +251,11 @@ class AlgorithmInstance:
         return _infer_line(self)
 
     def bind(self, n: int, t: int, permissive: bool = False) -> "AlgorithmInstance":
-        """Attach a concrete (n, t) and build roles.
+        """The instance attached to a concrete (n, t), with roles and programs.
 
         Unless permissive, the pair must satisfy the instance's tight
         condition; the violated condition is named in the rejection.
         """
-        if not 0 <= t <= n:
-            raise PreconditionError(f"need 0 <= t <= n, got n={n}, t={t}")
         if not permissive:
             cond = tight_condition(self.effective_line, self.timing)
             if not cond.holds(n, t):
@@ -245,8 +263,7 @@ class AlgorithmInstance:
                     f"(n={n}, t={t}) violates condition '{cond}' for "
                     f"{self.kind.value} under {self.timing}"
                 )
-        roles = make_roles(self.kind, n, t, permissive=permissive)
-        return replace(self, n=n, t=t, roles=roles, permissive=permissive)
+        return replace(self, n=n, t=t, permissive=permissive)
 
     def target_members(self) -> Optional[SetOfOutputSets]:
         return line_members(self.effective_line)
@@ -264,7 +281,7 @@ class AlgorithmInstance:
     def programs(self) -> Tuple[Program, ...]:
         if not self.bound:
             raise ValueError("instance not bound")
-        return _programs(self)
+        return self._programs
 
     # -- serialization ----------------------------------------------------------
 
@@ -297,19 +314,15 @@ def instance_from_descriptor(d: Dict[str, object]) -> AlgorithmInstance:
         t=d.get("t"),
         permissive=d.get("permissive", False),
     )
-    n, t = instance.n, instance.t
-    if n is None or t is None or not 0 <= t <= n:
-        raise ValueError(f"algorithm must be bound to 0 <= t <= n, got n={n}, t={t}")
+    if not instance.bound:
+        raise ValueError("algorithm must be bound to some n and t")
     # Roles follow from (kind, n, t, permissive); a described set must match.
-    roles = make_roles(instance.kind, n, t, instance.permissive)
-    if d.get("roles") != roles.describe():
-        raise ValueError(f"algorithm roles {d.get('roles')!r} are not those of n={n}, t={t}")
-    return replace(instance, roles=roles)
-
-
-def _canonical_values(values) -> Tuple[Value, ...]:
-    ordered = [v for v in (0, 1, None) if v in set(values)]
-    return tuple(ordered)
+    if d.get("roles") != instance.roles.describe():
+        raise ValueError(
+            f"algorithm roles {d.get('roles')!r} are not those of "
+            f"n={instance.n}, t={instance.t}"
+        )
+    return instance
 
 
 def _infer_line(instance: AlgorithmInstance) -> int:
@@ -370,8 +383,6 @@ def instance_for_line(line: int, timing: Timing) -> AlgorithmInstance:
             kind, params = AlgorithmKind.SYNC_CONSENSUS, {}
     else:
         kind, params = kind_params[line]
-    if "values" in params:
-        params["values"] = _canonical_values(params["values"])
     return AlgorithmInstance(kind=kind, timing=timing, line=line, **params)
 
 
@@ -381,24 +392,10 @@ def instance_for_line(line: int, timing: Timing) -> AlgorithmInstance:
 
 def step_program(instance: AlgorithmInstance, pid: int) -> Program:
     """The guarded step program process ``pid`` runs under this instance."""
-    if not instance.bound:
-        raise ValueError("instance not bound")
-    if not 1 <= pid <= instance.n:
-        raise ValueError(f"pid {pid} out of range 1..{instance.n}")
-    return instance.programs()[pid - 1]
-
-
-@functools.lru_cache(maxsize=4096)
-def _programs(instance: AlgorithmInstance) -> Tuple[Program, ...]:
-    builder = {
-        AlgorithmKind.ALL_OUTPUT: _build_all_output,
-        AlgorithmKind.SINGLE_OUTPUT: _build_single_output,
-        AlgorithmKind.TIMING_ADAPTIVE: _build_timing_adaptive,
-        AlgorithmKind.ASYNC_DISAGREEMENT: _build_async_disagreement,
-        AlgorithmKind.SYNC_DISAGREEMENT: _build_sync_disagreement,
-        AlgorithmKind.SYNC_CONSENSUS: _build_sync_consensus,
-    }[instance.kind]
-    return tuple(builder(instance, pid) for pid in range(1, instance.n + 1))
+    programs = instance.programs()
+    if not 1 <= pid <= len(programs):
+        raise ValueError(f"pid {pid} out of range 1..{len(programs)}")
+    return programs[pid - 1]
 
 
 def _pick_and_output(candidates: Tuple[Value, ...], at) -> Tuple:
@@ -521,3 +518,15 @@ def _build_sync_consensus(instance: AlgorithmInstance, pid: int) -> Program:
             Output(1, guard=(ObservedPropose(0, negate=True),), at=(1, COMP)),
         )
     )
+
+
+#: One row per kind: the timing it is restricted to (None: either), the
+#: parameters it takes, and the builder of one process's program.
+_KINDS = {
+    AlgorithmKind.ALL_OUTPUT: (None, ("values",), _build_all_output),
+    AlgorithmKind.SINGLE_OUTPUT: (None, ("no_out",), _build_single_output),
+    AlgorithmKind.TIMING_ADAPTIVE: (None, ("no_out", "default_value"), _build_timing_adaptive),
+    AlgorithmKind.ASYNC_DISAGREEMENT: (Timing.ASYNC, ("no_out",), _build_async_disagreement),
+    AlgorithmKind.SYNC_DISAGREEMENT: (Timing.SYNC, ("no_out",), _build_sync_disagreement),
+    AlgorithmKind.SYNC_CONSENSUS: (Timing.SYNC, (), _build_sync_consensus),
+}

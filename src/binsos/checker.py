@@ -80,6 +80,12 @@ class ExplorationBudget:
     sample_runs: int = 10_000
     sample_seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.horizon is not None and self.horizon < 1:
+            raise ValueError(f"horizon (--horizon) must be at least 1, got {self.horizon}")
+        if self.sample_runs < 0:
+            raise ValueError(f"sample_runs (--budget) must be at least 0, got {self.sample_runs}")
+
 
 @dataclass
 class Verdict:
@@ -204,7 +210,7 @@ def explore(
             f"{instance.kind.value} instance is built for {instance.timing}"
         )
 
-    horizon = budget.horizon or default_horizon(cfg.n)
+    horizon = default_horizon(cfg.n) if budget.horizon is None else budget.horizon
     if cfg.timing is Timing.SYNC:
         dps, dp_exhaustive = [SYNC_CANONICAL], True
         probes = [(0, NO_CRASHES, SYNC_CANONICAL), (1, NO_CRASHES, SYNC_CANONICAL)]
@@ -287,7 +293,7 @@ def sample_traces(
 ) -> Iterator[ExecutionTrace]:
     """Randomized (seed, fp, dp) runs for safety audits and medium checks."""
     instance = _bind(instance, cfg)
-    horizon = horizon or default_horizon(cfg.n)
+    horizon = default_horizon(cfg.n) if horizon is None else horizon
     for seed, fp, dp in itertools.islice(
         _draws(instance, cfg, horizon, meta_seed), count
     ):

@@ -9,8 +9,14 @@ the condition table.
 
 Exit codes partition outcomes: 0 success, 1 verdict failure, 2 usage or
 precondition rejection, 3 completeness not witnessed within budget, 4
-horizon exhaustion.  ``--budget N`` sets the sampled-run budget and raises
-the exhaustive cap to N when N exceeds it.
+horizon exhaustion.  ``--budget N`` (N >= 0) sets the sampled-run budget
+and raises the exhaustive cap to N when N exceeds it; ``--horizon`` is at
+least 1.
+
+``--params`` gives an algorithm exactly the parameters it takes: ``V``
+(all_output), ``no_out`` (single_output and both disagreement algorithms),
+``no_out`` and ``v`` (timing_adaptive), none (sync_consensus).  A missing or
+an extra parameter is rejected with its name.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from . import checker
-from .algorithms import AlgorithmInstance, AlgorithmKind, instance_for_line
+from .algorithms import PARAM_NAMES, AlgorithmInstance, AlgorithmKind, instance_for_line
 from .outputsets import SystemConfig, Timing, condition_table, line_members
 from .patterns import NO_CRASHES, SYNC_CANONICAL, DelayPattern, FailurePattern
 from .program import ChoiceNeeded, SeededChoices
@@ -57,11 +63,6 @@ _ALG_ALIASES = {
 }
 
 _VALUE_TOKENS = {"0": 0, "1": 1, "bot": None, "none": None, "null": None, "⊥": None}
-_PARAM_NAMES = ("no_out", "default_value", "values")
-_NEEDS_NO_OUT = (
-    AlgorithmKind.SINGLE_OUTPUT, AlgorithmKind.TIMING_ADAPTIVE,
-    AlgorithmKind.ASYNC_DISAGREEMENT, AlgorithmKind.SYNC_DISAGREEMENT,
-)
 
 
 class CliError(Exception):
@@ -77,7 +78,7 @@ def _parse_params(text: Optional[str]) -> Dict[str, object]:
     text = text.strip()
     if text.startswith("{"):
         params = json.loads(text)
-        unknown = sorted(set(params) - set(_PARAM_NAMES))
+        unknown = sorted(set(params) - set(PARAM_NAMES))
         if unknown:
             raise CliError(f"unknown parameter {unknown[0]!r}")
         return params
@@ -92,7 +93,10 @@ def _parse_params(text: Optional[str]) -> Dict[str, object]:
                 raise CliError(f"parameter no_out: {raw!r} is not true or false")
             params[key] = raw.lower() in ("1", "true", "yes")
         elif key in ("v", "default_value"):
-            params["default_value"] = int(raw)
+            try:
+                params["default_value"] = int(raw)
+            except ValueError:
+                raise CliError(f"parameter default_value: {raw!r} is not 0 or 1") from None
         elif key in ("V", "values"):
             tokens = [tok for tok in raw.split("|") if tok]
             unknown = [tok for tok in tokens if tok.lower() not in _VALUE_TOKENS]
@@ -136,21 +140,14 @@ def _build_instance(args) -> AlgorithmInstance:
         kind = _ALG_ALIASES[args.alg]
     except KeyError:
         raise CliError(f"unknown algorithm {args.alg!r}") from None
+    # The instance checks that the kind takes exactly these parameters.
     params = _parse_params(args.params)
-    if kind is AlgorithmKind.ALL_OUTPUT and "values" not in params:
-        raise CliError("all_output needs --params V=...")
-    if kind in _NEEDS_NO_OUT and "no_out" not in params:
-        raise CliError(f"{kind.value} needs --params no_out=true|false")
-    if kind is AlgorithmKind.TIMING_ADAPTIVE and "default_value" not in params:
-        raise CliError("timing_adaptive needs --params v=0|1")
     return AlgorithmInstance(kind=kind, timing=_timing(args.timing), **params)
 
 
 def _budget(args) -> checker.ExplorationBudget:
-    budget = checker.ExplorationBudget(horizon=args.horizon)
-    if args.budget is not None:
-        budget.sample_runs = args.budget
-    return budget
+    runs = {} if args.budget is None else {"sample_runs": args.budget}
+    return checker.ExplorationBudget(horizon=args.horizon, **runs)
 
 
 def _system(args) -> SystemConfig:

@@ -29,13 +29,6 @@ class Timing(enum.Enum):
         return self.value
 
 
-def complement(v: int) -> int:
-    """One's complement of a bit: 1 for 0, 0 for 1 (an involution)."""
-    if v not in (0, 1):
-        raise ValueError(f"not a bit: {v!r}")
-    return 1 ^ v
-
-
 class OutputSet(enum.Enum):
     """One of the four sets of distinct values an execution can output."""
 
@@ -51,9 +44,6 @@ class OutputSet(enum.Enum):
     @property
     def cardinality(self) -> int:
         return len(self.values)
-
-    def __le__(self, other: "OutputSet") -> bool:
-        return self.values <= other.values
 
     def __str__(self) -> str:
         return _OUTPUT_SET_NAMES[self]

@@ -175,8 +175,15 @@ class Program:
         tags = [s.at for s in self.statements]
         if any(t is None for t in tags) and any(t is not None for t in tags):
             raise ValueError("program mixes tagged and untagged statements")
-        if tags and tags[0] is not None and sorted(tags) != tags:
+        if not tags or tags[0] is None:
+            return
+        if sorted(tags) != tags:
             raise ValueError("synchronous statements must be (round, phase)-sorted")
+        for stmt in self.statements:
+            if isinstance(stmt, Wait):
+                raise ValueError("synchronous programs cannot wait")
+            if isinstance(stmt, Communicate) and stmt.at[1] != COMM:
+                raise ValueError(f"communication tagged {stmt.at} is outside a COMM step")
 
     @property
     def is_sync(self) -> bool:

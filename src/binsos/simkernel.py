@@ -421,32 +421,24 @@ class _SyncKernel(_Kernel):
         super().__init__(instance, cfg, choices, fp, SYNC_CANONICAL, 0, record)
         self.round_count = instance.round_count
         self.round_items: List[InfoItem] = []
-        self.phase = COMM
 
     def emit(self, item: InfoItem) -> None:
-        if self.phase != COMM:
-            raise KernelError("communication outside a communication step")
         self.round_items.append(item)
 
     def _advance_phase(self, limit: Tuple[int, int]) -> None:
         for proc in self.procs:
-            while proc.status == _RUNNING:
-                if proc.pc >= len(proc.program.statements):
-                    break
-                stmt = proc.program.statements[proc.pc]
-                if stmt.at is None:
-                    raise KernelError("untagged statement in synchronous run")
-                if isinstance(stmt, Wait):
-                    raise KernelError("wait statement in synchronous run")
-                if stmt.at > limit:
-                    break
+            statements = proc.program.statements
+            while (
+                proc.status == _RUNNING
+                and proc.pc < len(statements)
+                and statements[proc.pc].at <= limit
+            ):
                 self.step_proc(proc)
 
     def run(self) -> ExecutionTrace:
         for rnd in range(1, self.round_count + 1):
             self.now = 2 * (rnd - 1)
             self.round_items = []
-            self.phase = COMM
             self._advance_phase((rnd, COMM))
             # Delivery barrier: everything communicated this round is observed
             # within the same communication step by every not-yet-crashed
@@ -456,13 +448,7 @@ class _SyncKernel(_Kernel):
                     if proc.status != _CRASHED:
                         self.deliver(proc, item)
             self.now = 2 * (rnd - 1) + 1
-            self.phase = COMP
             self._advance_phase((rnd, COMP))
-        for proc in self.procs:
-            if proc.status == _RUNNING and proc.pc < len(proc.program.statements):
-                raise KernelError(
-                    f"process {proc.pid} has statements beyond round {self.round_count}"
-                )
         return self.finalize(ALL_DONE)
 
 

@@ -3,6 +3,7 @@ behavioral guarantees each algorithm's correctness argument claims."""
 
 import pytest
 
+from binsos import algorithms
 from binsos.algorithms import (
     AlgorithmKind,
     RoleError,
@@ -14,7 +15,7 @@ from binsos.algorithms import (
 from binsos.checker import branch_choices, sample_traces
 from binsos.outputsets import OutputSet, SystemConfig, Timing
 from binsos.patterns import ALL_IMMEDIATE, NO_CRASHES, enum_failure_patterns
-from binsos.program import Communicate, Output, Pick, ScriptedChoices, Wait
+from binsos.program import COMP, Communicate, Output, Pick, Program, ScriptedChoices, Wait
 from binsos.simkernel import PreconditionError, run, run_sync
 
 
@@ -109,6 +110,30 @@ class TestInstanceForLine:
         again = instance_from_descriptor(inst.describe())
         assert again == inst
         assert again.programs() == inst.programs()
+
+    def test_programs_are_built_once_at_bind(self, monkeypatch):
+        inst = instance_for_line(8, Timing.SYNC).bind(4, 2)
+        timing, params, _ = algorithms._KINDS[AlgorithmKind.SYNC_DISAGREEMENT]
+
+        def rebuild(instance, pid):
+            raise AssertionError("programs rebuilt after bind")
+
+        monkeypatch.setitem(
+            algorithms._KINDS, AlgorithmKind.SYNC_DISAGREEMENT, (timing, params, rebuild)
+        )
+        assert inst.programs() is inst.programs()
+
+    def test_sync_statement_beyond_the_last_round_rejected_at_bind(self, monkeypatch):
+        timing, params, _ = algorithms._KINDS[AlgorithmKind.SYNC_CONSENSUS]
+
+        def late(instance, pid):  # an output in round 2 of a one-round kind
+            return Program((Output(0, at=(2, COMP)),))
+
+        monkeypatch.setitem(
+            algorithms._KINDS, AlgorithmKind.SYNC_CONSENSUS, (timing, params, late)
+        )
+        with pytest.raises(ValueError, match="rounds 1..1"):
+            instance_for_line(10, Timing.SYNC).bind(2, 1)
 
 
 class TestProgramShapes:

@@ -100,6 +100,12 @@ class TestRunCommand:
                 "default -1",
             ),
             (["--alg", "single_output", "--params", "no_out=x"], "no_out"),
+            (["--alg", "timing_adaptive", "--params", "no_out=false,v=x"], "default_value"),
+            (
+                ["--alg", "single_output", "--params", '{"no_out":false,"values":[0]}'],
+                "values",
+            ),
+            (["--alg", "alg6", "--timing", "sync", "--params", '{"no_out":true}'], "no_out"),
         ],
     )
     def test_bad_input_is_rejected_with_its_field_named(self, capsys, flags, named):
@@ -117,13 +123,20 @@ class TestRunCommand:
 
 
 class TestReplayCommand:
-    def make_trace(self, tmp_path, capsys):
-        out = tmp_path / "alg6.trace"
+    def make_trace(self, tmp_path, capsys, *flags):
+        out = tmp_path / "run.trace"
         invoke(
-            capsys, "run", "--alg", "alg6", "-n", "2", "-t", "1",
-            "--timing", "sync", "--seed", "3", "--out", str(out),
+            capsys, "run", *(flags or ("--alg", "alg6", "--timing", "sync")),
+            "-n", "2", "-t", "1", "--seed", "3", "--out", str(out),
         )
         return out
+
+    def edit_header(self, out, edit):
+        lines = out.read_text().splitlines()
+        header = json.loads(lines[0])
+        edit(header)
+        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        out.write_text("\n".join(lines) + "\n")
 
     def test_replay_reproduces_summary(self, tmp_path, capsys):
         out = self.make_trace(tmp_path, capsys)
@@ -150,19 +163,23 @@ class TestReplayCommand:
             (lambda header: header.update(cfg={}), "system config lacks 'n'"),
             (lambda header: header.update(choices={}), "choices lacks 'mode'"),
             (lambda header: header.update(alg={}), "algorithm lacks 'kind'"),
+            (lambda header: header["alg"].update(no_out=True), "no_out"),
         ],
     )
     def test_unreadable_header_rejected(self, tmp_path, capsys, edit, named):
         out = self.make_trace(tmp_path, capsys)
-        lines = out.read_text().splitlines()
-        header = json.loads(lines[0])
-        edit(header)
-        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
-        out.write_text("\n".join(lines) + "\n")
+        self.edit_header(out, edit)
         code, stdout, err = invoke(capsys, "replay", str(out))
         assert code == cli.EXIT_PRECONDITION
         assert named in err and stdout == ""
 
+    def test_header_lacking_a_parameter_rejected(self, tmp_path, capsys):
+        out = self.make_trace(tmp_path, capsys, "--line", "4")
+        assert invoke(capsys, "replay", str(out))[0] == cli.EXIT_OK
+        self.edit_header(out, lambda header: header["alg"].update(no_out=None))
+        code, stdout, err = invoke(capsys, "replay", str(out))
+        assert code == cli.EXIT_PRECONDITION
+        assert "no_out" in err and stdout == ""
 
     def test_malformed_final_record_rejected(self, tmp_path, capsys):
         out = self.make_trace(tmp_path, capsys)
@@ -200,6 +217,25 @@ class TestCheckCommand:
         )
         assert code == cli.EXIT_PRECONDITION
         assert "--horizon" in err and stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["check", "--line", "7", "-n", "3", "-t", "0", "--horizon", "0"], "--horizon"),
+        (
+            ["check", "--line", "10", "--timing", "sync", "-n", "2", "-t", "1", "--budget", "-5"],
+            "--budget",
+        ),
+        (["check", "--line", "3", "-n", "5", "-t", "4", "--budget", "-5"], "--budget"),
+        (["table", "--n-max", "2", "--horizon", "0"], "--horizon"),
+        (["table", "--n-max", "2", "--budget", "-1"], "--budget"),
+    ],
+)
+def test_budget_flags_out_of_range_rejected(capsys, argv, named):
+    code, stdout, err = invoke(capsys, *argv)
+    assert code == cli.EXIT_PRECONDITION
+    assert named in err and stdout == ""
 
 
 class TestTableCommand:

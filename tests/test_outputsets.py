@@ -11,7 +11,6 @@ from binsos.outputsets import (
     SystemConfig,
     Timing,
     classify_line,
-    complement,
     condition_table,
     line_members,
     observation1_bounds,
@@ -21,15 +20,6 @@ from binsos.outputsets import (
     sos_mask,
     tight_condition,
 )
-
-
-def test_complement_is_involution():
-    assert complement(0) == 1
-    assert complement(1) == 0
-    for v in (0, 1):
-        assert complement(complement(v)) == v
-    with pytest.raises(ValueError):
-        complement(2)
 
 
 def test_output_set_examples():

@@ -12,6 +12,8 @@ from binsos.program import (
     Program,
     ScriptedChoices,
     SeededChoices,
+    Wait,
+    WaitInit,
     choices_from_descriptor,
 )
 
@@ -69,6 +71,14 @@ class TestProgramStructure:
     def test_unsorted_rounds_rejected(self):
         with pytest.raises(ValueError):
             Program((Output(0, at=(2, COMM)), Output(1, at=(1, COMP))))
+
+    def test_synchronous_wait_rejected(self):
+        with pytest.raises(ValueError, match="cannot wait"):
+            Program((Wait(WaitInit(), at=(1, COMM)), Output(0, at=(1, COMP))))
+
+    def test_synchronous_communication_outside_comm_step_rejected(self):
+        with pytest.raises(ValueError, match="outside a COMM step"):
+            Program((Output(0, at=(1, COMP)), Communicate("OUTPUT", 0, at=(1, COMP))))
 
     def test_counts(self):
         program = Program(
