@@ -18,7 +18,6 @@ from .algorithms import (
     RoleAssignment,
     instance_for_line,
     make_roles,
-    step_program,
 )
 from .patterns import (
     SYNC_CANONICAL,
@@ -88,7 +87,6 @@ __all__ = [
     "run",
     "run_async",
     "run_sync",
-    "step_program",
     "tight_condition",
     "witness_lone_survivor",
     "witness_split_crash",

@@ -32,19 +32,15 @@ Kinds:
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .outputsets import (
-    OutputSet,
     SetOfOutputSets,
     Timing,
     Value,
-    classify_line,
     _descriptor_fields,
     line_members,
-    output_set,
     tight_condition,
 )
 from .program import (
@@ -265,7 +261,7 @@ class AlgorithmInstance:
                 )
         return replace(self, n=n, t=t, permissive=permissive)
 
-    def target_members(self) -> Optional[SetOfOutputSets]:
+    def target_members(self) -> SetOfOutputSets:
         return line_members(self.effective_line)
 
     @property
@@ -326,27 +322,20 @@ def instance_from_descriptor(d: Dict[str, object]) -> AlgorithmInstance:
 
 
 def _infer_line(instance: AlgorithmInstance) -> int:
-    """Classify which table line an instance's claimed family belongs to."""
-    kind = instance.kind
-    if kind is AlgorithmKind.ALL_OUTPUT:
-        bits = [v for v in instance.values if v is not None]
-        members = {
-            output_set(combo)
-            for r in range(len(bits) + 1)
-            for combo in itertools.combinations(bits, r)
-        }
-        if None not in instance.values:
-            members.discard(OutputSet.EMPTY)
-        return classify_line(frozenset(members))
-    if kind is AlgorithmKind.SINGLE_OUTPUT:
-        return 9 if instance.no_out else 10
-    if kind is AlgorithmKind.TIMING_ADAPTIVE:
-        if instance.default_value == 1:
-            return 3 if instance.no_out else 4
-        return 5 if instance.no_out else 6
-    if kind in (AlgorithmKind.ASYNC_DISAGREEMENT, AlgorithmKind.SYNC_DISAGREEMENT):
-        return 7 if instance.no_out else 8
-    return 10  # synchronous consensus
+    """The line whose mandated instance, under either timing, has this one's
+    kind and parameters (``values`` compared as a set)."""
+
+    def key(inst: AlgorithmInstance) -> Tuple:
+        values = None if inst.values is None else frozenset(inst.values)
+        return inst.kind, inst.no_out, inst.default_value, values
+
+    own = key(instance)
+    return next(
+        line
+        for line in range(1, 16)
+        for timing in Timing
+        if key(instance_for_line(line, timing)) == own
+    )
 
 
 def instance_for_line(line: int, timing: Timing) -> AlgorithmInstance:
@@ -388,14 +377,6 @@ def instance_for_line(line: int, timing: Timing) -> AlgorithmInstance:
 
 # ---------------------------------------------------------------------------
 # Program construction.
-
-
-def step_program(instance: AlgorithmInstance, pid: int) -> Program:
-    """The guarded step program process ``pid`` runs under this instance."""
-    programs = instance.programs()
-    if not 1 <= pid <= len(programs):
-        raise ValueError(f"pid {pid} out of range 1..{len(programs)}")
-    return programs[pid - 1]
 
 
 def _pick_and_output(candidates: Tuple[Value, ...], at) -> Tuple:
@@ -452,7 +433,7 @@ def _build_timing_adaptive(instance: AlgorithmInstance, pid: int) -> Program:
         # The round-1 delivery barrier is the wait.
         return Program(gate_stmts + branch)
     return Program(
-        gate_stmts + (Wait(WaitDeadline(None), guard=gate),) + branch
+        gate_stmts + (Wait(WaitDeadline(), guard=gate),) + branch
     )
 
 

@@ -48,7 +48,6 @@ from .patterns import (
 )
 from .program import ChoiceNeeded, Communicate, Output, Pick, ScriptedChoices, SeededChoices
 from .simkernel import (
-    HORIZON,
     ExecutionTrace,
     PreconditionError,
     default_horizon,
@@ -93,15 +92,14 @@ class Verdict:
 
     target: SetOfOutputSets
     observed: SetOfOutputSets = frozenset()
-    violations: List[Tuple[ExecutionTrace, OutputSet]] = field(default_factory=list)
+    violations: List[ExecutionTrace] = field(default_factory=list)
     witnesses: Dict[OutputSet, ExecutionTrace] = field(default_factory=dict)
-    horizon_hits: int = 0
     executions: int = 0
     exhaustive: bool = False
 
     @property
     def safety_ok(self) -> bool:
-        return not self.violations and self.horizon_hits == 0
+        return not self.violations
 
     @property
     def completeness_ok(self) -> bool:
@@ -117,8 +115,6 @@ class Verdict:
 
     @property
     def status(self) -> str:
-        if self.horizon_hits:
-            return "horizon"
         if self.violations:
             return "unsafe"
         if self.missing:
@@ -135,7 +131,6 @@ class Verdict:
             "safety": self.safety_ok,
             "completeness": self.completeness_ok,
             "status": self.status,
-            "horizon_hits": self.horizon_hits,
             "executions": self.executions,
             "exhaustive": self.exhaustive,
             "witness_refs": sorted(str(m) for m in self.witnesses),
@@ -195,16 +190,12 @@ def explore(
     """Explore executions and judge safety/completeness against ``target``.
 
     Synchronous configurations use the single canonical delay pattern;
-    asynchronous ones range over the bounded delay family.  Horizon-truncated
-    executions have no defined output set and are counted as conservative
-    safety failures, never ignored.
+    asynchronous ones range over the bounded delay family.
     """
     budget = budget or ExplorationBudget()
     instance = _bind(instance, cfg)
     if target is None:
         target = instance.target_members()
-    if target is None:
-        raise ValueError("no target family: pass target= or use a table instance")
     if cfg.timing is not instance.timing:
         raise PreconditionError(
             f"{instance.kind.value} instance is built for {instance.timing}"
@@ -250,9 +241,6 @@ def explore(
     observed = set()
     for choices, fp, dp, trace in runs:
         verdict.executions += 1
-        if trace.termination == HORIZON:
-            verdict.horizon_hits += 1
-            continue
         os_ = trace.output_set()
         if os_ in observed:
             continue
@@ -261,7 +249,7 @@ def explore(
         if os_ in target:
             verdict.witnesses[os_] = full
         else:
-            verdict.violations.append((full, os_))
+            verdict.violations.append(full)
     verdict.observed = frozenset(observed)
     return verdict
 
@@ -289,11 +277,10 @@ def sample_traces(
     count: int,
     meta_seed: int = 0,
     record: bool = False,
-    horizon: Optional[int] = None,
 ) -> Iterator[ExecutionTrace]:
     """Randomized (seed, fp, dp) runs for safety audits and medium checks."""
     instance = _bind(instance, cfg)
-    horizon = default_horizon(cfg.n) if horizon is None else horizon
+    horizon = default_horizon(cfg.n)
     for seed, fp, dp in itertools.islice(
         _draws(instance, cfg, horizon, meta_seed), count
     ):
@@ -398,20 +385,11 @@ SPLIT_CRASH = "split_crash"
 
 
 @dataclass
-class WitnessSchedule:
-    """A concrete (choices, fp, dp) re-enacting a crash construction."""
+class WitnessResult:
+    """A crash construction's execution; its header holds the choices, fp and dp."""
 
     construction: str
-    choices: Dict[str, object]
-    fp: FailurePattern
-    dp: DelayPattern
-    expected: OutputSet
-    notes: str = ""
-
-
-@dataclass
-class WitnessResult:
-    schedule: WitnessSchedule
+    notes: str
     trace: ExecutionTrace
 
     @property
@@ -497,15 +475,8 @@ def witness_lone_survivor(
         raise WitnessSearchError(
             f"construction produced {trace.output_set()} instead of {expected}"
         )
-    schedule = WitnessSchedule(
-        construction=LONE_SURVIVOR,
-        choices=ScriptedChoices(picks).describe(),
-        fp=fp,
-        dp=dp,
-        expected=expected,
-        notes=f"survivor p{survivor} outputs {value}; all others crash pre-output",
-    )
-    return WitnessResult(schedule=schedule, trace=trace)
+    notes = f"survivor p{survivor} outputs {value}; all others crash pre-output"
+    return WitnessResult(LONE_SURVIVOR, notes, trace)
 
 
 def _delayed_after_output_dp(
@@ -568,27 +539,13 @@ def witness_split_crash(cfg: SystemConfig) -> WitnessResult:
     if base.output_set() is not OutputSet.BOTH:
         raise WitnessSearchError("no crash-free execution producing both values")
 
-    def finish(trace, fp, dp, stage) -> WitnessResult:
-        expected = trace.output_set()
-        schedule = WitnessSchedule(
-            construction=SPLIT_CRASH,
-            choices=choices.describe(),
-            fp=fp,
-            dp=dp,
-            expected=expected,
-            notes=stage,
-        )
-        return WitnessResult(schedule=schedule, trace=trace)
-
     outputs = sorted(_output_events(base), key=lambda e: e["seq"])
     first = outputs[0]
     crashes = {first["pid"]: first["stmt"] + 1}  # right after its output
     current = rerun(FailurePattern.of(crashes), ALL_IMMEDIATE)
     for stage in range(2, cfg.t + 1):
         if current.output_set() in (OutputSet.ZERO, OutputSet.ONE):
-            return finish(
-                current, FailurePattern.of(crashes), ALL_IMMEDIATE, f"stage {stage - 1}"
-            )
+            return WitnessResult(SPLIT_CRASH, f"stage {stage - 1}", current)
         events = sorted(_output_events(current), key=lambda e: e["seq"])
         seconds = [e for e in events if e["pid"] not in crashes and e["pid"] != first["pid"]]
         if not seconds:
@@ -600,7 +557,7 @@ def witness_split_crash(cfg: SystemConfig) -> WitnessResult:
         current = rerun(FailurePattern.of(crashes), ALL_IMMEDIATE)
 
     if current.output_set() in (OutputSet.ZERO, OutputSet.ONE):
-        return finish(current, FailurePattern.of(crashes), ALL_IMMEDIATE, f"stage {cfg.t}")
+        return WitnessResult(SPLIT_CRASH, f"stage {cfg.t}", current)
 
     events = sorted(_output_events(current), key=lambda e: e["seq"])
     non_crashed = [e for e in events if e["pid"] not in crashes]
@@ -636,4 +593,4 @@ def witness_split_crash(cfg: SystemConfig) -> WitnessResult:
         raise WitnessSearchError(
             f"final execution produced {final.output_set()}, not a singleton"
         )
-    return finish(final, fp, delayed, "majority-only stage")
+    return WitnessResult(SPLIT_CRASH, "majority-only stage", final)

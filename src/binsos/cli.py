@@ -8,10 +8,9 @@ subcommand: only ``replay`` re-executes a trace, only ``conditions`` writes
 the condition table.
 
 Exit codes partition outcomes: 0 success, 1 verdict failure, 2 usage or
-precondition rejection, 3 completeness not witnessed within budget, 4
-horizon exhaustion.  ``--budget N`` (N >= 0) sets the sampled-run budget
-and raises the exhaustive cap to N when N exceeds it; ``--horizon`` is at
-least 1.
+precondition rejection, 3 completeness not witnessed within budget.
+``--budget N`` (N >= 0) sets the sampled-run budget and raises the
+exhaustive cap to N when N exceeds it; ``--horizon`` is at least 1.
 
 ``--params`` gives an algorithm exactly the parameters it takes: ``V``
 (all_output), ``no_out`` (single_output and both disagreement algorithms),
@@ -29,37 +28,28 @@ from typing import Dict, List, Optional
 
 from . import checker
 from .algorithms import PARAM_NAMES, AlgorithmInstance, AlgorithmKind, instance_for_line
-from .outputsets import SystemConfig, Timing, condition_table, line_members
+from .outputsets import SystemConfig, Timing, condition_table
 from .patterns import NO_CRASHES, SYNC_CANONICAL, DelayPattern, FailurePattern
 from .program import ChoiceNeeded, SeededChoices
-from .simkernel import (
-    HORIZON,
-    ExecutionTrace,
-    PreconditionError,
-    replay,
-    run,
-)
+from .simkernel import ExecutionTrace, PreconditionError, replay, run
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
-EXIT_HORIZON = 4
 
+#: The algorithms in presentation order; the short alias algN names the N-th.
+_ALG_ORDER = (
+    AlgorithmKind.ASYNC_DISAGREEMENT,
+    AlgorithmKind.SYNC_DISAGREEMENT,
+    AlgorithmKind.ALL_OUTPUT,
+    AlgorithmKind.SINGLE_OUTPUT,
+    AlgorithmKind.TIMING_ADAPTIVE,
+    AlgorithmKind.SYNC_CONSENSUS,
+)
 _ALG_ALIASES = {
-    "all_output": AlgorithmKind.ALL_OUTPUT,
-    "single_output": AlgorithmKind.SINGLE_OUTPUT,
-    "timing_adaptive": AlgorithmKind.TIMING_ADAPTIVE,
-    "async_disagreement": AlgorithmKind.ASYNC_DISAGREEMENT,
-    "sync_disagreement": AlgorithmKind.SYNC_DISAGREEMENT,
-    "sync_consensus": AlgorithmKind.SYNC_CONSENSUS,
-    # Short numbered aliases, in presentation order of the algorithms.
-    "alg1": AlgorithmKind.ASYNC_DISAGREEMENT,
-    "alg2": AlgorithmKind.SYNC_DISAGREEMENT,
-    "alg3": AlgorithmKind.ALL_OUTPUT,
-    "alg4": AlgorithmKind.SINGLE_OUTPUT,
-    "alg5": AlgorithmKind.TIMING_ADAPTIVE,
-    "alg6": AlgorithmKind.SYNC_CONSENSUS,
+    **{kind.value: kind for kind in AlgorithmKind},
+    **{f"alg{k}": kind for k, kind in enumerate(_ALG_ORDER, start=1)},
 }
 
 _VALUE_TOKENS = {"0": 0, "1": 1, "bot": None, "none": None, "null": None, "⊥": None}
@@ -186,12 +176,12 @@ def cmd_run(args) -> int:
         "termination": trace.termination,
     }
     print(json.dumps(summary, sort_keys=True))
-    return EXIT_HORIZON if trace.termination == HORIZON else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_replay(args) -> int:
     text = _read_text(args.trace)
-    original = ExecutionTrace.parse(text)
+    ExecutionTrace.parse(text)  # rejects a malformed final record
     rerun = replay(text)
     identical = rerun.to_jsonl() == text
     summary = {
@@ -203,7 +193,7 @@ def cmd_replay(args) -> int:
     if not identical:
         print("replay diverged from recorded trace", file=sys.stderr)
         return EXIT_VERDICT
-    return EXIT_HORIZON if original.termination == HORIZON else EXIT_OK
+    return EXIT_OK
 
 
 _STATUS_EXIT = {
@@ -211,7 +201,6 @@ _STATUS_EXIT = {
     "unsafe": EXIT_VERDICT,
     "incomplete": EXIT_VERDICT,
     "not_witnessed_within_budget": EXIT_BUDGET,
-    "horizon": EXIT_HORIZON,
 }
 
 
@@ -219,9 +208,7 @@ def cmd_check(args) -> int:
     instance = _build_instance(args)
     cfg = _system(args)
     bound = instance.bind(cfg.n, cfg.t)
-    target = line_members(args.line) if args.line is not None else bound.target_members()
-    if target is None:
-        raise CliError("no target family known; use --line")
+    target = bound.target_members()
     ok, reason = checker.bounds_screen(target, cfg)
     if not ok:
         raise CliError(f"bounds screen failed: {reason}")
@@ -260,10 +247,10 @@ def cmd_witness(args) -> int:
         result = checker.witness_split_crash(cfg)
     _write_out(args.out, result.trace.to_jsonl())
     summary = {
-        "construction": result.schedule.construction,
+        "construction": result.construction,
         "output_set": str(result.output_set),
-        "notes": result.schedule.notes,
-        "fp": result.schedule.fp.describe(),
+        "notes": result.notes,
+        "fp": result.trace.header["fp"],
     }
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
@@ -358,16 +345,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(argv: List[str]) -> List[str]:
-    """Prepend flag defaults from --config FILE (flags on the line win)."""
-    if "--config" not in argv:
+    """Prepend flag defaults from --config FILE or --config=FILE (flags on the
+    line win); an object or list default is passed on as JSON text."""
+    idx = next(
+        (i for i, a in enumerate(argv) if a == "--config" or a.startswith("--config=")),
+        None,
+    )
+    if idx is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 == len(argv):
-        raise CliError("--config needs a file path")
-    defaults = json.loads(_read_text(argv[idx + 1]))
+    _, joined, path = argv[idx].partition("=")
+    rest = argv[:idx] + argv[idx + 1 :]
+    if not joined:
+        if idx == len(rest):
+            raise CliError("--config needs a file path")
+        path = rest.pop(idx)
+    defaults = json.loads(_read_text(path))
     if not isinstance(defaults, dict):
         raise CliError("--config file must hold a JSON object of flag defaults")
-    rest = argv[:idx] + argv[idx + 2 :]
     command = rest[0] if rest else None
     injected: List[str] = []
     for key, value in defaults.items():
@@ -377,6 +371,8 @@ def _merge_config(argv: List[str]) -> List[str]:
         if isinstance(value, bool):
             if value:
                 injected.append(flag)
+        elif isinstance(value, (dict, list)):
+            injected.extend([flag, json.dumps(value)])
         else:
             injected.extend([flag, str(value)])
     return [command] + injected + rest[1:] if command else rest

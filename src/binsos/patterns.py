@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .outputsets import _descriptor_fields
 
@@ -81,11 +81,7 @@ def _int_row(row: object, size: int, what: str) -> Tuple[int, ...]:
 NO_CRASHES = FailurePattern()
 
 
-def _slot_counts(n: int, program_slots: Union[int, Sequence[int]]) -> List[int]:
-    if isinstance(program_slots, int):
-        if program_slots < 1:
-            raise ValueError("program_slots must be >= 1")
-        return [program_slots] * n
+def _slot_counts(n: int, program_slots: Sequence[int]) -> List[int]:
     counts = list(program_slots)
     if len(counts) != n:
         raise ValueError(f"expected {n} slot counts, got {len(counts)}")
@@ -93,17 +89,15 @@ def _slot_counts(n: int, program_slots: Union[int, Sequence[int]]) -> List[int]:
 
 
 def enum_failure_patterns(
-    n: int, t: int, program_slots: Union[int, Sequence[int]]
+    n: int, t: int, program_slots: Sequence[int]
 ) -> Iterator[FailurePattern]:
     """All patterns with f <= t crashes over every combination of slots.
 
-    ``program_slots`` is either one slot count for every process or a
-    per-process sequence (index 0 is process 1).  The stream has exactly
-    sum over f of C(n, f) * slots^f patterns in the uniform case.
+    ``program_slots`` holds each process's slot count (index 0 is process 1).
     """
     if not 0 <= t <= n:
         raise ValueError(f"need 0 <= t <= n, got n={n}, t={t}")
-    counts = _slot_counts(n, program_slots) if n else []
+    counts = _slot_counts(n, program_slots)
     for f in range(t + 1):
         for pids in itertools.combinations(range(1, n + 1), f):
             slot_ranges = [range(counts[pid - 1]) for pid in pids]
@@ -111,24 +105,22 @@ def enum_failure_patterns(
                 yield FailurePattern(tuple(zip(pids, slots)))
 
 
-def count_failure_patterns(
-    n: int, t: int, program_slots: Union[int, Sequence[int]]
-) -> int:
+def count_failure_patterns(n: int, t: int, program_slots: Sequence[int]) -> int:
     """How many patterns ``enum_failure_patterns`` yields: the sum over f <= t
     of the f-th elementary symmetric sum of the per-process slot counts."""
     if not 0 <= t <= n:
         raise ValueError(f"need 0 <= t <= n, got n={n}, t={t}")
     sums = [1] + [0] * n  # sums[f]: elementary symmetric sum of degree f
-    for count in _slot_counts(n, program_slots) if n else []:
+    for count in _slot_counts(n, program_slots):
         for f in range(n, 0, -1):
             sums[f] += sums[f - 1] * count
     return sum(sums[: t + 1])
 
 
 def sample_failure_pattern(
-    rng: random.Random, n: int, t: int, program_slots: Union[int, Sequence[int]]
+    rng: random.Random, n: int, t: int, program_slots: Sequence[int]
 ) -> FailurePattern:
-    counts = _slot_counts(n, program_slots) if n else []
+    counts = _slot_counts(n, program_slots)
     f = rng.randint(0, t)
     pids = sorted(rng.sample(range(1, n + 1), f))
     return FailurePattern(

@@ -111,9 +111,7 @@ class WaitAnyOutput:
 
 @dataclass(frozen=True)
 class WaitDeadline:
-    """Block until a logical delivery step; None means the horizon."""
-
-    step: Optional[int] = None
+    """Block until the horizon."""
 
 
 WaitPredicate = Union[WaitInit, WaitAnyOutput, WaitDeadline]

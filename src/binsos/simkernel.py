@@ -56,7 +56,6 @@ from .program import (
 
 ALL_DONE = "ALL_DONE"
 QUIESCENT = "QUIESCENT"
-HORIZON = "HORIZON"
 
 _RUNNING = 0
 _BLOCKED = 1
@@ -115,12 +114,6 @@ class ExecutionTrace:
     @property
     def timing(self) -> Timing:
         return Timing(self.header["cfg"]["timing"])  # type: ignore[index]
-
-    def crashed_pids(self) -> frozenset:
-        return frozenset(e["pid"] for e in self.events if e["kind"] == "crash")
-
-    def correct_pids(self) -> frozenset:
-        return frozenset(range(1, self.n + 1)) - self.crashed_pids()
 
     def to_jsonl(self) -> str:
         if not self.recorded:
@@ -350,10 +343,9 @@ class _Kernel:
         if isinstance(pred, WaitAnyOutput):
             return bool(proc.output_bits)
         if isinstance(pred, WaitDeadline):
-            deadline = self.horizon if pred.step is None else pred.step
             if entering:
-                proc.deadline = deadline
-            return self.now >= deadline
+                proc.deadline = self.horizon
+            return self.now >= self.horizon
         raise KernelError(f"unknown wait predicate {pred!r}")
 
     def _execute(self, proc: _Proc, stmt) -> None:
@@ -510,12 +502,9 @@ class _AsyncKernel(_Kernel):
                 if all(not p.alive() for p in self.procs):
                     return self.finalize(ALL_DONE)
                 return self.finalize(QUIESCENT)
-            next_step = min(
-                list(self.pending.keys()) + deadlines
-            )
-            if next_step > self.horizon:
-                return self.finalize(HORIZON)
-            self.now = next_step
+            # Every delivery step and every deadline is clamped to the
+            # horizon, so no run outlasts it.
+            self.now = min(list(self.pending.keys()) + deadlines)
             # Deadline waiters wake before this step's deliveries land, so a
             # delivery scheduled exactly at the deadline is not yet visible
             # to the re-check the waiter performs on waking.
@@ -655,11 +644,8 @@ def medium_check(trace: ExecutionTrace) -> List[str]:
 
     The kernel enforces the properties by construction; this is the
     independent auditor.  Violations are returned as data, one description
-    per finding.  Horizon-truncated traces are rejected (their logs are not
-    complete enough to audit liveness).
+    per finding.
     """
-    if trace.termination == HORIZON:
-        raise PreconditionError("cannot audit a horizon-truncated trace")
     if not trace.recorded:
         raise PreconditionError("cannot audit a trace without an event log")
     violations: List[str] = []

@@ -49,7 +49,11 @@ def table_n4():
 
 
 def test_criterion_1_table_matrix_at_desk_scale(table_n4):
-    """Every solvable cell with n <= 4 is safe and complete, exhaustively."""
+    """Every solvable cell with n <= 4 is safe and complete over the runs
+    explore makes: its whole pick x failure-pattern x delay-pattern space,
+    where an async cell's delay patterns are its full 3-point lattice or, when
+    that exceeds MAX_DELAY_PATTERNS, a seeded sample of it (those cells report
+    exhaustive: false)."""
     report, elapsed = table_n4
     bad = [c.row() for c in report.failures()]
     _report(

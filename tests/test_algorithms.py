@@ -10,7 +10,6 @@ from binsos.algorithms import (
     instance_for_line,
     instance_from_descriptor,
     make_roles,
-    step_program,
 )
 from binsos.checker import branch_choices, sample_traces
 from binsos.outputsets import OutputSet, SystemConfig, Timing
@@ -95,6 +94,35 @@ class TestInstanceForLine:
         assert instance_for_line(10, Timing.ASYNC).no_out is False
         assert instance_for_line(7, Timing.SYNC).kind is AlgorithmKind.SYNC_DISAGREEMENT
 
+    def test_effective_line_of_every_accepted_parameter_set(self):
+        # An instance built without a line reads it from the line table;
+        # values are compared as a set, so order and repeats do not matter.
+        cases = [
+            (AlgorithmKind.ALL_OUTPUT, {"values": (0, 1, None)}, 1),
+            (AlgorithmKind.ALL_OUTPUT, {"values": (1, 0)}, 2),
+            (AlgorithmKind.ALL_OUTPUT, {"values": (None, 1)}, 11),
+            (AlgorithmKind.ALL_OUTPUT, {"values": (1,)}, 12),
+            (AlgorithmKind.ALL_OUTPUT, {"values": (0, None, 0)}, 13),
+            (AlgorithmKind.ALL_OUTPUT, {"values": (0, 0)}, 14),
+            (AlgorithmKind.ALL_OUTPUT, {"values": (None,)}, 15),
+            (AlgorithmKind.SINGLE_OUTPUT, {"no_out": True}, 9),
+            (AlgorithmKind.SINGLE_OUTPUT, {"no_out": False}, 10),
+            (AlgorithmKind.TIMING_ADAPTIVE, {"no_out": True, "default_value": 1}, 3),
+            (AlgorithmKind.TIMING_ADAPTIVE, {"no_out": False, "default_value": 1}, 4),
+            (AlgorithmKind.TIMING_ADAPTIVE, {"no_out": True, "default_value": 0}, 5),
+            (AlgorithmKind.TIMING_ADAPTIVE, {"no_out": False, "default_value": 0}, 6),
+            (AlgorithmKind.ASYNC_DISAGREEMENT, {"no_out": True}, 7),
+            (AlgorithmKind.ASYNC_DISAGREEMENT, {"no_out": False}, 8),
+            (AlgorithmKind.SYNC_DISAGREEMENT, {"no_out": True}, 7),
+            (AlgorithmKind.SYNC_DISAGREEMENT, {"no_out": False}, 8),
+            (AlgorithmKind.SYNC_CONSENSUS, {}, 10),
+        ]
+        for kind, params, line in cases:
+            only = algorithms._KINDS[kind][0]
+            for timing in [only] if only else Timing:
+                inst = algorithms.AlgorithmInstance(kind=kind, timing=timing, **params)
+                assert inst.effective_line == line, (kind, timing, params)
+
     def test_line_16_rejected(self):
         with pytest.raises(PreconditionError):
             instance_for_line(16, Timing.ASYNC)
@@ -140,7 +168,7 @@ class TestProgramShapes:
     def test_no_output_alphabet_is_a_noop(self):
         inst = instance_for_line(15, Timing.ASYNC).bind(2, 2)
         cfg = SystemConfig(2, 2, Timing.ASYNC)
-        for fp in enum_failure_patterns(2, 2, 3):
+        for fp in enum_failure_patterns(2, 2, [3, 3]):
             for picks, trace in branch_choices(
                 lambda c, fp=fp: run(inst, cfg, c, fp, ALL_IMMEDIATE)
             ):
@@ -148,36 +176,35 @@ class TestProgramShapes:
 
     def test_disagreement_wait_elided_without_gate(self):
         inst = instance_for_line(8, Timing.ASYNC).bind(5, 2)
-        program = step_program(inst, 1)  # a zero-group member
+        program = inst.programs()[0]  # p1, a zero-group member
         kinds = [type(s) for s in program.statements]
         assert kinds == [Output, Communicate]
         gated = instance_for_line(7, Timing.ASYNC).bind(5, 2)
-        kinds = [type(s) for s in step_program(gated, 1).statements]
+        kinds = [type(s) for s in gated.programs()[0].statements]
         assert kinds == [Pick, Communicate, Wait, Output, Communicate]
 
     def test_flip_group_program(self):
         inst = instance_for_line(8, Timing.ASYNC).bind(5, 2)
-        program = step_program(inst, 5)
+        program = inst.programs()[4]
         assert [type(s) for s in program.statements] == [Wait, Output]
 
     def test_non_participants_have_empty_programs(self):
         inst = instance_for_line(9, Timing.SYNC).bind(3, 1)
-        assert len(step_program(inst, 2).statements) == 0
-        assert len(step_program(inst, 1).statements) == 2
+        assert len(inst.programs()[1].statements) == 0
+        assert len(inst.programs()[0].statements) == 2
 
     def test_staggered_sequences_round_tags(self):
         inst = instance_for_line(8, Timing.SYNC).bind(4, 2)
         # p1 leads the 1-sequence: decides in round 1, advertises in round 2.
-        tags = [s.at for s in step_program(inst, 1).statements]
+        tags = [s.at for s in inst.programs()[0].statements]
         assert tags == [(1, 1), (1, 1), (1, 1), (2, 0)]
         # p4 closes the 0-sequence: decides in the final round, never advertises.
-        tags = [s.at for s in step_program(inst, 4).statements]
+        tags = [s.at for s in inst.programs()[3].statements]
         assert tags == [(2, 1), (2, 1), (2, 1)]
 
-    def test_pid_out_of_range(self):
+    def test_one_program_per_process(self):
         inst = instance_for_line(10, Timing.SYNC).bind(2, 1)
-        with pytest.raises(ValueError):
-            step_program(inst, 3)
+        assert len(inst.programs()) == 2
 
 
 def _explored_sets(inst, cfg, runs=400, seed=0):

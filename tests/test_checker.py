@@ -4,6 +4,7 @@ import pytest
 
 from binsos.algorithms import instance_for_line
 from binsos.checker import (
+    LONE_SURVIVOR,
     ExplorationBudget,
     bounds_screen,
     check_table,
@@ -47,9 +48,9 @@ class TestExplore:
         assert not verdict.safety_ok
         assert verdict.status == "unsafe"
         assert verdict.violations
-        trace, offending = verdict.violations[0]
-        assert offending is OutputSet.ONE
-        assert replay(trace.header).output_set() is offending
+        trace = verdict.violations[0]
+        assert trace.output_set() is OutputSet.ONE
+        assert replay(trace.header).to_jsonl() == trace.to_jsonl()
 
     def test_completeness_witnesses_replay(self):
         inst = instance_for_line(9, Timing.ASYNC).bind(2, 1)
@@ -111,7 +112,7 @@ class TestCheckTable:
         rows = report.rows()
         assert rows and all(row["condition_holds"] for row in rows)
         assert {"line", "timing", "n", "t", "observed_mask", "safety",
-                "completeness", "status", "horizon_hits"} <= set(rows[0])
+                "completeness", "status", "executions", "exhaustive"} <= set(rows[0])
 
     def test_n_max_guard(self):
         with pytest.raises(ValueError):
@@ -138,7 +139,7 @@ class TestLoneSurvivorWitness:
     def test_sync_two_processes(self):
         result = witness_lone_survivor(SystemConfig(2, 1, Timing.SYNC))
         assert result.output_set in (OutputSet.ZERO, OutputSet.ONE)
-        assert result.output_set is result.schedule.expected
+        assert result.construction == LONE_SURVIVOR
 
     def test_async_three_processes(self):
         result = witness_lone_survivor(SystemConfig(3, 2, Timing.ASYNC))
@@ -158,17 +159,20 @@ class TestLoneSurvivorWitness:
             witness_lone_survivor(SystemConfig(3, 1, Timing.SYNC))
 
     def test_witness_trace_replays(self):
-        result = witness_lone_survivor(SystemConfig(2, 1, Timing.SYNC))
-        text = result.trace.to_jsonl()
-        assert replay(text).to_jsonl() == text
-        assert medium_check(result.trace) == []
+        for timing in (Timing.SYNC, Timing.ASYNC):
+            for no_out in (False, True):
+                result = witness_lone_survivor(SystemConfig(2, 1, timing), no_out=no_out)
+                assert result.output_set in (OutputSet.ZERO, OutputSet.ONE)
+                text = result.trace.to_jsonl()
+                assert replay(text).to_jsonl() == text
+                assert medium_check(result.trace) == []
 
 
 class TestSplitCrashWitness:
     def test_boundary_configuration(self):
         result = witness_split_crash(SystemConfig(4, 2, Timing.ASYNC))
         assert result.output_set in (OutputSet.ZERO, OutputSet.ONE)
-        assert result.schedule.fp.f <= 2
+        assert len(result.trace.header["fp"]["crashes"]) <= 2
 
     def test_larger_configuration(self):
         result = witness_split_crash(SystemConfig(5, 3, Timing.ASYNC))
@@ -187,9 +191,13 @@ class TestSplitCrashWitness:
             witness_split_crash(SystemConfig(4, 2, Timing.SYNC))
 
     def test_witness_trace_replays(self):
-        result = witness_split_crash(SystemConfig(4, 2, Timing.ASYNC))
-        text = result.trace.to_jsonl()
-        assert replay(text).to_jsonl() == text
+        # (2, 1) is the cell that reaches the majority-only stage.
+        for n, t in ((4, 2), (2, 1)):
+            result = witness_split_crash(SystemConfig(n, t, Timing.ASYNC))
+            assert result.output_set in (OutputSet.ZERO, OutputSet.ONE)
+            text = result.trace.to_jsonl()
+            assert replay(text).to_jsonl() == text
+        assert result.notes == "majority-only stage"
 
 
 class TestOracleAgreement:

@@ -301,9 +301,8 @@ class TestPlumbing:
             cli.EXIT_VERDICT,
             cli.EXIT_PRECONDITION,
             cli.EXIT_BUDGET,
-            cli.EXIT_HORIZON,
         }
-        assert len(codes) == 5
+        assert codes == {0, 1, 2, 3}
 
     def test_config_file_defaults(self, tmp_path, capsys):
         config = tmp_path / "defaults.json"
@@ -315,6 +314,28 @@ class TestPlumbing:
         )
         assert code == 0
         assert last_json(stdout)["termination"] == "ALL_DONE"
+
+    def test_config_given_with_an_equals_sign(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"budget": -5}))
+        code, stdout, err = invoke(
+            capsys, f"--config={config}", "check", "--line", "10", "--timing", "sync",
+            "-n", "2", "-t", "1",
+        )
+        assert code == cli.EXIT_PRECONDITION
+        assert "--budget" in err and stdout == ""
+
+    def test_config_object_default_reaches_its_flag(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"fp": {"crashes": [[1, 0]]}}))
+        out = tmp_path / "t.trace"
+        code, _, err = invoke(
+            capsys, "--config", str(config), "run", "--alg", "alg6", "-n", "2", "-t", "1",
+            "--timing", "sync", "--out", str(out),
+        )
+        assert code == cli.EXIT_OK, err
+        header = json.loads(out.read_text().splitlines()[0])
+        assert header["fp"] == {"crashes": [[1, 0]]}
 
     def test_unknown_algorithm(self, capsys):
         code, _, err = invoke(capsys, "run", "--alg", "nope", "-n", "1", "-t", "0")

@@ -14,7 +14,6 @@ EXIT_CODES = {
     cli.EXIT_VERDICT,
     cli.EXIT_PRECONDITION,
     cli.EXIT_BUDGET,
-    cli.EXIT_HORIZON,
 }
 DELETE = object()
 

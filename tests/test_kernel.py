@@ -231,7 +231,8 @@ class TestTraceInvariants:
                     for e in trace.events
                     if e["kind"] == "observe" and (e["sender"], e["index"]) == key
                 }
-                assert trace.correct_pids() <= observers
+                crashed = {e["pid"] for e in trace.events if e["kind"] == "crash"}
+                assert set(range(1, trace.n + 1)) - crashed <= observers
 
 
 class TestForgedTraces:

@@ -31,13 +31,13 @@ def brute_force_failure_patterns(n, t, slots):
 
 
 def test_failure_pattern_counts():
-    assert len(list(enum_failure_patterns(2, 0, 2))) == 1
-    assert len(list(enum_failure_patterns(2, 1, 2))) == 1 + 2 * 2
+    assert len(list(enum_failure_patterns(2, 0, [2, 2]))) == 1
+    assert len(list(enum_failure_patterns(2, 1, [2, 2]))) == 1 + 2 * 2
     # t = n with one slot is just the powerset of processes.
-    assert len(list(enum_failure_patterns(3, 3, 1))) == 8
+    assert len(list(enum_failure_patterns(3, 3, [1, 1, 1]))) == 8
     for n in range(0, 6):
         for t in range(0, n + 1):
-            for slots in (1, 3, [k % 3 + 1 for k in range(n)]):
+            for slots in ([1] * n, [3] * n, [k % 3 + 1 for k in range(n)]):
                 enumerated = len(list(enum_failure_patterns(n, t, slots)))
                 assert count_failure_patterns(n, t, slots) == enumerated, (n, t, slots)
 
@@ -47,7 +47,7 @@ def test_failure_pattern_enumeration_matches_brute_force():
         for t in range(0, min(n, 1) + 1):
             for slots in (1, 2):
                 expected = sorted(brute_force_failure_patterns(n, t, slots))
-                got = sorted(p.crashes for p in enum_failure_patterns(n, t, slots))
+                got = sorted(p.crashes for p in enum_failure_patterns(n, t, [slots] * n))
                 assert got == expected, (n, t, slots)
 
 
@@ -69,7 +69,7 @@ def test_failure_pattern_descriptor_roundtrip():
 def test_sample_failure_pattern_is_valid():
     rng = random.Random(7)
     for _ in range(200):
-        fp = sample_failure_pattern(rng, 5, 3, 4)
+        fp = sample_failure_pattern(rng, 5, 3, [4] * 5)
         assert fp.f <= 3
         assert all(1 <= pid <= 5 and 0 <= slot < 4 for pid, slot in fp.crashes)
 
