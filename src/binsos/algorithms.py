@@ -65,8 +65,8 @@ from .program import (
     INIT,
     OUTPUT,
     PROPOSE,
+    PreconditionError,
 )
-from .simkernel import PreconditionError
 
 
 class AlgorithmKind(enum.Enum):

@@ -12,23 +12,31 @@ precondition rejection, 3 completeness not witnessed within budget.
 ``--budget N`` (N >= 0) sets the sampled-run budget and raises the
 exhaustive cap to N when N exceeds it; ``--horizon`` is at least 1.
 
-``--params`` gives an algorithm exactly the parameters it takes: ``V``
-(all_output), ``no_out`` (single_output and both disagreement algorithms),
-``no_out`` and ``v`` (timing_adaptive), none (sync_consensus).  A missing or
-an extra parameter is rejected with its name.
+``--params`` is a JSON object, or ``@file`` holding one, in the form of a
+trace header's ``alg``.  It gives an algorithm exactly the parameters it
+takes: ``values`` (all_output), ``no_out`` (single_output and both
+disagreement algorithms), ``no_out`` and ``default_value`` (timing_adaptive),
+none (sync_consensus).  A missing or an extra parameter is rejected with its
+name.
+
+Every JSON input is read strictly: a repeated key is rejected.  A ``--config``
+key is the name of a flag of the subcommand (a one-letter key is its short
+flag); flags are never abbreviated.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from . import checker
 from .algorithms import PARAM_NAMES, AlgorithmInstance, AlgorithmKind, instance_for_line
-from .outputsets import SystemConfig, Timing, condition_table
+from .outputsets import SystemConfig, Timing, _read_json, condition_table
 from .patterns import NO_CRASHES, SYNC_CANONICAL, DelayPattern, FailurePattern
 from .program import ChoiceNeeded, SeededChoices
 from .simkernel import ExecutionTrace, PreconditionError, replay, run
@@ -52,8 +60,6 @@ _ALG_ALIASES = {
     **{f"alg{k}": kind for k, kind in enumerate(_ALG_ORDER, start=1)},
 }
 
-_VALUE_TOKENS = {"0": 0, "1": 1, "bot": None, "none": None, "null": None, "⊥": None}
-
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_PRECONDITION):
@@ -62,49 +68,23 @@ class CliError(Exception):
 
 
 def _parse_params(text: Optional[str]) -> Dict[str, object]:
-    """Parse ``k=v,k=v`` or JSON parameter strings."""
-    if not text:
+    """The JSON object of ``--params``; every key a parameter name."""
+    if text is None:
         return {}
-    text = text.strip()
-    if text.startswith("{"):
-        params = json.loads(text)
-        unknown = sorted(set(params) - set(PARAM_NAMES))
-        if unknown:
-            raise CliError(f"unknown parameter {unknown[0]!r}")
-        return params
-    params: Dict[str, object] = {}
-    for part in text.split(","):
-        if not part.strip():
-            continue
-        key, _, raw = part.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key == "no_out":
-            if raw.lower() not in ("1", "true", "yes", "0", "false", "no"):
-                raise CliError(f"parameter no_out: {raw!r} is not true or false")
-            params[key] = raw.lower() in ("1", "true", "yes")
-        elif key in ("v", "default_value"):
-            try:
-                params["default_value"] = int(raw)
-            except ValueError:
-                raise CliError(f"parameter default_value: {raw!r} is not 0 or 1") from None
-        elif key in ("V", "values"):
-            tokens = [tok for tok in raw.split("|") if tok]
-            unknown = [tok for tok in tokens if tok.lower() not in _VALUE_TOKENS]
-            if unknown:
-                raise CliError(f"parameter {key}: unknown value {unknown[0]!r}")
-            params["values"] = tuple(_VALUE_TOKENS[tok.lower()] for tok in tokens)
-        else:
-            raise CliError(f"unknown parameter {key!r}")
+    params = _load_literal(text, "--params")
+    if not isinstance(params, dict):
+        raise CliError("--params must be a JSON object of parameters")
+    unknown = sorted(set(params) - set(PARAM_NAMES))
+    if unknown:
+        raise CliError(f"unknown parameter {unknown[0]!r}")
     return params
 
 
-def _load_literal(text: Optional[str]) -> Optional[dict]:
-    """A JSON literal or an @file reference."""
-    if text is None:
-        return None
+def _load_literal(text: str, flag: str) -> object:
+    """The JSON value of ``flag``: a literal or an @file reference."""
     if text.startswith("@"):
-        return json.loads(_read_text(text[1:]))
-    return json.loads(text)
+        return _read_json(_read_text(text[1:]), f"{flag} file {text[1:]}")
+    return _read_json(text, flag)
 
 
 def _read_text(path: str) -> str:
@@ -114,16 +94,9 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _timing(value: str) -> Timing:
-    try:
-        return Timing(value)
-    except ValueError:
-        raise CliError(f"timing must be 'async' or 'sync', got {value!r}") from None
-
-
 def _build_instance(args) -> AlgorithmInstance:
     if args.line is not None:
-        return instance_for_line(args.line, _timing(args.timing))
+        return instance_for_line(args.line, Timing(args.timing))
     if args.alg is None:
         raise CliError("one of --alg or --line is required")
     try:
@@ -132,7 +105,7 @@ def _build_instance(args) -> AlgorithmInstance:
         raise CliError(f"unknown algorithm {args.alg!r}") from None
     # The instance checks that the kind takes exactly these parameters.
     params = _parse_params(args.params)
-    return AlgorithmInstance(kind=kind, timing=_timing(args.timing), **params)
+    return AlgorithmInstance(kind=kind, timing=Timing(args.timing), **params)
 
 
 def _budget(args) -> checker.ExplorationBudget:
@@ -142,17 +115,20 @@ def _budget(args) -> checker.ExplorationBudget:
 
 def _system(args) -> SystemConfig:
     """The -n/-t/--timing configuration; --horizon only bounds async runs."""
-    cfg = SystemConfig(args.n, args.t, _timing(args.timing))
+    cfg = SystemConfig(args.n, args.t, Timing(args.timing))
     if args.horizon is not None and cfg.timing is Timing.SYNC:
         raise CliError("--horizon applies only to --timing async")
     return cfg
 
 
 def _write_out(path: Optional[str], text: str) -> None:
-    if path:
-        Path(path).write_text(text)
-    else:
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +140,10 @@ def cmd_run(args) -> int:
     cfg = _system(args)
     bound = instance.bind(cfg.n, cfg.t, permissive=args.permissive)
     choices = SeededChoices(args.seed)
-    fp_literal = _load_literal(args.fp)
-    fp = NO_CRASHES if fp_literal is None else FailurePattern.from_descriptor(fp_literal)
-    dp_literal = _load_literal(args.dp)
-    dp = SYNC_CANONICAL if dp_literal is None else DelayPattern.from_descriptor(dp_literal)
+    fp = (NO_CRASHES if args.fp is None
+          else FailurePattern.from_descriptor(_load_literal(args.fp, "--fp")))
+    dp = (SYNC_CANONICAL if args.dp is None
+          else DelayPattern.from_descriptor(_load_literal(args.dp, "--dp")))
     trace = run(bound, cfg, choices, fp, dp, horizon=args.horizon)
     _write_out(args.out, trace.to_jsonl())
     summary = {
@@ -240,7 +216,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    cfg = SystemConfig(args.n, args.t, _timing(args.timing))
+    cfg = SystemConfig(args.n, args.t, Timing(args.timing))
     if args.kind == checker.LONE_SURVIVOR:
         result = checker.witness_lone_survivor(cfg, no_out=args.no_out)
     else:
@@ -277,7 +253,7 @@ def _add_system_flags(p: argparse.ArgumentParser) -> None:
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alg", help="algorithm name or algN alias")
     p.add_argument(
-        "--params", help="instantiation parameters, k=v,... (V uses | between values)"
+        "--params", help="instantiation parameters: JSON object literal or @file"
     )
     p.add_argument(
         "--line", type=int, help="build the instance mandated for a table line"
@@ -287,6 +263,7 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="binsos",
+        allow_abbrev=False,
         description="Simulator and solvability checker for binary-output tasks "
         "under crash faults.",
     )
@@ -294,8 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--config", help="JSON file of defaults merged under the command flags"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("run", help="run one execution and write its trace")
+    p = add_command("run", help="run one execution and write its trace")
     _add_instance_flags(p)
     _add_system_flags(p)
     p.add_argument("--seed", type=int, default=0)
@@ -307,25 +285,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="trace file path (default: stdout)")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("replay", help="re-execute a trace from its header")
+    p = add_command("replay", help="re-execute a trace from its header")
     p.add_argument("trace", help="trace file produced by run/witness")
     p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("check", help="explore one cell and print the verdict")
+    p = add_command("check", help="explore one cell and print the verdict")
     _add_instance_flags(p)
     _add_system_flags(p)
     p.add_argument("--budget", type=int, help="sampled-run budget override")
     p.add_argument("--horizon", type=int)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("table", help="reproduce the characterization matrix")
+    p = add_command("table", help="reproduce the characterization matrix")
     p.add_argument("--n-max", type=int, dest="n_max", required=True)
     p.add_argument("--budget", type=int, help="sampled-run budget override")
     p.add_argument("--horizon", type=int, help="horizon of the async cells")
     p.add_argument("--out", help="report file path (default: stdout)")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser(
+    p = add_command(
         "witness", help="produce a crash-schedule counterexample trace"
     )
     p.add_argument(
@@ -337,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="trace file path (default: stdout)")
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("conditions", help="write the machine-readable condition table")
+    p = add_command("conditions", help="write the machine-readable condition table")
     p.add_argument("--out", help="file path (default: stdout)")
     p.set_defaults(func=cmd_conditions)
 
@@ -346,27 +324,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_config(argv: List[str]) -> List[str]:
     """Prepend flag defaults from --config FILE or --config=FILE (flags on the
-    line win); an object or list default is passed on as JSON text."""
-    idx = next(
-        (i for i, a in enumerate(argv) if a == "--config" or a.startswith("--config=")),
-        None,
-    )
-    if idx is None:
+    line win).  A key names a flag of the subcommand: ``-k`` for a one-letter
+    key, else ``--key`` with ``_`` as ``-``.  ``true`` sets a switch, ``false``
+    leaves it unset, and an object or list is passed on as JSON text."""
+    found = [i for i, a in enumerate(argv) if a == "--config" or a.startswith("--config=")]
+    if not found:
         return argv
+    if len(found) > 1:
+        raise CliError("--config is given more than once")
+    idx = found[0]
     _, joined, path = argv[idx].partition("=")
     rest = argv[:idx] + argv[idx + 1 :]
     if not joined:
         if idx == len(rest):
             raise CliError("--config needs a file path")
         path = rest.pop(idx)
-    defaults = json.loads(_read_text(path))
+    defaults = _read_json(_read_text(path), f"--config file {path}")
     if not isinstance(defaults, dict):
         raise CliError("--config file must hold a JSON object of flag defaults")
     command = rest[0] if rest else None
     injected: List[str] = []
     for key, value in defaults.items():
-        flag = "--" + key.replace("_", "-")
-        if any(a == flag for a in rest):
+        if not re.fullmatch(r"[a-z][a-z0-9_-]*", key) or key in ("h", "help"):
+            raise CliError(f"--config key {key!r} is not the name of a flag")
+        if value is None:
+            raise CliError(f"--config key {key!r} has no value")
+        flag = f"-{key}" if len(key) == 1 else "--" + key.replace("_", "-")
+        if flag in rest:
             continue
         if isinstance(value, bool):
             if value:

@@ -10,6 +10,7 @@ floating point is involved anywhere.
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -176,6 +177,24 @@ def _descriptor_fields(d: object, what: str, **types: type) -> Dict[str, object]
         if type(d[name]) is not kind:
             raise ValueError(f"{what} {name} {d[name]!r} must be {kind.__name__}")
     return d
+
+
+def _read_json(text: str, what: str) -> object:
+    """The JSON value in ``text``; a ValueError naming ``what`` if the text is
+    not JSON or an object in it repeats a key."""
+
+    def unique_keys(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
+        obj: Dict[str, object] = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{what} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} is not JSON: {exc}") from None
 
 
 # Primitive comparisons over (n, t).  The strict rational bound n > (3/2)t+1

@@ -32,6 +32,10 @@ COMP = 1  # computation step
 SyncTag = Optional[Tuple[int, int]]
 
 
+class PreconditionError(Exception):
+    """Inputs rejected before execution (bad pattern, timing mismatch...)."""
+
+
 # ---------------------------------------------------------------------------
 # Expressions: a statement operand is a constant, a local, or a flipped local.
 

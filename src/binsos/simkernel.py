@@ -8,16 +8,18 @@ Synchronous runs proceed in lock-step rounds; all items communicated during a
 round's communication step are observed, by every process not yet crashed, at
 that round's delivery barrier, before the computation step begins.
 
-Asynchronous runs advance in discrete delivery steps 0..H.  At each step,
-processes blocked on a deadline wake first (re-checking their observations
-once), then the step's deliveries land, then every runnable process executes
-statements until it blocks or finishes.  Emitted items are delivered to all
+Asynchronous runs advance in discrete delivery steps 0..H.  At each step
+the step's deliveries land, then every runnable process executes statements
+until it blocks or finishes.  The horizon H is the one deadline: at step H,
+processes blocked on it wake first (re-checking their observations once),
+before that step's deliveries.  Emitted items are delivered to all
 processes by the horizon, so the medium's termination properties hold by
 construction; ``medium_check`` audits them independently from the event log.
 
 Crashes are positional: a process with crash slot k halts when about to
-execute statement k.  Items it already emitted are still delivered (the
-medium never suppresses information).
+execute statement k, or after its last statement when k is its statement
+count; a larger slot is rejected.  Items it already emitted are still
+delivered (the medium never suppresses information).
 """
 
 from __future__ import annotations
@@ -26,7 +28,10 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .outputsets import OutputSet, SystemConfig, Timing, Value, _descriptor_fields, output_set
+from .algorithms import instance_from_descriptor
+from .outputsets import (
+    OutputSet, SystemConfig, Timing, Value, _descriptor_fields, _read_json, output_set,
+)
 from .patterns import SYNC_CANONICAL, DelayPattern, FailurePattern
 from .program import (
     COMM,
@@ -43,6 +48,7 @@ from .program import (
     ObservedPropose,
     Output,
     Pick,
+    PreconditionError,
     Program,
     SetLocal,
     Wait,
@@ -52,6 +58,7 @@ from .program import (
     INIT,
     OUTPUT,
     PROPOSE,
+    choices_from_descriptor,
 )
 
 ALL_DONE = "ALL_DONE"
@@ -69,10 +76,6 @@ _HEADER_FIELDS = ("alg", "cfg", "choices", "fp", "dp", "horizon")
 
 class KernelError(Exception):
     """Internal invariant broken while interpreting a program."""
-
-
-class PreconditionError(Exception):
-    """Inputs rejected before execution (bad pattern, timing mismatch...)."""
 
 
 def default_horizon(n: int) -> int:
@@ -138,11 +141,12 @@ class ExecutionTrace:
             raise ValueError("empty trace")
         header = _read_header(lines[0])
         final = _descriptor_fields(
-            json.loads(lines[-1]), "trace final record", kind=str, outputs=list, termination=str
+            _read_json(lines[-1], "trace final record"), "trace final record",
+            kind=str, outputs=list, termination=str,
         )
         if final["kind"] != "final":
             raise ValueError("trace missing final record")
-        events = [json.loads(line) for line in lines[1:-1]]
+        events = [_read_json(line, "trace event") for line in lines[1:-1]]
         outputs = tuple(final["outputs"])
         return ExecutionTrace(header, events, outputs, final["termination"])
 
@@ -151,10 +155,11 @@ def _dumps(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _read_header(source) -> Dict[str, object]:
+def _read_header(header) -> Dict[str, object]:
     """Check a trace header, given as a dict or as trace text (whose first
     line alone is parsed), against the format and version this kernel writes."""
-    header = json.loads(source.partition("\n")[0]) if isinstance(source, str) else source
+    if isinstance(header, str):
+        header = _read_json(header.partition("\n")[0], "trace header")
     if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
         raise PreconditionError(f"not a trace: header format is not {TRACE_FORMAT!r}")
     if header.get("version") != TRACE_VERSION:
@@ -176,14 +181,13 @@ class _Proc:
         "locals",
         "status",
         "output",
-        "observed",
         "has_init",
         "output_bits",
+        "first_output",
         "propose_bits",
         "crash_slot",
         "pick_counter",
         "emission_counter",
-        "deadline",
     )
 
     def __init__(self, pid: int, program: Program, crash_slot: Optional[int]):
@@ -193,20 +197,18 @@ class _Proc:
         self.locals: Dict[str, Value] = dict(program.initial_locals)
         self.status = _RUNNING
         self.output: Value = None
-        self.observed: List[InfoItem] = []
         self.has_init = False
         self.output_bits: set = set()
+        self.first_output: Value = None  # the value of the first OUTPUT observed
         self.propose_bits: set = set()
-        if crash_slot is None:
-            self.crash_slot = -1
-        else:
-            self.crash_slot = min(crash_slot, len(program.statements))
+        if crash_slot is not None and crash_slot > len(program.statements):
+            raise PreconditionError(
+                f"failure pattern crashes process {pid} at slot {crash_slot}, "
+                f"outside its slots 0..{len(program.statements)}"
+            )
+        self.crash_slot = -1 if crash_slot is None else crash_slot
         self.pick_counter = 0
         self.emission_counter = 0
-        self.deadline: Optional[int] = None
-
-    def alive(self) -> bool:
-        return self.status not in (_DONE, _CRASHED)
 
 
 class _Kernel:
@@ -325,7 +327,7 @@ class _Kernel:
             self._maybe_finish(proc)
             return True
         if isinstance(stmt, Wait):
-            if not self._wait_ready(proc, entering=True):
+            if not self._wait_ready(proc):
                 proc.status = _BLOCKED
                 return False
         self._execute(proc, stmt)
@@ -335,7 +337,7 @@ class _Kernel:
         self._maybe_finish(proc)
         return True
 
-    def _wait_ready(self, proc: _Proc, entering: bool = False) -> bool:
+    def _wait_ready(self, proc: _Proc) -> bool:
         stmt = proc.program.statements[proc.pc]
         pred = stmt.predicate
         if isinstance(pred, WaitInit):
@@ -343,8 +345,6 @@ class _Kernel:
         if isinstance(pred, WaitAnyOutput):
             return bool(proc.output_bits)
         if isinstance(pred, WaitDeadline):
-            if entering:
-                proc.deadline = self.horizon
             return self.now >= self.horizon
         raise KernelError(f"unknown wait predicate {pred!r}")
 
@@ -380,9 +380,7 @@ class _Kernel:
             # earliest observed OUTPUT value (arrival order).
             pred = stmt.predicate
             if isinstance(pred, WaitAnyOutput):
-                first = next(i for i in proc.observed if i.tag == OUTPUT)
-                proc.locals[pred.dest] = first.value
-            proc.deadline = None
+                proc.locals[pred.dest] = proc.first_output
             self.log(proc.pid, "step", stmt=proc.pc)
         else:
             raise KernelError(f"unknown statement {stmt!r}")
@@ -391,10 +389,11 @@ class _Kernel:
         raise NotImplementedError
 
     def deliver(self, proc: _Proc, item: InfoItem) -> None:
-        proc.observed.append(item)
         if item.tag == INIT:
             proc.has_init = True
         elif item.tag == OUTPUT:
+            if not proc.output_bits:
+                proc.first_output = item.value
             proc.output_bits.add(item.value)
         elif item.tag == PROPOSE:
             proc.propose_bits.add(item.value)
@@ -491,32 +490,19 @@ class _AsyncKernel(_Kernel):
                 return
 
     def run(self) -> ExecutionTrace:
-        self._drain()
         while True:
-            deadlines = [
-                p.deadline
-                for p in self.procs
-                if p.status == _BLOCKED and p.deadline is not None
-            ]
-            if not self.pending and not deadlines:
-                if all(not p.alive() for p in self.procs):
-                    return self.finalize(ALL_DONE)
-                return self.finalize(QUIESCENT)
-            # Every delivery step and every deadline is clamped to the
-            # horizon, so no run outlasts it.
-            self.now = min(list(self.pending.keys()) + deadlines)
-            # Deadline waiters wake before this step's deliveries land, so a
-            # delivery scheduled exactly at the deadline is not yet visible
-            # to the re-check the waiter performs on waking.
-            for proc in self.procs:
-                if (
-                    proc.status == _BLOCKED
-                    and proc.deadline is not None
-                    and proc.deadline <= self.now
-                ):
-                    while self.step_proc(proc):
-                        pass
             self._drain()
+            if not self.pending and self.now >= self.horizon:
+                done = all(p.status in (_DONE, _CRASHED) for p in self.procs)
+                return self.finalize(ALL_DONE if done else QUIESCENT)
+            # Every delivery step is clamped to the horizon, the one deadline,
+            # so no run outlasts it.
+            self.now = min(self.pending, default=self.horizon)
+            if self.now == self.horizon:
+                # Deadline waiters wake before this step's deliveries land, so
+                # a delivery scheduled exactly at the deadline is not yet
+                # visible to the re-check the waiter performs on waking.
+                self._advance_all()
 
 
 def _validate_common(instance, cfg: SystemConfig, fp: FailurePattern) -> None:
@@ -621,12 +607,9 @@ def run(
 
 def replay(source) -> ExecutionTrace:
     """Re-execute a trace from its header alone (trace text or header dict)."""
-    from . import algorithms  # deferred: algorithms depends on this module
-    from .program import choices_from_descriptor
-
     header = _read_header(source)
     return run(
-        algorithms.instance_from_descriptor(header["alg"]),
+        instance_from_descriptor(header["alg"]),
         SystemConfig.from_descriptor(header["cfg"]),
         choices_from_descriptor(header["choices"]),
         FailurePattern.from_descriptor(header["fp"]),

@@ -8,7 +8,10 @@ from binsos import cli
 
 
 def invoke(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse rejects a flag the way the process exits
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -36,7 +39,7 @@ class TestRunCommand:
     def test_run_silent_alphabet(self, capsys, tmp_path):
         out = tmp_path / "t.trace"
         code, stdout, _ = invoke(
-            capsys, "run", "--alg", "all_output", "--params", "V=bot",
+            capsys, "run", "--alg", "all_output", "--params", '{"values":[null]}',
             "-n", "1", "-t", "1", "--out", str(out),
         )
         assert code == 0
@@ -44,7 +47,7 @@ class TestRunCommand:
 
     def test_run_rejects_violated_condition(self, capsys):
         code, _, err = invoke(
-            capsys, "run", "--alg", "sync_disagreement", "--params", "no_out=false",
+            capsys, "run", "--alg", "sync_disagreement", "--params", '{"no_out":false}',
             "-n", "1", "-t", "0", "--timing", "sync",
         )
         assert code == cli.EXIT_PRECONDITION
@@ -73,7 +76,7 @@ class TestRunCommand:
             (["--line", "9", "--dp", '{"kind":"bogus"}'], "'bogus'"),
             (["--line", "9", "--fp", '{"crash":[]}'], "'crashes'"),
             (["--line", "9", "--fp", "[1]"], "'crashes'"),
-            (["--alg", "all_output", "--params", "V=2"], "'2'"),
+            (["--alg", "single_output", "--params", "no_out=false"], "--params"),
             (["--alg", "alg6", "--timing", "sync", "--params", '{"bogus":1}'], "'bogus'"),
             (["--line", "9", "--config"], "--config"),
             (
@@ -99,19 +102,49 @@ class TestRunCommand:
                 ["--line", "9", "--dp", '{"kind":"map","entries":[],"default":-1}'],
                 "default -1",
             ),
-            (["--alg", "single_output", "--params", "no_out=x"], "no_out"),
-            (["--alg", "timing_adaptive", "--params", "no_out=false,v=x"], "default_value"),
+            (["--alg", "all_output", "--params", "[0]"], "--params"),
+            (["--alg", "all_output", "--params", '{"values":[0,1],"values":[1]}'], "'values'"),
             (
                 ["--alg", "single_output", "--params", '{"no_out":false,"values":[0]}'],
                 "values",
             ),
             (["--alg", "alg6", "--timing", "sync", "--params", '{"no_out":true}'], "no_out"),
+            (["--alg", "alg6", "--timing", "sync", "--fp", "{"], "--fp"),
+            (["--alg", "alg6", "--timing", "sync", "--fp", '{"crashes":[[1,99]]}'], "slot 99"),
+            (["--alg", "alg6", "--tim", "sync"], "unrecognized arguments: --tim sync"),
+            (["--alg", "alg6", "--timing", "sync", "--fp", "null"], "failure pattern"),
+            (["--alg", "alg6", "--timing", "sync", "--params", "null"], "--params"),
         ],
     )
-    def test_bad_input_is_rejected_with_its_field_named(self, capsys, flags, named):
-        code, _, err = invoke(capsys, "run", "-n", "2", "-t", "1", *flags)
+    def test_bad_input_is_rejected_with_its_field_named(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "t.trace"
+        code, stdout, err = invoke(capsys, "run", "-n", "2", "-t", "1", "--out", str(out), *flags)
         assert code == cli.EXIT_PRECONDITION
-        assert named in err
+        assert named in err and stdout == ""
+        assert not out.exists()
+
+    def test_params_from_a_file(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text('{"no_out": true, "default_value": 1}')
+        code, stdout, _ = invoke(
+            capsys, "run", "--alg", "timing_adaptive", "--params", f"@{params}",
+            "-n", "3", "-t", "1",
+        )
+        assert code == cli.EXIT_OK
+        assert last_json(stdout)["termination"] == "ALL_DONE"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--line", "9", "-n", "2", "-t", "1", "--out", "{missing}/x.trace"],
+            ["conditions", "--out", "{dir}"],
+        ],
+    )
+    def test_unwritable_out_is_rejected_with_its_path(self, tmp_path, capsys, argv):
+        argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+        code, stdout, err = invoke(capsys, *argv)
+        assert code == cli.EXIT_PRECONDITION
+        assert f"cannot write {argv[-1]}" in err and stdout == ""
 
     def test_json_params_take_a_values_list(self, capsys):
         code, stdout, _ = invoke(
@@ -180,6 +213,14 @@ class TestReplayCommand:
         code, stdout, err = invoke(capsys, "replay", str(out))
         assert code == cli.EXIT_PRECONDITION
         assert "no_out" in err and stdout == ""
+
+    def test_header_repeating_a_key_rejected(self, tmp_path, capsys):
+        out = self.make_trace(tmp_path, capsys)
+        text = out.read_text()
+        out.write_text('{"horizon":0,' + text[1:])
+        code, stdout, err = invoke(capsys, "replay", str(out))
+        assert code == cli.EXIT_PRECONDITION
+        assert "trace header repeats the key 'horizon'" in err and stdout == ""
 
     def test_malformed_final_record_rejected(self, tmp_path, capsys):
         out = self.make_trace(tmp_path, capsys)
@@ -336,6 +377,56 @@ class TestPlumbing:
         assert code == cli.EXIT_OK, err
         header = json.loads(out.read_text().splitlines()[0])
         assert header["fp"] == {"crashes": [[1, 0]]}
+
+    def test_config_supplies_the_short_flags(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n": 2, "t": 1}))
+        out = tmp_path / "t.trace"
+        code, _, err = invoke(
+            capsys, "--config", str(config), "run", "--alg", "alg6", "--timing", "sync",
+            "--out", str(out),
+        )
+        assert code == cli.EXIT_OK, err
+        header = json.loads(out.read_text().splitlines()[0])
+        assert (header["cfg"]["n"], header["cfg"]["t"]) == (2, 1)
+
+    @pytest.mark.parametrize(
+        "config, argv, named",
+        [
+            ({"n": 3}, ["table"], "required: --n-max"),
+            ({"n": 3}, ["table", "--n-max", "2"], "unrecognized arguments: -n 3"),
+            ({"n_m": 3}, ["table", "--n-max", "2"], "unrecognized arguments: --n-m 3"),
+            ({"seed=3": True}, ["conditions"], "'seed=3'"),
+            ({"help": True}, ["conditions"], "'help'"),
+            ({"out": None}, ["conditions"], "'out'"),
+        ],
+    )
+    def test_config_key_that_is_not_a_flag_rejected(self, tmp_path, capsys, config, argv, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, stdout, err = invoke(capsys, "--config", str(path), *argv)
+        assert code == cli.EXIT_PRECONDITION
+        assert named in err and stdout == ""
+
+    def test_config_given_twice_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("{}")
+        code, stdout, err = invoke(capsys, "--config", str(path), "--config", str(path), "conditions")
+        assert code == cli.EXIT_PRECONDITION
+        assert "--config" in err and stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["table", "--n-m", "4"], "required: --n-max"),
+            (["table", "--n-max", "2", "--bud", "9"], "unrecognized arguments: --bud 9"),
+            (["--conf=cfg.json", "conditions"], "unrecognized arguments: --conf=cfg.json"),
+        ],
+    )
+    def test_abbreviated_flag_rejected(self, capsys, argv, named):
+        code, stdout, err = invoke(capsys, *argv)
+        assert code == cli.EXIT_PRECONDITION
+        assert named in err and stdout == ""
 
     def test_unknown_algorithm(self, capsys):
         code, _, err = invoke(capsys, "run", "--alg", "nope", "-n", "1", "-t", "0")

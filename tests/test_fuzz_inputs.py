@@ -1,6 +1,7 @@
-"""Fuzzed external inputs: every mutated --fp, --dp or --params literal and
-every mutated trace header ends in an exit code, never in a traceback."""
+"""Fuzzed external inputs: every mutated --fp, --dp or --params literal,
+--config object and trace header ends in an exit code, never in a traceback."""
 
+import contextlib
 import copy
 import json
 
@@ -45,6 +46,18 @@ LITERALS = [
         {"no_out": True, "default_value": 1},
     ),
 ]
+
+# A valid --config object for run, and keys to put in it: flags of run and of
+# other subcommands, the help flags and names that are no flag at all.
+RUN_CONFIG = {
+    "alg": "alg6", "n": 2, "t": 1, "timing": "sync", "seed": 3,
+    "fp": {"crashes": [[1, 0]]},
+}
+CONFIG_KEYS = st.sampled_from(
+    ["alg", "line", "params", "n", "t", "timing", "seed", "fp", "dp", "horizon",
+     "permissive", "out", "budget", "n_max", "no_out", "config", "h", "help",
+     "n-m", "tim", "seed=3", "N", ""]
+) | st.text(max_size=4)
 
 # Commands whose traces cover seeded and scripted choices, roles, sync and async.
 TRACE_COMMANDS = [
@@ -105,3 +118,24 @@ def test_mutated_trace_headers_exit_cleanly(tmp_path_factory, data, command):
     lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n")
     assert cli.main(["replay", str(path)]) in EXIT_CODES
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_config_exits_cleanly(tmp_path_factory, data):
+    config = _mutated(data, RUN_CONFIG)
+    if isinstance(config, dict):
+        # Rename one key, or add one.
+        key = data.draw(CONFIG_KEYS, label="key")
+        old = data.draw(st.sampled_from([None, *config]), label="renamed")
+        config[key] = config.pop(old) if old is not None else data.draw(JSON, label="value")
+    workdir = tmp_path_factory.mktemp("config")
+    path = workdir / "cfg.json"
+    path.write_text(json.dumps(config))
+    with contextlib.chdir(workdir):  # an "out" key writes here
+        try:
+            code = cli.main(["--config", str(path), "run"])
+        except SystemExit as exc:  # argparse's rejection of a flag
+            assert exc.code == 2
+        else:
+            assert code in EXIT_CODES
