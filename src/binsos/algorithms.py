@@ -297,8 +297,8 @@ class AlgorithmInstance:
 
 
 def instance_from_descriptor(d: Dict[str, object]) -> AlgorithmInstance:
-    """The bound instance a trace header describes, or a ValueError."""
-    d = _descriptor_fields(d, "algorithm", kind=str, timing=str)
+    """The instance a trace header describes, bound by ``bind``, or a rejection."""
+    d = _descriptor_fields(d, "algorithm", kind=str, timing=str, n=int, t=int)
     instance = AlgorithmInstance(
         kind=AlgorithmKind(d["kind"]),
         timing=Timing(d["timing"]),
@@ -306,12 +306,12 @@ def instance_from_descriptor(d: Dict[str, object]) -> AlgorithmInstance:
         values=d.get("values"),
         default_value=d.get("default_value"),
         line=d.get("line"),
-        n=d.get("n"),
-        t=d.get("t"),
-        permissive=d.get("permissive", False),
     )
-    if not instance.bound:
-        raise ValueError("algorithm must be bound to some n and t")
+    # The line, like the roles, follows from the kind and parameters.
+    if instance.line is not None and instance.line != _infer_line(instance):
+        raise ValueError(f"algorithm line {instance.line} is not {_infer_line(instance)}, "
+                         f"the line of {instance.kind.value} with these parameters")
+    instance = instance.bind(d["n"], d["t"], permissive=d.get("permissive", False))
     # Roles follow from (kind, n, t, permissive); a described set must match.
     if d.get("roles") != instance.roles.describe():
         raise ValueError(

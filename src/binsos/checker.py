@@ -71,17 +71,14 @@ class ExplorationBudget:
     pattern when that product is at most ``max(SIZE_CAP, sample_runs)``
     runs; otherwise it runs the two extreme-delay probes and then
     ``sample_runs`` random (seed, fp, dp) triples drawn from ``sample_seed``,
-    which also seeds the sampled delay lattice.  ``horizon`` overrides the
-    default asynchronous horizon.
+    which also seeds the sampled delay lattice.  The horizon is not part of
+    the budget: every asynchronous run has ``default_horizon(n)``.
     """
 
-    horizon: Optional[int] = None
     sample_runs: int = 10_000
     sample_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.horizon is not None and self.horizon < 1:
-            raise ValueError(f"horizon (--horizon) must be at least 1, got {self.horizon}")
         if self.sample_runs < 0:
             raise ValueError(f"sample_runs (--budget) must be at least 0, got {self.sample_runs}")
 
@@ -201,23 +198,21 @@ def explore(
             f"{instance.kind.value} instance is built for {instance.timing}"
         )
 
-    horizon = default_horizon(cfg.n) if budget.horizon is None else budget.horizon
     if cfg.timing is Timing.SYNC:
         dps, dp_exhaustive = [SYNC_CANONICAL], True
         probes = [(0, NO_CRASHES, SYNC_CANONICAL), (1, NO_CRASHES, SYNC_CANONICAL)]
     else:
         emissions = potential_emissions(instance)
+        horizon = default_horizon(cfg.n)
         dps = enum_delay_patterns(emissions, cfg.n, horizon, budget.sample_seed)
         edges = len(emissions) * cfg.n
         dp_exhaustive = edges == 0 or 3 ** edges <= MAX_DELAY_PATTERNS
         for dp in dps:
-            validate_delay_pattern(instance, cfg, dp, horizon)
+            validate_delay_pattern(instance, cfg, dp)
         probes = [(0, NO_CRASHES, ALL_IMMEDIATE), (0, NO_CRASHES, all_latest(horizon))]
 
     def unrecorded(choices, fp, dp):
-        trace = run(
-            instance, cfg, choices, fp, dp, horizon=horizon, record=False, validate=False
-        )
+        trace = run(instance, cfg, choices, fp, dp, record=False, validate=False)
         return choices, fp, dp, trace
 
     # Every pick outcome under every (fp, dp) when the space fits the cap;
@@ -234,7 +229,7 @@ def explore(
             for _, leaf in branch_choices(functools.partial(unrecorded, fp=fp, dp=dp))
         )
     else:
-        draws = _draws(instance, cfg, horizon, budget.sample_seed)
+        draws = _draws(instance, cfg, budget.sample_seed)
         triples = itertools.chain(probes, itertools.islice(draws, budget.sample_runs))
         runs = (unrecorded(SeededChoices(seed), fp, dp) for seed, fp, dp in triples)
 
@@ -245,7 +240,7 @@ def explore(
         if os_ in observed:
             continue
         observed.add(os_)
-        full = run(instance, cfg, choices, fp, dp, horizon=horizon)
+        full = run(instance, cfg, choices, fp, dp)
         if os_ in target:
             verdict.witnesses[os_] = full
         else:
@@ -255,7 +250,7 @@ def explore(
 
 
 def _draws(
-    instance: AlgorithmInstance, cfg: SystemConfig, horizon: int, meta_seed: int
+    instance: AlgorithmInstance, cfg: SystemConfig, meta_seed: int
 ) -> Iterator[Tuple[int, FailurePattern, DelayPattern]]:
     """Endless seeded random (choice seed, fp, dp) triples for a bound instance."""
     rng = random.Random(meta_seed)
@@ -267,7 +262,7 @@ def _draws(
         if cfg.timing is Timing.SYNC:
             dp = SYNC_CANONICAL
         else:
-            dp = sample_delay_pattern(rng, emissions, cfg.n, horizon)
+            dp = sample_delay_pattern(rng, emissions, cfg.n, default_horizon(cfg.n))
         yield seed, fp, dp
 
 
@@ -280,13 +275,8 @@ def sample_traces(
 ) -> Iterator[ExecutionTrace]:
     """Randomized (seed, fp, dp) runs for safety audits and medium checks."""
     instance = _bind(instance, cfg)
-    horizon = default_horizon(cfg.n)
-    for seed, fp, dp in itertools.islice(
-        _draws(instance, cfg, horizon, meta_seed), count
-    ):
-        yield run(
-            instance, cfg, SeededChoices(seed), fp, dp, horizon=horizon, record=record
-        )
+    for seed, fp, dp in itertools.islice(_draws(instance, cfg, meta_seed), count):
+        yield run(instance, cfg, SeededChoices(seed), fp, dp, record=record)
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +416,8 @@ def _find_both_execution(
     cfg: SystemConfig,
     fp: FailurePattern,
     dp: DelayPattern,
-    horizon: int,
 ) -> Tuple[Dict, ExecutionTrace]:
-    for picks, trace in branch_choices(
-        lambda choices: run(instance, cfg, choices, fp, dp, horizon=horizon)
-    ):
+    for picks, trace in branch_choices(lambda choices: run(instance, cfg, choices, fp, dp)):
         if trace.output_set() is OutputSet.BOTH:
             return picks, trace
     raise WitnessSearchError(
@@ -462,14 +449,13 @@ def witness_lone_survivor(
     instance = AlgorithmInstance(kind=kind, timing=cfg.timing, no_out=no_out).bind(
         cfg.n, cfg.t, permissive=True
     )
-    horizon = default_horizon(cfg.n)
     dp = ALL_IMMEDIATE if cfg.timing is Timing.ASYNC else SYNC_CANONICAL
-    picks, base = _find_both_execution(instance, cfg, NO_CRASHES, dp, horizon)
+    picks, base = _find_both_execution(instance, cfg, NO_CRASHES, dp)
     first = min(_output_events(base), key=lambda e: e["seq"])
     survivor, value = first["pid"], first["value"]
     others = [pid for pid in range(1, cfg.n + 1) if pid != survivor]
     fp = FailurePattern.of(_pre_output_crashes(base, others))
-    trace = run(instance, cfg, ScriptedChoices(picks), fp, dp, horizon=horizon)
+    trace = run(instance, cfg, ScriptedChoices(picks), fp, dp)
     expected = OutputSet.ZERO if value == 0 else OutputSet.ONE
     if trace.output_set() is not expected:
         raise WitnessSearchError(
@@ -480,10 +466,11 @@ def witness_lone_survivor(
 
 
 def _delayed_after_output_dp(
-    instance: AlgorithmInstance, pids: Sequence[int], horizon: int
+    instance: AlgorithmInstance, pids: Sequence[int]
 ) -> DelayPattern:
     """All-immediate, except everything ``pids`` communicate after their
     output statement is delayed to the horizon (for every receiver)."""
+    horizon = default_horizon(instance.n)
     entries: Dict[Tuple[int, int, int], int] = {}
     programs = instance.programs()
     for pid in pids:
@@ -529,11 +516,10 @@ def witness_split_crash(cfg: SystemConfig) -> WitnessResult:
     instance = AlgorithmInstance(
         kind=AlgorithmKind.ASYNC_DISAGREEMENT, timing=Timing.ASYNC, no_out=False
     ).bind(cfg.n, cfg.t, permissive=True)
-    horizon = default_horizon(cfg.n)
     choices = ScriptedChoices({})  # no_out=False programs consume no picks
 
     def rerun(fp: FailurePattern, dp: DelayPattern) -> ExecutionTrace:
-        return run(instance, cfg, choices, fp, dp, horizon=horizon)
+        return run(instance, cfg, choices, fp, dp)
 
     base = rerun(NO_CRASHES, ALL_IMMEDIATE)
     if base.output_set() is not OutputSet.BOTH:
@@ -566,7 +552,7 @@ def witness_split_crash(cfg: SystemConfig) -> WitnessResult:
 
     # Crash-free variant: previously crashed processes stay up, but whatever
     # they communicate after their outputs arrives only at the horizon.
-    delayed = _delayed_after_output_dp(instance, sorted(crashes), horizon)
+    delayed = _delayed_after_output_dp(instance, sorted(crashes))
     free = rerun(NO_CRASHES, delayed)
     ordered = sorted(_output_events(free), key=lambda e: e["seq"])
     leaders = []

@@ -10,7 +10,8 @@ the condition table.
 Exit codes partition outcomes: 0 success, 1 verdict failure, 2 usage or
 precondition rejection, 3 completeness not witnessed within budget.
 ``--budget N`` (N >= 0) sets the sampled-run budget and raises the
-exhaustive cap to N when N exceeds it; ``--horizon`` is at least 1.
+exhaustive cap to N when N exceeds it.  No flag sets the horizon (4n async,
+0 sync); ``replay`` rejects a trace header that records another.
 
 ``--params`` is a JSON object, or ``@file`` holding one, in the form of a
 trace header's ``alg``.  It gives an algorithm exactly the parameters it
@@ -21,7 +22,8 @@ name.
 
 Every JSON input is read strictly: a repeated key is rejected.  A ``--config``
 key is the name of a flag of the subcommand (a one-letter key is its short
-flag); flags are never abbreviated.
+flag) and a boolean is given exactly to its switches; flags are never
+abbreviated.
 """
 
 from __future__ import annotations
@@ -110,15 +112,11 @@ def _build_instance(args) -> AlgorithmInstance:
 
 def _budget(args) -> checker.ExplorationBudget:
     runs = {} if args.budget is None else {"sample_runs": args.budget}
-    return checker.ExplorationBudget(horizon=args.horizon, **runs)
+    return checker.ExplorationBudget(**runs)
 
 
 def _system(args) -> SystemConfig:
-    """The -n/-t/--timing configuration; --horizon only bounds async runs."""
-    cfg = SystemConfig(args.n, args.t, Timing(args.timing))
-    if args.horizon is not None and cfg.timing is Timing.SYNC:
-        raise CliError("--horizon applies only to --timing async")
-    return cfg
+    return SystemConfig(args.n, args.t, Timing(args.timing))
 
 
 def _write_out(path: Optional[str], text: str) -> None:
@@ -144,7 +142,7 @@ def cmd_run(args) -> int:
           else FailurePattern.from_descriptor(_load_literal(args.fp, "--fp")))
     dp = (SYNC_CANONICAL if args.dp is None
           else DelayPattern.from_descriptor(_load_literal(args.dp, "--dp")))
-    trace = run(bound, cfg, choices, fp, dp, horizon=args.horizon)
+    trace = run(bound, cfg, choices, fp, dp)
     _write_out(args.out, trace.to_jsonl())
     summary = {
         "output_set": str(trace.output_set()),
@@ -216,7 +214,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    cfg = SystemConfig(args.n, args.t, Timing(args.timing))
+    cfg = _system(args)
     if args.kind == checker.LONE_SURVIVOR:
         result = checker.witness_lone_survivor(cfg, no_out=args.no_out)
     else:
@@ -279,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fp", help="failure pattern JSON literal or @file")
     p.add_argument("--dp", help="delay pattern JSON literal or @file")
-    p.add_argument("--horizon", type=int)
     p.add_argument("--permissive", action="store_true",
                    help="skip the tight-condition screen (witness experiments)")
     p.add_argument("--out", help="trace file path (default: stdout)")
@@ -293,13 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p)
     _add_system_flags(p)
     p.add_argument("--budget", type=int, help="sampled-run budget override")
-    p.add_argument("--horizon", type=int)
     p.set_defaults(func=cmd_check)
 
     p = add_command("table", help="reproduce the characterization matrix")
     p.add_argument("--n-max", type=int, dest="n_max", required=True)
     p.add_argument("--budget", type=int, help="sampled-run budget override")
-    p.add_argument("--horizon", type=int, help="horizon of the async cells")
     p.add_argument("--out", help="report file path (default: stdout)")
     p.set_defaults(func=cmd_table)
 
@@ -322,11 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(argv: List[str]) -> List[str]:
+def _merge_config(argv: List[str], parser: argparse.ArgumentParser) -> List[str]:
     """Prepend flag defaults from --config FILE or --config=FILE (flags on the
     line win).  A key names a flag of the subcommand: ``-k`` for a one-letter
-    key, else ``--key`` with ``_`` as ``-``.  ``true`` sets a switch, ``false``
-    leaves it unset, and an object or list is passed on as JSON text."""
+    key, else ``--key`` with ``_`` as ``-``.  A switch (a flag the subcommand's
+    parser reads without a value) takes exactly ``true``, which sets it, or
+    ``false``, which leaves it unset; any other flag takes no boolean.  An
+    object or list is passed on as JSON text."""
     found = [i for i, a in enumerate(argv) if a == "--config" or a.startswith("--config=")]
     if not found:
         return argv
@@ -342,7 +339,11 @@ def _merge_config(argv: List[str]) -> List[str]:
     defaults = _read_json(_read_text(path), f"--config file {path}")
     if not isinstance(defaults, dict):
         raise CliError("--config file must hold a JSON object of flag defaults")
-    command = rest[0] if rest else None
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if not rest or rest[0] not in sub.choices:
+        return rest  # the parser rejects the missing or unknown command
+    actions = sub.choices[rest[0]]._actions
+    switches = {flag for a in actions if a.nargs == 0 for flag in a.option_strings}
     injected: List[str] = []
     for key, value in defaults.items():
         if not re.fullmatch(r"[a-z][a-z0-9_-]*", key) or key in ("h", "help"):
@@ -350,6 +351,11 @@ def _merge_config(argv: List[str]) -> List[str]:
         if value is None:
             raise CliError(f"--config key {key!r} has no value")
         flag = f"-{key}" if len(key) == 1 else "--" + key.replace("_", "-")
+        if isinstance(value, bool) != (flag in switches):
+            what = "a switch: give true or false" if flag in switches else "no switch"
+            raise CliError(
+                f"--config key {key!r} is {json.dumps(value)}, but {flag} is {what}"
+            )
         if flag in rest:
             continue
         if isinstance(value, bool):
@@ -359,14 +365,14 @@ def _merge_config(argv: List[str]) -> List[str]:
             injected.extend([flag, json.dumps(value)])
         else:
             injected.extend([flag, str(value)])
-    return [command] + injected + rest[1:] if command else rest
+    return [rest[0]] + injected + rest[1:]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _merge_config(argv)
+        argv = _merge_config(argv, parser)
         args = parser.parse_args(argv)
         return args.func(args)
     except CliError as exc:

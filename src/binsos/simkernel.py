@@ -10,11 +10,12 @@ that round's delivery barrier, before the computation step begins.
 
 Asynchronous runs advance in discrete delivery steps 0..H.  At each step
 the step's deliveries land, then every runnable process executes statements
-until it blocks or finishes.  The horizon H is the one deadline: at step H,
-processes blocked on it wake first (re-checking their observations once),
-before that step's deliveries.  Emitted items are delivered to all
-processes by the horizon, so the medium's termination properties hold by
-construction; ``medium_check`` audits them independently from the event log.
+until it blocks or finishes.  The horizon H = max(1, 4n) (0 in a sync
+trace) is the one deadline: at step H, processes blocked on it wake first,
+re-checking their observations once, before that step's deliveries.
+Emitted items are delivered to all processes by the horizon, so the medium's
+termination properties hold by construction; ``medium_check`` audits them
+independently from the event log.
 
 Crashes are positional: a process with crash slot k halts when about to
 execute statement k, or after its last statement when k is its statement
@@ -79,6 +80,7 @@ class KernelError(Exception):
 
 
 def default_horizon(n: int) -> int:
+    """The last delivery step of an asynchronous n-process run."""
     return max(1, 4 * n)
 
 
@@ -221,13 +223,12 @@ class _Kernel:
         choices: ChoiceStream,
         fp: FailurePattern,
         dp: DelayPattern,
-        horizon: int,
         record: bool,
     ):
         self.cfg = cfg
         self.choices = choices
         self.dp = dp
-        self.horizon = horizon
+        self.horizon = default_horizon(cfg.n) if cfg.timing is Timing.ASYNC else 0
         self.record = record
         self.events: List[Dict[str, object]] = []
         self.seq = 0
@@ -246,7 +247,7 @@ class _Kernel:
                 "choices": choices.describe(),
                 "fp": fp.describe(),
                 "dp": dp.describe(),
-                "horizon": horizon,
+                "horizon": self.horizon,
             }
         else:
             # Unrecorded traces are throwaway probes; keep just enough of a
@@ -409,7 +410,7 @@ class _Kernel:
 
 class _SyncKernel(_Kernel):
     def __init__(self, instance, cfg, choices, fp, record):
-        super().__init__(instance, cfg, choices, fp, SYNC_CANONICAL, 0, record)
+        super().__init__(instance, cfg, choices, fp, SYNC_CANONICAL, record)
         self.round_count = instance.round_count
         self.round_items: List[InfoItem] = []
 
@@ -444,8 +445,8 @@ class _SyncKernel(_Kernel):
 
 
 class _AsyncKernel(_Kernel):
-    def __init__(self, instance, cfg, choices, fp, dp, horizon, record):
-        super().__init__(instance, cfg, choices, fp, dp, horizon, record)
+    def __init__(self, instance, cfg, choices, fp, dp, record):
+        super().__init__(instance, cfg, choices, fp, dp, record)
         self.pending: Dict[int, List[Tuple[int, InfoItem]]] = {}
 
     def emit(self, item: InfoItem) -> None:
@@ -522,12 +523,11 @@ def _validate_common(instance, cfg: SystemConfig, fp: FailurePattern) -> None:
         )
 
 
-def validate_delay_pattern(
-    instance, cfg: SystemConfig, dp: DelayPattern, horizon: int
-) -> None:
-    """Screen a delay pattern against an instance and horizon."""
+def validate_delay_pattern(instance, cfg: SystemConfig, dp: DelayPattern) -> None:
+    """Screen a delay pattern against an instance and its horizon."""
     if dp.kind == "sync_canonical":
         return
+    horizon = default_horizon(cfg.n)
     comm_counts = [p.communicate_count for p in instance.programs()]
     for sender, index, receiver, step in dp.entries:
         if not 1 <= sender <= cfg.n or not 1 <= receiver <= cfg.n:
@@ -569,53 +569,49 @@ def run_async(
     choices: ChoiceStream,
     fp: FailurePattern,
     dp: DelayPattern,
-    horizon: Optional[int] = None,
     record: bool = True,
     validate: bool = True,
 ) -> ExecutionTrace:
     """Execute one asynchronous run under an explicit delay pattern.
 
     ``validate=False`` skips the per-run delay pattern screening; callers
-    using it must have screened the pattern against the same instance and
-    horizon already (the explorer validates once per pattern set).
+    using it must have screened the pattern against the same instance
+    already (the explorer validates once per pattern set).
     """
     if cfg.timing is not Timing.ASYNC:
         raise PreconditionError("run_async requires an ASYNC configuration")
     _validate_common(instance, cfg, fp)
-    horizon = default_horizon(cfg.n) if horizon is None else horizon
-    if horizon < 1:
-        raise PreconditionError("horizon must be >= 1")
     if validate:
-        validate_delay_pattern(instance, cfg, dp, horizon)
-    return _AsyncKernel(instance, cfg, choices, fp, dp, horizon, record).run()
+        validate_delay_pattern(instance, cfg, dp)
+    return _AsyncKernel(instance, cfg, choices, fp, dp, record).run()
 
 
-def run(
-    instance, cfg, choices, fp, dp=None, horizon=None, record=True, validate=True
-) -> ExecutionTrace:
+def run(instance, cfg, choices, fp, dp=None, record=True, validate=True) -> ExecutionTrace:
     """Dispatch on the configuration's timing model (SYNC takes only SYNC_CANONICAL)."""
     if cfg.timing is Timing.SYNC:
         if dp not in (None, SYNC_CANONICAL):
             raise PreconditionError("a SYNC run takes only the sync_canonical delay pattern")
         return run_sync(instance, cfg, choices, fp, record=record)
     dp = SYNC_CANONICAL if dp is None else dp
-    return run_async(
-        instance, cfg, choices, fp, dp, horizon=horizon, record=record,
-        validate=validate,
-    )
+    return run_async(instance, cfg, choices, fp, dp, record=record, validate=validate)
 
 
 def replay(source) -> ExecutionTrace:
     """Re-execute a trace from its header alone (trace text or header dict)."""
     header = _read_header(source)
-    return run(
+    horizon = _descriptor_fields(header, "trace header", horizon=int)["horizon"]
+    rerun = run(
         instance_from_descriptor(header["alg"]),
         SystemConfig.from_descriptor(header["cfg"]),
         choices_from_descriptor(header["choices"]),
         FailurePattern.from_descriptor(header["fp"]),
         DelayPattern.from_descriptor(header["dp"]),
-        horizon=_descriptor_fields(header, "trace header", horizon=int)["horizon"],
     )
+    # The horizon follows from the configuration, as the roles do.
+    derived = rerun.header["horizon"]
+    if horizon != derived:
+        raise PreconditionError(f"trace header horizon {horizon} is not {derived}")
+    return rerun
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from binsos.algorithms import (
     make_roles,
 )
 from binsos.checker import branch_choices, sample_traces
-from binsos.outputsets import OutputSet, SystemConfig, Timing
+from binsos.outputsets import OutputSet, SystemConfig, Timing, tight_condition
 from binsos.patterns import ALL_IMMEDIATE, NO_CRASHES, enum_failure_patterns
 from binsos.program import COMP, Communicate, Output, Pick, Program, ScriptedChoices, Wait
 from binsos.simkernel import PreconditionError, run, run_sync
@@ -138,6 +138,15 @@ class TestInstanceForLine:
         again = instance_from_descriptor(inst.describe())
         assert again == inst
         assert again.programs() == inst.programs()
+        # Every line's instance describes a line that its kind and
+        # parameters give back, so it reads back too.
+        for line in range(1, 16):
+            for timing in Timing:
+                cond = tight_condition(line, timing)
+                cells = ((n, t) for n in range(6) for t in range(n + 1))
+                n, t = next(cell for cell in cells if cond.holds(*cell))
+                inst = instance_for_line(line, timing).bind(n, t)
+                assert instance_from_descriptor(inst.describe()) == inst
 
     def test_programs_are_built_once_at_bind(self, monkeypatch):
         inst = instance_for_line(8, Timing.SYNC).bind(4, 2)

@@ -1,5 +1,7 @@
 """Verdict engine: exploration, table cells, bounds screen, witnesses."""
 
+import dataclasses
+
 import pytest
 
 from binsos.algorithms import instance_for_line
@@ -73,6 +75,11 @@ class TestExplore:
         if verdict.missing:
             assert verdict.status == "not_witnessed_within_budget"
         assert verdict.safety_ok
+
+    def test_budget_cannot_set_the_horizon(self):
+        assert [f.name for f in dataclasses.fields(ExplorationBudget)] == [
+            "sample_runs", "sample_seed",
+        ]
 
     def test_timing_mismatch_rejected(self):
         inst = instance_for_line(7, Timing.ASYNC).bind(5, 2)

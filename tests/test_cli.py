@@ -90,6 +90,7 @@ class TestRunCommand:
                 ],
                 "sync_canonical",
             ),
+            # Nothing sets the horizon: argparse rejects the unknown flag.
             (["--line", "9", "--timing", "sync", "--horizon", "3"], "--horizon"),
             (["--alg", "all_output", "--params", '{"values":5}'], "values"),
             (["--alg", "single_output", "--params", '{"no_out":"x"}'], "no_out"),
@@ -222,6 +223,35 @@ class TestReplayCommand:
         assert code == cli.EXIT_PRECONDITION
         assert "trace header repeats the key 'horizon'" in err and stdout == ""
 
+    @pytest.mark.parametrize(
+        "flags, derived, edited", [((), 0, 3), (("--line", "4"), 4 * 2, 4 * 2 + 1)]
+    )
+    def test_header_horizon_other_than_derived_rejected(
+        self, tmp_path, capsys, flags, derived, edited
+    ):
+        out = self.make_trace(tmp_path, capsys, *flags)
+        assert json.loads(out.read_text().splitlines()[0])["horizon"] == derived
+        self.edit_header(out, lambda header: header.update(horizon=edited))
+        code, stdout, err = invoke(capsys, "replay", str(out))
+        assert code == cli.EXIT_PRECONDITION
+        assert f"horizon {edited} is not {derived}" in err and stdout == ""
+
+    def test_header_permissive_false_outside_the_condition_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run.trace"
+        argv = ["run", "--line", "4", "-n", "2", "-t", "2", "--permissive", "--out", str(out)]
+        assert invoke(capsys, *argv)[0] == cli.EXIT_OK
+        self.edit_header(out, lambda header: header["alg"].update(permissive=False))
+        code, stdout, err = invoke(capsys, "replay", str(out))
+        assert code == cli.EXIT_PRECONDITION
+        assert "violates condition 'n>t and n>=2'" in err and stdout == ""
+
+    def test_header_line_other_than_its_parameters_rejected(self, tmp_path, capsys):
+        out = self.make_trace(tmp_path, capsys, "--line", "4")
+        self.edit_header(out, lambda header: header["alg"].update(line=3))
+        code, stdout, err = invoke(capsys, "replay", str(out))
+        assert code == cli.EXIT_PRECONDITION
+        assert "line 3 is not 4" in err and stdout == ""
+
     def test_malformed_final_record_rejected(self, tmp_path, capsys):
         out = self.make_trace(tmp_path, capsys)
         lines = out.read_text().splitlines()
@@ -252,14 +282,16 @@ class TestCheckCommand:
         assert code == cli.EXIT_PRECONDITION
 
     def test_horizon_rejected_under_sync(self, capsys):
+        # No timing takes --horizon; argparse rejects it as an unknown flag.
         code, stdout, err = invoke(
             capsys, "check", "--line", "10", "--timing", "sync", "-n", "2", "-t", "1",
             "--horizon", "3",
         )
         assert code == cli.EXIT_PRECONDITION
-        assert "--horizon" in err and stdout == ""
+        assert "unrecognized arguments: --horizon 3" in err and stdout == ""
 
 
+# The --horizon cases pin that the flag is unknown to check and table.
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -407,6 +439,24 @@ class TestPlumbing:
         code, stdout, err = invoke(capsys, "--config", str(path), *argv)
         assert code == cli.EXIT_PRECONDITION
         assert named in err and stdout == ""
+
+    def test_config_boolean_given_only_to_a_switch(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        argv = ["--config", str(path), "run", "--line", "4", "-n", "2", "-t", "2",
+                "--out", str(tmp_path / "t.trace")]
+        for config, named in [
+            ({"seed": False}, "'seed' is false, but --seed is no switch"),
+            ({"seed": True}, "'seed' is true, but --seed is no switch"),
+            ({"permissive": 1}, "'permissive' is 1, but --permissive is a switch"),
+            # false leaves the switch unset, so the condition is screened.
+            ({"permissive": False}, "violates condition"),
+        ]:
+            path.write_text(json.dumps(config))
+            code, stdout, err = invoke(capsys, *argv)
+            assert code == cli.EXIT_PRECONDITION
+            assert named in err and stdout == ""
+        path.write_text('{"permissive": true}')
+        assert invoke(capsys, *argv)[0] == cli.EXIT_OK
 
     def test_config_given_twice_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

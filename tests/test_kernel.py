@@ -329,7 +329,7 @@ class TestRejections:
         cfg = SystemConfig(5, 2, Timing.ASYNC)
         late = DelayPattern.of({(1, 0, 1): 99}, default=0)
         with pytest.raises(PreconditionError):
-            run_async(inst, cfg, SeededChoices(0), NO_CRASHES, late, horizon=20)
+            run_async(inst, cfg, SeededChoices(0), NO_CRASHES, late)
 
 
 def test_zero_process_system():
