@@ -47,21 +47,17 @@ from .program import (
     COMM,
     COMP,
     Communicate,
+    Deadline,
     Flip,
     HasOutput,
     LocalIs,
     LocalRef,
-    ObservedInit,
-    ObservedOutput,
-    ObservedPropose,
+    Observed,
     Output,
     Pick,
     Program,
     SetLocal,
     Wait,
-    WaitAnyOutput,
-    WaitDeadline,
-    WaitInit,
     INIT,
     OUTPUT,
     PROPOSE,
@@ -422,8 +418,8 @@ def _build_timing_adaptive(instance: AlgorithmInstance, pid: int) -> Program:
                 Communicate(OUTPUT, w, guard=gate, at=comm_at),
             )
         )
-    saw = gate + (ObservedOutput(w),)
-    missed = gate + (ObservedOutput(w, negate=True),)
+    saw = gate + (Observed(OUTPUT, w),)
+    missed = gate + (Observed(OUTPUT, w, negate=True),)
     branch = (
         Pick("r", (0, 1), guard=saw, at=comp_at),
         Output(LocalRef("r"), guard=saw, at=comp_at),
@@ -433,7 +429,7 @@ def _build_timing_adaptive(instance: AlgorithmInstance, pid: int) -> Program:
         # The round-1 delivery barrier is the wait.
         return Program(gate_stmts + branch)
     return Program(
-        gate_stmts + (Wait(WaitDeadline(), guard=gate),) + branch
+        gate_stmts + (Wait(Deadline(), guard=gate),) + branch
     )
 
 
@@ -446,11 +442,11 @@ def _build_async_disagreement(instance: AlgorithmInstance, pid: int) -> Program:
     if pid in roles.zero_group or pid in roles.one_group:
         w = 0 if pid in roles.zero_group else 1
         if instance.no_out:
-            stmts.append(Wait(WaitInit()))
+            stmts.append(Wait(Observed(INIT)))
         stmts.append(Output(w))
         stmts.append(Communicate(OUTPUT, w))
     elif pid in roles.flip_group:
-        stmts.append(Wait(WaitAnyOutput("seen")))
+        stmts.append(Wait(Observed(OUTPUT), dest="seen"))
         stmts.append(Output(Flip("seen")))
     return Program(tuple(stmts))
 
@@ -471,12 +467,12 @@ def _build_sync_disagreement(instance: AlgorithmInstance, pid: int) -> Program:
         stmts.append(
             Communicate(INIT, guard=(LocalIs("init_gate", 0),), at=(1, COMM))
         )
-    cond = (ObservedInit(),) if instance.no_out else ()
+    cond = (Observed(INIT),) if instance.no_out else ()
     stmts.extend(
         [
-            SetLocal("chosen", 1 ^ w, guard=cond + (ObservedOutput(w),), at=(i, COMP)),
+            SetLocal("chosen", 1 ^ w, guard=cond + (Observed(OUTPUT, w),), at=(i, COMP)),
             SetLocal(
-                "chosen", w, guard=cond + (ObservedOutput(w, negate=True),), at=(i, COMP)
+                "chosen", w, guard=cond + (Observed(OUTPUT, w, negate=True),), at=(i, COMP)
             ),
             Output(LocalRef("chosen"), guard=cond, at=(i, COMP)),
         ]
@@ -495,8 +491,8 @@ def _build_sync_consensus(instance: AlgorithmInstance, pid: int) -> Program:
         (
             Pick("v", (0, 1), at=(1, COMM)),
             Communicate(PROPOSE, LocalRef("v"), at=(1, COMM)),
-            Output(0, guard=(ObservedPropose(0),), at=(1, COMP)),
-            Output(1, guard=(ObservedPropose(0, negate=True),), at=(1, COMP)),
+            Output(0, guard=(Observed(PROPOSE, 0),), at=(1, COMP)),
+            Output(1, guard=(Observed(PROPOSE, 0, negate=True),), at=(1, COMP)),
         )
     )
 

@@ -51,6 +51,7 @@ from .simkernel import (
     ExecutionTrace,
     PreconditionError,
     default_horizon,
+    potential_emissions,
     run,
     validate_delay_pattern,
 )
@@ -132,14 +133,6 @@ class Verdict:
             "exhaustive": self.exhaustive,
             "witness_refs": sorted(str(m) for m in self.witnesses),
         }
-
-
-def potential_emissions(instance: AlgorithmInstance) -> List[Tuple[int, int]]:
-    """Every (sender, emission ordinal) the instance's programs can produce."""
-    slots = []
-    for pid, program in enumerate(instance.programs(), start=1):
-        slots.extend((pid, k) for k in range(program.communicate_count))
-    return slots
 
 
 def _choice_bound(instance: AlgorithmInstance) -> int:

@@ -181,12 +181,9 @@ _STATUS_EXIT = {
 def cmd_check(args) -> int:
     instance = _build_instance(args)
     cfg = _system(args)
-    bound = instance.bind(cfg.n, cfg.t)
-    target = bound.target_members()
-    ok, reason = checker.bounds_screen(target, cfg)
-    if not ok:
-        raise CliError(f"bounds screen failed: {reason}")
-    verdict = checker.explore(bound, cfg, _budget(args), target=target)
+    # bind rejects a cell outside the line's tight condition, and every
+    # condition implies its line's counting bounds (``bounds_screen``).
+    verdict = checker.explore(instance.bind(cfg.n, cfg.t), cfg, _budget(args))
     print(json.dumps(verdict.summary(), sort_keys=True))
     return _STATUS_EXIT[verdict.status]
 

@@ -9,7 +9,13 @@ interpreter and the budgeted explorer is the soundness check for the
 explorer's bounded delay family.
 
 Deliberately re-implements statement and guard evaluation rather than
-reusing the kernel's interpreter, so the two routes stay independent.
+reusing the kernel's interpreter, so the two routes stay independent.  It
+keeps its own per-process state for the tags it models: whether an ``INIT``
+was observed, the ``OUTPUT`` and ``PROPOSE`` values observed, and the first
+``OUTPUT`` value.  ``Observed(tag, value)`` guards and ``Wait(until, dest)``
+statements read that state; a wait on ``Deadline()`` blocks until that
+process's deadline fires, a move of its own in the search.  Any other tag,
+atom or binding is rejected with ``TypeError`` rather than misread.
 """
 
 from __future__ import annotations
@@ -22,20 +28,16 @@ from .program import (
     COMM,
     COMP,
     Communicate,
+    Deadline,
     Flip,
     HasOutput,
     LocalIs,
     LocalRef,
-    ObservedInit,
-    ObservedOutput,
-    ObservedPropose,
+    Observed,
     Output,
     Pick,
     SetLocal,
     Wait,
-    WaitAnyOutput,
-    WaitDeadline,
-    WaitInit,
     INIT,
     OUTPUT,
     PROPOSE,
@@ -115,12 +117,12 @@ def _holds(proc: _Proc, guard) -> bool:
     for atom in guard:
         if isinstance(atom, LocalIs):
             ok = proc.locals.get(atom.name) == atom.value
-        elif isinstance(atom, ObservedInit):
+        elif isinstance(atom, Observed) and atom.tag == OUTPUT:
+            ok = bool(proc.out_bits) if atom.value is None else atom.value in proc.out_bits
+        elif isinstance(atom, Observed) and atom.tag == PROPOSE:
+            ok = bool(proc.prop_bits) if atom.value is None else atom.value in proc.prop_bits
+        elif isinstance(atom, Observed) and atom.tag == INIT and atom.value is None:
             ok = proc.has_init
-        elif isinstance(atom, ObservedOutput):
-            ok = atom.value in proc.out_bits
-        elif isinstance(atom, ObservedPropose):
-            ok = atom.value in proc.prop_bits
         elif isinstance(atom, HasOutput):
             ok = proc.output is not None
         else:
@@ -139,6 +141,8 @@ def _absorb(proc: _Proc, tag: str, value) -> None:
         proc.out_bits.add(value)
     elif tag == PROPOSE:
         proc.prop_bits.add(value)
+    else:
+        raise TypeError(f"unknown tag {tag!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +194,6 @@ def _stabilize(state: _AsyncState, programs, slots) -> List[_AsyncState]:
             for pid, proc in enumerate(st.procs, start=1):
                 program = programs[pid - 1]
                 while True:
-                    if proc.status == _B:
-                        stmt = program.statements[proc.pc]
-                        pred = stmt.predicate
-                        if isinstance(pred, WaitInit) and proc.has_init:
-                            proc.status = _R
-                        elif isinstance(pred, WaitAnyOutput) and proc.out_bits:
-                            proc.status = _R
-                        else:
-                            break
                     if proc.status != _R:
                         break
                     if proc.pc >= len(program.statements):
@@ -227,20 +222,17 @@ def _stabilize(state: _AsyncState, programs, slots) -> List[_AsyncState]:
                         forked = True
                         break
                     if isinstance(stmt, Wait):
-                        pred = stmt.predicate
-                        if isinstance(pred, WaitInit):
-                            if not proc.has_init:
-                                proc.status = _B
-                                break
-                        elif isinstance(pred, WaitAnyOutput):
-                            if not proc.out_bits:
-                                proc.status = _B
-                                break
-                            proc.locals[pred.dest] = proc.first_out
-                        elif isinstance(pred, WaitDeadline):
+                        if isinstance(stmt.until, Deadline) and not stmt.until.negate:
                             if not proc.deadline_passed:
                                 proc.status = _BD
                                 break
+                        elif not _holds(proc, (stmt.until,)):
+                            proc.status = _B
+                            break
+                        if stmt.dest is not None:
+                            if stmt.until.tag != OUTPUT:
+                                raise TypeError(f"unmodelled binding wait {stmt!r}")
+                            proc.locals[stmt.dest] = proc.first_out
                         proc.pc += 1
                         progressed = True
                         continue
@@ -298,6 +290,8 @@ def _async_sets(programs, fp: FailurePattern, n: int) -> Set[OutputSet]:
                 if proc.status in (_D, _C):
                     continue
                 _absorb(proc, tag, value)
+                if proc.status == _B:
+                    proc.status = _R  # it re-runs its wait, which re-checks
             else:
                 proc = nxt.procs[arg - 1]
                 proc.deadline_passed = True

@@ -22,7 +22,8 @@ from .outputsets import _descriptor_fields
 #: A potential emission slot: (sender pid, emission ordinal within sender).
 EmissionSlot = Tuple[int, int]
 
-#: Delay patterns per asynchronous cell; a larger 3-point lattice is sampled.
+#: A 3-point lattice of at most this many delay patterns is enumerated whole;
+#: a larger one is sampled: the two extremes plus this many draws.
 MAX_DELAY_PATTERNS = 12
 
 
@@ -228,10 +229,11 @@ def enum_delay_patterns(
     """Canonical bounded subset of the asynchronous delay space.
 
     Each (item, receiver) edge takes a delivery step from the 3-point
-    lattice {immediate, mid, horizon}.  The full lattice is enumerated when
-    its size is within ``MAX_DELAY_PATTERNS``; otherwise that many distinct
-    patterns are drawn with a seeded RNG.  The two extreme patterns (all-immediate,
-    all-latest) are always included.
+    lattice {immediate, mid, horizon}.  The two extreme patterns
+    (all-immediate, all-latest) are always included.  The full lattice is
+    enumerated when its size is within ``MAX_DELAY_PATTERNS``; otherwise up
+    to that many further distinct patterns are drawn with a seeded RNG, so a
+    sampled lattice holds at most ``MAX_DELAY_PATTERNS + 2`` patterns.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")

@@ -2,10 +2,20 @@
 
 A process's code is a flat sequence of guarded statements over the kernel
 primitives: pick a pseudo-random value, communicate an item, output a value,
-or wait on a predicate.  Guards are conjunctions of atoms over the process's
-locals and its observation set.  Synchronous programs additionally tag every
-statement with the (round, phase) in which it runs; asynchronous programs are
-untagged straight-line code.
+or wait until an atom holds.  Guards are conjunctions of atoms over the
+process's locals, its own output, its observation set and the horizon.
+
+A process observes items as (tag, value) pairs.  ``Observed(tag)`` holds once
+some item with that tag has been observed, ``Observed(tag, value)`` once one
+with that tag and value has; ``Deadline()`` holds once the run has reached
+its horizon.  ``Wait(until, dest)`` blocks until the atom ``until`` holds;
+with a ``dest`` it then binds the value of the first item observed with the
+awaited tag.  Tags are plain strings: only the builders in ``algorithms``
+give them meaning, and the constants below are the vocabulary they use.
+
+Synchronous programs additionally tag every statement with the (round,
+phase) in which it runs; asynchronous programs are untagged straight-line
+code.
 
 Crash positions are statement boundaries: a failure pattern naming slot k for
 a process makes it halt when it is about to execute statement k, so "just
@@ -67,19 +77,12 @@ class LocalIs:
 
 
 @dataclass(frozen=True)
-class ObservedInit:
-    negate: bool = False
+class Observed:
+    """True once an item tagged ``tag`` has been observed; with a ``value``
+    other than None, once one with that tag and value has."""
 
-
-@dataclass(frozen=True)
-class ObservedOutput:
-    value: int
-    negate: bool = False
-
-
-@dataclass(frozen=True)
-class ObservedPropose:
-    value: int
+    tag: str
+    value: Value = None
     negate: bool = False
 
 
@@ -90,35 +93,15 @@ class HasOutput:
     negate: bool = False
 
 
-GuardAtom = Union[LocalIs, ObservedInit, ObservedOutput, ObservedPropose, HasOutput]
+@dataclass(frozen=True)
+class Deadline:
+    """True once the run has reached its horizon (always, in a sync run)."""
+
+    negate: bool = False
+
+
+GuardAtom = Union[LocalIs, Observed, HasOutput, Deadline]
 Guard = Tuple[GuardAtom, ...]
-
-
-# ---------------------------------------------------------------------------
-# Wait predicates (asynchronous programs only).
-
-
-@dataclass(frozen=True)
-class WaitInit:
-    """Block until some INIT item has been observed."""
-
-
-@dataclass(frozen=True)
-class WaitAnyOutput:
-    """Block until some OUTPUT item is observed; bind the first one's value.
-
-    Ties within one delivery batch resolve by (sender index, payload bit).
-    """
-
-    dest: str
-
-
-@dataclass(frozen=True)
-class WaitDeadline:
-    """Block until the horizon."""
-
-
-WaitPredicate = Union[WaitInit, WaitAnyOutput, WaitDeadline]
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +141,15 @@ class Output:
 
 @dataclass(frozen=True)
 class Wait:
-    predicate: WaitPredicate
+    """Block until ``until`` holds (asynchronous programs only).
+
+    With ``dest``, ``until`` is an ``Observed`` atom, and ``dest`` is bound to
+    the value of the first item observed with its tag.  Ties within one
+    delivery batch resolve by (sender index, payload bit).
+    """
+
+    until: GuardAtom
+    dest: Optional[str] = None
     guard: Guard = ()
     at: SyncTag = None
 

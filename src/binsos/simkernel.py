@@ -39,26 +39,19 @@ from .program import (
     COMP,
     ChoiceStream,
     Communicate,
+    Deadline,
     Flip,
     Guard,
     HasOutput,
     LocalIs,
     LocalRef,
-    ObservedInit,
-    ObservedOutput,
-    ObservedPropose,
+    Observed,
     Output,
     Pick,
     PreconditionError,
     Program,
     SetLocal,
     Wait,
-    WaitAnyOutput,
-    WaitDeadline,
-    WaitInit,
-    INIT,
-    OUTPUT,
-    PROPOSE,
     choices_from_descriptor,
 )
 
@@ -183,10 +176,8 @@ class _Proc:
         "locals",
         "status",
         "output",
-        "has_init",
-        "output_bits",
-        "first_output",
-        "propose_bits",
+        "observed",
+        "first",
         "crash_slot",
         "pick_counter",
         "emission_counter",
@@ -199,10 +190,8 @@ class _Proc:
         self.locals: Dict[str, Value] = dict(program.initial_locals)
         self.status = _RUNNING
         self.output: Value = None
-        self.has_init = False
-        self.output_bits: set = set()
-        self.first_output: Value = None  # the value of the first OUTPUT observed
-        self.propose_bits: set = set()
+        self.observed: Dict[str, set] = {}  # tag -> every value observed with it
+        self.first: Dict[str, Value] = {}  # tag -> the value first observed with it
         if crash_slot is not None and crash_slot > len(program.statements):
             raise PreconditionError(
                 f"failure pattern crashes process {pid} at slot {crash_slot}, "
@@ -250,8 +239,8 @@ class _Kernel:
                 "horizon": self.horizon,
             }
         else:
-            # Unrecorded traces are throwaway probes; keep just enough of a
-            # header for the output-set accounting.
+            # Unrecorded traces are throwaway probes: their outputs are all
+            # that is read, so they carry no header.
             self.header = None
         for proc in self.procs:
             self._maybe_finish(proc)
@@ -282,14 +271,15 @@ class _Kernel:
         for atom in guard:
             if isinstance(atom, LocalIs):
                 truth = proc.locals.get(atom.name) == atom.value
-            elif isinstance(atom, ObservedInit):
-                truth = proc.has_init
-            elif isinstance(atom, ObservedOutput):
-                truth = atom.value in proc.output_bits
-            elif isinstance(atom, ObservedPropose):
-                truth = atom.value in proc.propose_bits
+            elif isinstance(atom, Observed):
+                if atom.value is None:
+                    truth = atom.tag in proc.first
+                else:
+                    truth = atom.value in proc.observed.get(atom.tag, ())
             elif isinstance(atom, HasOutput):
                 truth = proc.output is not None
+            elif isinstance(atom, Deadline):
+                truth = self.now >= self.horizon
             else:
                 raise KernelError(f"unknown guard atom {atom!r}")
             if truth == atom.negate:
@@ -314,7 +304,7 @@ class _Kernel:
     def step_proc(self, proc: _Proc) -> bool:
         """Execute one statement if possible; True when progress was made."""
         if proc.status == _BLOCKED:
-            if not self._wait_ready(proc):
+            if not self._guard(proc, (proc.program.statements[proc.pc].until,)):
                 return False
             proc.status = _RUNNING
         if proc.status != _RUNNING:
@@ -328,7 +318,7 @@ class _Kernel:
             self._maybe_finish(proc)
             return True
         if isinstance(stmt, Wait):
-            if not self._wait_ready(proc):
+            if not self._guard(proc, (stmt.until,)):
                 proc.status = _BLOCKED
                 return False
         self._execute(proc, stmt)
@@ -337,17 +327,6 @@ class _Kernel:
         proc.pc += 1
         self._maybe_finish(proc)
         return True
-
-    def _wait_ready(self, proc: _Proc) -> bool:
-        stmt = proc.program.statements[proc.pc]
-        pred = stmt.predicate
-        if isinstance(pred, WaitInit):
-            return proc.has_init
-        if isinstance(pred, WaitAnyOutput):
-            return bool(proc.output_bits)
-        if isinstance(pred, WaitDeadline):
-            return self.now >= self.horizon
-        raise KernelError(f"unknown wait predicate {pred!r}")
 
     def _execute(self, proc: _Proc, stmt) -> None:
         if isinstance(stmt, Pick):
@@ -377,11 +356,10 @@ class _Kernel:
             )
             self.emit(item)
         elif isinstance(stmt, Wait):
-            # Predicate already satisfied; for first-OUTPUT waits bind the
-            # earliest observed OUTPUT value (arrival order).
-            pred = stmt.predicate
-            if isinstance(pred, WaitAnyOutput):
-                proc.locals[pred.dest] = proc.first_output
+            # The awaited atom holds; a binding wait takes the value first
+            # observed with its tag (arrival order).
+            if stmt.dest is not None:
+                proc.locals[stmt.dest] = proc.first.get(stmt.until.tag)
             self.log(proc.pid, "step", stmt=proc.pc)
         else:
             raise KernelError(f"unknown statement {stmt!r}")
@@ -390,14 +368,12 @@ class _Kernel:
         raise NotImplementedError
 
     def deliver(self, proc: _Proc, item: InfoItem) -> None:
-        if item.tag == INIT:
-            proc.has_init = True
-        elif item.tag == OUTPUT:
-            if not proc.output_bits:
-                proc.first_output = item.value
-            proc.output_bits.add(item.value)
-        elif item.tag == PROPOSE:
-            proc.propose_bits.add(item.value)
+        seen = proc.observed.get(item.tag)
+        if seen is None:
+            proc.observed[item.tag] = {item.value}
+            proc.first[item.tag] = item.value
+        else:
+            seen.add(item.value)
         self.log(
             proc.pid, "observe", sender=item.sender, index=item.index,
             tag=item.tag, value=item.value,
@@ -523,19 +499,27 @@ def _validate_common(instance, cfg: SystemConfig, fp: FailurePattern) -> None:
         )
 
 
+def potential_emissions(instance) -> List[Tuple[int, int]]:
+    """Every (sender, emission ordinal) the instance's programs can produce."""
+    slots = []
+    for pid, program in enumerate(instance.programs(), start=1):
+        slots.extend((pid, k) for k in range(program.communicate_count))
+    return slots
+
+
 def validate_delay_pattern(instance, cfg: SystemConfig, dp: DelayPattern) -> None:
     """Screen a delay pattern against an instance and its horizon."""
     if dp.kind == "sync_canonical":
         return
     horizon = default_horizon(cfg.n)
-    comm_counts = [p.communicate_count for p in instance.programs()]
+    emissions = set(potential_emissions(instance))
     for sender, index, receiver, step in dp.entries:
         if not 1 <= sender <= cfg.n or not 1 <= receiver <= cfg.n:
             raise PreconditionError(
                 f"delay pattern references unknown process in edge "
                 f"({sender},{index},{receiver})"
             )
-        if index >= comm_counts[sender - 1]:
+        if (sender, index) not in emissions:
             raise PreconditionError(
                 f"delay pattern delivers item ({sender},{index}) that process "
                 f"{sender} can never emit"

@@ -14,7 +14,7 @@ from binsos.checker import (
     witness_lone_survivor,
     witness_split_crash,
 )
-from binsos.outputsets import OutputSet, SystemConfig, Timing, line_members, sos
+from binsos.outputsets import OutputSet, SystemConfig, Timing, line_members, sos, tight_condition
 from binsos.simkernel import PreconditionError, medium_check, replay
 
 
@@ -140,6 +140,17 @@ class TestBoundsScreen:
             sos(OutputSet.ZERO, OutputSet.ONE), SystemConfig(3, 3, Timing.SYNC)
         )
         assert not ok and "n - t >= 1" in reason
+
+    def test_every_tight_condition_implies_the_counting_bounds(self):
+        # So a cell that binds never fails the screen.
+        for line in range(1, 16):
+            for timing in Timing:
+                condition = tight_condition(line, timing)
+                for n in range(9):
+                    for t in range(n + 1):
+                        if condition.holds(n, t):
+                            cfg = SystemConfig(n, t, timing)
+                            assert bounds_screen(line_members(line), cfg)[0], (line, cfg)
 
 
 class TestLoneSurvivorWitness:

@@ -271,7 +271,7 @@ class TestCheckCommand:
         assert summary["status"] == "ok"
         assert summary["observed"] == "{{0}, {1}}"
 
-    def test_bounds_screen_short_circuits(self, capsys):
+    def test_cell_outside_the_condition_rejected_at_bind(self, capsys):
         code, _, err = invoke(
             capsys, "check", "--line", "8", "--timing", "sync", "-n", "2", "-t", "0"
         )
@@ -280,6 +280,7 @@ class TestCheckCommand:
             capsys, "check", "--line", "8", "--timing", "async", "-n", "2", "-t", "1"
         )
         assert code == cli.EXIT_PRECONDITION
+        assert "violates condition" in err
 
     def test_horizon_rejected_under_sync(self, capsys):
         # No timing takes --horizon; argparse rejects it as an unknown flag.

@@ -317,6 +317,13 @@ class TestRejections:
         with pytest.raises(PreconditionError):
             run_async(inst, cfg, SeededChoices(0), NO_CRASHES, bogus)
 
+    def test_delay_pattern_for_negative_item_index(self):
+        inst = instance_for_line(8, Timing.ASYNC).bind(5, 2)
+        cfg = SystemConfig(5, 2, Timing.ASYNC)
+        bogus = DelayPattern.of({(1, -1, 1): 3}, default=0)
+        with pytest.raises(PreconditionError, match=r"\(1,-1\) that process 1 can never emit"):
+            run_async(inst, cfg, SeededChoices(0), NO_CRASHES, bogus)
+
     def test_delay_pattern_omitting_a_receiver(self):
         inst = instance_for_line(8, Timing.ASYNC).bind(5, 2)
         cfg = SystemConfig(5, 2, Timing.ASYNC)
@@ -339,3 +346,14 @@ def test_zero_process_system():
     assert trace.outputs == ()
     assert trace.output_set() is OutputSet.EMPTY
     assert trace.termination == "ALL_DONE"
+
+
+def test_any_tag_is_observed_and_bound(foo_instance):
+    # The kernel knows no tag: a wait on "FOO" blocks until the item lands,
+    # then binds its value.
+    inst, cfg = foo_instance
+    for dp in (ALL_IMMEDIATE, all_latest(8)):
+        trace = run_async(inst, cfg, ScriptedChoices(), NO_CRASHES, dp)
+        assert trace.termination == "ALL_DONE"
+        assert trace.outputs == (None, 1)
+        assert medium_check(trace) == []

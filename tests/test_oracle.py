@@ -69,3 +69,11 @@ def test_oracle_refuses_large_systems():
     inst = instance_for_line(1, Timing.ASYNC).bind(5, 0)
     with pytest.raises(ValueError):
         observed_output_sets(inst, SystemConfig(5, 0, Timing.ASYNC))
+
+
+def test_unmodelled_tag_rejected(foo_instance):
+    # The kernel observes any tag; the oracle models only INIT, OUTPUT and
+    # PROPOSE, and refuses the rest rather than misreading it.
+    inst, cfg = foo_instance
+    with pytest.raises(TypeError, match="FOO"):
+        observed_output_sets(inst, cfg)

@@ -7,13 +7,13 @@ from binsos.program import (
     COMP,
     ChoiceNeeded,
     Communicate,
+    Observed,
     Output,
     Pick,
     Program,
     ScriptedChoices,
     SeededChoices,
     Wait,
-    WaitInit,
     choices_from_descriptor,
 )
 
@@ -74,7 +74,7 @@ class TestProgramStructure:
 
     def test_synchronous_wait_rejected(self):
         with pytest.raises(ValueError, match="cannot wait"):
-            Program((Wait(WaitInit(), at=(1, COMM)), Output(0, at=(1, COMP))))
+            Program((Wait(Observed("INIT"), at=(1, COMM)), Output(0, at=(1, COMP))))
 
     def test_synchronous_communication_outside_comm_step_rejected(self):
         with pytest.raises(ValueError, match="outside a COMM step"):
