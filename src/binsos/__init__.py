@@ -23,7 +23,6 @@ from .patterns import (
     SYNC_CANONICAL,
     DelayPattern,
     FailurePattern,
-    enum_delay_patterns,
     enum_failure_patterns,
 )
 from .program import ChoiceStream, ScriptedChoices, SeededChoices
@@ -74,7 +73,6 @@ __all__ = [
     "check_table",
     "classify_line",
     "condition_table",
-    "enum_delay_patterns",
     "enum_failure_patterns",
     "explore",
     "instance_for_line",

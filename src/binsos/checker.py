@@ -1,11 +1,13 @@
 """Safety/completeness verdicts over explored executions.
 
-``explore`` runs an algorithm instance over a budgeted product of pick
-outcomes, failure patterns and delay patterns, and compares the union of
-observed output sets against a target family: safety holds when nothing
-outside the target was ever produced, completeness when every member of the
-target has a stored witness trace.  ``check_table`` reproduces the whole
-characterization table at desk scale.
+``explore`` runs an algorithm instance under every failure pattern and
+pick outcome -- an asynchronous one by ``simkernel.search_async``, which
+also covers every delay pattern -- or, beyond the budget, under seeded
+samples, and compares the union of observed output sets against a target
+family: safety holds when nothing outside the target was ever produced,
+completeness when every member of the target has a stored witness trace.
+Each member's trace is a recorded kernel run, so it replays byte for byte.
+``check_table`` reproduces the whole characterization table at desk scale.
 
 The witness constructors re-enact the crash schedules from the necessity
 arguments as counterexample demonstrations against the shipped algorithms
@@ -34,14 +36,12 @@ from .outputsets import (
 )
 from .patterns import (
     ALL_IMMEDIATE,
-    MAX_DELAY_PATTERNS,
     NO_CRASHES,
     SYNC_CANONICAL,
     DelayPattern,
     FailurePattern,
     all_latest,
     count_failure_patterns,
-    enum_delay_patterns,
     enum_failure_patterns,
     sample_delay_pattern,
     sample_failure_pattern,
@@ -49,14 +49,16 @@ from .patterns import (
 from .program import ChoiceNeeded, Communicate, Output, Pick, ScriptedChoices, SeededChoices
 from .simkernel import (
     ExecutionTrace,
+    KernelError,
     PreconditionError,
     default_horizon,
     potential_emissions,
     run,
-    validate_delay_pattern,
+    search_async,
 )
 
-#: Runs an exhaustive search may take; a larger space is sampled instead.
+#: What an exhaustive exploration may cover: sync runs, or async failure
+#: patterns and search states.  A larger space is sampled instead.
 SIZE_CAP = 1_000_000
 
 
@@ -68,12 +70,14 @@ class WitnessSearchError(Exception):
 class ExplorationBudget:
     """What a caller may set about one exploration.
 
-    ``explore`` enumerates every pick outcome, failure pattern and delay
-    pattern when that product is at most ``max(SIZE_CAP, sample_runs)``
-    runs; otherwise it runs the two extreme-delay probes and then
-    ``sample_runs`` random (seed, fp, dp) triples drawn from ``sample_seed``,
-    which also seeds the sampled delay lattice.  The horizon is not part of
-    the budget: every asynchronous run has ``default_horizon(n)``.
+    Let the bound be ``max(SIZE_CAP, sample_runs)``.  ``explore`` covers a
+    synchronous cell whole when its pick outcomes times failure patterns are
+    at most the bound, and searches an asynchronous cell whole when its
+    failure patterns are; that search stops, reporting ``exhaustive: false``,
+    once it would visit more states than the bound.  A larger cell gets the
+    two extreme-delay probes and then ``sample_runs`` random (seed, fp, dp)
+    triples drawn from ``sample_seed``.  The horizon is not part of the
+    budget: every asynchronous run has ``default_horizon(n)``.
     """
 
     sample_runs: int = 10_000
@@ -179,8 +183,11 @@ def explore(
 ) -> Verdict:
     """Explore executions and judge safety/completeness against ``target``.
 
-    Synchronous configurations use the single canonical delay pattern;
-    asynchronous ones range over the bounded delay family.
+    A synchronous cell runs every pick outcome under every failure pattern,
+    with the single canonical delay pattern.  An asynchronous cell searches
+    the kernel's state graph under every failure pattern (``search_async``),
+    which covers every delay pattern and pick outcome.  A cell too large for
+    ``max(SIZE_CAP, budget.sample_runs)`` is sampled instead.
     """
     budget = budget or ExplorationBudget()
     instance = _bind(instance, cfg)
@@ -191,51 +198,66 @@ def explore(
             f"{instance.kind.value} instance is built for {instance.timing}"
         )
 
-    if cfg.timing is Timing.SYNC:
-        dps, dp_exhaustive = [SYNC_CANONICAL], True
-        probes = [(0, NO_CRASHES, SYNC_CANONICAL), (1, NO_CRASHES, SYNC_CANONICAL)]
-    else:
-        emissions = potential_emissions(instance)
-        horizon = default_horizon(cfg.n)
-        dps = enum_delay_patterns(emissions, cfg.n, horizon, budget.sample_seed)
-        edges = len(emissions) * cfg.n
-        dp_exhaustive = edges == 0 or 3 ** edges <= MAX_DELAY_PATTERNS
-        for dp in dps:
-            validate_delay_pattern(instance, cfg, dp)
-        probes = [(0, NO_CRASHES, ALL_IMMEDIATE), (0, NO_CRASHES, all_latest(horizon))]
+    # Every failure pattern (and, under synchrony, every pick outcome under
+    # each) when the count fits the cap; otherwise the two extreme probes,
+    # then sample_runs seeded draws.
+    slot_counts = [p.slot_count for p in instance.programs()]
+    fps = enum_failure_patterns(cfg.n, cfg.t, slot_counts)
+    fp_count = count_failure_patterns(cfg.n, cfg.t, slot_counts)
+    cap = max(SIZE_CAP, budget.sample_runs)
+    verdict = Verdict(target=target)
 
     def unrecorded(choices, fp, dp):
         trace = run(instance, cfg, choices, fp, dp, record=False, validate=False)
-        return choices, fp, dp, trace
+        verdict.executions += 1
+        return choices, fp, dp, trace.output_set()
 
-    # Every pick outcome under every (fp, dp) when the space fits the cap;
-    # otherwise the two extreme probes, then sample_runs seeded draws.
-    slot_counts = [p.slot_count for p in instance.programs()]
-    fp_count = count_failure_patterns(cfg.n, cfg.t, slot_counts)
-    verdict = Verdict(target=target)
-    if _choice_bound(instance) * fp_count * len(dps) <= max(SIZE_CAP, budget.sample_runs):
-        verdict.exhaustive = dp_exhaustive
-        runs = (
+    def searched():
+        verdict.exhaustive = True
+        states = 0
+        for fp in fps:
+            outcome = search_async(instance, cfg, fp, cap - states)
+            states += outcome.states
+            verdict.executions += outcome.terminals
+            for reached, (choices, dp) in outcome.found.items():
+                yield choices, fp, dp, reached
+            if not outcome.complete:
+                verdict.exhaustive = False
+                return
+
+    if cfg.timing is Timing.ASYNC and fp_count <= cap:
+        found = searched()
+    elif cfg.timing is Timing.SYNC and _choice_bound(instance) * fp_count <= cap:
+        verdict.exhaustive = True
+        found = (
             leaf
-            for fp in enum_failure_patterns(cfg.n, cfg.t, slot_counts)
-            for dp in dps
-            for _, leaf in branch_choices(functools.partial(unrecorded, fp=fp, dp=dp))
+            for fp in fps
+            for _, leaf in branch_choices(
+                functools.partial(unrecorded, fp=fp, dp=SYNC_CANONICAL)
+            )
         )
     else:
+        if cfg.timing is Timing.SYNC:
+            probes = [(0, NO_CRASHES, SYNC_CANONICAL), (1, NO_CRASHES, SYNC_CANONICAL)]
+        else:
+            latest = all_latest(default_horizon(cfg.n))
+            probes = [(0, NO_CRASHES, ALL_IMMEDIATE), (0, NO_CRASHES, latest)]
         draws = _draws(instance, cfg, budget.sample_seed)
         triples = itertools.chain(probes, itertools.islice(draws, budget.sample_runs))
-        runs = (unrecorded(SeededChoices(seed), fp, dp) for seed, fp, dp in triples)
+        found = (unrecorded(SeededChoices(seed), fp, dp) for seed, fp, dp in triples)
 
     observed = set()
-    for choices, fp, dp, trace in runs:
-        verdict.executions += 1
-        os_ = trace.output_set()
-        if os_ in observed:
+    for choices, fp, dp, reached in found:
+        if reached in observed:
             continue
-        observed.add(os_)
+        observed.add(reached)
         full = run(instance, cfg, choices, fp, dp)
-        if os_ in target:
-            verdict.witnesses[os_] = full
+        if full.output_set() is not reached:
+            raise KernelError(
+                f"recorded run under {fp.describe()} gave {full.output_set()}, not {reached}"
+            )
+        if reached in target:
+            verdict.witnesses[reached] = full
         else:
             verdict.violations.append(full)
     verdict.observed = frozenset(observed)

@@ -2,12 +2,12 @@
 
 Failure patterns map crashed processes to statement-boundary crash slots.
 Delay patterns map each potentially emitted item, per receiver, to the
-logical step at which it is delivered.  The asynchronous delay space is
-infinite; exploration restricts it to a 3-point lattice per (item, receiver)
-edge -- immediate, mid-horizon, and at-horizon -- which covers the delivery
-order distinctions the algorithms can branch on.  Every generated pattern
-delivers every item to every receiver by the horizon, so global termination
-of the medium holds by construction.
+logical step at which it is delivered.  No pattern family is enumerated:
+exhaustive exploration searches the kernel's states instead
+(``simkernel.search_async``) and builds, for each path it reports, the one
+pattern that replays it.  Patterns are drawn at random for sampling, and
+every drawn pattern delivers every item to every receiver by the horizon,
+so global termination of the medium holds by construction.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ from .outputsets import _descriptor_fields
 
 #: A potential emission slot: (sender pid, emission ordinal within sender).
 EmissionSlot = Tuple[int, int]
-
-#: A 3-point lattice of at most this many delay patterns is enumerated whole;
-#: a larger one is sampled: the two extremes plus this many draws.
-MAX_DELAY_PATTERNS = 12
 
 
 @dataclass(frozen=True)
@@ -220,63 +216,13 @@ def all_latest(horizon: int) -> DelayPattern:
     return DelayPattern("map", (), horizon)
 
 
-def enum_delay_patterns(
-    emission_slots: Sequence[EmissionSlot],
-    n: int,
-    horizon: int,
-    sample_seed: int = 0,
-) -> List[DelayPattern]:
-    """Canonical bounded subset of the asynchronous delay space.
-
-    Each (item, receiver) edge takes a delivery step from the 3-point
-    lattice {immediate, mid, horizon}.  The two extreme patterns
-    (all-immediate, all-latest) are always included.  The full lattice is
-    enumerated when its size is within ``MAX_DELAY_PATTERNS``; otherwise up
-    to that many further distinct patterns are drawn with a seeded RNG, so a
-    sampled lattice holds at most ``MAX_DELAY_PATTERNS + 2`` patterns.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    edges = [(s, i, r) for (s, i) in emission_slots for r in range(1, n + 1)]
-    extremes = [ALL_IMMEDIATE, all_latest(horizon)]
-    if not edges:
-        return [ALL_IMMEDIATE]
-    steps = sorted({0, (horizon + 1) // 2, horizon})
-    lattice_size = len(steps) ** len(edges)
-    patterns: List[DelayPattern] = []
-    seen = set()
-    for p in extremes:
-        # Extremes in explicit-map form so identity matches lattice points.
-        explicit = DelayPattern.of({e: p.default for e in edges}, default=None)
-        if explicit not in seen:
-            seen.add(explicit)
-            patterns.append(explicit)
-    if lattice_size <= MAX_DELAY_PATTERNS:
-        for combo in itertools.product(steps, repeat=len(edges)):
-            p = DelayPattern.of(dict(zip(edges, combo)), default=None)
-            if p not in seen:
-                seen.add(p)
-                patterns.append(p)
-        return patterns
-    rng = random.Random(sample_seed)
-    attempts = 0
-    while len(patterns) < MAX_DELAY_PATTERNS + 2 and attempts < 20 * MAX_DELAY_PATTERNS:
-        attempts += 1
-        combo = {e: rng.choice(steps) for e in edges}
-        p = DelayPattern.of(combo, default=None)
-        if p not in seen:
-            seen.add(p)
-            patterns.append(p)
-    return patterns
-
-
 def sample_delay_pattern(
     rng: random.Random,
     emission_slots: Sequence[EmissionSlot],
     n: int,
     horizon: int,
 ) -> DelayPattern:
-    """One random pattern over the full step range 0..H (not just the lattice)."""
+    """One random pattern over the full step range 0..H."""
     entries = {
         (s, i, r): rng.randint(0, horizon)
         for (s, i) in emission_slots

@@ -21,22 +21,29 @@ Crashes are positional: a process with crash slot k halts when about to
 execute statement k, or after its last statement when k is its statement
 count; a larger slot is rejected.  Items it already emitted are still
 delivered (the medium never suppresses information).
+
+``search_async`` explores the same interpreter as a state graph: it forks
+the kernel at each pick and each choice of what lands next, instead of
+fixing choices and delays up front, and maps every output set it reaches
+back to the choices and delay pattern of one kernel run.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .algorithms import instance_from_descriptor
 from .outputsets import (
     OutputSet, SystemConfig, Timing, Value, _descriptor_fields, _read_json, output_set,
 )
-from .patterns import SYNC_CANONICAL, DelayPattern, FailurePattern
+from .patterns import ALL_IMMEDIATE, SYNC_CANONICAL, DelayPattern, FailurePattern
 from .program import (
     COMM,
     COMP,
+    ChoiceNeeded,
     ChoiceStream,
     Communicate,
     Deadline,
@@ -50,6 +57,7 @@ from .program import (
     Pick,
     PreconditionError,
     Program,
+    ScriptedChoices,
     SetLocal,
     Wait,
     choices_from_descriptor,
@@ -200,6 +208,21 @@ class _Proc:
         self.crash_slot = -1 if crash_slot is None else crash_slot
         self.pick_counter = 0
         self.emission_counter = 0
+
+    def clone(self) -> "_Proc":
+        other = _Proc.__new__(_Proc)
+        other.pid = self.pid
+        other.program = self.program
+        other.pc = self.pc
+        other.locals = dict(self.locals)
+        other.status = self.status
+        other.output = self.output
+        other.observed = {tag: set(values) for tag, values in self.observed.items()}
+        other.first = dict(self.first)
+        other.crash_slot = self.crash_slot
+        other.pick_counter = self.pick_counter
+        other.emission_counter = self.emission_counter
+        return other
 
 
 class _Kernel:
@@ -466,20 +489,25 @@ class _AsyncKernel(_Kernel):
             if not moved and not any(s <= self.now for s in self.pending):
                 return
 
+    def _deadline_step(self) -> None:
+        """Step H.  Deadline waiters wake before this step's deliveries land,
+        so a delivery scheduled exactly at the deadline is not yet visible to
+        the re-check the waiter performs on waking; then everything still
+        pending lands, and so does anything emitted at H."""
+        self.now = self.horizon
+        self._advance_all()
+        self._drain()
+
     def run(self) -> ExecutionTrace:
-        while True:
+        self._drain()
+        # Every delivery step is clamped to the horizon, the one deadline, so
+        # no run outlasts it.
+        while min(self.pending, default=self.horizon) < self.horizon:
+            self.now = min(self.pending)
             self._drain()
-            if not self.pending and self.now >= self.horizon:
-                done = all(p.status in (_DONE, _CRASHED) for p in self.procs)
-                return self.finalize(ALL_DONE if done else QUIESCENT)
-            # Every delivery step is clamped to the horizon, the one deadline,
-            # so no run outlasts it.
-            self.now = min(self.pending, default=self.horizon)
-            if self.now == self.horizon:
-                # Deadline waiters wake before this step's deliveries land, so
-                # a delivery scheduled exactly at the deadline is not yet
-                # visible to the re-check the waiter performs on waking.
-                self._advance_all()
+        self._deadline_step()
+        done = all(p.status in (_DONE, _CRASHED) for p in self.procs)
+        return self.finalize(ALL_DONE if done else QUIESCENT)
 
 
 def _validate_common(instance, cfg: SystemConfig, fp: FailurePattern) -> None:
@@ -596,6 +624,239 @@ def replay(source) -> ExecutionTrace:
     if horizon != derived:
         raise PreconditionError(f"trace header horizon {horizon} is not {derived}")
     return rerun
+
+
+# ---------------------------------------------------------------------------
+# Asynchronous state-graph search.
+
+
+def relevant_tags(program: Program) -> Tuple[FrozenSet[str], ...]:
+    """Entry k: the tags that statements k, k+1, ... of ``program`` read, as
+    an ``Observed`` guard atom or awaited atom.  The entry past the last
+    statement is empty."""
+    table = [frozenset()]
+    for stmt in reversed(program.statements):
+        atoms = stmt.guard + ((stmt.until,) if isinstance(stmt, Wait) else ())
+        table.append(table[-1] | {a.tag for a in atoms if isinstance(a, Observed)})
+    return tuple(reversed(table))
+
+
+@dataclass
+class SearchOutcome:
+    """What ``search_async`` found under one failure pattern.
+
+    ``found`` maps each output set reached to the run inputs (choices and
+    delay pattern) of the first terminal state that reached it.
+    """
+
+    states: int = 0  # distinct quiescent states visited
+    terminals: int = 0  # terminal states reached: one per deadline step and pick outcome
+    complete: bool = True  # False when the state bound stopped the search
+    found: Dict[OutputSet, Tuple[ScriptedChoices, DelayPattern]] = field(default_factory=dict)
+
+
+class _SearchState(_AsyncKernel):
+    """One node of the search: an unrecorded asynchronous kernel whose
+    pending (receiver, item) deliveries carry no step yet.  They are kept
+    in ``pending[horizon]``, where the deadline step finds them."""
+
+    def __init__(self, instance, cfg: SystemConfig, fp: FailurePattern):
+        super().__init__(instance, cfg, ScriptedChoices(), fp, ALL_IMMEDIATE, record=False)
+        self.relevant = [relevant_tags(p.program) for p in self.procs]
+        self.path: tuple = ()  # the batches landed so far, as (earlier, batch) pairs
+        self.steps = 0  # how many batches that is
+
+    def _relevant(self, proc: _Proc, item: InfoItem) -> bool:
+        return (
+            proc.status != _CRASHED
+            and item.tag in self.relevant[proc.pid - 1][proc.pc]
+            and item.value not in proc.observed.get(item.tag, ())
+        )
+
+    def emit(self, item: InfoItem) -> None:
+        pending = self.pending.setdefault(self.horizon, [])
+        for proc in self.procs:
+            if self._relevant(proc, item):
+                pending.append((proc.pid, item))
+
+    def fork(self) -> "_SearchState":
+        other = _SearchState.__new__(_SearchState)
+        other.__dict__.update(self.__dict__)
+        other.procs = [p.clone() for p in self.procs]
+        other.pending = {step: list(items) for step, items in self.pending.items()}
+        other.choices = ScriptedChoices(self.choices.picks)
+        return other
+
+    def after(self, batch: Optional[tuple]) -> List["_SearchState"]:
+        """The quiescent states reached by landing ``batch`` (nothing, when
+        it is empty), one per outcome of the picks met on the way; ``None``
+        takes the deadline step instead."""
+        state = self.fork()
+        if batch is None:
+            state.now = state.horizon
+        elif batch:
+            pending = state.pending[state.horizon]
+            for receiver, item in batch:
+                pending.remove((receiver, item))
+                state.deliver(state.procs[receiver - 1], item)
+            state.path = (self.path, batch)
+            state.steps += 1
+            if state.steps >= state.horizon:
+                raise KernelError(
+                    f"search path of {state.steps} batches has no delay pattern "
+                    f"within horizon {state.horizon}"
+                )
+        settled, todo = [], [state]
+        while todo:
+            state = todo.pop()
+            try:
+                if state.now < state.horizon:
+                    # Nothing is due before the horizon, so one pass runs every
+                    # process until it blocks: only a landing can wake it.
+                    state._advance_all()
+                else:
+                    state._deadline_step()
+            except ChoiceNeeded as need:
+                # The pick raised before changing anything, so each fork
+                # resumes where this state stopped.
+                for value in reversed(need.candidates):
+                    child = state.fork()
+                    child.choices.picks[(need.pid, need.counter)] = value
+                    todo.append(child)
+                continue
+            if state.now < state.horizon:
+                pending = state.pending.get(state.horizon)
+                if pending:
+                    state.pending[state.horizon] = [
+                        (r, item) for r, item in pending
+                        if state._relevant(state.procs[r - 1], item)
+                    ]
+            settled.append(state)
+        return settled
+
+    def batches(self) -> List[tuple]:
+        """Every landing move: a nonempty subset of one receiver's pending
+        items, in the kernel's delivery order."""
+        by_receiver: Dict[int, list] = {}
+        for pair in sorted(
+            self.pending.get(self.horizon, ()), key=lambda d: (d[0],) + d[1].sort_key
+        ):
+            by_receiver.setdefault(pair[0], []).append(pair)
+        moves = []
+        for items in by_receiver.values():
+            for size in range(1, len(items) + 1):
+                moves.extend(itertools.combinations(items, size))
+        return moves
+
+    def key(self) -> tuple:
+        procs = []
+        for p in self.procs:
+            if p.status != _BLOCKED:
+                procs.append((p.status, p.output))
+                continue
+            seen = tuple(
+                (p.first.get(tag), frozenset(p.observed.get(tag, ())))
+                for tag in self.relevant[p.pid - 1][p.pc]
+            )
+            procs.append((
+                p.pc, p.output, frozenset(p.locals.items()),
+                p.pick_counter, p.emission_counter, seen,
+            ))
+        pending = frozenset(
+            (r, item.sender, item.index, item.tag, item.value)
+            for r, item in self.pending.get(self.horizon, ())
+        )
+        return tuple(procs), pending
+
+    def inputs(self) -> Tuple[ScriptedChoices, DelayPattern]:
+        """Choices and delay pattern of the kernel run along this state's
+        path: the j-th batch lands at step j, every other item at H."""
+        entries = {}
+        step, path = self.steps, self.path
+        while path:
+            path, batch = path
+            for receiver, item in batch:
+                entries[(item.sender, item.index, receiver)] = step
+            step -= 1
+        return (
+            ScriptedChoices(self.choices.picks),
+            DelayPattern.of(entries, default=self.horizon),
+        )
+
+
+def search_async(
+    instance, cfg: SystemConfig, fp: FailurePattern, max_states: int
+) -> SearchOutcome:
+    """Every output set the asynchronous kernel produces under ``fp``, by a
+    depth-first search over its quiescent states, visiting at most
+    ``max_states`` of them.
+
+    A state is a kernel in which every process is blocked, done or crashed,
+    with a set of pending (receiver, item) deliveries that carry no step
+    yet.  Before the horizon a state has two kinds of move, generated
+    lazily: land a nonempty subset of one receiver's pending items, in the
+    kernel's delivery order, and run every process until it blocks; or take
+    the deadline step (``_AsyncKernel._deadline_step``, shared with ``run``),
+    whose result is terminal.  A pick met on the way forks a cloned state
+    once per candidate.  Visited states are deduplicated by key in one set,
+    freed on return.
+
+    Why this reaches exactly the output sets of the kernel's runs under
+    ``fp``, for every choice stream and delay pattern:
+
+    1. One receiver at a time.  Each round of a kernel step lands its due
+       items, sorted by receiver, then runs every process until it blocks.
+       A process's run reads only its own locals, its own observations and
+       whether the horizon has come, and it only adds what it emits to the
+       pending set.  So landing a round's items receiver by receiver, running
+       after each, reaches the same state as landing them together: every
+       kernel run is a path of moves.
+    2. Relevance.  A pending item is dropped when its receiver has crashed,
+       when no statement of its receiver from the receiver's pc on reads its
+       tag, or when the receiver has already observed its (tag, value).
+       Landing it then changes nothing the receiver will read: the pc only
+       grows and observations only accumulate, so this stays true.  Such an
+       item is no branch point and no part of the key; the kernel lands it
+       at H at the latest.
+    3. Deduplication.  The key holds all that the future reads: of a blocked
+       process its pc, output, locals, pick and emission counters and its
+       observations of the tags it still reads; of a done or crashed one its
+       status and output; and the pending items.  Crash slots are fixed by
+       ``fp``, and every later pick has a new (pid, counter), so the picks
+       made so far do not matter.  States with one key have one future.
+    4. Back to a run.  A path that lands batches b_1..b_k and then takes the
+       deadline step is the kernel run with its picks scripted and the
+       delay pattern that delivers b_j's items at step j and every other
+       item at H (``_SearchState.inputs``).  Each item of b_j was emitted
+       before b_j, at a step below j, so it lands at j; at step j only b_j's
+       receiver can move; so the run passes through the path's states.  This
+       needs k < H: a longer path raises ``KernelError`` rather than being
+       dropped.
+    """
+    if cfg.timing is not Timing.ASYNC:
+        raise PreconditionError("search_async requires an ASYNC configuration")
+    _validate_common(instance, cfg, fp)
+    outcome = SearchOutcome()
+    visited = set()
+    moves = [(_SearchState(instance, cfg, fp), ())]
+    while moves:
+        parent, batch = moves.pop()
+        for state in parent.after(batch):
+            key = state.key()
+            if key in visited:
+                continue
+            if outcome.states == max_states:
+                outcome.complete = False
+                return outcome
+            visited.add(key)
+            outcome.states += 1
+            for leaf in state.after(None):
+                outcome.terminals += 1
+                reached = output_set(tuple(p.output for p in leaf.procs))
+                if reached not in outcome.found:
+                    outcome.found[reached] = leaf.inputs()
+            moves.extend((state, b) for b in reversed(state.batches()))
+    return outcome
 
 
 # ---------------------------------------------------------------------------

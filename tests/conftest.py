@@ -1,10 +1,14 @@
-"""Shared pytest plumbing: surface acceptance verdicts in the summary, and
-an instance outside the six algorithms' wire vocabulary."""
+"""Shared pytest plumbing: surface acceptance verdicts in the summary, the
+n <= 4 table report, and an instance outside the six algorithms' wire
+vocabulary."""
+
+import time
 
 import pytest
 
 from binsos import algorithms
 from binsos.algorithms import AlgorithmInstance, AlgorithmKind
+from binsos.checker import ExplorationBudget, check_table
 from binsos.outputsets import SystemConfig, Timing
 from binsos.program import Communicate, LocalRef, Observed, Output, Program, Wait
 
@@ -16,6 +20,14 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def table_n4():
+    """The n <= 4 table report, and the seconds it took, computed once."""
+    start = time.time()
+    report = check_table(4, ExplorationBudget())
+    return report, time.time() - start
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import pytest
 from binsos.algorithms import instance_for_line
 from binsos.checker import (
     LONE_SURVIVOR,
+    SIZE_CAP,
     ExplorationBudget,
     bounds_screen,
     check_table,
@@ -15,6 +16,7 @@ from binsos.checker import (
     witness_split_crash,
 )
 from binsos.outputsets import OutputSet, SystemConfig, Timing, line_members, sos, tight_condition
+from binsos.patterns import count_failure_patterns
 from binsos.simkernel import PreconditionError, medium_check, replay
 
 
@@ -64,11 +66,12 @@ class TestExplore:
             assert again.to_jsonl() == trace.to_jsonl()
 
     def test_sampled_mode_reports_budget_distinctly(self):
-        # The pick x failure-pattern x delay-pattern space of this cell is
-        # larger than SIZE_CAP, so the search is sampled.
-        inst = instance_for_line(3, Timing.ASYNC).bind(5, 4)
+        # This cell has more failure patterns than SIZE_CAP, so it is sampled.
+        inst = instance_for_line(3, Timing.ASYNC).bind(9, 8)
+        slot_counts = [p.slot_count for p in inst.programs()]
+        assert count_failure_patterns(9, 8, slot_counts) > SIZE_CAP
         budget = ExplorationBudget(sample_runs=0)
-        verdict = explore(inst, SystemConfig(5, 4, Timing.ASYNC), budget)
+        verdict = explore(inst, SystemConfig(9, 8, Timing.ASYNC), budget)
         # Only the two extreme probes ran.
         assert verdict.executions == 2
         assert not verdict.exhaustive

@@ -7,13 +7,11 @@ import pytest
 
 from binsos.patterns import (
     ALL_IMMEDIATE,
-    MAX_DELAY_PATTERNS,
     SYNC_CANONICAL,
     DelayPattern,
     FailurePattern,
     all_latest,
     count_failure_patterns,
-    enum_delay_patterns,
     enum_failure_patterns,
     sample_delay_pattern,
     sample_failure_pattern,
@@ -72,39 +70,6 @@ def test_sample_failure_pattern_is_valid():
         fp = sample_failure_pattern(rng, 5, 3, [4] * 5)
         assert fp.f <= 3
         assert all(1 <= pid <= 5 and 0 <= slot < 4 for pid, slot in fp.crashes)
-
-
-def test_delay_patterns_empty_emissions():
-    patterns = enum_delay_patterns([], n=3, horizon=8)
-    assert len(patterns) == 1
-    assert patterns[0].step_for(1, 0, 2) == 0
-
-
-def test_delay_patterns_exhaustive_product():
-    patterns = enum_delay_patterns([(1, 0)], n=2, horizon=8)
-    assert len(patterns) == 9  # 3 lattice steps ^ 2 receivers
-    assert len(set(patterns)) == 9
-    steps = {(p.step_for(1, 0, 1), p.step_for(1, 0, 2)) for p in patterns}
-    assert steps == set(itertools.product((0, 4, 8), repeat=2))
-
-
-def test_delay_patterns_sampled_with_extremes():
-    slots = [(1, 0), (2, 0), (3, 0)]  # 3 items x 2 receivers -> 3^6 = 729 edges
-    patterns = enum_delay_patterns(slots, n=2, horizon=8, sample_seed=3)
-    assert len(set(patterns)) == len(patterns)
-    assert MAX_DELAY_PATTERNS <= len(patterns) <= MAX_DELAY_PATTERNS + 2
-    steps_of = lambda p: [p.step_for(s, i, r) for (s, i) in slots for r in (1, 2)]
-    all_steps = [steps_of(p) for p in patterns]
-    assert [0] * 6 in all_steps  # all-immediate extreme
-    assert [8] * 6 in all_steps  # all-latest extreme
-
-
-def test_delay_patterns_respect_horizon():
-    slots = [(1, 0), (2, 0)]
-    for p in enum_delay_patterns(slots, n=3, horizon=6, sample_seed=1):
-        for (s, i) in slots:
-            for r in (1, 2, 3):
-                assert 0 <= p.step_for(s, i, r) <= 6
 
 
 def test_sync_canonical_pattern():
