@@ -1,13 +1,18 @@
 """Safety/completeness verdicts over explored executions.
 
-``explore`` runs an algorithm instance under every failure pattern and
-pick outcome -- an asynchronous one by ``simkernel.search_async``, which
-also covers every delay pattern -- or, beyond the budget, under seeded
-samples, and compares the union of observed output sets against a target
-family: safety holds when nothing outside the target was ever produced,
-completeness when every member of the target has a stored witness trace.
-Each member's trace is a recorded kernel run, so it replays byte for byte.
-``check_table`` reproduces the whole characterization table at desk scale.
+``explore`` runs an algorithm instance under every failure pattern, up to
+the symmetry of processes with equal programs, and every pick outcome -- an
+asynchronous one by ``simkernel.search_async``, which also covers every
+delay pattern -- or, beyond the budget, under seeded samples, and compares
+the union of observed output sets against a target family: safety holds
+when nothing outside the target was ever produced, completeness when every
+member of the target has a stored witness trace.  Each member's trace is a
+recorded kernel run, so it replays byte for byte.  ``exhaustive: true``
+means every failure pattern was covered up to that proven symmetry (one
+pattern per orbit, see ``explore``); ``executions`` counts the kernel runs
+of a sync cell or a sampled cell, and the terminal search states of a
+searched async cell.  ``check_table`` reproduces the whole characterization
+table at desk scale.
 
 The witness constructors re-enact the crash schedules from the necessity
 arguments as counterexample demonstrations against the shipped algorithms
@@ -41,8 +46,9 @@ from .patterns import (
     DelayPattern,
     FailurePattern,
     all_latest,
+    count_failure_pattern_orbits,
     count_failure_patterns,
-    enum_failure_patterns,
+    enum_failure_pattern_orbits,
     sample_delay_pattern,
     sample_failure_pattern,
 )
@@ -58,7 +64,7 @@ from .simkernel import (
 )
 
 #: What an exhaustive exploration may cover: sync runs, or async failure
-#: patterns and search states.  A larger space is sampled instead.
+#: pattern orbits and search states.  A larger space is sampled instead.
 SIZE_CAP = 1_000_000
 
 
@@ -71,13 +77,17 @@ class ExplorationBudget:
     """What a caller may set about one exploration.
 
     Let the bound be ``max(SIZE_CAP, sample_runs)``.  ``explore`` covers a
-    synchronous cell whole when its pick outcomes times failure patterns are
-    at most the bound, and searches an asynchronous cell whole when its
-    failure patterns are; that search stops, reporting ``exhaustive: false``,
-    once it would visit more states than the bound.  A larger cell gets the
-    two extreme-delay probes and then ``sample_runs`` random (seed, fp, dp)
-    triples drawn from ``sample_seed``.  The horizon is not part of the
-    budget: every asynchronous run has ``default_horizon(n)``.
+    synchronous cell whole when its pick outcomes times failure-pattern
+    orbits are at most the bound, and searches an asynchronous cell whole
+    when its orbits are; that search stops, reporting ``exhaustive: false``,
+    once it would visit more states than the bound.  Whole means every
+    failure pattern up to the symmetry of processes with equal programs;
+    ``executions`` then counts kernel runs (sync) or terminal search states
+    (async).  A larger cell gets the two extreme-delay probes and then
+    ``sample_runs`` random (seed, fp, dp) triples drawn from ``sample_seed``
+    over every failure pattern; ``executions`` counts those runs.  The
+    horizon is not part of the budget: every asynchronous run has
+    ``default_horizon(n)``.
     """
 
     sample_runs: int = 10_000
@@ -98,6 +108,8 @@ class Verdict:
     witnesses: Dict[OutputSet, ExecutionTrace] = field(default_factory=dict)
     executions: int = 0
     exhaustive: bool = False
+    failure_patterns: int = 0  # the cell's failure patterns
+    failure_pattern_orbits: int = 0  # one per orbit: what exhaustive mode explores
 
     @property
     def safety_ok(self) -> bool:
@@ -135,6 +147,8 @@ class Verdict:
             "status": self.status,
             "executions": self.executions,
             "exhaustive": self.exhaustive,
+            "failure_patterns": self.failure_patterns,
+            "failure_pattern_orbits": self.failure_pattern_orbits,
             "witness_refs": sorted(str(m) for m in self.witnesses),
         }
 
@@ -186,8 +200,35 @@ def explore(
     A synchronous cell runs every pick outcome under every failure pattern,
     with the single canonical delay pattern.  An asynchronous cell searches
     the kernel's state graph under every failure pattern (``search_async``),
-    which covers every delay pattern and pick outcome.  A cell too large for
-    ``max(SIZE_CAP, budget.sample_runs)`` is sampled instead.
+    which covers every delay pattern and pick outcome.  "Every failure
+    pattern" is up to symmetry: processes with equal bound programs are
+    interchangeable, so one pattern per orbit under permutations of them is
+    explored (``enum_failure_pattern_orbits``).  A cell whose orbits, times
+    its pick outcomes under synchrony, exceed ``max(SIZE_CAP,
+    budget.sample_runs)`` is sampled instead, from every failure pattern.
+
+    Why one pattern per orbit reaches every output set: let a permutation
+    of processes with equal programs relabel a failure pattern (equal
+    programs have equal crash slots).  The output set holds values and no
+    pid, so it suffices that the relabelled runs, picks keyed by the
+    relabelled pids, reach the same output sets.
+
+    - Sync: a process reads only its own program, locals, output, picks and
+      observations.  Sync programs cannot ``Wait``, ``_Proc.first`` is read
+      only by binding waits, and ``Observed(tag)`` tests only presence, so
+      the sender order at the delivery barrier cannot reach any guard.  The
+      relabelled run gives each process the state of its preimage, and so
+      the same output set.
+    - Async: relabelling commutes with every search move, except that items
+      landing together (a batch, or the deadline step's) land in sender
+      order.  That order reaches a process only through the value a binding
+      wait takes (``_Proc.first``).  A binding wait of the shipped programs
+      is the only statement reading its tag, and only unguarded outputs
+      follow it (``tests/test_search.py`` checks both), so it binds the
+      value of whichever item of its tag lands first, and nothing reads the
+      others.  The search lands every subset of a receiver's pending items,
+      any one item alone among them, so every arrival order, and every
+      bound value, is reachable under either labelling.
     """
     budget = budget or ExplorationBudget()
     instance = _bind(instance, cfg)
@@ -198,14 +239,20 @@ def explore(
             f"{instance.kind.value} instance is built for {instance.timing}"
         )
 
-    # Every failure pattern (and, under synchrony, every pick outcome under
-    # each) when the count fits the cap; otherwise the two extreme probes,
-    # then sample_runs seeded draws.
-    slot_counts = [p.slot_count for p in instance.programs()]
-    fps = enum_failure_patterns(cfg.n, cfg.t, slot_counts)
-    fp_count = count_failure_patterns(cfg.n, cfg.t, slot_counts)
+    # One failure pattern per orbit (and, under synchrony, every pick outcome
+    # under each) when the count fits the cap; otherwise the two extreme
+    # probes, then sample_runs seeded draws.
+    programs = instance.programs()
+    fps = enum_failure_pattern_orbits(cfg.n, cfg.t, programs)
+    orbits = count_failure_pattern_orbits(cfg.n, cfg.t, programs)
     cap = max(SIZE_CAP, budget.sample_runs)
-    verdict = Verdict(target=target)
+    verdict = Verdict(
+        target=target,
+        failure_patterns=count_failure_patterns(
+            cfg.n, cfg.t, [p.slot_count for p in programs]
+        ),
+        failure_pattern_orbits=orbits,
+    )
 
     def unrecorded(choices, fp, dp):
         trace = run(instance, cfg, choices, fp, dp, record=False, validate=False)
@@ -225,9 +272,9 @@ def explore(
                 verdict.exhaustive = False
                 return
 
-    if cfg.timing is Timing.ASYNC and fp_count <= cap:
+    if cfg.timing is Timing.ASYNC and orbits <= cap:
         found = searched()
-    elif cfg.timing is Timing.SYNC and _choice_bound(instance) * fp_count <= cap:
+    elif cfg.timing is Timing.SYNC and _choice_bound(instance) * orbits <= cap:
         verdict.exhaustive = True
         found = (
             leaf

@@ -11,7 +11,8 @@ Exit codes partition outcomes: 0 success, 1 verdict failure, 2 usage or
 precondition rejection, 3 completeness not witnessed within budget.
 ``--budget N`` (N >= 0) sets the sampled-run budget and raises the
 exhaustive cap to N when N exceeds it: the cap bounds a sync cell's runs,
-and an async cell's failure patterns and the states its search visits.  No
+and an async cell's failure-pattern orbits and the states its search
+visits.  No
 flag sets the horizon (4n async, 0 sync); ``replay`` rejects a trace header
 that records another.
 

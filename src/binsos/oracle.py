@@ -1,12 +1,12 @@
 """Independent brute-force interpreter for cross-checking the explorer.
 
-Enumerates, for every failure pattern, every pick outcome and every
-interleaving of single delivery events (plus deadline firings), with state
-deduplication.  Unlike the kernel it imposes no delay-pattern family and no
-batched delivery steps: any delivery order realizable by some asynchronous
-delay assignment is explored.  Observed-set equality between this
-interpreter and the budgeted explorer is the soundness check for the
-explorer's bounded delay family.
+Enumerates every failure pattern (no symmetry reduction), every pick
+outcome and every interleaving of single delivery events (plus deadline
+firings), with state deduplication.  Unlike the kernel it has no batched
+delivery steps: any delivery order realizable by some asynchronous delay
+assignment is explored.  Observed-set equality between this interpreter and
+``checker.explore`` therefore cross-checks both the explorer's state search
+and its exploring one failure pattern per symmetry orbit.
 
 Deliberately re-implements statement and guard evaluation rather than
 reusing the kernel's interpreter, so the two routes stay independent.  It

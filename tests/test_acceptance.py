@@ -38,9 +38,10 @@ def _report(name: str, ok: bool, detail: str) -> None:
 def test_criterion_1_table_matrix_at_desk_scale(table_n4):
     """Every solvable cell with n <= 4 is explored exhaustively and is safe
     and complete over what explore covers: a sync cell's every pick outcome
-    under every failure
-    pattern, and an async cell's every reachable kernel state under every
-    failure pattern, which spans every pick outcome and delay pattern."""
+    under every failure pattern, and an async cell's every reachable kernel
+    state under every failure pattern, which spans every pick outcome and
+    delay pattern; every failure pattern up to the symmetry of processes
+    with equal programs."""
     report, elapsed = table_n4
     bad = [c.row() for c in report.failures()]
     sampled = [c.row() for c in report.cells if not c.verdict.exhaustive]

@@ -9,6 +9,7 @@ from binsos.checker import (
     LONE_SURVIVOR,
     SIZE_CAP,
     ExplorationBudget,
+    _choice_bound,
     bounds_screen,
     check_table,
     explore,
@@ -16,7 +17,7 @@ from binsos.checker import (
     witness_split_crash,
 )
 from binsos.outputsets import OutputSet, SystemConfig, Timing, line_members, sos, tight_condition
-from binsos.patterns import count_failure_patterns
+from binsos.patterns import count_failure_pattern_orbits
 from binsos.simkernel import PreconditionError, medium_check, replay
 
 
@@ -66,12 +67,15 @@ class TestExplore:
             assert again.to_jsonl() == trace.to_jsonl()
 
     def test_sampled_mode_reports_budget_distinctly(self):
-        # This cell has more failure patterns than SIZE_CAP, so it is sampled.
-        inst = instance_for_line(3, Timing.ASYNC).bind(9, 8)
-        slot_counts = [p.slot_count for p in inst.programs()]
-        assert count_failure_patterns(9, 8, slot_counts) > SIZE_CAP
+        # Every process of this cell has its own program, so its failure
+        # patterns are its orbits, and orbits times pick outcomes exceed
+        # SIZE_CAP: it is sampled.
+        inst = instance_for_line(7, Timing.SYNC).bind(7, 4)
+        orbits = count_failure_pattern_orbits(7, 4, inst.programs())
+        assert orbits == 62_085
+        assert _choice_bound(inst) * orbits > SIZE_CAP
         budget = ExplorationBudget(sample_runs=0)
-        verdict = explore(inst, SystemConfig(9, 8, Timing.ASYNC), budget)
+        verdict = explore(inst, SystemConfig(7, 4, Timing.SYNC), budget)
         # Only the two extreme probes ran.
         assert verdict.executions == 2
         assert not verdict.exhaustive
@@ -123,6 +127,15 @@ class TestCheckTable:
         assert rows and all(row["condition_holds"] for row in rows)
         assert {"line", "timing", "n", "t", "observed_mask", "safety",
                 "completeness", "status", "executions", "exhaustive"} <= set(rows[0])
+        # Both processes run one program, so the 1 + 3 + 3 failure patterns
+        # of n=2, t=1 fall into 1 + 3 orbits.
+        counts = {
+            (row["timing"], row["n"], row["t"]):
+            (row["failure_patterns"], row["failure_pattern_orbits"])
+            for row in rows
+        }
+        assert counts[("async", 2, 1)] == counts[("sync", 2, 1)] == (7, 4)
+        assert counts[("async", 1, 0)] == counts[("sync", 2, 0)] == (1, 1)
 
     def test_n_max_guard(self):
         with pytest.raises(ValueError):

@@ -5,13 +5,16 @@ import random
 
 import pytest
 
+from binsos.program import Program, SetLocal
 from binsos.patterns import (
     ALL_IMMEDIATE,
     SYNC_CANONICAL,
     DelayPattern,
     FailurePattern,
     all_latest,
+    count_failure_pattern_orbits,
     count_failure_patterns,
+    enum_failure_pattern_orbits,
     enum_failure_patterns,
     sample_delay_pattern,
     sample_failure_pattern,
@@ -54,6 +57,59 @@ def test_failure_pattern_per_process_slots():
     # f=0: 1; f=1: 2+3; f=2: 2*3.
     assert len(patterns) == 1 + 5 + 6
     assert len(set(patterns)) == len(patterns)
+
+
+def _class_structures(n):
+    """All-equal, 1 + (n-1) and all-distinct programs over n processes."""
+    same = Program((SetLocal("x", 0),) * 2)
+    odd = Program((SetLocal("x", 1),))
+    yield [same] * n
+    yield ([odd] + [same] * (n - 1))[:n]
+    yield [Program((SetLocal("x", k),) * (k % 2 + 1)) for k in range(n)]
+
+
+def _canonical(fp, programs):
+    """Independent orbit label: per program, the sorted slots it crashes at."""
+    return frozenset(
+        (program, tuple(sorted(slot for pid, slot in fp.crashes if programs[pid - 1] == program)))
+        for program in programs
+    )
+
+
+def test_failure_pattern_orbit_counts():
+    for n in range(0, 6):
+        for t in range(0, n + 1):
+            for programs in _class_structures(n):
+                orbits = list(enum_failure_pattern_orbits(n, t, programs))
+                assert count_failure_pattern_orbits(n, t, programs) == len(orbits), (n, t)
+
+
+def test_failure_pattern_orbits_one_per_orbit():
+    for n in range(0, 6):
+        for t in range(0, n + 1):
+            for programs in _class_structures(n):
+                slots = [p.slot_count for p in programs]
+                orbits = list(enum_failure_pattern_orbits(n, t, programs))
+                for fp in orbits:
+                    assert isinstance(fp, FailurePattern) and fp.f <= t
+                    assert all(slot < slots[pid - 1] for pid, slot in fp.crashes)
+                labels = [_canonical(fp, programs) for fp in orbits]
+                assert len(set(labels)) == len(labels)
+                every = {_canonical(fp, programs) for fp in enum_failure_patterns(n, t, slots)}
+                assert set(labels) == every, (n, t)
+
+
+def test_failure_pattern_orbit_representatives_crash_the_lowest_pids():
+    same = Program((SetLocal("x", 0),) * 2)
+    orbits = list(enum_failure_pattern_orbits(3, 2, [same] * 3))
+    assert [fp.crashes for fp in orbits] == [
+        (),
+        ((1, 0),), ((1, 1),), ((1, 2),),
+        ((1, 0), (2, 0)), ((1, 0), (2, 1)), ((1, 0), (2, 2)),
+        ((1, 1), (2, 1)), ((1, 1), (2, 2)), ((1, 2), (2, 2)),
+    ]
+    with pytest.raises(ValueError, match="expected 3 programs"):
+        count_failure_pattern_orbits(3, 1, [same] * 2)
 
 
 def test_failure_pattern_descriptor_roundtrip():

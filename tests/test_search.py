@@ -1,15 +1,23 @@
-"""Asynchronous state-graph search: its reductions, its bound, and that every
-kernel run lies inside the family it finds."""
+"""Asynchronous state-graph search: its reductions, its bound, that every
+kernel run lies inside the family it finds, and that exploring one failure
+pattern per symmetry orbit finds the family of every failure pattern."""
 
 from binsos import algorithms
 from binsos.algorithms import AlgorithmInstance, AlgorithmKind, instance_for_line
-from binsos.checker import explore, sample_traces
-from binsos.outputsets import OutputSet, SystemConfig, Timing, sos
-from binsos.patterns import NO_CRASHES, FailurePattern, all_latest, enum_failure_patterns
+from binsos.checker import branch_choices, explore, sample_traces
+from binsos.outputsets import OutputSet, SystemConfig, Timing, sos, tight_condition
+from binsos.patterns import (
+    NO_CRASHES,
+    SYNC_CANONICAL,
+    FailurePattern,
+    all_latest,
+    enum_failure_patterns,
+)
 from binsos.program import (
     INIT,
     OUTPUT,
     Communicate,
+    Flip,
     LocalRef,
     Observed,
     Output,
@@ -174,3 +182,111 @@ class TestCoverage:
         )
         for trace in traces:
             assert replay(trace.header).to_jsonl() == trace.to_jsonl()
+
+
+def _every_pattern_family(inst, cfg):
+    """The union of the families of every failure pattern, each found on its
+    own: by ``search_async`` for an async cell, and by running every pick
+    outcome for a sync cell."""
+    slot_counts = [p.slot_count for p in inst.programs()]
+    family = set()
+    for fp in enum_failure_patterns(cfg.n, cfg.t, slot_counts):
+        if cfg.timing is Timing.ASYNC:
+            family |= search_async(inst, cfg, fp, 10**6).found.keys()
+        else:
+            family |= {
+                trace.output_set()
+                for _, trace in branch_choices(
+                    lambda choices: run(
+                        inst, cfg, choices, fp, SYNC_CANONICAL, record=False, validate=False
+                    )
+                )
+            }
+    return family
+
+
+def _families_differ(cells):
+    """The (line, timing, n, t) cells whose explored family is not the
+    union of every failure pattern's family."""
+    differ = []
+    for line, timing, n, t, observed in cells:
+        inst = instance_for_line(line, timing).bind(n, t, permissive=True)
+        if _every_pattern_family(inst, SystemConfig(n, t, timing)) != observed:
+            differ.append((line, timing.value, n, t))
+    return differ
+
+
+class TestSymmetry:
+    def test_one_pattern_per_orbit_finds_every_patterns_family(self, table_n4):
+        report, _ = table_n4
+        assert len(report.cells) == 316
+        cells = [(c.line, c.timing, c.n, c.t, c.verdict.observed) for c in report.cells]
+        assert _families_differ(cells) == []
+
+    def test_one_pattern_per_orbit_outside_the_tight_conditions(self):
+        # Outside its condition (bound permissively, n = 2, 3) an algorithm
+        # breaks under some crashes, so there the failure patterns reach
+        # different families; a reduction that missed an orbit would show.
+        cells = []
+        for line in range(1, 16):
+            for timing in Timing:
+                for n in (2, 3):
+                    for t in range(n + 1):
+                        if not tight_condition(line, timing).holds(n, t):
+                            inst = instance_for_line(line, timing).bind(n, t, permissive=True)
+                            observed = explore(inst, SystemConfig(n, t, timing)).observed
+                            cells.append((line, timing, n, t, observed))
+        assert len(cells) == 43
+        assert _families_differ(cells) == []
+
+    def test_binding_waits_read_their_tag_alone_and_only_outputs_follow(self):
+        # The premise of the asynchronous half of explore's symmetry
+        # argument, over every async program of every solvable line.
+        checked = 0
+        for line in range(1, 16):
+            condition = tight_condition(line, Timing.ASYNC)
+            for n in range(1, 7):
+                for t in range(n + 1):
+                    if not condition.holds(n, t):
+                        continue
+                    for program in instance_for_line(line, Timing.ASYNC).bind(n, t).programs():
+                        statements = program.statements
+                        for k, stmt in enumerate(statements):
+                            if not (isinstance(stmt, Wait) and stmt.dest is not None):
+                                continue
+                            checked += 1
+                            tag = stmt.until.tag
+                            readers = [
+                                j for j, other in enumerate(statements)
+                                if tag in relevant_tags(Program((other,)))[0]
+                            ]
+                            assert readers == [k], (line, n, t, program)
+                            assert all(
+                                isinstance(after, Output) and after.guard == ()
+                                for after in statements[k + 1:]
+                            ), (line, n, t, program)
+        assert checked > 0
+
+    def test_the_premise_is_needed(self, monkeypatch):
+        # p1 and p2 pick v, communicate T(v) and output v; p3 binds the first
+        # T value it observes and then reads T again, breaking the premise.
+        # Landing both T items in one batch binds p1's, so crashing p1 or p2
+        # before its output, two relabellings of one orbit, differ.
+        timing, params, _ = algorithms._KINDS[AlgorithmKind.SINGLE_OUTPUT]
+
+        def build(instance, pid):
+            if pid < 3:
+                return Program((Pick("v", (0, 1)), Communicate("T", LocalRef("v")),
+                                Output(LocalRef("v"))))
+            both = (Observed("T", 0), Observed("T", 1))
+            return Program((Wait(Observed("T"), dest="x"), Output(Flip("x"), guard=both)))
+
+        monkeypatch.setitem(algorithms._KINDS, AlgorithmKind.SINGLE_OUTPUT, (timing, params, build))
+        inst = AlgorithmInstance(AlgorithmKind.SINGLE_OUTPUT, Timing.ASYNC, no_out=False)
+        inst = inst.bind(3, 1, permissive=True)
+        cfg = SystemConfig(3, 1, Timing.ASYNC)
+        first, second = (
+            set(search_async(inst, cfg, FailurePattern.of({pid: 2}), 10**6).found)
+            for pid in (1, 2)
+        )
+        assert second - first == {OutputSet.BOTH}
