@@ -3,16 +3,16 @@
 ``explore`` runs an algorithm instance under every failure pattern, up to
 the symmetry of processes with equal programs, and every pick outcome -- an
 asynchronous one by ``simkernel.search_async``, which also covers every
-delay pattern -- or, beyond the budget, under seeded samples, and compares
-the union of observed output sets against a target family: safety holds
-when nothing outside the target was ever produced, completeness when every
-member of the target has a stored witness trace.  Each member's trace is a
-recorded kernel run, so it replays byte for byte.  ``exhaustive: true``
-means every failure pattern was covered up to that proven symmetry (one
-pattern per orbit, see ``explore``); ``executions`` counts the kernel runs
-of a sync cell or a sampled cell, and the terminal search states of a
-searched async cell.  ``check_table`` reproduces the whole characterization
-table at desk scale.
+delay pattern -- or, beyond the budget, under exactly ``sample_runs`` seeded
+draws, and compares the union of observed output sets against the family
+of the instance's line: safety holds when nothing outside the family was
+ever produced, completeness when every member of it has a stored witness
+trace.  Each member's trace is a recorded kernel run, so it replays byte for
+byte.  ``exhaustive: true`` means every failure pattern was covered up to
+that proven symmetry (one pattern per orbit, see ``explore``);
+``executions`` counts the kernel runs of a sync cell or a sampled cell, and
+the terminal search states of a searched async cell.  ``check_table``
+reproduces the whole characterization table at desk scale.
 
 The witness constructors re-enact the crash schedules from the necessity
 arguments as counterexample demonstrations against the shipped algorithms
@@ -45,7 +45,6 @@ from .patterns import (
     SYNC_CANONICAL,
     DelayPattern,
     FailurePattern,
-    all_latest,
     count_failure_pattern_orbits,
     count_failure_patterns,
     enum_failure_pattern_orbits,
@@ -83,11 +82,10 @@ class ExplorationBudget:
     once it would visit more states than the bound.  Whole means every
     failure pattern up to the symmetry of processes with equal programs;
     ``executions`` then counts kernel runs (sync) or terminal search states
-    (async).  A larger cell gets the two extreme-delay probes and then
-    ``sample_runs`` random (seed, fp, dp) triples drawn from ``sample_seed``
-    over every failure pattern; ``executions`` counts those runs.  The
-    horizon is not part of the budget: every asynchronous run has
-    ``default_horizon(n)``.
+    (async).  A larger cell runs exactly ``sample_runs`` random (seed, fp,
+    dp) triples drawn from ``sample_seed`` over every failure pattern, and
+    ``executions`` counts those runs.  The horizon is not part of the
+    budget: every asynchronous run has ``default_horizon(n)``.
     """
 
     sample_runs: int = 10_000
@@ -193,9 +191,9 @@ def explore(
     instance: AlgorithmInstance,
     cfg: SystemConfig,
     budget: Optional[ExplorationBudget] = None,
-    target: Optional[SetOfOutputSets] = None,
 ) -> Verdict:
-    """Explore executions and judge safety/completeness against ``target``.
+    """Explore executions and judge safety/completeness against the family
+    of the instance's own line (``instance.target_members()``).
 
     A synchronous cell runs every pick outcome under every failure pattern,
     with the single canonical delay pattern.  An asynchronous cell searches
@@ -203,9 +201,11 @@ def explore(
     which covers every delay pattern and pick outcome.  "Every failure
     pattern" is up to symmetry: processes with equal bound programs are
     interchangeable, so one pattern per orbit under permutations of them is
-    explored (``enum_failure_pattern_orbits``).  A cell whose orbits, times
-    its pick outcomes under synchrony, exceed ``max(SIZE_CAP,
-    budget.sample_runs)`` is sampled instead, from every failure pattern.
+    explored (``enum_failure_pattern_orbits``).  Over the bound ``max(SIZE_CAP,
+    budget.sample_runs)`` a cell is sampled instead: ``budget.sample_runs``
+    seeded draws from every failure pattern, and nothing else.  A sync cell
+    is over it when its orbits times its pick outcomes are, an async cell
+    when its orbits are.
 
     Why one pattern per orbit reaches every output set: let a permutation
     of processes with equal programs relabel a failure pattern (equal
@@ -232,16 +232,15 @@ def explore(
     """
     budget = budget or ExplorationBudget()
     instance = _bind(instance, cfg)
-    if target is None:
-        target = instance.target_members()
+    target = instance.target_members()
     if cfg.timing is not instance.timing:
         raise PreconditionError(
             f"{instance.kind.value} instance is built for {instance.timing}"
         )
 
     # One failure pattern per orbit (and, under synchrony, every pick outcome
-    # under each) when the count fits the cap; otherwise the two extreme
-    # probes, then sample_runs seeded draws.
+    # under each) when the count fits the cap; otherwise sample_runs seeded
+    # draws.
     programs = instance.programs()
     fps = enum_failure_pattern_orbits(cfg.n, cfg.t, programs)
     orbits = count_failure_pattern_orbits(cfg.n, cfg.t, programs)
@@ -255,7 +254,7 @@ def explore(
     )
 
     def unrecorded(choices, fp, dp):
-        trace = run(instance, cfg, choices, fp, dp, record=False, validate=False)
+        trace = run(instance, cfg, choices, fp, dp, record=False)
         verdict.executions += 1
         return choices, fp, dp, trace.output_set()
 
@@ -284,14 +283,8 @@ def explore(
             )
         )
     else:
-        if cfg.timing is Timing.SYNC:
-            probes = [(0, NO_CRASHES, SYNC_CANONICAL), (1, NO_CRASHES, SYNC_CANONICAL)]
-        else:
-            latest = all_latest(default_horizon(cfg.n))
-            probes = [(0, NO_CRASHES, ALL_IMMEDIATE), (0, NO_CRASHES, latest)]
-        draws = _draws(instance, cfg, budget.sample_seed)
-        triples = itertools.chain(probes, itertools.islice(draws, budget.sample_runs))
-        found = (unrecorded(SeededChoices(seed), fp, dp) for seed, fp, dp in triples)
+        draws = itertools.islice(_draws(instance, cfg, budget.sample_seed), budget.sample_runs)
+        found = (unrecorded(SeededChoices(seed), fp, dp) for seed, fp, dp in draws)
 
     observed = set()
     for choices, fp, dp, reached in found:
@@ -389,7 +382,6 @@ class TableReport:
 def check_table(
     n_max: int,
     budget: Optional[ExplorationBudget] = None,
-    lines: Optional[Sequence[int]] = None,
 ) -> TableReport:
     """Explore every solvable (line, timing, n, t) cell with n <= n_max.
 
@@ -399,7 +391,7 @@ def check_table(
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     report = TableReport(n_max=n_max)
-    for line in lines if lines is not None else range(1, 17):
+    for line in range(1, 17):
         for timing in (Timing.ASYNC, Timing.SYNC):
             condition = tight_condition(line, timing)
             for n in range(0, n_max + 1):

@@ -9,12 +9,13 @@ the condition table.
 
 Exit codes partition outcomes: 0 success, 1 verdict failure, 2 usage or
 precondition rejection, 3 completeness not witnessed within budget.
-``--budget N`` (N >= 0) sets the sampled-run budget and raises the
-exhaustive cap to N when N exceeds it: the cap bounds a sync cell's runs,
-and an async cell's failure-pattern orbits and the states its search
-visits.  No
-flag sets the horizon (4n async, 0 sync); ``replay`` rejects a trace header
-that records another.
+``--budget N`` (N >= 0) is the number of seeded draws a sampled cell runs,
+and raises the exhaustive cap to N when N exceeds it.  A sync cell is
+sampled when its failure-pattern orbits times its pick outcomes exceed the
+cap, an async cell when its orbits do; an async search also stops, not
+exhaustive, once it would visit more states than the cap.  No flag sets the
+horizon (4n async, 0 sync); ``replay`` rejects a trace header that records
+another.
 
 ``--params`` is a JSON object, or ``@file`` holding one, in the form of a
 trace header's ``alg``.  It gives an algorithm exactly the parameters it

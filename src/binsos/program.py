@@ -248,9 +248,12 @@ class SeededChoices(ChoiceStream):
 class ScriptedChoices(ChoiceStream):
     """Explicit (pid, counter) -> value map; strict on unscripted sites.
 
-    The exhaustive explorer catches ChoiceNeeded and forks one extended
-    script per candidate, which enumerates every pick outcome reachable
-    under the given failure and delay patterns.
+    Sync ``explore`` and the witness constructions' search for a two-valued
+    run catch ChoiceNeeded, fork one extended script per candidate and
+    restart, which enumerates every pick outcome reachable under the given
+    failure and delay patterns.  ``search_async`` instead forks cloned
+    kernel states on ChoiceNeeded, and returns the picks of each output set
+    it reaches as a script for the recorded rerun.
     """
 
     def __init__(self, picks: Optional[Dict[Tuple[int, int], Value]] = None):

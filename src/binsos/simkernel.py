@@ -262,7 +262,7 @@ class _Kernel:
                 "horizon": self.horizon,
             }
         else:
-            # Unrecorded traces are throwaway probes: their outputs are all
+            # Unrecorded traces are throwaway runs: their outputs are all
             # that is read, so they carry no header.
             self.header = None
         for proc in self.procs:
@@ -582,30 +582,29 @@ def run_async(
     fp: FailurePattern,
     dp: DelayPattern,
     record: bool = True,
-    validate: bool = True,
 ) -> ExecutionTrace:
-    """Execute one asynchronous run under an explicit delay pattern.
-
-    ``validate=False`` skips the per-run delay pattern screening; callers
-    using it must have screened the pattern against the same instance
-    already (the explorer validates once per pattern set).
-    """
+    """Execute one asynchronous run under an explicit delay pattern, which
+    ``validate_delay_pattern`` screens first."""
     if cfg.timing is not Timing.ASYNC:
         raise PreconditionError("run_async requires an ASYNC configuration")
     _validate_common(instance, cfg, fp)
-    if validate:
-        validate_delay_pattern(instance, cfg, dp)
+    validate_delay_pattern(instance, cfg, dp)
     return _AsyncKernel(instance, cfg, choices, fp, dp, record).run()
 
 
-def run(instance, cfg, choices, fp, dp=None, record=True, validate=True) -> ExecutionTrace:
-    """Dispatch on the configuration's timing model (SYNC takes only SYNC_CANONICAL)."""
+def run(instance, cfg, choices, fp, dp=None, record=True) -> ExecutionTrace:
+    """Dispatch on the configuration's timing model.
+
+    A SYNC run takes only SYNC_CANONICAL.  An ASYNC run given no delay
+    pattern, or SYNC_CANONICAL, delivers every item at the step it is
+    emitted.
+    """
     if cfg.timing is Timing.SYNC:
         if dp not in (None, SYNC_CANONICAL):
             raise PreconditionError("a SYNC run takes only the sync_canonical delay pattern")
         return run_sync(instance, cfg, choices, fp, record=record)
     dp = SYNC_CANONICAL if dp is None else dp
-    return run_async(instance, cfg, choices, fp, dp, record=record, validate=validate)
+    return run_async(instance, cfg, choices, fp, dp, record=record)
 
 
 def replay(source) -> ExecutionTrace:

@@ -9,6 +9,7 @@ from binsos.checker import (
     LONE_SURVIVOR,
     SIZE_CAP,
     ExplorationBudget,
+    TableReport,
     _choice_bound,
     bounds_screen,
     check_table,
@@ -46,16 +47,17 @@ class TestExplore:
         assert verdict.ok
 
     def test_wrong_target_is_reported_unsafe(self):
-        inst = instance_for_line(10, Timing.SYNC).bind(2, 1)
-        verdict = explore(
-            inst, SystemConfig(2, 1, Timing.SYNC), SMALL, target=sos(OutputSet.ZERO)
-        )
+        # Line 8 sync needs n >= t+2, so its family {{0,1}} is the wrong
+        # target at n=2, t=1: crashing one process leaves a singleton.
+        inst = instance_for_line(8, Timing.SYNC).bind(2, 1, permissive=True)
+        verdict = explore(inst, SystemConfig(2, 1, Timing.SYNC), SMALL)
         assert not verdict.safety_ok
         assert verdict.status == "unsafe"
-        assert verdict.violations
-        trace = verdict.violations[0]
-        assert trace.output_set() is OutputSet.ONE
-        assert replay(trace.header).to_jsonl() == trace.to_jsonl()
+        assert {trace.output_set() for trace in verdict.violations} == {
+            OutputSet.ZERO, OutputSet.ONE,
+        }
+        for trace in verdict.violations:
+            assert replay(trace.header).to_jsonl() == trace.to_jsonl()
 
     def test_completeness_witnesses_replay(self):
         inst = instance_for_line(9, Timing.ASYNC).bind(2, 1)
@@ -74,10 +76,13 @@ class TestExplore:
         orbits = count_failure_pattern_orbits(7, 4, inst.programs())
         assert orbits == 62_085
         assert _choice_bound(inst) * orbits > SIZE_CAP
-        budget = ExplorationBudget(sample_runs=0)
+        budget = ExplorationBudget(sample_runs=3)
         verdict = explore(inst, SystemConfig(7, 4, Timing.SYNC), budget)
-        # Only the two extreme probes ran.
-        assert verdict.executions == 2
+        # Exactly the seeded draws ran, and every evidence trace is one.
+        assert verdict.executions == 3
+        evidence = [*verdict.witnesses.values(), *verdict.violations]
+        assert evidence
+        assert all(trace.header["choices"]["mode"] == "seed" for trace in evidence)
         assert not verdict.exhaustive
         if verdict.missing:
             assert verdict.status == "not_witnessed_within_budget"
@@ -94,9 +99,16 @@ class TestExplore:
             explore(inst, SystemConfig(5, 2, Timing.SYNC), SMALL)
 
 
+def _line_report(table_n4, line, n_max=4):
+    """The cells of one line with n <= n_max from the shared n <= 4 table."""
+    report, _ = table_n4
+    cells = [c for c in report.cells if c.line == line and c.n <= n_max]
+    return TableReport(n_max=n_max, cells=cells)
+
+
 class TestCheckTable:
-    def test_consensus_line_cells(self):
-        report = check_table(4, SMALL, lines=[10])
+    def test_consensus_line_cells(self, table_n4):
+        report = _line_report(table_n4, 10)
         async_cells = {(c.n, c.t) for c in report.cells if c.timing is Timing.ASYNC}
         assert async_cells == {(1, 0), (2, 0), (3, 0), (4, 0)}
         sync_cells = {(c.n, c.t) for c in report.cells if c.timing is Timing.SYNC}
@@ -105,8 +117,8 @@ class TestCheckTable:
         }
         assert report.passed
 
-    def test_async_disagreement_cells_follow_the_predicate(self):
-        report = check_table(4, SMALL, lines=[8])
+    def test_async_disagreement_cells_follow_the_predicate(self, table_n4):
+        report = _line_report(table_n4, 8)
         async_cells = {(c.n, c.t) for c in report.cells if c.timing is Timing.ASYNC}
         expected = {
             (n, t)
@@ -116,13 +128,13 @@ class TestCheckTable:
         }
         assert async_cells == expected == {(2, 0), (3, 0), (3, 1), (4, 0), (4, 1)}
 
-    def test_unsolvable_line_contributes_no_cells(self):
-        report = check_table(2, SMALL, lines=[16])
+    def test_unsolvable_line_contributes_no_cells(self, table_n4):
+        report = _line_report(table_n4, 16)
         assert report.cells == []
         assert report.passed  # vacuously
 
-    def test_row_serialization(self):
-        report = check_table(2, SMALL, lines=[12])
+    def test_row_serialization(self, table_n4):
+        report = _line_report(table_n4, 12, n_max=2)
         rows = report.rows()
         assert rows and all(row["condition_holds"] for row in rows)
         assert {"line", "timing", "n", "t", "observed_mask", "safety",

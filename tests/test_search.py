@@ -197,9 +197,7 @@ def _every_pattern_family(inst, cfg):
             family |= {
                 trace.output_set()
                 for _, trace in branch_choices(
-                    lambda choices: run(
-                        inst, cfg, choices, fp, SYNC_CANONICAL, record=False, validate=False
-                    )
+                    lambda choices: run(inst, cfg, choices, fp, SYNC_CANONICAL, record=False)
                 )
             }
     return family
