@@ -1,17 +1,24 @@
 """Independent brute-force interpreter for cross-checking the explorer.
 
-Enumerates every failure pattern (no symmetry reduction), every pick
-outcome and every interleaving of single delivery events (plus deadline
-firings), with state deduplication.  Unlike the kernel it has no batched
-delivery steps: any delivery order realizable by some asynchronous delay
-assignment is explored.  Observed-set equality between this interpreter and
+Covers every failure pattern (no symmetry reduction), every pick outcome
+and every interleaving of single delivery events (plus deadline firings)
+in one search per cell, with one visited set.  A crash is a move: when a
+process first reaches a statement, a fork crashes it there, while fewer
+than t processes have crashed.  These forks give exactly the executions of
+every failure pattern with at most t crashes; a crash after the last
+statement is indistinguishable from finishing and is not offered.  Unlike
+the kernel it has no batched delivery steps: any delivery order realizable
+by some asynchronous delay assignment is explored.  A synchronous cell
+runs in lock step, forks at each pick and deduplicates at round
+boundaries.  Observed-set equality between this interpreter and
 ``checker.explore`` therefore cross-checks both the explorer's state search
 and its exploring one failure pattern per symmetry orbit.
 
 Deliberately re-implements statement and guard evaluation rather than
-reusing the kernel's interpreter, so the two routes stay independent.  It
-keeps its own per-process state for the tags it models: whether an ``INIT``
-was observed, the ``OUTPUT`` and ``PROPOSE`` values observed, and the first
+reusing the kernel's interpreter, so the two routes stay independent; it
+imports nothing from ``simkernel``, ``checker`` or ``patterns``.  It keeps
+its own per-process state for the tags it models: whether an ``INIT`` was
+observed, the ``OUTPUT`` and ``PROPOSE`` values observed, and the first
 ``OUTPUT`` value.  ``Observed(tag, value)`` guards and ``Wait(until, dest)``
 statements read that state; a wait on ``Deadline()`` blocks until that
 process's deadline fires, a move of its own in the search.  Any other tag,
@@ -20,10 +27,9 @@ atom or binding is rejected with ``TypeError`` rather than misread.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from .outputsets import OutputSet, SystemConfig, Timing, output_set
-from .patterns import FailurePattern, enum_failure_patterns
 from .program import (
     COMM,
     COMP,
@@ -56,9 +62,10 @@ class _Proc:
         "out_bits",
         "prop_bits",
         "first_out",
-        "picks",
         "emitted",
         "deadline_passed",
+        "fresh",  # no crash fork offered yet at pc
+        "id",  # the interned key, while unchanged
     )
 
     def __init__(self, initial_locals):
@@ -70,23 +77,23 @@ class _Proc:
         self.out_bits: Set[int] = set()
         self.prop_bits: Set[int] = set()
         self.first_out: Optional[int] = None
-        self.picks = 0
         self.emitted = 0
         self.deadline_passed = False
+        self.fresh = True
+        self.id: Optional[int] = None
 
     def clone(self) -> "_Proc":
-        other = _Proc(())
+        other = _Proc(self.locals)
         other.pc = self.pc
         other.status = self.status
         other.output = self.output
-        other.locals = dict(self.locals)
         other.has_init = self.has_init
         other.out_bits = set(self.out_bits)
         other.prop_bits = set(self.prop_bits)
         other.first_out = self.first_out
-        other.picks = self.picks
         other.emitted = self.emitted
         other.deadline_passed = self.deadline_passed
+        other.fresh = self.fresh
         return other
 
     def key(self):
@@ -99,7 +106,6 @@ class _Proc:
             tuple(sorted(self.out_bits)),
             tuple(sorted(self.prop_bits)),
             self.first_out,
-            self.picks,
             self.emitted,
             self.deadline_passed,
         )
@@ -145,253 +151,209 @@ def _absorb(proc: _Proc, tag: str, value) -> None:
         raise TypeError(f"unknown tag {tag!r}")
 
 
-# ---------------------------------------------------------------------------
-# Asynchronous side: interleaving exploration with state dedup.
+class _State:
+    """Processes shared copy-on-write with other states, pending async
+    deliveries as a bitmask over the cell's items, the sync channel of the
+    current phase, the crash count and the sync stage (two per round)."""
 
-# pending delivery: (receiver, sender, emission index, tag, value)
-_Pending = FrozenSet[Tuple[int, int, int, str, Optional[int]]]
+    __slots__ = ("procs", "pending", "channel", "crashed", "stage", "owned")
 
-
-class _AsyncState:
-    __slots__ = ("procs", "pending")
-
-    def __init__(self, procs: List[_Proc], pending: Set[tuple]):
+    def __init__(self, procs: List[_Proc], pending=0, channel=(), crashed=0, stage=0):
         self.procs = procs
         self.pending = pending
+        self.channel = channel
+        self.crashed = crashed
+        self.stage = stage
+        self.owned = 0  # bit i: procs[i] is referenced by no other state
 
-    def clone(self) -> "_AsyncState":
-        return _AsyncState([p.clone() for p in self.procs], set(self.pending))
+    def fork(self, pid: int) -> "_State":
+        """A copy owning a clone of process ``pid`` and sharing the rest."""
+        other = _State(list(self.procs), self.pending, self.channel, self.crashed, self.stage)
+        other.procs[pid] = self.procs[pid].clone()
+        other.owned = 1 << pid
+        self.owned &= 1 << pid
+        return other
 
-    def key(self):
-        return (
-            tuple(p.key() for p in self.procs),
-            frozenset(self.pending),
-        )
-
-    def prune(self) -> None:
-        self.pending = {
-            d for d in self.pending if self.procs[d[0] - 1].status in (_R, _B, _BD)
-        }
-
-
-def _crash_slot(fp: FailurePattern, pid: int, program) -> int:
-    slot = fp.slot_of(pid)
-    if slot is None:
-        return -1
-    return min(slot, len(program.statements))
+    def own(self, pid: int) -> _Proc:
+        """Process ``pid``, cloned first if shared, about to be mutated."""
+        proc = self.procs[pid]
+        if self.owned >> pid & 1:
+            proc.id = None
+        else:
+            proc = self.procs[pid] = proc.clone()
+            self.owned |= 1 << pid
+        return proc
 
 
-def _stabilize(state: _AsyncState, programs, slots) -> List[_AsyncState]:
-    """Run every process to a block point; fork on each pick outcome."""
-    results: List[_AsyncState] = []
-    work = [state]
-    while work:
-        st = work.pop()
-        forked = False
-        progressed = True
-        while progressed and not forked:
-            progressed = False
-            for pid, proc in enumerate(st.procs, start=1):
-                program = programs[pid - 1]
-                while True:
-                    if proc.status != _R:
+class _Cell:
+    """One depth-first search over a bound instance's executions."""
+
+    def __init__(self, programs, t: int):
+        self.programs = programs
+        self.t = t
+        self.stack = [_State([_Proc(p.initial_locals) for p in programs])]
+        self.visited: Set[tuple] = set()
+        self.results: Set[OutputSet] = set()
+        self.ids: Dict[tuple, int] = {}  # process key -> small int
+        self.bits: Dict[tuple, int] = {}  # pending item -> bit
+        self.items: List[tuple] = []
+        self.to: List[int] = [0] * len(programs)  # bits of items to each pid
+
+    def first_visit(self, st: _State) -> bool:
+        """Whether ``st`` is unvisited; marks it visited."""
+        ids = []
+        for proc in st.procs:
+            if proc.id is None:
+                proc.id = self.ids.setdefault(proc.key(), len(self.ids))
+            ids.append(proc.id)
+        key = (st.stage, tuple(ids), st.pending)
+        if key in self.visited:
+            return False
+        self.visited.add(key)
+        return True
+
+    def stop(self, st: _State, pid: int, status: int) -> None:
+        st.own(pid).status = status
+        st.pending &= ~self.to[pid]
+
+    def emit(self, st: _State, pid: int, item: tuple) -> None:
+        for receiver, other in enumerate(st.procs):
+            if other.status not in (_D, _C):
+                entry = (receiver, pid) + item
+                bit = self.bits.get(entry)
+                if bit is None:
+                    bit = self.bits[entry] = len(self.items)
+                    self.items.append(entry)
+                    self.to[receiver] |= 1 << bit
+                st.pending |= 1 << bit
+
+    def run(self, st: _State, pid: int, limit=None) -> bool:
+        """Run ``pid`` until it blocks, finishes or (sync) reaches a
+        statement after ``limit``.  Pushes a crash fork at each statement
+        it reaches first and a fork per pick outcome; False when the pick
+        forks replace ``st``."""
+        statements = self.programs[pid].statements
+        proc = st.procs[pid]
+        while proc.status == _R:
+            if proc.pc >= len(statements):
+                self.stop(st, pid, _D)
+                break
+            stmt = statements[proc.pc]
+            if limit is not None and stmt.at > limit:
+                break
+            proc = st.own(pid)
+            if proc.fresh:
+                proc.fresh = False
+                if st.crashed < self.t:
+                    crash = st.fork(pid)
+                    crash.crashed += 1
+                    self.stop(crash, pid, _C)
+                    self.stack.append(crash)
+            if not _holds(proc, stmt.guard):
+                pass
+            elif isinstance(stmt, Pick):
+                for candidate in stmt.candidates:
+                    branch = st.fork(pid)
+                    bproc = branch.procs[pid]
+                    bproc.locals[stmt.dest] = candidate
+                    bproc.pc += 1
+                    bproc.fresh = True
+                    self.stack.append(branch)
+                return False
+            elif isinstance(stmt, Wait) and limit is None:
+                if isinstance(stmt.until, Deadline) and not stmt.until.negate:
+                    if not proc.deadline_passed:
+                        proc.status = _BD
                         break
-                    if proc.pc >= len(program.statements):
-                        proc.status = _C if proc.pc == slots[pid - 1] else _D
-                        st.prune()
-                        progressed = True
-                        break
-                    if proc.pc == slots[pid - 1]:
-                        proc.status = _C
-                        st.prune()
-                        progressed = True
-                        break
-                    stmt = program.statements[proc.pc]
-                    if not _holds(proc, stmt.guard):
-                        proc.pc += 1
-                        progressed = True
-                        continue
-                    if isinstance(stmt, Pick):
-                        for candidate in stmt.candidates:
-                            branch = st.clone()
-                            bproc = branch.procs[pid - 1]
-                            bproc.locals[stmt.dest] = candidate
-                            bproc.picks += 1
-                            bproc.pc += 1
-                            work.append(branch)
-                        forked = True
-                        break
-                    if isinstance(stmt, Wait):
-                        if isinstance(stmt.until, Deadline) and not stmt.until.negate:
-                            if not proc.deadline_passed:
-                                proc.status = _BD
-                                break
-                        elif not _holds(proc, (stmt.until,)):
-                            proc.status = _B
-                            break
-                        if stmt.dest is not None:
-                            if stmt.until.tag != OUTPUT:
-                                raise TypeError(f"unmodelled binding wait {stmt!r}")
-                            proc.locals[stmt.dest] = proc.first_out
-                        proc.pc += 1
-                        progressed = True
-                        continue
-                    if isinstance(stmt, SetLocal):
-                        proc.locals[stmt.dest] = _value(proc, stmt.value)
-                    elif isinstance(stmt, Output):
-                        proc.output = _value(proc, stmt.value)
-                    elif isinstance(stmt, Communicate):
-                        item = (proc.emitted, stmt.tag, _value(proc, stmt.value))
-                        proc.emitted += 1
-                        for receiver in range(1, len(st.procs) + 1):
-                            if st.procs[receiver - 1].status not in (_D, _C):
-                                st.pending.add((receiver, pid) + item)
-                    else:
-                        raise TypeError(f"unknown statement {stmt!r}")
-                    proc.pc += 1
-                    progressed = True
-                if forked:
+                elif not _holds(proc, (stmt.until,)):
+                    proc.status = _B
                     break
-        if not forked:
-            st.prune()
-            results.append(st)
-    return results
+                if stmt.dest is not None:
+                    if stmt.until.tag != OUTPUT:
+                        raise TypeError(f"unmodelled binding wait {stmt!r}")
+                    proc.locals[stmt.dest] = proc.first_out
+            elif isinstance(stmt, SetLocal):
+                proc.locals[stmt.dest] = _value(proc, stmt.value)
+            elif isinstance(stmt, Output):
+                proc.output = _value(proc, stmt.value)
+            elif isinstance(stmt, Communicate) and limit is None:
+                self.emit(st, pid, (proc.emitted, stmt.tag, _value(proc, stmt.value)))
+                proc.emitted += 1
+            elif isinstance(stmt, Communicate):
+                st.channel += ((stmt.tag, _value(proc, stmt.value)),)
+            else:
+                raise TypeError(f"unknown statement {stmt!r}")
+            proc.pc += 1
+            proc.fresh = True
+        return True
 
-
-def _async_sets(programs, fp: FailurePattern, n: int) -> Set[OutputSet]:
-    slots = [_crash_slot(fp, pid, programs[pid - 1]) for pid in range(1, n + 1)]
-    initial = _AsyncState(
-        [_Proc(programs[pid - 1].initial_locals) for pid in range(1, n + 1)], set()
-    )
-    results: Set[OutputSet] = set()
-    visited = set()
-    stack = _stabilize(initial, programs, slots)
-    while stack:
-        st = stack.pop()
-        key = st.key()
-        if key in visited:
-            continue
-        visited.add(key)
-        moves = []
-        for delivery in st.pending:
-            moves.append(("deliver", delivery))
-        for pid, proc in enumerate(st.procs, start=1):
-            if proc.status == _BD:
-                moves.append(("deadline", pid))
-        if not moves:
-            results.add(output_set(tuple(p.output for p in st.procs)))
-            continue
-        for kind, arg in moves:
-            nxt = st.clone()
-            if kind == "deliver":
-                receiver, _sender, _idx, tag, value = arg
-                nxt.pending.discard(arg)
-                proc = nxt.procs[receiver - 1]
-                if proc.status in (_D, _C):
-                    continue
+    def search_async(self) -> None:
+        """Run every process to a block point, then fork on each pending
+        delivery and each deadline firing."""
+        while self.stack:
+            st = self.stack.pop()
+            if not all(self.run(st, pid) for pid in range(len(st.procs))):
+                continue
+            if not self.first_visit(st):
+                continue
+            if not st.pending and all(p.status != _BD for p in st.procs):
+                self.results.add(output_set(tuple(p.output for p in st.procs)))
+            pending = st.pending
+            while pending:
+                low = pending & -pending
+                pending ^= low
+                receiver, _sender, _idx, tag, value = self.items[low.bit_length() - 1]
+                nxt = st.fork(receiver)
+                nxt.pending ^= low
+                proc = nxt.procs[receiver]
                 _absorb(proc, tag, value)
                 if proc.status == _B:
                     proc.status = _R  # it re-runs its wait, which re-checks
+                self.stack.append(nxt)
+            for pid, proc in enumerate(st.procs):
+                if proc.status == _BD:
+                    nxt = st.fork(pid)
+                    nxt.procs[pid].deadline_passed = True
+                    nxt.procs[pid].status = _R
+                    self.stack.append(nxt)
+
+    def search_sync(self, rounds: int) -> None:
+        """Walk every process through each phase in lock step, delivering
+        the phase's channel to every process not crashed at its end."""
+        while self.stack:
+            st = self.stack.pop()
+            while st.stage < 2 * rounds:
+                limit = (st.stage // 2 + 1, (COMM, COMP)[st.stage % 2])
+                if not all(self.run(st, pid, limit) for pid in range(len(st.procs))):
+                    break
+                if st.channel:
+                    for pid, proc in enumerate(st.procs):
+                        if proc.status != _C:
+                            proc = st.own(pid)
+                            for tag, value in st.channel:
+                                _absorb(proc, tag, value)
+                    st.channel = ()
+                st.stage += 1
+                if st.stage % 2 == 0 and not self.first_visit(st):
+                    break
             else:
-                proc = nxt.procs[arg - 1]
-                proc.deadline_passed = True
-                proc.status = _R
-            stack.extend(_stabilize(nxt, programs, slots))
-    return results
-
-
-# ---------------------------------------------------------------------------
-# Synchronous side: lock-step simulation, forking on picks.
-
-
-class _NeedPick(Exception):
-    def __init__(self, pid, counter, candidates):
-        self.pid = pid
-        self.counter = counter
-        self.candidates = candidates
-
-
-def _sync_run(programs, fp, n, rounds, script) -> Tuple[Optional[int], ...]:
-    procs = [_Proc(programs[pid - 1].initial_locals) for pid in range(1, n + 1)]
-    slots = [_crash_slot(fp, pid, programs[pid - 1]) for pid in range(1, n + 1)]
-
-    def walk(pid: int, proc: _Proc, limit, channel: List[tuple]) -> None:
-        program = programs[pid - 1]
-        while proc.status == _R:
-            if proc.pc >= len(program.statements):
-                proc.status = _C if proc.pc == slots[pid - 1] else _D
-                return
-            stmt = program.statements[proc.pc]
-            if stmt.at > limit:
-                return
-            if proc.pc == slots[pid - 1]:
-                proc.status = _C
-                return
-            if _holds(proc, stmt.guard):
-                if isinstance(stmt, Pick):
-                    try:
-                        value = script[(pid, proc.picks)]
-                    except KeyError:
-                        raise _NeedPick(pid, proc.picks, stmt.candidates) from None
-                    proc.picks += 1
-                    proc.locals[stmt.dest] = value
-                elif isinstance(stmt, SetLocal):
-                    proc.locals[stmt.dest] = _value(proc, stmt.value)
-                elif isinstance(stmt, Output):
-                    proc.output = _value(proc, stmt.value)
-                elif isinstance(stmt, Communicate):
-                    channel.append((stmt.tag, _value(proc, stmt.value)))
-                    proc.emitted += 1
-                else:
-                    raise TypeError(f"statement {stmt!r} illegal in lock-step run")
-            proc.pc += 1
-
-    for rnd in range(1, rounds + 1):
-        channel: List[tuple] = []
-        for pid, proc in enumerate(procs, start=1):
-            walk(pid, proc, (rnd, COMM), channel)
-        for tag, value in channel:
-            for proc in procs:
-                if proc.status != _C:
-                    _absorb(proc, tag, value)
-        for pid, proc in enumerate(procs, start=1):
-            walk(pid, proc, (rnd, COMP), channel)
-    return tuple(p.output for p in procs)
-
-
-def _sync_sets(instance, programs, fp, n) -> Set[OutputSet]:
-    results: Set[OutputSet] = set()
-    scripts: List[dict] = [{}]
-    while scripts:
-        script = scripts.pop()
-        try:
-            outputs = _sync_run(programs, fp, n, instance.round_count, script)
-        except _NeedPick as need:
-            for candidate in need.candidates:
-                forked = dict(script)
-                forked[(need.pid, need.counter)] = candidate
-                scripts.append(forked)
-            continue
-        results.add(output_set(outputs))
-    return results
+                self.results.add(output_set(tuple(p.output for p in st.procs)))
 
 
 def observed_output_sets(instance, cfg: SystemConfig) -> FrozenSet[OutputSet]:
     """All output sets reachable over every (fp, picks, delivery order).
 
-    Intended for desk-scale cross-checks (n <= 4); the state space grows
-    quickly beyond that.
+    One search covers every failure pattern with at most t crashes, as
+    crash moves, with no symmetry reduction.  Intended for desk-scale
+    cross-checks (n <= 4); the state space grows quickly beyond that.
     """
     if not instance.bound or instance.n != cfg.n or instance.t != cfg.t:
         raise ValueError("instance must be bound to the configuration")
     if cfg.n > 4:
         raise ValueError("oracle is a desk-scale tool; use n <= 4")
-    programs = instance.programs()
-    slot_counts = [len(p.statements) + 1 for p in programs]
-    results: Set[OutputSet] = set()
-    for fp in enum_failure_patterns(cfg.n, cfg.t, slot_counts):
-        if cfg.timing is Timing.SYNC:
-            results |= _sync_sets(instance, programs, fp, cfg.n)
-        else:
-            results |= _async_sets(programs, fp, cfg.n)
-    return frozenset(results)
+    cell = _Cell(instance.programs(), cfg.t)
+    if cfg.timing is Timing.SYNC:
+        cell.search_sync(instance.round_count)
+    else:
+        cell.search_async()
+    return frozenset(cell.results)

@@ -2,9 +2,10 @@
 
 import pytest
 
-from binsos.algorithms import AlgorithmInstance, AlgorithmKind, instance_for_line
+from binsos.algorithms import AlgorithmInstance, AlgorithmKind, RoleError, instance_for_line
+from binsos.checker import explore
 from binsos.oracle import observed_output_sets
-from binsos.outputsets import OutputSet, SystemConfig, Timing, sos
+from binsos.outputsets import OutputSet, SystemConfig, Timing, sos, tight_condition
 
 
 def test_silent_alphabet_is_always_empty():
@@ -77,3 +78,38 @@ def test_unmodelled_tag_rejected(foo_instance):
     inst, cfg = foo_instance
     with pytest.raises(TypeError, match="FOO"):
         observed_output_sets(inst, cfg)
+
+
+def _outside_the_conditions(ns):
+    """Every line and timing bound permissively at each n in ``ns`` and each
+    t the line's tight condition rejects, where the roles can be built."""
+    for line in range(1, 16):
+        for timing in (Timing.SYNC, Timing.ASYNC):
+            for n in ns:
+                for t in range(n + 1):
+                    if tight_condition(line, timing).holds(n, t):
+                        continue
+                    try:
+                        inst = instance_for_line(line, timing).bind(n, t, permissive=True)
+                        inst.programs()
+                    except RoleError:
+                        continue
+                    yield inst, SystemConfig(n, t, timing)
+
+
+def test_crash_moves_match_explore_outside_the_conditions():
+    # Outside its condition an algorithm's family depends on where crashes
+    # land, so these cells pin the oracle's crash moves against the
+    # explorer's failure patterns, which the solvable table cannot.  L8
+    # async at n=4, t=2 is a cheap cell whose family also depends on
+    # crashes after a process's first statement.
+    cells = list(_outside_the_conditions((2, 3)))
+    assert len(cells) == 43
+    inst = instance_for_line(8, Timing.ASYNC).bind(4, 2, permissive=True)
+    cells.append((inst, SystemConfig(4, 2, Timing.ASYNC)))
+    mismatches = [
+        (inst.effective_line, cfg)
+        for inst, cfg in cells
+        if observed_output_sets(inst, cfg) != explore(inst, cfg).observed
+    ]
+    assert not mismatches
