@@ -1,15 +1,19 @@
 """Safety/completeness verdicts over explored executions.
 
 ``explore`` runs an algorithm instance under every failure pattern, up to
-the symmetry of processes with equal programs, and every pick outcome -- an
-asynchronous one by ``simkernel.search_async``, which also covers every
-delay pattern -- or, beyond the budget, under exactly ``sample_runs`` seeded
-draws, and compares the union of observed output sets against the family
-of the instance's line: safety holds when nothing outside the family was
-ever produced, completeness when every member of it has a stored witness
-trace.  Each member's trace is a recorded kernel run, so it replays byte for
-byte.  ``exhaustive: true`` means every failure pattern was covered up to
-that proven symmetry (one pattern per orbit, see ``explore``);
+the symmetry of processes with equal programs and to where a crash can be
+seen, and every pick outcome -- an asynchronous one by
+``simkernel.search_async``, which also covers every delay pattern -- or,
+beyond the budget, under exactly ``sample_runs`` seeded draws, and compares
+the union of observed output sets against the family of the instance's
+line: safety holds when nothing outside the family was ever produced,
+completeness when every member of it has a stored witness trace.  Each
+member's trace is a recorded kernel run, so it replays byte for byte.
+``exhaustive: true`` means every failure pattern was covered up to those
+two proven reductions: one pattern per orbit, crashing only at
+``Program.crash_slots`` (see ``explore``).  ``failure_patterns`` counts
+every failure pattern of the cell, at every slot, and
+``failure_pattern_orbits`` the orbits an exhaustive exploration runs.
 ``executions`` counts the kernel runs of a sync cell or a sampled cell, and
 the terminal search states of a searched async cell.  ``check_table``
 reproduces the whole characterization table at desk scale.
@@ -79,11 +83,13 @@ class ExplorationBudget:
     synchronous cell whole when its pick outcomes times failure-pattern
     orbits are at most the bound, and searches an asynchronous cell whole
     when its orbits are; that search stops, reporting ``exhaustive: false``,
-    once it would visit more states than the bound.  Whole means every
-    failure pattern up to the symmetry of processes with equal programs;
-    ``executions`` then counts kernel runs (sync) or terminal search states
-    (async).  A larger cell runs exactly ``sample_runs`` random (seed, fp,
-    dp) triples drawn from ``sample_seed`` over every failure pattern, and
+    once it would visit more states than the bound.  Orbits are counted over
+    the crash slots others can tell apart (``Program.crash_slots``), and
+    whole means every failure pattern up to the symmetry of processes with
+    equal programs and to those slots; ``executions`` then counts kernel
+    runs (sync) or terminal search states (async).  A larger cell runs
+    exactly ``sample_runs`` random (seed, fp, dp) triples drawn from
+    ``sample_seed`` over every failure pattern at every slot, and
     ``executions`` counts those runs.  The horizon is not part of the
     budget: every asynchronous run has ``default_horizon(n)``.
     """
@@ -106,8 +112,8 @@ class Verdict:
     witnesses: Dict[OutputSet, ExecutionTrace] = field(default_factory=dict)
     executions: int = 0
     exhaustive: bool = False
-    failure_patterns: int = 0  # the cell's failure patterns
-    failure_pattern_orbits: int = 0  # one per orbit: what exhaustive mode explores
+    failure_patterns: int = 0  # the cell's failure patterns, at every slot
+    failure_pattern_orbits: int = 0  # orbits at crash slots: what exhaustive mode explores
 
     @property
     def safety_ok(self) -> bool:
@@ -199,13 +205,34 @@ def explore(
     with the single canonical delay pattern.  An asynchronous cell searches
     the kernel's state graph under every failure pattern (``search_async``),
     which covers every delay pattern and pick outcome.  "Every failure
-    pattern" is up to symmetry: processes with equal bound programs are
-    interchangeable, so one pattern per orbit under permutations of them is
-    explored (``enum_failure_pattern_orbits``).  Over the bound ``max(SIZE_CAP,
+    pattern" is up to two reductions.  Crashes are placed only at
+    ``Program.crash_slots``, where other processes can tell them apart.
+    Processes with equal bound programs are interchangeable, so one pattern
+    per orbit under permutations of them is explored
+    (``enum_failure_pattern_orbits``).  Over the bound ``max(SIZE_CAP,
     budget.sample_runs)`` a cell is sampled instead: ``budget.sample_runs``
-    seeded draws from every failure pattern, and nothing else.  A sync cell
-    is over it when its orbits times its pick outcomes are, an async cell
-    when its orbits are.
+    seeded draws from every failure pattern at every slot, and nothing
+    else.  A sync cell is over it when its orbits times its pick outcomes
+    are, an async cell when its orbits are.
+
+    Why crashing only at the crash slots reaches every output set, for any
+    program under either timing: call an ``Output`` or a ``Communicate`` an
+    effect.  Another process reads a process only through the items it
+    emits, and the output set reads only its output.
+
+    - Between effects: let no effect lie in statements k..k'-1 of process
+      p's program.  With everything else fixed (choice stream, delay
+      pattern, the other crashes), crashing p at slot k or at slot k' gives
+      runs with the same emissions, at the same steps, and the same output
+      of p.  What p runs in between are picks, local writes and waits: its
+      picks are keyed by its own pid, its locals and the items delivered to
+      it reach no one else, and a wait only stops it earlier.  So every
+      choice stream and delay pattern reaches the same output set in both
+      runs, and a crash may move to the first slot of its stretch: slot 0,
+      or the slot right after an effect.
+    - After the last effect: by the same argument a crash there is the
+      same as no crash, and that pattern, with one crash fewer, is already
+      enumerated.
 
     Why one pattern per orbit reaches every output set: let a permutation
     of processes with equal programs relabel a failure pattern (equal

@@ -2,10 +2,11 @@
 
 Failure patterns map crashed processes to statement-boundary crash slots.
 They are enumerated whole, or one per orbit under permutations of processes
-with equal programs, and counted in closed form either way.  Delay patterns
-map each potentially emitted item, per receiver, to the logical step at
-which it is delivered.  No delay-pattern family is enumerated: exhaustive
-exploration searches the kernel's states instead
+with equal programs over only the crash slots other processes can tell
+apart (``Program.crash_slots``), and counted in closed form either way.
+Delay patterns map each potentially emitted item, per receiver, to the
+logical step at which it is delivered.  No delay-pattern family is
+enumerated: exhaustive exploration searches the kernel's states instead
 (``simkernel.search_async``) and builds, for each path it reports, the one
 pattern that replays it.  Patterns are drawn at random for sampling, and
 every drawn pattern delivers every item to every receiver by the horizon,
@@ -117,23 +118,24 @@ def count_failure_patterns(n: int, t: int, program_slots: Sequence[int]) -> int:
     return sum(sums[: t + 1])
 
 
-def _classes(n: int, programs: Sequence) -> List[Tuple[List[int], int]]:
-    """Processes with equal programs, as (pids, slot count), in order of
+def _classes(n: int, programs: Sequence) -> List[Tuple[List[int], Tuple[int, ...]]]:
+    """Processes with equal programs, as (pids, crash slots), in order of
     their lowest pid.  ``programs`` holds each process's program (index 0 is
-    process 1)."""
+    process 1); its crash slots are ``Program.crash_slots``."""
     if len(programs) != n:
         raise ValueError(f"expected {n} programs, got {len(programs)}")
     classes: Dict[object, List[int]] = {}
     for pid, program in enumerate(programs, 1):
         classes.setdefault(program, []).append(pid)
-    return [(pids, programs[pids[0] - 1].slot_count) for pids in classes.values()]
+    return [(pids, programs[pids[0] - 1].crash_slots) for pids in classes.values()]
 
 
 def enum_failure_pattern_orbits(
     n: int, t: int, programs: Sequence
 ) -> Iterator[FailurePattern]:
     """One failure pattern per orbit under permutations of processes with
-    equal programs, f <= t crashes, by f ascending.
+    equal programs, f <= t crashes at ``Program.crash_slots`` only, by f
+    ascending.
 
     A class's share of an orbit is the multiset of its crash slots; the
     representative crashes the class's lowest pids, with the slots sorted.
@@ -149,7 +151,7 @@ def enum_failure_pattern_orbits(
             return
         pids, slots = classes[i]
         for c in range(min(f, len(pids)) + 1):
-            for chosen in itertools.combinations_with_replacement(range(slots), c):
+            for chosen in itertools.combinations_with_replacement(slots, c):
                 for rest in spread(i + 1, f - c):
                     yield tuple(zip(pids, chosen)) + rest
 
@@ -161,13 +163,19 @@ def enum_failure_pattern_orbits(
 def count_failure_pattern_orbits(n: int, t: int, programs: Sequence) -> int:
     """How many patterns ``enum_failure_pattern_orbits`` yields: the product
     over classes of sum_c C(s+c-1, c) x^c (c up to the class size, s its
-    slot count), truncated at degree t, at x = 1."""
+    number of crash slots), truncated at degree t, at x = 1.  A class with
+    no crash slots contributes the factor 1."""
     if not 0 <= t <= n:
         raise ValueError(f"need 0 <= t <= n, got n={n}, t={t}")
     poly = [1] + [0] * t  # poly[f]: orbits with f crashes
     for pids, slots in _classes(n, programs):
+        if not slots:
+            continue
         poly = [
-            sum(poly[f - c] * math.comb(slots + c - 1, c) for c in range(min(f, len(pids)) + 1))
+            sum(
+                poly[f - c] * math.comb(len(slots) + c - 1, c)
+                for c in range(min(f, len(pids)) + 1)
+            )
             for f in range(t + 1)
         ]
     return sum(poly)

@@ -20,6 +20,8 @@ code.
 Crash positions are statement boundaries: a failure pattern naming slot k for
 a process makes it halt when it is about to execute statement k, so "just
 before its output" and "just after it communicated" are both expressible.
+``Program.crash_slots`` names the few of them that other processes can tell
+apart.
 """
 
 from __future__ import annotations
@@ -193,6 +195,17 @@ class Program:
     def slot_count(self) -> int:
         """Number of crash positions: before each statement plus after the last."""
         return len(self.statements) + 1
+
+    @property
+    def crash_slots(self) -> Tuple[int, ...]:
+        """The crash positions others can tell apart: slot 0 and the slot
+        right after each effect (an ``Output`` or a ``Communicate``) but the
+        last.  Each stands for its stretch of slots up to the next effect; a
+        crash after the last effect is no crash at all (see ``explore``)."""
+        effects = [
+            k for k, s in enumerate(self.statements) if isinstance(s, (Output, Communicate))
+        ]
+        return tuple([0] + [k + 1 for k in effects[:-1]]) if effects else ()
 
 
 # ---------------------------------------------------------------------------

@@ -154,8 +154,8 @@ class ExecutionTrace:
         return ExecutionTrace(header, events, outputs, final["termination"])
 
 
-def _dumps(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+#: One encoder for every trace line: sorted keys, no spaces.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _read_header(header) -> Dict[str, object]:

@@ -1,5 +1,6 @@
 """Shared pytest plumbing: surface acceptance verdicts in the summary, the
-n <= 4 table report, and an instance outside the six algorithms' wire
+n <= 4 and n <= 5 table reports, each failure pattern's representative at
+the crash slots, and an instance outside the six algorithms' wire
 vocabulary."""
 
 import time
@@ -10,6 +11,7 @@ from binsos import algorithms
 from binsos.algorithms import AlgorithmInstance, AlgorithmKind
 from binsos.checker import ExplorationBudget, check_table
 from binsos.outputsets import SystemConfig, Timing
+from binsos.patterns import FailurePattern
 from binsos.program import Communicate, LocalRef, Observed, Output, Program, Wait
 
 ACCEPTANCE_LINES = []
@@ -22,12 +24,34 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def stretch_representative(fp, programs):
+    """Each crash moved to the first slot of its stretch of statements with
+    no output or communicate; a crash after the last one dropped."""
+    crashes = {}
+    for pid, slot in fp.crashes:
+        effects = [
+            k for k, s in enumerate(programs[pid - 1].statements)
+            if isinstance(s, (Output, Communicate))
+        ]
+        if effects and slot <= effects[-1]:
+            crashes[pid] = max([0] + [k + 1 for k in effects if k < slot])
+    return FailurePattern.of(crashes)
+
+
 @pytest.fixture(scope="session")
 def table_n4():
     """The n <= 4 table report, and the seconds it took, computed once."""
     start = time.time()
     report = check_table(4, ExplorationBudget())
     return report, time.time() - start
+
+
+@pytest.fixture(scope="session")
+def table_n5():
+    """The n <= 5 table report, and the CPU seconds it took, computed once."""
+    start = time.process_time()
+    report = check_table(5, ExplorationBudget())
+    return report, time.process_time() - start
 
 
 @pytest.fixture

@@ -43,7 +43,7 @@ def test_criterion_1_table_matrix_at_desk_scale(table_n4):
     under every failure pattern, and an async cell's every reachable kernel
     state under every failure pattern, which spans every pick outcome and
     delay pattern; every failure pattern up to the symmetry of processes
-    with equal programs."""
+    with equal programs and to the crash slots others can tell apart."""
     report, elapsed = table_n4
     bad = [c.row() for c in report.failures()]
     sampled = [c.row() for c in report.cells if not c.verdict.exhaustive]
@@ -225,4 +225,21 @@ def test_criterion_7_sync_consensus_behavior():
         "7 sync-consensus",
         cells == 6 and not problems,
         f"{cells} (n,t) cells exhaustively enumerated; problems: {problems}",
+    )
+
+
+def test_criterion_8_table_at_n5(table_n5):
+    """Every solvable cell with n <= 5 is explored exhaustively, and each
+    observed family is exactly its line's."""
+    report, seconds = table_n5
+    bad = [
+        (c.line, c.timing.value, c.n, c.t, c.verdict.status)
+        for c in report.cells
+        if not (c.ok and c.verdict.exhaustive and c.verdict.observed == line_members(c.line))
+    ]
+    _report(
+        "8 table-n5",
+        len(report.cells) == 470 and not bad,
+        f"{len(report.cells)} cells explored exhaustively in {seconds:.1f}s CPU; "
+        f"failures or not exhaustive: {bad}",
     )

@@ -69,15 +69,15 @@ class TestExplore:
             assert again.to_jsonl() == trace.to_jsonl()
 
     def test_sampled_mode_reports_budget_distinctly(self):
-        # Every process of this cell has its own program, so its failure
-        # patterns are its orbits, and orbits times pick outcomes exceed
-        # SIZE_CAP: it is sampled.
-        inst = instance_for_line(7, Timing.SYNC).bind(7, 4)
-        orbits = count_failure_pattern_orbits(7, 4, inst.programs())
-        assert orbits == 62_085
-        assert _choice_bound(inst) * orbits > SIZE_CAP
+        # Every process of this cell has its own program, so no symmetry
+        # merges its failure patterns, and even over the crash slots alone
+        # orbits times pick outcomes exceed SIZE_CAP: it is sampled.
+        inst = instance_for_line(7, Timing.SYNC).bind(8, 6)
+        orbits = count_failure_pattern_orbits(8, 6, inst.programs())
+        assert orbits == 18_015
+        assert _choice_bound(inst) * orbits == 2_305_920 > SIZE_CAP
         budget = ExplorationBudget(sample_runs=3)
-        verdict = explore(inst, SystemConfig(7, 4, Timing.SYNC), budget)
+        verdict = explore(inst, SystemConfig(8, 6, Timing.SYNC), budget)
         # Exactly the seeded draws ran, and every evidence trace is one.
         assert verdict.executions == 3
         evidence = [*verdict.witnesses.values(), *verdict.violations]
@@ -139,14 +139,15 @@ class TestCheckTable:
         assert rows and all(row["condition_holds"] for row in rows)
         assert {"line", "timing", "n", "t", "observed_mask", "safety",
                 "completeness", "status", "executions", "exhaustive"} <= set(rows[0])
-        # Both processes run one program, so the 1 + 3 + 3 failure patterns
-        # of n=2, t=1 fall into 1 + 3 orbits.
+        # Both processes run one program with a single effect, its output,
+        # so of the 1 + 3 + 3 failure patterns of n=2, t=1 only a crash at
+        # slot 0 can be seen: 1 + 1 orbits.
         counts = {
             (row["timing"], row["n"], row["t"]):
             (row["failure_patterns"], row["failure_pattern_orbits"])
             for row in rows
         }
-        assert counts[("async", 2, 1)] == counts[("sync", 2, 1)] == (7, 4)
+        assert counts[("async", 2, 1)] == counts[("sync", 2, 1)] == (7, 2)
         assert counts[("async", 1, 0)] == counts[("sync", 2, 0)] == (1, 1)
 
     def test_n_max_guard(self):

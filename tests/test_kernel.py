@@ -160,6 +160,28 @@ class TestDeterminismAndReplay:
                 again = replay(text)
                 assert again.to_jsonl() == text
 
+    def test_every_trace_line_is_its_sorted_compact_json(self):
+        # One recorded trace of each of the six algorithms, with crashes.
+        cells = [(1, Timing.ASYNC), (9, Timing.SYNC), (3, Timing.ASYNC),
+                 (7, Timing.ASYNC), (8, Timing.SYNC), (10, Timing.SYNC)]
+        kinds = set()
+        for line, timing in cells:
+            inst = instance_for_line(line, timing)
+            kinds.add(inst.kind)
+            cfg = SystemConfig(5, 1, timing)
+            trace = next(
+                trace for trace in sample_traces(inst, cfg, 50, meta_seed=5, record=True)
+                if any(e["kind"] == "crash" for e in trace.events)
+            )
+            final = {"kind": "final", "outputs": list(trace.outputs),
+                     "termination": trace.termination}
+            expected = [
+                json.dumps(record, sort_keys=True, separators=(",", ":"))
+                for record in [trace.header, *trace.events, final]
+            ]
+            assert trace.to_jsonl().split("\n") == expected + [""]
+        assert len(kinds) == 6
+
     def test_parse_roundtrip(self):
         inst = instance_for_line(10, Timing.SYNC).bind(2, 1)
         trace = run_sync(inst, SYNC2, SeededChoices(3), NO_CRASHES)

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from binsos.program import Program, SetLocal
+from conftest import stretch_representative
+
+from binsos.program import Communicate, Output, Program, SetLocal
 from binsos.patterns import (
     ALL_IMMEDIATE,
     SYNC_CANONICAL,
@@ -60,12 +62,16 @@ def test_failure_pattern_per_process_slots():
 
 
 def _class_structures(n):
-    """All-equal, 1 + (n-1) and all-distinct programs over n processes."""
-    same = Program((SetLocal("x", 0),) * 2)
-    odd = Program((SetLocal("x", 1),))
+    """All-equal, 1 + (n-1) and all-distinct programs over n processes, with
+    effects (outputs and communications) between local steps."""
+    same = Program((Communicate("T", 0), SetLocal("x", 0), Communicate("T", 1), Output(0)))
+    odd = Program((SetLocal("x", 1), Output(1)))
     yield [same] * n
     yield ([odd] + [same] * (n - 1))[:n]
-    yield [Program((SetLocal("x", k),) * (k % 2 + 1)) for k in range(n)]
+    yield [
+        Program((SetLocal("x", k), Communicate("T", k)) * (k % 3) + (SetLocal("y", k),))
+        for k in range(n)
+    ]
 
 
 def _canonical(fp, programs):
@@ -92,21 +98,25 @@ def test_failure_pattern_orbits_one_per_orbit():
                 orbits = list(enum_failure_pattern_orbits(n, t, programs))
                 for fp in orbits:
                     assert isinstance(fp, FailurePattern) and fp.f <= t
-                    assert all(slot < slots[pid - 1] for pid, slot in fp.crashes)
+                    assert stretch_representative(fp, programs) == fp
                 labels = [_canonical(fp, programs) for fp in orbits]
                 assert len(set(labels)) == len(labels)
-                every = {_canonical(fp, programs) for fp in enum_failure_patterns(n, t, slots)}
+                every = {
+                    _canonical(stretch_representative(fp, programs), programs)
+                    for fp in enum_failure_patterns(n, t, slots)
+                }
                 assert set(labels) == every, (n, t)
 
 
 def test_failure_pattern_orbit_representatives_crash_the_lowest_pids():
-    same = Program((SetLocal("x", 0),) * 2)
+    # Effects at statements 0, 2 and 3: the crash slots are 0, 1 and 3.
+    same = Program((Communicate("T", 0), SetLocal("x", 0), Communicate("T", 1), Output(0)))
     orbits = list(enum_failure_pattern_orbits(3, 2, [same] * 3))
     assert [fp.crashes for fp in orbits] == [
         (),
-        ((1, 0),), ((1, 1),), ((1, 2),),
-        ((1, 0), (2, 0)), ((1, 0), (2, 1)), ((1, 0), (2, 2)),
-        ((1, 1), (2, 1)), ((1, 1), (2, 2)), ((1, 2), (2, 2)),
+        ((1, 0),), ((1, 1),), ((1, 3),),
+        ((1, 0), (2, 0)), ((1, 0), (2, 1)), ((1, 0), (2, 3)),
+        ((1, 1), (2, 1)), ((1, 1), (2, 3)), ((1, 3), (2, 3)),
     ]
     with pytest.raises(ValueError, match="expected 3 programs"):
         count_failure_pattern_orbits(3, 1, [same] * 2)

@@ -13,6 +13,7 @@ from binsos.program import (
     Program,
     ScriptedChoices,
     SeededChoices,
+    SetLocal,
     Wait,
     choices_from_descriptor,
 )
@@ -93,3 +94,21 @@ class TestProgramStructure:
         assert program.communicate_count == 2
         assert program.slot_count == 5
         assert not program.is_sync
+
+    def test_crash_slots_start_each_stretch_between_effects(self):
+        # Effects (outputs and communicates) at statements 1, 3 and 4: slot 0
+        # and the slots after each effect but the last.
+        program = Program(
+            (
+                Pick("v", (0, 1)),
+                Communicate("OUTPUT", 1),
+                SetLocal("x", 0),
+                Output(1),
+                Communicate("OUTPUT", 0),
+                SetLocal("x", 1),
+            )
+        )
+        assert program.crash_slots == (0, 2, 4)
+        assert Program((Output(1),)).crash_slots == (0,)
+        assert Program((Pick("v", (0, 1)), SetLocal("x", 0))).crash_slots == ()
+        assert Program().crash_slots == ()

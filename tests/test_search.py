@@ -1,9 +1,12 @@
 """Asynchronous state-graph search: its reductions, its bound, that every
 kernel run lies inside the family it finds, and that exploring one failure
-pattern per symmetry orbit finds the family of every failure pattern."""
+pattern per symmetry orbit, with crashes only at the crash slots, finds the
+family of every failure pattern."""
+
+from conftest import stretch_representative
 
 from binsos import algorithms
-from binsos.algorithms import AlgorithmInstance, AlgorithmKind, instance_for_line
+from binsos.algorithms import AlgorithmInstance, AlgorithmKind, RoleError, instance_for_line
 from binsos.checker import branch_choices, explore, sample_traces
 from binsos.outputsets import OutputSet, SystemConfig, Timing, sos, tight_condition
 from binsos.patterns import (
@@ -11,6 +14,7 @@ from binsos.patterns import (
     SYNC_CANONICAL,
     FailurePattern,
     all_latest,
+    enum_failure_pattern_orbits,
     enum_failure_patterns,
 )
 from binsos.program import (
@@ -147,10 +151,9 @@ class TestBound:
     def test_executions_count_terminal_states(self):
         inst, cfg = _bound(9, 2, 1)
         verdict = explore(inst, cfg)
-        slot_counts = [p.slot_count for p in inst.programs()]
         terminals = sum(
             search_async(inst, cfg, fp, 10**6).terminals
-            for fp in enum_failure_patterns(2, 1, slot_counts)
+            for fp in enum_failure_pattern_orbits(2, 1, inst.programs())
         )
         assert verdict.exhaustive and verdict.executions == terminals
 
@@ -184,22 +187,26 @@ class TestCoverage:
             assert replay(trace.header).to_jsonl() == trace.to_jsonl()
 
 
+def _pattern_family(inst, cfg, fp):
+    """The output sets one failure pattern reaches: by ``search_async`` for
+    an async cell, and by running every pick outcome for a sync cell."""
+    if cfg.timing is Timing.ASYNC:
+        return frozenset(search_async(inst, cfg, fp, 10**6).found)
+    return frozenset(
+        trace.output_set()
+        for _, trace in branch_choices(
+            lambda choices: run(inst, cfg, choices, fp, SYNC_CANONICAL, record=False)
+        )
+    )
+
+
 def _every_pattern_family(inst, cfg):
     """The union of the families of every failure pattern, each found on its
-    own: by ``search_async`` for an async cell, and by running every pick
-    outcome for a sync cell."""
+    own."""
     slot_counts = [p.slot_count for p in inst.programs()]
     family = set()
     for fp in enum_failure_patterns(cfg.n, cfg.t, slot_counts):
-        if cfg.timing is Timing.ASYNC:
-            family |= search_async(inst, cfg, fp, 10**6).found.keys()
-        else:
-            family |= {
-                trace.output_set()
-                for _, trace in branch_choices(
-                    lambda choices: run(inst, cfg, choices, fp, SYNC_CANONICAL, record=False)
-                )
-            }
+        family |= _pattern_family(inst, cfg, fp)
     return family
 
 
@@ -288,3 +295,38 @@ class TestSymmetry:
             for pid in (1, 2)
         )
         assert second - first == {OutputSet.BOTH}
+
+
+class TestCrashSlots:
+    def test_every_pattern_reaches_what_its_representative_reaches(self):
+        # The lemma behind Program.crash_slots, pattern by pattern, on every
+        # line in both timings, inside and outside its condition: moving each
+        # crash to the first slot of its stretch of statements with no output
+        # or communicate, and dropping a crash after the last one, keeps the
+        # family.
+        checked = 0
+        mismatches = []
+        for line in range(1, 16):
+            for timing in Timing:
+                for n in range(1, 4):
+                    for t in range(n + 1):
+                        try:
+                            inst = instance_for_line(line, timing).bind(n, t, permissive=True)
+                            programs = inst.programs()
+                        except RoleError:
+                            continue
+                        cfg = SystemConfig(n, t, timing)
+                        families = {}
+
+                        def family(fp):
+                            if fp not in families:
+                                families[fp] = _pattern_family(inst, cfg, fp)
+                            return families[fp]
+
+                        slot_counts = [p.slot_count for p in programs]
+                        for fp in enum_failure_patterns(n, t, slot_counts):
+                            checked += 1
+                            if family(fp) != family(stretch_representative(fp, programs)):
+                                mismatches.append((line, timing.value, n, t, fp.crashes))
+        assert checked == 6_112
+        assert mismatches == []
