@@ -216,17 +216,10 @@ class AlgorithmInstance:
         )
         programs = tuple(build(self, pid) for pid in range(1, self.n + 1))
         if self.timing is Timing.SYNC:
-            # The sync kernel runs tagged statements up to the last round's
-            # computation step; anything else would never run.
-            last = (self.round_count, COMP)
+            # The sync kernel runs a statement in the round its tag names.
             for pid, program in enumerate(programs, start=1):
-                if program.statements and not (
-                    program.is_sync and program.statements[-1].at <= last
-                ):
-                    raise ValueError(
-                        f"program of process {pid} is not tagged within "
-                        f"rounds 1..{self.round_count}"
-                    )
+                if program.statements and not program.is_sync:
+                    raise ValueError(f"program of process {pid} is not tagged with rounds")
         object.__setattr__(self, "_programs", programs)
 
     # -- binding --------------------------------------------------------------
@@ -260,16 +253,6 @@ class AlgorithmInstance:
     def target_members(self) -> SetOfOutputSets:
         return line_members(self.effective_line)
 
-    @property
-    def round_count(self) -> int:
-        if self.n is None:
-            raise ValueError("instance not bound")
-        if self.n == 0:
-            return 0
-        if self.kind is AlgorithmKind.SYNC_DISAGREEMENT:
-            return (self.n + 1) // 2
-        return 1
-
     def programs(self) -> Tuple[Program, ...]:
         if not self.bound:
             raise ValueError("instance not bound")
@@ -294,7 +277,10 @@ class AlgorithmInstance:
 
 def instance_from_descriptor(d: Dict[str, object]) -> AlgorithmInstance:
     """The instance a trace header describes, bound by ``bind``, or a rejection."""
-    d = _descriptor_fields(d, "algorithm", kind=str, timing=str, n=int, t=int)
+    d = _descriptor_fields(
+        d, "algorithm", kind=str, timing=str, n=int, t=int, permissive=bool,
+        line=None, roles=None, **dict.fromkeys(PARAM_NAMES),
+    )
     instance = AlgorithmInstance(
         kind=AlgorithmKind(d["kind"]),
         timing=Timing(d["timing"]),
@@ -307,7 +293,7 @@ def instance_from_descriptor(d: Dict[str, object]) -> AlgorithmInstance:
     if instance.line is not None and instance.line != _infer_line(instance):
         raise ValueError(f"algorithm line {instance.line} is not {_infer_line(instance)}, "
                          f"the line of {instance.kind.value} with these parameters")
-    instance = instance.bind(d["n"], d["t"], permissive=d.get("permissive", False))
+    instance = instance.bind(d["n"], d["t"], permissive=d["permissive"])
     # Roles follow from (kind, n, t, permissive); a described set must match.
     if d.get("roles") != instance.roles.describe():
         raise ValueError(
@@ -459,7 +445,7 @@ def _sequence_position(roles: RoleAssignment, pid: int) -> Tuple[int, int]:
 
 def _build_sync_disagreement(instance: AlgorithmInstance, pid: int) -> Program:
     roles = instance.roles
-    rounds = instance.round_count
+    rounds = len(roles.seq_one)
     w, i = _sequence_position(roles, pid)
     stmts: List = []
     if pid in roles.init_group and instance.no_out:

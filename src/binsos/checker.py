@@ -4,7 +4,7 @@
 the symmetry of processes with equal programs and to where a crash can be
 seen, and every pick outcome -- an asynchronous one by
 ``simkernel.search_async``, which also covers every delay pattern -- or,
-beyond the budget, under exactly ``sample_runs`` seeded draws, and compares
+over its budget (``ExplorationBudget``), under seeded draws, and compares
 the union of observed output sets against the family of the instance's
 line: safety holds when nothing outside the family was ever produced,
 completeness when every member of it has a stored witness trace.  Each
@@ -14,9 +14,7 @@ two proven reductions: one pattern per orbit, crashing only at
 ``Program.crash_slots`` (see ``explore``).  ``failure_patterns`` counts
 every failure pattern of the cell, at every slot, and
 ``failure_pattern_orbits`` the orbits an exhaustive exploration runs.
-``executions`` counts the kernel runs of a sync cell or a sampled cell, and
-the terminal search states of a searched async cell.  ``check_table``
-reproduces the whole characterization table at desk scale.
+``check_table`` reproduces the whole characterization table at desk scale.
 
 The witness constructors re-enact the crash schedules from the necessity
 arguments as counterexample demonstrations against the shipped algorithms
@@ -66,8 +64,7 @@ from .simkernel import (
     search_async,
 )
 
-#: What an exhaustive exploration may cover: sync runs, or async failure
-#: pattern orbits and search states.  A larger space is sampled instead.
+#: The least bound on an exhaustive exploration (see ``ExplorationBudget``).
 SIZE_CAP = 1_000_000
 
 
@@ -77,7 +74,8 @@ class WitnessSearchError(Exception):
 
 @dataclass
 class ExplorationBudget:
-    """What a caller may set about one exploration.
+    """What a caller may set about one exploration, and the one statement of
+    what ``explore`` does with a cell over its budget.
 
     Let the bound be ``max(SIZE_CAP, sample_runs)``.  ``explore`` covers a
     synchronous cell whole when its pick outcomes times failure-pattern
@@ -209,11 +207,8 @@ def explore(
     ``Program.crash_slots``, where other processes can tell them apart.
     Processes with equal bound programs are interchangeable, so one pattern
     per orbit under permutations of them is explored
-    (``enum_failure_pattern_orbits``).  Over the bound ``max(SIZE_CAP,
-    budget.sample_runs)`` a cell is sampled instead: ``budget.sample_runs``
-    seeded draws from every failure pattern at every slot, and nothing
-    else.  A sync cell is over it when its orbits times its pick outcomes
-    are, an async cell when its orbits are.
+    (``enum_failure_pattern_orbits``).  A cell over its budget is sampled
+    instead, or its search stopped short; ``ExplorationBudget`` says when.
 
     Why crashing only at the crash slots reaches every output set, for any
     program under either timing: call an ``Output`` or a ``Communicate`` an
@@ -371,7 +366,6 @@ class CellReport:
     timing: Timing
     n: int
     t: int
-    condition: str
     verdict: Verdict
 
     @property
@@ -385,14 +379,13 @@ class CellReport:
             "n": self.n,
             "t": self.t,
             "condition_holds": True,
-            "condition": self.condition,
+            "condition": str(tight_condition(self.line, self.timing)),
             **self.verdict.summary(),
         }
 
 
 @dataclass
 class TableReport:
-    n_max: int
     cells: List[CellReport] = field(default_factory=list)
 
     @property
@@ -417,7 +410,7 @@ def check_table(
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    report = TableReport(n_max=n_max)
+    report = TableReport()
     for line in range(1, 17):
         for timing in (Timing.ASYNC, Timing.SYNC):
             condition = tight_condition(line, timing)
@@ -428,9 +421,7 @@ def check_table(
                     instance = instance_for_line(line, timing).bind(n, t)
                     cfg = SystemConfig(n, t, timing)
                     verdict = explore(instance, cfg, budget)
-                    report.cells.append(
-                        CellReport(line, timing, n, t, str(condition), verdict)
-                    )
+                    report.cells.append(CellReport(line, timing, n, t, verdict))
     return report
 
 
@@ -468,12 +459,6 @@ class WitnessResult:
         return self.trace.output_set()
 
 
-def _statement_position(trace: ExecutionTrace, pid: int) -> int:
-    """Crash slot equivalent to 'where this process currently stands'."""
-    stmts = [e["stmt"] for e in trace.events if e["pid"] == pid and "stmt" in e]
-    return max(stmts) + 1 if stmts else 0
-
-
 def _output_events(trace: ExecutionTrace) -> List[Dict[str, object]]:
     return [e for e in trace.events if e["kind"] == "output"]
 
@@ -481,15 +466,9 @@ def _output_events(trace: ExecutionTrace) -> List[Dict[str, object]]:
 def _pre_output_crashes(
     trace: ExecutionTrace, pids: Sequence[int]
 ) -> Dict[int, int]:
-    """Slots crashing each pid just before its output (or where it stands)."""
-    crashes: Dict[int, int] = {}
-    outputs = {e["pid"]: e for e in _output_events(trace)}
-    for pid in pids:
-        if pid in outputs:
-            crashes[pid] = outputs[pid]["stmt"]
-        else:
-            crashes[pid] = _statement_position(trace, pid)
-    return crashes
+    """Slots crashing each pid just before its output in ``trace``."""
+    outputs = {e["pid"]: e["stmt"] for e in _output_events(trace)}
+    return {pid: outputs[pid] for pid in pids}
 
 
 def _find_both_execution(

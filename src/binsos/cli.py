@@ -9,13 +9,10 @@ the condition table.
 
 Exit codes partition outcomes: 0 success, 1 verdict failure, 2 usage or
 precondition rejection, 3 completeness not witnessed within budget.
-``--budget N`` (N >= 0) is the number of seeded draws a sampled cell runs,
-and raises the exhaustive cap to N when N exceeds it.  A sync cell is
-sampled when its failure-pattern orbits times its pick outcomes exceed the
-cap, an async cell when its orbits do; an async search also stops, not
-exhaustive, once it would visit more states than the cap.  No flag sets the
-horizon (4n async, 0 sync); ``replay`` rejects a trace header that records
-another.
+``--budget N`` (N >= 0) sets ``checker.ExplorationBudget.sample_runs``,
+whose docstring states when a cell is sampled or its search stops short.
+No flag sets the horizon (4n async, 0 sync); ``replay`` rejects a trace
+header that records another.
 
 ``--params`` is a JSON object, or ``@file`` holding one, in the form of a
 trace header's ``alg``.  It gives an algorithm exactly the parameters it
@@ -24,7 +21,8 @@ disagreement algorithms), ``no_out`` and ``default_value`` (timing_adaptive),
 none (sync_consensus).  A missing or an extra parameter is rejected with its
 name.
 
-Every JSON input is read strictly: a repeated key is rejected.  A ``--config``
+Every JSON input is read strictly: a repeated key, or one its reader does
+not take, is rejected.  A ``--config``
 key is the name of a flag of the subcommand (a one-letter key is its short
 flag) and a boolean is given exactly to its switches; flags are never
 abbreviated.

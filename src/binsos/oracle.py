@@ -317,9 +317,11 @@ class _Cell:
                     nxt.procs[pid].status = _R
                     self.stack.append(nxt)
 
-    def search_sync(self, rounds: int) -> None:
+    def search_sync(self) -> None:
         """Walk every process through each phase in lock step, delivering
-        the phase's channel to every process not crashed at its end."""
+        the phase's channel to every process not crashed at its end, up to
+        the last round any statement is tagged with."""
+        rounds = max((s.at[0] for p in self.programs for s in p.statements), default=0)
         while self.stack:
             st = self.stack.pop()
             while st.stage < 2 * rounds:
@@ -353,7 +355,7 @@ def observed_output_sets(instance, cfg: SystemConfig) -> FrozenSet[OutputSet]:
         raise ValueError("oracle is a desk-scale tool; use n <= 4")
     cell = _Cell(instance.programs(), cfg.t)
     if cfg.timing is Timing.SYNC:
-        cell.search_sync(instance.round_count)
+        cell.search_sync()
     else:
         cell.search_async()
     return frozenset(cell.results)

@@ -166,16 +166,23 @@ class SystemConfig:
         return SystemConfig(d["n"], d["t"], Timing(d["timing"]))
 
 
-def _descriptor_fields(d: object, what: str, **types: type) -> Dict[str, object]:
-    """``d`` if it is a JSON object whose named fields have the given types;
-    otherwise a ValueError naming ``what`` and the missing or malformed field."""
+def _descriptor_fields(d: object, what: str, **types: Optional[type]) -> Dict[str, object]:
+    """``d`` if it is a JSON object with no field but the named ones, each
+    present with its given type; a field named with type None is optional,
+    and its reader checks it.  Otherwise a ValueError naming ``what`` and the
+    missing, malformed or undeclared field."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object with {', '.join(map(repr, types))}")
     for name, kind in types.items():
+        if kind is None:
+            continue
         if name not in d:
             raise ValueError(f"{what} lacks {name!r}")
         if type(d[name]) is not kind:
             raise ValueError(f"{what} {name} {d[name]!r} must be {kind.__name__}")
+    undeclared = [name for name in d if name not in types]
+    if undeclared:
+        raise ValueError(f"{what} has the undeclared key {undeclared[0]!r}")
     return d
 
 
@@ -225,9 +232,6 @@ class Condition:
 
     def holds(self, n: int, t: int) -> bool:
         return all(_ATOM_FNS[a](n, t) for a in self.atoms)
-
-    def __call__(self, n: int, t: int) -> bool:
-        return self.holds(n, t)
 
     def __str__(self) -> str:
         return " and ".join(self.atoms)

@@ -256,14 +256,17 @@ class DelayPattern:
 
     @staticmethod
     def from_descriptor(d: Dict[str, object]) -> "DelayPattern":
-        kind = _descriptor_fields(d, "delay pattern", kind=str)["kind"]
+        kind = _descriptor_fields(d, "delay pattern", kind=str, entries=None, default=None)["kind"]
         if kind == "sync_canonical":
+            _descriptor_fields(d, "delay pattern", kind=str)  # and nothing else
             return SYNC_CANONICAL
         if kind != "map":
             raise ValueError(f"delay pattern kind {kind!r} is not 'map' or 'sync_canonical'")
         entries = tuple(
             _int_row(e, 4, "delay pattern entry [sender, index, receiver, step]")
-            for e in _descriptor_fields(d, "delay pattern", entries=list)["entries"]
+            for e in _descriptor_fields(
+                d, "delay pattern", kind=str, entries=list, default=None
+            )["entries"]
         )
         default = d.get("default")
         if default is not None and type(default) is not int:

@@ -184,9 +184,6 @@ class Program:
     def is_sync(self) -> bool:
         return bool(self.statements) and self.statements[0].at is not None
 
-    def __len__(self) -> int:
-        return len(self.statements)
-
     @property
     def communicate_count(self) -> int:
         return sum(1 for s in self.statements if isinstance(s, Communicate))
@@ -292,15 +289,20 @@ class ScriptedChoices(ChoiceStream):
 
 
 def choices_from_descriptor(d: Dict[str, object]) -> ChoiceStream:
-    mode = _descriptor_fields(d, "choices", mode=str)["mode"]
+    mode = _descriptor_fields(d, "choices", mode=str, seed=None, picks=None)["mode"]
     if mode == "seed":
-        return SeededChoices(_descriptor_fields(d, "choices", seed=int)["seed"])
+        return SeededChoices(_descriptor_fields(d, "choices", mode=str, seed=int)["seed"])
     if mode == "script":
-        picks = _descriptor_fields(d, "choices", picks=list)["picks"]
+        picks = _descriptor_fields(d, "choices", mode=str, picks=list)["picks"]
         if not all(
             isinstance(row, list) and len(row) == 3 and type(row[0]) is type(row[1]) is int
             for row in picks
         ):
             raise ValueError("choices picks must be a list of [pid, counter, value] rows")
-        return ScriptedChoices({(p, c): v for p, c, v in picks})
+        script: Dict[Tuple[int, int], Value] = {}
+        for pid, counter, value in picks:
+            if (pid, counter) in script:
+                raise ValueError(f"choices picks repeat (pid={pid}, counter={counter})")
+            script[(pid, counter)] = value
+        return ScriptedChoices(script)
     raise ValueError(f"unknown choice mode: {mode!r}")

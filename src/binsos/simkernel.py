@@ -4,7 +4,8 @@ An execution is a pure function of (algorithm instance, choice stream,
 failure pattern, delay pattern): replaying the same inputs reproduces the
 identical event log byte for byte.
 
-Synchronous runs proceed in lock-step rounds; all items communicated during a
+Synchronous runs proceed in lock-step rounds, each statement in the round its
+tag names, until no process is left running; all items communicated during a
 round's communication step are observed, by every process not yet crashed, at
 that round's delivery barrier, before the computation step begins.
 
@@ -73,7 +74,6 @@ _CRASHED = 3
 
 TRACE_FORMAT = "binsos-trace"
 TRACE_VERSION = 1
-_HEADER_FIELDS = ("alg", "cfg", "choices", "fp", "dp", "horizon")
 
 
 class KernelError(Exception):
@@ -108,7 +108,12 @@ class ExecutionTrace:
     events: List[Dict[str, object]]
     outputs: Tuple[Value, ...]
     termination: str
-    recorded: bool = True
+
+    @property
+    def recorded(self) -> bool:
+        """Whether the run kept its header and event log (an unrecorded
+        run's outputs are all that is read)."""
+        return self.header is not None
 
     def output_set(self) -> OutputSet:
         return output_set(self.outputs)
@@ -160,7 +165,8 @@ _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 def _read_header(header) -> Dict[str, object]:
     """Check a trace header, given as a dict or as trace text (whose first
-    line alone is parsed), against the format and version this kernel writes."""
+    line alone is parsed), against the format, version and fields this kernel
+    writes."""
     if isinstance(header, str):
         header = _read_json(header.partition("\n")[0], "trace header")
     if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
@@ -170,10 +176,10 @@ def _read_header(header) -> Dict[str, object]:
         raise PreconditionError(
             f"trace version {version!r} is not supported (expected {TRACE_VERSION})"
         )
-    missing = [name for name in _HEADER_FIELDS if name not in header]
-    if missing:
-        raise PreconditionError(f"trace header lacks {', '.join(missing)}")
-    return header
+    return _descriptor_fields(
+        header, "trace header", format=str, version=int,
+        alg=dict, cfg=dict, choices=dict, fp=dict, dp=dict, horizon=int,
+    )
 
 
 class _Proc:
@@ -316,8 +322,6 @@ class _Kernel:
         self.log(proc.pid, "crash", slot=proc.pc)
 
     def _maybe_finish(self, proc: _Proc) -> None:
-        if proc.status in (_DONE, _CRASHED):
-            return
         if proc.pc >= len(proc.program.statements):
             if proc.pc == proc.crash_slot:
                 self._crash(proc)
@@ -345,8 +349,6 @@ class _Kernel:
                 proc.status = _BLOCKED
                 return False
         self._execute(proc, stmt)
-        if proc.status == _CRASHED:
-            return True
         proc.pc += 1
         self._maybe_finish(proc)
         return True
@@ -404,13 +406,12 @@ class _Kernel:
 
     def finalize(self, termination: str) -> ExecutionTrace:
         outputs = tuple(p.output for p in self.procs)
-        return ExecutionTrace(self.header, self.events, outputs, termination, self.record)
+        return ExecutionTrace(self.header, self.events, outputs, termination)
 
 
 class _SyncKernel(_Kernel):
     def __init__(self, instance, cfg, choices, fp, record):
         super().__init__(instance, cfg, choices, fp, SYNC_CANONICAL, record)
-        self.round_count = instance.round_count
         self.round_items: List[InfoItem] = []
 
     def emit(self, item: InfoItem) -> None:
@@ -419,15 +420,15 @@ class _SyncKernel(_Kernel):
     def _advance_phase(self, limit: Tuple[int, int]) -> None:
         for proc in self.procs:
             statements = proc.program.statements
-            while (
-                proc.status == _RUNNING
-                and proc.pc < len(statements)
-                and statements[proc.pc].at <= limit
-            ):
+            while proc.status == _RUNNING and statements[proc.pc].at <= limit:
                 self.step_proc(proc)
 
     def run(self) -> ExecutionTrace:
-        for rnd in range(1, self.round_count + 1):
+        # A statement runs in the round its tag names, so the run lasts until
+        # every process has run its last statement or crashed.
+        rnd = 0
+        while any(p.status == _RUNNING for p in self.procs):
+            rnd += 1
             self.now = 2 * (rnd - 1)
             self.round_items = []
             self._advance_phase((rnd, COMM))
@@ -610,7 +611,6 @@ def run(instance, cfg, choices, fp, dp=None, record=True) -> ExecutionTrace:
 def replay(source) -> ExecutionTrace:
     """Re-execute a trace from its header alone (trace text or header dict)."""
     header = _read_header(source)
-    horizon = _descriptor_fields(header, "trace header", horizon=int)["horizon"]
     rerun = run(
         instance_from_descriptor(header["alg"]),
         SystemConfig.from_descriptor(header["cfg"]),
@@ -619,7 +619,7 @@ def replay(source) -> ExecutionTrace:
         DelayPattern.from_descriptor(header["dp"]),
     )
     # The horizon follows from the configuration, as the roles do.
-    derived = rerun.header["horizon"]
+    horizon, derived = header["horizon"], rerun.header["horizon"]
     if horizon != derived:
         raise PreconditionError(f"trace header horizon {horizon} is not {derived}")
     return rerun

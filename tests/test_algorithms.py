@@ -160,7 +160,7 @@ class TestInstanceForLine:
         )
         assert inst.programs() is inst.programs()
 
-    def test_sync_statement_beyond_the_last_round_rejected_at_bind(self, monkeypatch):
+    def test_sync_statement_runs_in_the_round_its_tag_names(self, monkeypatch):
         timing, params, _ = algorithms._KINDS[AlgorithmKind.SYNC_CONSENSUS]
 
         def late(instance, pid):  # an output in round 2 of a one-round kind
@@ -169,7 +169,22 @@ class TestInstanceForLine:
         monkeypatch.setitem(
             algorithms._KINDS, AlgorithmKind.SYNC_CONSENSUS, (timing, params, late)
         )
-        with pytest.raises(ValueError, match="rounds 1..1"):
+        inst = instance_for_line(10, Timing.SYNC).bind(2, 1)
+        trace = run_sync(inst, SystemConfig(2, 1, Timing.SYNC), ScriptedChoices(), NO_CRASHES)
+        # Round 2's computation step is tick 2 * (2 - 1) + 1.
+        assert [(e["pid"], e["t"]) for e in trace.events] == [(1, 3), (2, 3)]
+        assert trace.output_set() is OutputSet.ZERO
+
+    def test_untagged_program_in_a_sync_instance_rejected_at_bind(self, monkeypatch):
+        timing, params, _ = algorithms._KINDS[AlgorithmKind.SYNC_CONSENSUS]
+
+        def untagged(instance, pid):
+            return Program((Output(0),))
+
+        monkeypatch.setitem(
+            algorithms._KINDS, AlgorithmKind.SYNC_CONSENSUS, (timing, params, untagged)
+        )
+        with pytest.raises(ValueError, match="process 1 is not tagged with rounds"):
             instance_for_line(10, Timing.SYNC).bind(2, 1)
 
 

@@ -103,7 +103,7 @@ def _line_report(table_n4, line, n_max=4):
     """The cells of one line with n <= n_max from the shared n <= 4 table."""
     report, _ = table_n4
     cells = [c for c in report.cells if c.line == line and c.n <= n_max]
-    return TableReport(n_max=n_max, cells=cells)
+    return TableReport(cells)
 
 
 class TestCheckTable:

@@ -115,6 +115,20 @@ class TestRunCommand:
             (["--alg", "alg6", "--tim", "sync"], "unrecognized arguments: --tim sync"),
             (["--alg", "alg6", "--timing", "sync", "--fp", "null"], "failure pattern"),
             (["--alg", "alg6", "--timing", "sync", "--params", "null"], "--params"),
+            (["--line", "9", "--fp", "@no-such-fp.json"], "cannot read no-such-fp.json"),
+            # A descriptor takes no key it does not read.
+            (
+                ["--line", "1", "--fp", '{"crashes": [], "crashez": [[1,0]]}'],
+                "failure pattern has the undeclared key 'crashez'",
+            ),
+            (
+                ["--line", "9", "--dp", '{"kind":"sync_canonical","default":0}'],
+                "delay pattern has the undeclared key 'default'",
+            ),
+            (
+                ["--line", "9", "--dp", '{"kind":"map","entries":[],"delay":0}'],
+                "delay pattern has the undeclared key 'delay'",
+            ),
         ],
     )
     def test_bad_input_is_rejected_with_its_field_named(self, tmp_path, capsys, flags, named):
@@ -198,6 +212,33 @@ class TestReplayCommand:
             (lambda header: header.update(choices={}), "choices lacks 'mode'"),
             (lambda header: header.update(alg={}), "algorithm lacks 'kind'"),
             (lambda header: header["alg"].update(no_out=True), "no_out"),
+            (lambda header: header.update(note=1), "trace header has the undeclared key 'note'"),
+            (
+                lambda header: header["cfg"].update(horizon=4),
+                "system config has the undeclared key 'horizon'",
+            ),
+            (
+                lambda header: header["alg"].update(rounds=1),
+                "algorithm has the undeclared key 'rounds'",
+            ),
+            (
+                lambda header: header["alg"].update(permissive=None),
+                "algorithm permissive None must be bool",
+            ),
+            (
+                lambda header: header["fp"].update(crashez=[[1, 0]]),
+                "failure pattern has the undeclared key 'crashez'",
+            ),
+            (
+                lambda header: header["choices"].update(picks=[]),
+                "choices has the undeclared key 'picks'",
+            ),
+            (
+                lambda header: header.update(
+                    choices={"mode": "script", "picks": [[1, 0, 0], [2, 0, 0], [1, 0, 1]]}
+                ),
+                "choices picks repeat (pid=1, counter=0)",
+            ),
         ],
     )
     def test_unreadable_header_rejected(self, tmp_path, capsys, edit, named):
@@ -260,6 +301,16 @@ class TestReplayCommand:
         assert code == cli.EXIT_PRECONDITION
         assert "final record" in err and stdout == ""
 
+    def test_final_record_with_an_undeclared_key_rejected(self, tmp_path, capsys):
+        out = self.make_trace(tmp_path, capsys)
+        lines = out.read_text().splitlines()
+        final = json.loads(lines[-1])
+        final["note"] = 1
+        out.write_text("\n".join(lines[:-1] + [json.dumps(final)]) + "\n")
+        code, stdout, err = invoke(capsys, "replay", str(out))
+        assert code == cli.EXIT_PRECONDITION
+        assert "trace final record has the undeclared key 'note'" in err and stdout == ""
+
 
 class TestCheckCommand:
     def test_single_cell_verdict(self, capsys):
@@ -270,6 +321,11 @@ class TestCheckCommand:
         summary = last_json(stdout)
         assert summary["status"] == "ok"
         assert summary["observed"] == "{{0}, {1}}"
+
+    def test_neither_alg_nor_line_rejected(self, capsys):
+        code, stdout, err = invoke(capsys, "check", "-n", "2", "-t", "1")
+        assert code == cli.EXIT_PRECONDITION
+        assert "one of --alg or --line is required" in err and stdout == ""
 
     def test_cell_outside_the_condition_rejected_at_bind(self, capsys):
         code, _, err = invoke(
@@ -388,6 +444,19 @@ class TestPlumbing:
         )
         assert code == 0
         assert last_json(stdout)["termination"] == "ALL_DONE"
+
+    def test_config_key_loses_to_the_command_line(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": 7, "t": 0}))
+        out = tmp_path / "t.trace"
+        code, _, err = invoke(
+            capsys, "--config", str(config), "run", "--alg", "alg6", "--timing", "sync",
+            "-n", "2", "-t", "1", "--seed", "3", "--out", str(out),
+        )
+        assert code == cli.EXIT_OK, err
+        header = json.loads(out.read_text().splitlines()[0])
+        assert header["choices"] == {"mode": "seed", "seed": 3}
+        assert header["cfg"]["t"] == 1
 
     def test_config_given_with_an_equals_sign(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -55,24 +55,24 @@ def test_classify_line_is_a_bijection():
 
 
 def test_tight_condition_examples():
-    assert tight_condition(7, Timing.ASYNC)(5, 2) is True
-    assert tight_condition(7, Timing.ASYNC)(4, 2) is False
-    assert tight_condition(10, Timing.ASYNC)(3, 1) is False
-    assert tight_condition(10, Timing.ASYNC)(3, 0) is True
+    assert tight_condition(7, Timing.ASYNC).holds(5, 2) is True
+    assert tight_condition(7, Timing.ASYNC).holds(4, 2) is False
+    assert tight_condition(10, Timing.ASYNC).holds(3, 1) is False
+    assert tight_condition(10, Timing.ASYNC).holds(3, 0) is True
     for n in range(6):
         for t in range(n + 1):
-            assert tight_condition(16, Timing.SYNC)(n, t) is False
-            assert tight_condition(16, Timing.ASYNC)(n, t) is False
+            assert tight_condition(16, Timing.SYNC).holds(n, t) is False
+            assert tight_condition(16, Timing.ASYNC).holds(n, t) is False
 
 
 def test_tight_condition_grid_spot_values():
     # Hand-checked corner cells of each condition shape.
-    assert tight_condition(1, Timing.SYNC)(2, 2)      # n >= t, n >= 2
-    assert not tight_condition(2, Timing.SYNC)(2, 2)  # needs n > t
-    assert tight_condition(7, Timing.SYNC)(3, 1)      # n >= t+2
-    assert not tight_condition(7, Timing.SYNC)(2, 1)
-    assert tight_condition(15, Timing.ASYNC)(0, 0)    # n >= 0 admits the empty system
-    assert not tight_condition(9, Timing.ASYNC)(0, 0)  # n >= 1
+    assert tight_condition(1, Timing.SYNC).holds(2, 2)      # n >= t, n >= 2
+    assert not tight_condition(2, Timing.SYNC).holds(2, 2)  # needs n > t
+    assert tight_condition(7, Timing.SYNC).holds(3, 1)      # n >= t+2
+    assert not tight_condition(7, Timing.SYNC).holds(2, 1)
+    assert tight_condition(15, Timing.ASYNC).holds(0, 0)    # n >= 0 admits the empty system
+    assert not tight_condition(9, Timing.ASYNC).holds(0, 0)  # n >= 1
 
 
 def test_integer_form_matches_rational_inequality():
@@ -100,7 +100,7 @@ def test_conditions_imply_counting_bounds():
             cond = tight_condition(line, timing)
             for n in range(13):
                 for t in range(n + 1):
-                    if cond(n, t):
+                    if cond.holds(n, t):
                         assert n >= need_n, (line, timing, n, t)
                         assert n - t >= need_correct, (line, timing, n, t)
 

@@ -90,7 +90,7 @@ class TestProgramStructure:
                 Communicate("OUTPUT", 0),
             )
         )
-        assert len(program) == 4
+        assert len(program.statements) == 4
         assert program.communicate_count == 2
         assert program.slot_count == 5
         assert not program.is_sync

@@ -3,17 +3,19 @@ kernel run lies inside the family it finds, and that exploring one failure
 pattern per symmetry orbit, with crashes only at the crash slots, finds the
 family of every failure pattern."""
 
+import pytest
 from conftest import stretch_representative
 
-from binsos import algorithms
+from binsos import algorithms, checker
 from binsos.algorithms import AlgorithmInstance, AlgorithmKind, RoleError, instance_for_line
-from binsos.checker import branch_choices, explore, sample_traces
+from binsos.checker import ExplorationBudget, branch_choices, explore, sample_traces
 from binsos.outputsets import OutputSet, SystemConfig, Timing, sos, tight_condition
 from binsos.patterns import (
     NO_CRASHES,
     SYNC_CANONICAL,
     FailurePattern,
     all_latest,
+    count_failure_pattern_orbits,
     enum_failure_pattern_orbits,
     enum_failure_patterns,
 )
@@ -147,6 +149,21 @@ class TestBound:
         assert whole.complete and whole.states > 3
         cut = search_async(inst, cfg, NO_CRASHES, 3)
         assert not cut.complete and cut.states == 3
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_state_bound_stops_explore(self, monkeypatch, cap):
+        # One orbit of 16 states: a cap below that cuts the search short.
+        inst, cfg = _bound(7, 4, 0)
+        assert count_failure_pattern_orbits(4, 0, inst.programs()) == 1
+        assert search_async(inst, cfg, NO_CRASHES, 10**6).states == 16
+        monkeypatch.setattr(checker, "SIZE_CAP", cap)
+        verdict = explore(inst, cfg, ExplorationBudget(sample_runs=0))
+        assert not verdict.exhaustive
+        assert verdict.status != "incomplete"
+        evidence = [*verdict.witnesses.values(), *verdict.violations]
+        assert evidence
+        for trace in evidence:
+            assert replay(trace.to_jsonl()).to_jsonl() == trace.to_jsonl()
 
     def test_executions_count_terminal_states(self):
         inst, cfg = _bound(9, 2, 1)
