@@ -43,8 +43,7 @@ from .checker import (
     bounds_screen,
     check_table,
     explore,
-    witness_lone_survivor,
-    witness_split_crash,
+    witness,
 )
 
 __version__ = "0.1.0"
@@ -86,6 +85,5 @@ __all__ = [
     "run_async",
     "run_sync",
     "tight_condition",
-    "witness_lone_survivor",
-    "witness_split_crash",
+    "witness",
 ]

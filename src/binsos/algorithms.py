@@ -118,8 +118,9 @@ def make_roles(
     take alternating ids (odd positions to the 1-sequence so it is the longer
     one for odd n); the designated process is p1.
 
-    ``permissive`` relaxes the size requirements so witness constructions can
-    run an algorithm outside its validity envelope.
+    ``permissive`` relaxes the size requirements so that ``checker.witness``
+    and ``run --permissive`` can run an algorithm outside its validity
+    envelope.
     """
     ids = list(range(1, n + 1))
     if kind is AlgorithmKind.ASYNC_DISAGREEMENT:

@@ -16,10 +16,11 @@ every failure pattern of the cell, at every slot, and
 ``failure_pattern_orbits`` the orbits an exhaustive exploration runs.
 ``check_table`` reproduces the whole characterization table at desk scale.
 
-The witness constructors re-enact the crash schedules from the necessity
-arguments as counterexample demonstrations against the shipped algorithms
-run outside their validity envelope.  They are demonstrations, not general
-impossibility proofs: testing cannot quantify over all algorithms.
+``witness`` reads a counterexample from ``explore``: a run of a shipped
+disagreement algorithm (line 7 or 8), bound outside its line's tight
+condition, whose output set holds one value.  It refutes that algorithm
+there; it is not a general impossibility proof, since testing cannot
+quantify over all algorithms.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .algorithms import AlgorithmInstance, AlgorithmKind, instance_for_line
+from .algorithms import AlgorithmInstance, instance_for_line
 from .outputsets import (
     OutputSet,
     SetOfOutputSets,
@@ -42,8 +43,6 @@ from .outputsets import (
     tight_condition,
 )
 from .patterns import (
-    ALL_IMMEDIATE,
-    NO_CRASHES,
     SYNC_CANONICAL,
     DelayPattern,
     FailurePattern,
@@ -53,7 +52,7 @@ from .patterns import (
     sample_delay_pattern,
     sample_failure_pattern,
 )
-from .program import ChoiceNeeded, Communicate, Output, Pick, ScriptedChoices, SeededChoices
+from .program import ChoiceNeeded, Pick, ScriptedChoices, SeededChoices
 from .simkernel import (
     ExecutionTrace,
     KernelError,
@@ -69,7 +68,7 @@ SIZE_CAP = 1_000_000
 
 
 class WitnessSearchError(Exception):
-    """The witness construction could not be completed within budget."""
+    """``explore`` found no run with a singleton output set."""
 
 
 @dataclass
@@ -442,201 +441,40 @@ def bounds_screen(o: SetOfOutputSets, cfg: SystemConfig) -> Tuple[bool, str]:
 # ---------------------------------------------------------------------------
 # Counterexample witnesses outside the tight region.
 
-LONE_SURVIVOR = "lone_survivor"
-SPLIT_CRASH = "split_crash"
-
 
 @dataclass
 class WitnessResult:
-    """A crash construction's execution; its header holds the choices, fp and dp."""
+    """A singleton violation of a line-7/8 cell outside its condition, and the
+    cell's verdict; the trace's header holds the choices, fp and dp."""
 
-    construction: str
-    notes: str
     trace: ExecutionTrace
+    verdict: Verdict
 
     @property
     def output_set(self) -> OutputSet:
         return self.trace.output_set()
 
 
-def _output_events(trace: ExecutionTrace) -> List[Dict[str, object]]:
-    return [e for e in trace.events if e["kind"] == "output"]
-
-
-def _pre_output_crashes(
-    trace: ExecutionTrace, pids: Sequence[int]
-) -> Dict[int, int]:
-    """Slots crashing each pid just before its output in ``trace``."""
-    outputs = {e["pid"]: e["stmt"] for e in _output_events(trace)}
-    return {pid: outputs[pid] for pid in pids}
-
-
-def _find_both_execution(
-    instance: AlgorithmInstance,
-    cfg: SystemConfig,
-    fp: FailurePattern,
-    dp: DelayPattern,
-) -> Tuple[Dict, ExecutionTrace]:
-    for picks, trace in branch_choices(lambda choices: run(instance, cfg, choices, fp, dp)):
-        if trace.output_set() is OutputSet.BOTH:
-            return picks, trace
-    raise WitnessSearchError(
-        "no completing execution with both values found within budget"
-    )
-
-
-def witness_lone_survivor(
-    cfg: SystemConfig, no_out: bool = False
-) -> WitnessResult:
-    """Crash everyone but the first outputter; requires n - t < 2.
-
-    Finds a completing execution producing both values, then re-runs it with
-    every process except the first outputter crashing before it outputs
-    anything.  The result is a singleton output set: a safety violation for
-    any target whose only non-empty member is the two-valued set.
+def witness(cfg: SystemConfig, no_out: bool = False) -> WitnessResult:
+    """A run of line 7's (``no_out``) or line 8's disagreement algorithm,
+    bound permissively at a cell outside the line's tight condition, that
+    outputs one value only: the first such violation ``explore`` finds.
     """
-    if cfg.n - cfg.t >= 2:
+    line = 7 if no_out else 8
+    condition = tight_condition(line, cfg.timing)
+    if condition.holds(cfg.n, cfg.t):
         raise PreconditionError(
-            f"construction needs n - t < 2, have n - t = {cfg.n - cfg.t}"
+            f"condition satisfied at n={cfg.n}, t={cfg.t} ({condition}) for line "
+            f"{line} under {cfg.timing.value}; nothing to witness"
         )
-    if cfg.n < 2:
-        raise PreconditionError("need at least two processes")
-    kind = (
-        AlgorithmKind.ASYNC_DISAGREEMENT
-        if cfg.timing is Timing.ASYNC
-        else AlgorithmKind.SYNC_DISAGREEMENT
-    )
-    instance = AlgorithmInstance(kind=kind, timing=cfg.timing, no_out=no_out).bind(
-        cfg.n, cfg.t, permissive=True
-    )
-    dp = ALL_IMMEDIATE if cfg.timing is Timing.ASYNC else SYNC_CANONICAL
-    picks, base = _find_both_execution(instance, cfg, NO_CRASHES, dp)
-    first = min(_output_events(base), key=lambda e: e["seq"])
-    survivor, value = first["pid"], first["value"]
-    others = [pid for pid in range(1, cfg.n + 1) if pid != survivor]
-    fp = FailurePattern.of(_pre_output_crashes(base, others))
-    trace = run(instance, cfg, ScriptedChoices(picks), fp, dp)
-    expected = OutputSet.ZERO if value == 0 else OutputSet.ONE
-    if trace.output_set() is not expected:
-        raise WitnessSearchError(
-            f"construction produced {trace.output_set()} instead of {expected}"
-        )
-    notes = f"survivor p{survivor} outputs {value}; all others crash pre-output"
-    return WitnessResult(LONE_SURVIVOR, notes, trace)
+    instance = instance_for_line(line, cfg.timing).bind(cfg.n, cfg.t, permissive=True)
+    verdict = explore(instance, cfg)
+    for trace in verdict.violations:
+        if trace.output_set() in (OutputSet.ZERO, OutputSet.ONE):
+            return WitnessResult(trace, verdict)
+    violating = sos_str(verdict.observed - verdict.target)
+    raise WitnessSearchError(f"no singleton output set among the violations {violating}")
 
 
-def _delayed_after_output_dp(
-    instance: AlgorithmInstance, pids: Sequence[int]
-) -> DelayPattern:
-    """All-immediate, except everything ``pids`` communicate after their
-    output statement is delayed to the horizon (for every receiver)."""
-    horizon = default_horizon(instance.n)
-    entries: Dict[Tuple[int, int, int], int] = {}
-    programs = instance.programs()
-    for pid in pids:
-        program = programs[pid - 1]
-        output_at = next(
-            i for i, s in enumerate(program.statements) if isinstance(s, Output)
-        )
-        ordinal = 0
-        for i, stmt in enumerate(program.statements):
-            if isinstance(stmt, Communicate):
-                if i > output_at:
-                    for receiver in range(1, instance.n + 1):
-                        entries[(pid, ordinal, receiver)] = horizon
-                ordinal += 1
-    return DelayPattern.of(entries, default=0)
-
-
-def witness_split_crash(cfg: SystemConfig) -> WitnessResult:
-    """Staged crash schedule against the asynchronous disagreement algorithm
-    run outside its envelope (2n <= 3t+2, t >= 1).
-
-    Stage by stage: crash the first outputter right after its output, then
-    crash each successive second outputter just before its output.  If some
-    stage already yields a singleton output set, that execution is the
-    witness.  Otherwise the crash-free variant with delayed post-output
-    communication is built, the first t+1 outputters are split by output
-    value, and the minority side plus all remaining processes crash before
-    their outputs, leaving the majority to output one single value.
-
-    The staged schedule assumes the algorithm keeps producing a second
-    outputter while crashes remain; if it stops doing so without producing a
-    singleton, the construction reports inapplicability rather than passing.
-    """
-    if cfg.timing is not Timing.ASYNC:
-        raise PreconditionError("construction applies to asynchronous systems")
-    if cfg.t < 1:
-        raise PreconditionError("construction needs t >= 1 (no crashes available)")
-    if 2 * cfg.n > 3 * cfg.t + 2:
-        raise PreconditionError(
-            f"condition satisfied at n={cfg.n}, t={cfg.t} (2n > 3t+2); "
-            f"nothing to witness"
-        )
-    instance = AlgorithmInstance(
-        kind=AlgorithmKind.ASYNC_DISAGREEMENT, timing=Timing.ASYNC, no_out=False
-    ).bind(cfg.n, cfg.t, permissive=True)
-    choices = ScriptedChoices({})  # no_out=False programs consume no picks
-
-    def rerun(fp: FailurePattern, dp: DelayPattern) -> ExecutionTrace:
-        return run(instance, cfg, choices, fp, dp)
-
-    base = rerun(NO_CRASHES, ALL_IMMEDIATE)
-    if base.output_set() is not OutputSet.BOTH:
-        raise WitnessSearchError("no crash-free execution producing both values")
-
-    outputs = sorted(_output_events(base), key=lambda e: e["seq"])
-    first = outputs[0]
-    crashes = {first["pid"]: first["stmt"] + 1}  # right after its output
-    current = rerun(FailurePattern.of(crashes), ALL_IMMEDIATE)
-    for stage in range(2, cfg.t + 1):
-        if current.output_set() in (OutputSet.ZERO, OutputSet.ONE):
-            return WitnessResult(SPLIT_CRASH, f"stage {stage - 1}", current)
-        events = sorted(_output_events(current), key=lambda e: e["seq"])
-        seconds = [e for e in events if e["pid"] not in crashes and e["pid"] != first["pid"]]
-        if not seconds:
-            raise WitnessSearchError(
-                f"stage {stage}: no second outputter; construction inapplicable"
-            )
-        second = seconds[0]
-        crashes[second["pid"]] = second["stmt"]  # just before its output
-        current = rerun(FailurePattern.of(crashes), ALL_IMMEDIATE)
-
-    if current.output_set() in (OutputSet.ZERO, OutputSet.ONE):
-        return WitnessResult(SPLIT_CRASH, f"stage {cfg.t}", current)
-
-    events = sorted(_output_events(current), key=lambda e: e["seq"])
-    non_crashed = [e for e in events if e["pid"] not in crashes]
-    if not non_crashed:
-        raise WitnessSearchError("no further outputter; construction inapplicable")
-
-    # Crash-free variant: previously crashed processes stay up, but whatever
-    # they communicate after their outputs arrives only at the horizon.
-    delayed = _delayed_after_output_dp(instance, sorted(crashes))
-    free = rerun(NO_CRASHES, delayed)
-    ordered = sorted(_output_events(free), key=lambda e: e["seq"])
-    leaders = []
-    for event in ordered:
-        if event["pid"] not in [e["pid"] for e in leaders]:
-            leaders.append(event)
-        if len(leaders) == cfg.t + 1:
-            break
-    if len(leaders) < cfg.t + 1:
-        raise WitnessSearchError("fewer than t+1 outputters; construction inapplicable")
-    zeros = [e["pid"] for e in leaders if e["value"] == 0]
-    ones = [e["pid"] for e in leaders if e["value"] == 1]
-    minority, majority = (zeros, ones) if len(zeros) <= len(ones) else (ones, zeros)
-    rest = [
-        pid
-        for pid in range(1, cfg.n + 1)
-        if pid not in [e["pid"] for e in leaders]
-    ]
-    if len(minority) + len(rest) > cfg.t:
-        raise WitnessSearchError("minority plus remainder exceeds crash budget")
-    fp = FailurePattern.of(_pre_output_crashes(free, minority + rest))
-    final = rerun(fp, delayed)
-    if final.output_set() not in (OutputSet.ZERO, OutputSet.ONE):
-        raise WitnessSearchError(
-            f"final execution produced {final.output_set()}, not a singleton"
-        )
-    return WitnessResult(SPLIT_CRASH, "majority-only stage", final)
+# The names bench/workloads.py imports; the benchmark revision (ROADMAP item 1) removes them.
+witness_lone_survivor = witness_split_crash = witness

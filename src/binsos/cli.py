@@ -2,13 +2,16 @@
 
 Subcommands: ``run`` one execution and write its trace, ``replay`` a trace
 file, ``check`` one (algorithm, n, t, timing) cell, ``table`` the whole
-characterization matrix, ``witness`` a crash-schedule counterexample, and
-``conditions`` the machine-readable condition table.  Each job has one
-subcommand: only ``replay`` re-executes a trace, only ``conditions`` writes
-the condition table.
+characterization matrix, ``witness`` a counterexample read from ``explore``
+(a run of the line-7 or line-8 algorithm outside its condition whose output
+set holds one value, with the cell's verdict), and ``conditions`` the
+machine-readable condition table.  Each job has one subcommand: only
+``replay`` re-executes a trace, only ``conditions`` writes the condition
+table.
 
 Exit codes partition outcomes: 0 success, 1 verdict failure, 2 usage or
-precondition rejection, 3 completeness not witnessed within budget.
+precondition rejection, 3 completeness not witnessed within budget (or no
+singleton output set found by ``witness``).
 ``--budget N`` (N >= 0) sets ``checker.ExplorationBudget.sample_runs``,
 whose docstring states when a cell is sampled or its search stops short.
 No flag sets the horizon (4n async, 0 sync); ``replay`` rejects a trace
@@ -213,17 +216,12 @@ def cmd_table(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    cfg = _system(args)
-    if args.kind == checker.LONE_SURVIVOR:
-        result = checker.witness_lone_survivor(cfg, no_out=args.no_out)
-    else:
-        result = checker.witness_split_crash(cfg)
+    result = checker.witness(_system(args), no_out=args.no_out)
     _write_out(args.out, result.trace.to_jsonl())
     summary = {
-        "construction": result.construction,
         "output_set": str(result.output_set),
-        "notes": result.notes,
         "fp": result.trace.header["fp"],
+        "verdict": result.verdict.summary(),
     }
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
@@ -298,14 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = add_command(
-        "witness", help="produce a crash-schedule counterexample trace"
-    )
-    p.add_argument(
-        "kind", choices=[checker.LONE_SURVIVOR, checker.SPLIT_CRASH]
+        "witness",
+        help="search a line-7/8 cell outside its condition for a singleton output set",
     )
     _add_system_flags(p)
     p.add_argument("--no-out", dest="no_out", action="store_true",
-                   help="use the variant that may output nothing")
+                   help="line 7, whose algorithm may output nothing (default: line 8)")
     p.add_argument("--out", help="trace file path (default: stdout)")
     p.set_defaults(func=cmd_witness)
 

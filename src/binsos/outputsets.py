@@ -94,12 +94,6 @@ def sos_mask(s: SetOfOutputSets) -> int:
     return mask
 
 
-def sos_from_mask(mask: int) -> SetOfOutputSets:
-    if not 0 <= mask < 16:
-        raise ValueError(f"mask out of range: {mask}")
-    return frozenset(m for m in OutputSet if mask & (1 << m.value))
-
-
 def sos_str(s: SetOfOutputSets) -> str:
     members = sorted(s, key=lambda m: m.value)
     return "{" + ", ".join(str(m) for m in members) + "}"

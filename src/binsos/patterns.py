@@ -281,11 +281,6 @@ SYNC_CANONICAL = DelayPattern(kind="sync_canonical")
 ALL_IMMEDIATE = DelayPattern("map", (), 0)
 
 
-def all_latest(horizon: int) -> DelayPattern:
-    """Every item delivered at the horizon."""
-    return DelayPattern("map", (), horizon)
-
-
 def sample_delay_pattern(
     rng: random.Random,
     emission_slots: Sequence[EmissionSlot],

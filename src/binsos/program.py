@@ -244,7 +244,10 @@ class SeededChoices(ChoiceStream):
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._base = _splitmix64(self.seed & _M64)
+        # A seed outside 64 bits would alias one inside under another header.
+        if not 0 <= self.seed <= _M64:
+            raise ValueError(f"choice seed {self.seed} is outside 0..2**64-1")
+        self._base = _splitmix64(self.seed)
 
     def pick(self, pid: int, counter: int, candidates: Tuple[Value, ...]) -> Value:
         z = _splitmix64(self._base ^ (pid * 0xA076_1D64_78BD_642F) & _M64)
@@ -258,10 +261,9 @@ class SeededChoices(ChoiceStream):
 class ScriptedChoices(ChoiceStream):
     """Explicit (pid, counter) -> value map; strict on unscripted sites.
 
-    Sync ``explore`` and the witness constructions' search for a two-valued
-    run catch ChoiceNeeded, fork one extended script per candidate and
-    restart, which enumerates every pick outcome reachable under the given
-    failure and delay patterns.  ``search_async`` instead forks cloned
+    Sync ``explore`` catches ChoiceNeeded, forks one extended script per
+    candidate and restarts, which enumerates every pick outcome reachable
+    under the given failure pattern.  ``search_async`` instead forks cloned
     kernel states on ChoiceNeeded, and returns the picks of each output set
     it reaches as a script for the recorded rerun.
     """

@@ -1,7 +1,7 @@
 """Shared pytest plumbing: surface acceptance verdicts in the summary, the
 n <= 4 and n <= 5 table reports, each failure pattern's representative at
-the crash slots, and an instance outside the six algorithms' wire
-vocabulary."""
+the crash slots, the all-latest delay pattern, and an instance outside the
+six algorithms' wire vocabulary."""
 
 import time
 
@@ -11,7 +11,7 @@ from binsos import algorithms
 from binsos.algorithms import AlgorithmInstance, AlgorithmKind
 from binsos.checker import ExplorationBudget, check_table
 from binsos.outputsets import SystemConfig, Timing
-from binsos.patterns import FailurePattern
+from binsos.patterns import DelayPattern, FailurePattern
 from binsos.program import Communicate, LocalRef, Observed, Output, Program, Wait
 
 ACCEPTANCE_LINES = []
@@ -22,6 +22,11 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def all_latest(horizon):
+    """Every item delivered at the horizon."""
+    return DelayPattern("map", (), horizon)
 
 
 def stretch_representative(fp, programs):

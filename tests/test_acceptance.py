@@ -13,8 +13,7 @@ from binsos.algorithms import instance_for_line
 from binsos.checker import (
     branch_choices,
     sample_traces,
-    witness_lone_survivor,
-    witness_split_crash,
+    witness,
 )
 from binsos.oracle import observed_output_sets
 from binsos.outputsets import (
@@ -146,21 +145,23 @@ def test_criterion_4_medium_property_audit():
 
 
 def test_criterion_5_necessity_witnesses():
-    """The crash constructions break both disagreement algorithms outside
-    the tight region, with replayable singleton traces.
+    """``explore`` breaks both disagreement algorithms outside the tight
+    region: ``witness`` reads from it a run whose output set holds one value,
+    and its trace replays byte for byte.
 
-    These are counterexample demonstrations against the shipped algorithms,
-    not general impossibility proofs.
+    These are counterexamples against the shipped algorithms, not general
+    impossibility proofs.
     """
     singletons = (OutputSet.ZERO, OutputSet.ONE)
-    results = []
-    for cfg in (SystemConfig(2, 1, Timing.ASYNC), SystemConfig(2, 1, Timing.SYNC)):
-        results.append((f"lone_survivor {cfg.timing.value} (2,1)",
-                        witness_lone_survivor(cfg)))
-    results.append(("split_crash async (4,2)",
-                    witness_split_crash(SystemConfig(4, 2, Timing.ASYNC))))
+    cells = (
+        SystemConfig(2, 1, Timing.ASYNC),
+        SystemConfig(2, 1, Timing.SYNC),
+        SystemConfig(4, 2, Timing.ASYNC),
+    )
     problems = []
-    for name, result in results:
+    for cfg in cells:
+        name = f"{cfg.timing.value} ({cfg.n},{cfg.t})"
+        result = witness(cfg)
         if result.output_set not in singletons:
             problems.append(f"{name}: produced {result.output_set}")
             continue
@@ -171,8 +172,8 @@ def test_criterion_5_necessity_witnesses():
     _report(
         "5 necessity-witnesses",
         not problems,
-        f"{len(results)} witness schedules, each a replayable singleton; "
-        f"problems: {problems}",
+        f"{len(cells)} cells outside the condition, each with a replayable "
+        f"singleton violation; problems: {problems}",
     )
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from binsos.algorithms import instance_for_line
 from binsos.checker import (
-    LONE_SURVIVOR,
     SIZE_CAP,
     ExplorationBudget,
     TableReport,
@@ -14,8 +13,7 @@ from binsos.checker import (
     bounds_screen,
     check_table,
     explore,
-    witness_lone_survivor,
-    witness_split_crash,
+    witness,
 )
 from binsos.outputsets import OutputSet, SystemConfig, Timing, line_members, sos, tight_condition
 from binsos.patterns import count_failure_pattern_orbits
@@ -182,69 +180,104 @@ class TestBoundsScreen:
                             assert bounds_screen(line_members(line), cfg)[0], (line, cfg)
 
 
+def _singleton_replays(result):
+    text = result.trace.to_jsonl()
+    return (
+        result.output_set in (OutputSet.ZERO, OutputSet.ONE)
+        and result.verdict.exhaustive
+        and medium_check(result.trace) == []
+        and replay(text).to_jsonl() == text
+    )
+
+
+class TestWitnessSweep:
+    CELLS = [
+        (SystemConfig(n, t, timing), no_out)
+        for timing in Timing
+        for no_out in (False, True)
+        for n in range(2, 5)
+        for t in range(n + 1)
+        if not tight_condition(7 if no_out else 8, timing).holds(n, t)
+    ]
+
+    def test_cells_outside_the_condition(self):
+        assert len(self.CELLS) == 26
+
+    @pytest.mark.parametrize("cfg,no_out", CELLS)
+    def test_every_cell_gives_a_replayable_singleton(self, cfg, no_out):
+        result = witness(cfg, no_out)
+        assert _singleton_replays(result), (cfg, no_out)
+        assert result.verdict.status == "unsafe"
+        assert result.trace in result.verdict.violations
+
+
 class TestLoneSurvivorWitness:
+    """Cells where at most one process is sure to be correct (n - t < 2)."""
+
     def test_sync_two_processes(self):
-        result = witness_lone_survivor(SystemConfig(2, 1, Timing.SYNC))
+        result = witness(SystemConfig(2, 1, Timing.SYNC))
         assert result.output_set in (OutputSet.ZERO, OutputSet.ONE)
-        assert result.construction == LONE_SURVIVOR
+        assert result.trace.header["alg"]["line"] == 8
 
     def test_async_three_processes(self):
-        result = witness_lone_survivor(SystemConfig(3, 2, Timing.ASYNC))
+        result = witness(SystemConfig(3, 2, Timing.ASYNC))
         assert result.output_set in (OutputSet.ZERO, OutputSet.ONE)
 
     def test_survivor_is_the_only_outputter(self):
-        result = witness_lone_survivor(SystemConfig(2, 1, Timing.ASYNC))
+        result = witness(SystemConfig(2, 1, Timing.ASYNC))
         non_none = [v for v in result.trace.outputs if v is not None]
         assert len(non_none) == 1
 
     def test_gate_variant_also_breaks(self):
-        result = witness_lone_survivor(SystemConfig(2, 1, Timing.SYNC), no_out=True)
+        result = witness(SystemConfig(2, 1, Timing.SYNC), no_out=True)
         assert result.output_set in (OutputSet.ZERO, OutputSet.ONE)
+        assert result.trace.header["alg"]["line"] == 7
 
     def test_rejects_condition_satisfying_configs(self):
-        with pytest.raises(PreconditionError):
-            witness_lone_survivor(SystemConfig(3, 1, Timing.SYNC))
+        with pytest.raises(PreconditionError, match="condition satisfied"):
+            witness(SystemConfig(3, 1, Timing.SYNC))
 
     def test_witness_trace_replays(self):
         for timing in (Timing.SYNC, Timing.ASYNC):
             for no_out in (False, True):
-                result = witness_lone_survivor(SystemConfig(2, 1, timing), no_out=no_out)
-                assert result.output_set in (OutputSet.ZERO, OutputSet.ONE)
-                text = result.trace.to_jsonl()
-                assert replay(text).to_jsonl() == text
-                assert medium_check(result.trace) == []
+                assert _singleton_replays(witness(SystemConfig(2, 1, timing), no_out=no_out))
 
 
 class TestSplitCrashWitness:
+    """Asynchronous line-8 cells with n - t >= 2 and 2n <= 3t+2."""
+
     def test_boundary_configuration(self):
-        result = witness_split_crash(SystemConfig(4, 2, Timing.ASYNC))
+        result = witness(SystemConfig(4, 2, Timing.ASYNC))
         assert result.output_set in (OutputSet.ZERO, OutputSet.ONE)
         assert len(result.trace.header["fp"]["crashes"]) <= 2
 
     def test_larger_configuration(self):
-        result = witness_split_crash(SystemConfig(5, 3, Timing.ASYNC))
+        result = witness(SystemConfig(5, 3, Timing.ASYNC))
         assert result.output_set in (OutputSet.ZERO, OutputSet.ONE)
 
     def test_rejects_satisfied_condition(self):
         with pytest.raises(PreconditionError, match="condition satisfied"):
-            witness_split_crash(SystemConfig(5, 2, Timing.ASYNC))
+            witness(SystemConfig(5, 2, Timing.ASYNC))
 
     def test_rejects_no_crash_budget(self):
-        with pytest.raises(PreconditionError, match="t >= 1"):
-            witness_split_crash(SystemConfig(2, 0, Timing.ASYNC))
+        # With no crash, every line-7/8 cell with n >= 2 meets its condition.
+        for timing in Timing:
+            for no_out in (False, True):
+                with pytest.raises(PreconditionError, match="condition satisfied"):
+                    witness(SystemConfig(2, 0, timing), no_out)
 
     def test_rejects_synchronous_systems(self):
-        with pytest.raises(PreconditionError):
-            witness_split_crash(SystemConfig(4, 2, Timing.SYNC))
+        # Sync (4, 2) meets n >= t+2, where async (4, 2) misses 2n > 3t+2.
+        with pytest.raises(PreconditionError, match="condition satisfied"):
+            witness(SystemConfig(4, 2, Timing.SYNC))
 
     def test_witness_trace_replays(self):
-        # (2, 1) is the cell that reaches the majority-only stage.
         for n, t in ((4, 2), (2, 1)):
-            result = witness_split_crash(SystemConfig(n, t, Timing.ASYNC))
-            assert result.output_set in (OutputSet.ZERO, OutputSet.ONE)
-            text = result.trace.to_jsonl()
-            assert replay(text).to_jsonl() == text
-        assert result.notes == "majority-only stage"
+            assert _singleton_replays(witness(SystemConfig(n, t, Timing.ASYNC)))
+
+    def test_rejects_a_single_process(self):
+        with pytest.raises(PreconditionError, match="at least 2 processes"):
+            witness(SystemConfig(1, 1, Timing.ASYNC))
 
 
 class TestOracleAgreement:

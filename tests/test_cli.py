@@ -1,10 +1,13 @@
 """Command line surface: flags, files, exit codes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from binsos import cli
+from binsos import checker, cli
 
 
 def invoke(capsys, *argv):
@@ -52,6 +55,22 @@ class TestRunCommand:
         )
         assert code == cli.EXIT_PRECONDITION
         assert "n>=t+2" in err
+
+    @pytest.mark.parametrize("seed", [str(2**64 + 7), "-1", str(2**64 - 1 + 2**64)])
+    def test_run_rejects_a_seed_outside_64_bits(self, capsys, seed):
+        code, stdout, err = invoke(
+            capsys, "run", "--alg", "alg6", "-n", "3", "-t", "1", "--timing", "sync",
+            "--seed", seed,
+        )
+        assert code == cli.EXIT_PRECONDITION
+        assert f"choice seed {seed} is outside 0..2**64-1" in err and stdout == ""
+
+    def test_run_takes_the_largest_64_bit_seed(self, capsys):
+        code, _, _ = invoke(
+            capsys, "run", "--alg", "alg6", "-n", "3", "-t", "1", "--timing", "sync",
+            "--seed", str(2**64 - 1),
+        )
+        assert code == cli.EXIT_OK
 
     def test_run_rejects_t_above_n(self, capsys):
         code, _, err = invoke(
@@ -239,6 +258,14 @@ class TestReplayCommand:
                 ),
                 "choices picks repeat (pid=1, counter=0)",
             ),
+            (
+                lambda header: header["choices"].update(seed=2**64 + 3),
+                "choice seed 18446744073709551619 is outside 0..2**64-1",
+            ),
+            (
+                lambda header: header["choices"].update(seed=-1),
+                "choice seed -1 is outside 0..2**64-1",
+            ),
         ],
     )
     def test_unreadable_header_rejected(self, tmp_path, capsys, edit, named):
@@ -393,28 +420,43 @@ class TestWitnessCommand:
     def test_lone_survivor(self, tmp_path, capsys):
         out = tmp_path / "w.trace"
         code, stdout, _ = invoke(
-            capsys, "witness", "lone_survivor", "-n", "2", "-t", "1",
+            capsys, "witness", "-n", "2", "-t", "1",
             "--timing", "sync", "--out", str(out),
         )
         assert code == 0
-        assert last_json(stdout)["output_set"] in ("{0}", "{1}")
+        summary = last_json(stdout)
+        assert summary["output_set"] in ("{0}", "{1}")
+        assert summary["fp"] == json.loads(out.read_text().splitlines()[0])["fp"]
+        assert summary["verdict"]["status"] == "unsafe"
+        assert summary["verdict"]["exhaustive"] is True
         replay_code, replay_out, _ = invoke(capsys, "replay", str(out))
         assert replay_code == 0 and last_json(replay_out)["identical"] is True
 
     def test_split_crash(self, tmp_path, capsys):
         out = tmp_path / "w.trace"
         code, stdout, _ = invoke(
-            capsys, "witness", "split_crash", "-n", "4", "-t", "2", "--out", str(out),
+            capsys, "witness", "-n", "4", "-t", "2", "--no-out", "--out", str(out),
         )
         assert code == 0
-        assert last_json(stdout)["output_set"] in ("{0}", "{1}")
+        summary = last_json(stdout)
+        assert summary["output_set"] in ("{0}", "{1}")
+        assert summary["verdict"]["target"] == "{{}, {0,1}}"
 
     def test_split_crash_condition_satisfied(self, capsys):
-        code, _, err = invoke(
-            capsys, "witness", "split_crash", "-n", "5", "-t", "2"
-        )
+        code, _, err = invoke(capsys, "witness", "-n", "5", "-t", "2")
         assert code == cli.EXIT_PRECONDITION
         assert "condition satisfied" in err
+
+    def test_no_singleton_violation_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(checker, "explore", lambda inst, cfg: checker.Verdict(frozenset()))
+        code, stdout, err = invoke(capsys, "witness", "-n", "2", "-t", "1")
+        assert code == cli.EXIT_BUDGET and stdout == ""
+        assert "no singleton output set among the violations {}" in err
+
+    def test_kind_positional_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["witness", "lone_survivor", "-n", "2", "-t", "1"])
+        assert exc.value.code == 2
 
 
 class TestConditionsCommand:
@@ -552,3 +594,28 @@ class TestPlumbing:
         code, _, err = invoke(capsys, "run", "--alg", "nope", "-n", "1", "-t", "0")
         assert code == cli.EXIT_PRECONDITION
         assert "unknown algorithm" in err
+
+
+README_COMMANDS = [
+    shlex.split(line)[1:]
+    for block in re.findall(
+        r"```sh\n(.*?)```", (Path(__file__).parents[1] / "README.md").read_text(), re.S
+    )
+    for line in block.splitlines()
+    if line.startswith("binsos ")
+]
+
+
+def test_readme_lists_every_command():
+    assert {argv[0] for argv in README_COMMANDS} == {
+        "run", "replay", "check", "table", "conditions", "witness"
+    }
+
+
+def test_readme_commands_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in README_COMMANDS:
+        code, stdout, err = invoke(capsys, *argv)
+        assert code == cli.EXIT_OK, (argv, err)
+        if argv[0] == "replay":
+            assert last_json(stdout)["identical"] is True

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from conftest import all_latest
 
 from binsos.algorithms import AlgorithmInstance, AlgorithmKind, instance_for_line
 from binsos.checker import sample_traces
@@ -13,7 +14,6 @@ from binsos.patterns import (
     SYNC_CANONICAL,
     DelayPattern,
     FailurePattern,
-    all_latest,
 )
 from binsos.program import ScriptedChoices, SeededChoices
 from binsos.simkernel import (

@@ -16,7 +16,6 @@ from binsos.outputsets import (
     observation1_bounds,
     output_set,
     sos,
-    sos_from_mask,
     sos_mask,
     tight_condition,
 )
@@ -46,7 +45,7 @@ def test_classify_line_examples():
 def test_classify_line_is_a_bijection():
     seen = set()
     for mask in range(16):
-        members = sos_from_mask(mask)
+        members = frozenset(m for m in OutputSet if mask & (1 << m.value))
         line = classify_line(members)
         assert line_members(line) == members
         assert sos_mask(members) == mask

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import stretch_representative
+from conftest import all_latest, stretch_representative
 
 from binsos.program import Communicate, Output, Program, SetLocal
 from binsos.patterns import (
@@ -13,7 +13,6 @@ from binsos.patterns import (
     SYNC_CANONICAL,
     DelayPattern,
     FailurePattern,
-    all_latest,
     count_failure_pattern_orbits,
     count_failure_patterns,
     enum_failure_pattern_orbits,

@@ -42,6 +42,15 @@ class TestSeededChoices:
         assert again.pick(2, 3, (0, 1)) == stream.pick(2, 3, (0, 1))
 
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"choice seed {seed} is outside"):
+            SeededChoices(seed)
+
+    def test_seed_range_bounds_accepted(self):
+        assert SeededChoices(0).seed == 0 and SeededChoices(2**64 - 1).seed == 2**64 - 1
+
+
 class TestScriptedChoices:
     def test_exact_script(self):
         stream = ScriptedChoices({(1, 0): 1, (2, 0): None})

@@ -4,7 +4,7 @@ pattern per symmetry orbit, with crashes only at the crash slots, finds the
 family of every failure pattern."""
 
 import pytest
-from conftest import stretch_representative
+from conftest import all_latest, stretch_representative
 
 from binsos import algorithms, checker
 from binsos.algorithms import AlgorithmInstance, AlgorithmKind, RoleError, instance_for_line
@@ -14,7 +14,6 @@ from binsos.patterns import (
     NO_CRASHES,
     SYNC_CANONICAL,
     FailurePattern,
-    all_latest,
     count_failure_pattern_orbits,
     enum_failure_pattern_orbits,
     enum_failure_patterns,
