@@ -32,6 +32,7 @@ Kinds:
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -306,19 +307,25 @@ def instance_from_descriptor(d: Dict[str, object]) -> AlgorithmInstance:
 
 def _infer_line(instance: AlgorithmInstance) -> int:
     """The line whose mandated instance, under either timing, has this one's
-    kind and parameters (``values`` compared as a set)."""
+    kind and parameters (``values`` compared as a set); the smallest, if
+    several do."""
+    return _lines_by_parameters()[_parameters(instance)]
 
-    def key(inst: AlgorithmInstance) -> Tuple:
-        values = None if inst.values is None else frozenset(inst.values)
-        return inst.kind, inst.no_out, inst.default_value, values
 
-    own = key(instance)
-    return next(
-        line
-        for line in range(1, 16)
-        for timing in Timing
-        if key(instance_for_line(line, timing)) == own
-    )
+def _parameters(instance: AlgorithmInstance) -> Tuple:
+    values = None if instance.values is None else frozenset(instance.values)
+    return instance.kind, instance.no_out, instance.default_value, values
+
+
+@functools.lru_cache(maxsize=None)
+def _lines_by_parameters() -> Dict[Tuple, int]:
+    """``_parameters`` of each line's mandated instance, under each timing,
+    mapped to the smallest such line."""
+    lines: Dict[Tuple, int] = {}
+    for line in range(1, 16):
+        for timing in Timing:
+            lines.setdefault(_parameters(instance_for_line(line, timing)), line)
+    return lines
 
 
 def instance_for_line(line: int, timing: Timing) -> AlgorithmInstance:

@@ -160,7 +160,7 @@ def cmd_run(args) -> int:
 
 def cmd_replay(args) -> int:
     text = _read_text(args.trace)
-    ExecutionTrace.parse(text)  # rejects a malformed final record
+    ExecutionTrace.parse(text)  # rejects a malformed event line or final record
     rerun = replay(text)
     identical = rerun.to_jsonl() == text
     summary = {

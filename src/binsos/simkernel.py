@@ -23,6 +23,18 @@ execute statement k, or after its last statement when k is its statement
 count; a larger slot is rejected.  Items it already emitted are still
 delivered (the medium never suppresses information).
 
+A recorded run logs one event per delivery and per statement executed, of
+the six kinds in ``EVENT_FIELDS``, the one event table.  Each kind has a
+fixed set of fields: ``kind`` its name, ``tag`` a string, ``value`` 0, 1
+or None, and every other field an int.  ``seq`` numbers the events from 0,
+``t`` is the delivery step (under synchrony 2(r-1) for round r's
+communication step and one more for its computation step), ``pid`` the
+acting process, ``stmt`` its statement index, ``slot`` the statement it
+crashes before, ``ctr`` its pick counter, and ``sender`` and ``index`` name
+an item by its emitter and emission ordinal.  ``ExecutionTrace.to_jsonl``
+writes each event with its kind's line formatter, and
+``ExecutionTrace.parse`` rejects an event line the table does not allow.
+
 ``search_async`` explores the same interpreter as a state graph: it forks
 the kernel at each pick and each choice of what lands next, instead of
 fixing choices and delays up front, and maps every output set it reaches
@@ -33,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -74,6 +87,17 @@ _CRASHED = 3
 
 TRACE_FORMAT = "binsos-trace"
 TRACE_VERSION = 1
+
+#: The one event table: each kind of event the kernel logs, with its fields
+#: in sorted order.
+EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "observe": ("index", "kind", "pid", "sender", "seq", "t", "tag", "value"),
+    "communicate": ("index", "kind", "pid", "seq", "stmt", "t", "tag", "value"),
+    "pick": ("ctr", "kind", "pid", "seq", "stmt", "t", "value"),
+    "output": ("kind", "pid", "seq", "stmt", "t", "value"),
+    "crash": ("kind", "pid", "seq", "slot", "t"),
+    "step": ("kind", "pid", "seq", "stmt", "t"),
+}
 
 
 class KernelError(Exception):
@@ -130,7 +154,7 @@ class ExecutionTrace:
         if not self.recorded:
             raise ValueError("trace was produced without event recording")
         lines = [_dumps(self.header)]
-        lines.extend(_dumps(e) for e in self.events)
+        lines.extend([_LINE[e["kind"]](e) for e in self.events])
         lines.append(
             _dumps(
                 {
@@ -144,23 +168,70 @@ class ExecutionTrace:
 
     @staticmethod
     def parse(text: str) -> "ExecutionTrace":
-        lines = [line for line in text.splitlines() if line.strip()]
+        lines = [(number, line) for number, line in enumerate(text.splitlines(), 1)
+                 if line.strip()]
         if not lines:
             raise ValueError("empty trace")
-        header = _read_header(lines[0])
+        header = _read_header(lines[0][1])
         final = _descriptor_fields(
-            _read_json(lines[-1], "trace final record"), "trace final record",
+            _read_json(lines[-1][1], "trace final record"), "trace final record",
             kind=str, outputs=list, termination=str,
         )
         if final["kind"] != "final":
             raise ValueError("trace missing final record")
-        events = [_read_json(line, "trace event") for line in lines[1:-1]]
+        events = [_read_event(line, number) for number, line in lines[1:-1]]
         outputs = tuple(final["outputs"])
         return ExecutionTrace(header, events, outputs, final["termination"])
 
 
-#: One encoder for every trace line: sorted keys, no spaces.
+#: The encoder of the header and the final record: sorted keys, no spaces.
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+_VALUE_JSON = {0: "0", 1: "1", None: "null"}
+
+
+def _line_formatter(kind: str, fields: Tuple[str, ...]):
+    """The function that writes an event of ``kind`` as ``_dumps`` would:
+    its int fields through ``%d``, then ``tag`` and ``value``, which sort
+    after every int field."""
+    ints = [name for name in fields if name not in ("kind", "tag", "value")]
+    spec = dict.fromkeys(ints, "%d")
+    spec.update(kind=f'"{kind}"', tag="%s", value="%s")
+    template = "{" + ",".join(f'"{name}":{spec[name]}' for name in fields) + "}"
+    get_ints = operator.itemgetter(*ints)
+    quote = json.encoder.encode_basestring_ascii
+    if "tag" in fields:
+        return lambda e: template % (*get_ints(e), quote(e["tag"]), _VALUE_JSON[e["value"]])
+    if "value" in fields:
+        return lambda e: template % (*get_ints(e), _VALUE_JSON[e["value"]])
+    return lambda e: template % get_ints(e)
+
+
+_LINE = {kind: _line_formatter(kind, fields) for kind, fields in EVENT_FIELDS.items()}
+
+
+def _read_event(line: str, number: int) -> Dict[str, object]:
+    """The event on trace line ``number`` (1-based), if the event table
+    allows it; otherwise a ValueError naming the line and the field."""
+    event = _read_json(line, f"trace line {number}")
+    if not isinstance(event, dict):
+        raise ValueError(f"trace line {number} is not a JSON object")
+    kind = event.get("kind")
+    if not isinstance(kind, str) or kind not in EVENT_FIELDS:
+        raise ValueError(f"trace line {number}: kind {kind!r} is not an event kind")
+    what = f"trace line {number} ({kind} event)"
+    fields = EVENT_FIELDS[kind]
+    _descriptor_fields(event, what, **{
+        name: None if name == "value" else str if name in ("kind", "tag") else int
+        for name in fields
+    })
+    if "value" in fields:
+        if "value" not in event:
+            raise ValueError(f"{what} lacks 'value'")
+        value = event["value"]
+        if value is not None and not (type(value) is int and value in (0, 1)):
+            raise ValueError(f"{what} value {value!r} must be 0, 1 or null")
+    return event
 
 
 def _read_header(header) -> Dict[str, object]:
@@ -248,8 +319,7 @@ class _Kernel:
         self.dp = dp
         self.horizon = default_horizon(cfg.n) if cfg.timing is Timing.ASYNC else 0
         self.record = record
-        self.events: List[Dict[str, object]] = []
-        self.seq = 0
+        self.events: List[Dict[str, object]] = []  # each a row of EVENT_FIELDS
         self.now = 0
         programs = instance.programs()
         self.procs = [
@@ -273,16 +343,6 @@ class _Kernel:
             self.header = None
         for proc in self.procs:
             self._maybe_finish(proc)
-
-    # -- event log ----------------------------------------------------------
-
-    def log(self, pid: int, kind: str, **extra: object) -> None:
-        if not self.record:
-            return
-        event: Dict[str, object] = {"seq": self.seq, "t": self.now, "pid": pid, "kind": kind}
-        event.update(extra)
-        self.events.append(event)
-        self.seq += 1
 
     # -- guard and expression evaluation -------------------------------------
 
@@ -319,7 +379,9 @@ class _Kernel:
 
     def _crash(self, proc: _Proc) -> None:
         proc.status = _CRASHED
-        self.log(proc.pid, "crash", slot=proc.pc)
+        if self.record:
+            self.events.append({"kind": "crash", "pid": proc.pid, "seq": len(self.events),
+                                "slot": proc.pc, "t": self.now})
 
     def _maybe_finish(self, proc: _Proc) -> None:
         if proc.pc >= len(proc.program.statements):
@@ -356,12 +418,15 @@ class _Kernel:
     def _execute(self, proc: _Proc, stmt) -> None:
         if isinstance(stmt, Pick):
             value = self.choices.pick(proc.pid, proc.pick_counter, stmt.candidates)
-            self.log(proc.pid, "pick", ctr=proc.pick_counter, value=value, stmt=proc.pc)
+            if self.record:
+                self.events.append({"ctr": proc.pick_counter, "kind": "pick", "pid": proc.pid,
+                                    "seq": len(self.events), "stmt": proc.pc, "t": self.now,
+                                    "value": value})
             proc.pick_counter += 1
             proc.locals[stmt.dest] = value
         elif isinstance(stmt, SetLocal):
             proc.locals[stmt.dest] = self._expr(proc, stmt.value)
-            self.log(proc.pid, "step", stmt=proc.pc)
+            self._log_step(proc)
         elif isinstance(stmt, Output):
             value = self._expr(proc, stmt.value)
             if value not in (0, 1):
@@ -369,25 +434,32 @@ class _Kernel:
             if proc.output is not None:
                 raise KernelError(f"process {proc.pid} output twice")
             proc.output = value
-            self.log(proc.pid, "output", value=value, stmt=proc.pc)
+            if self.record:
+                self.events.append({"kind": "output", "pid": proc.pid, "seq": len(self.events),
+                                    "stmt": proc.pc, "t": self.now, "value": value})
         elif isinstance(stmt, Communicate):
             item = InfoItem(
                 proc.pid, proc.emission_counter, stmt.tag, self._expr(proc, stmt.value)
             )
             proc.emission_counter += 1
-            self.log(
-                proc.pid, "communicate", index=item.index, tag=item.tag,
-                value=item.value, stmt=proc.pc,
-            )
+            if self.record:
+                self.events.append({"index": item.index, "kind": "communicate",
+                                    "pid": proc.pid, "seq": len(self.events), "stmt": proc.pc,
+                                    "t": self.now, "tag": item.tag, "value": item.value})
             self.emit(item)
         elif isinstance(stmt, Wait):
             # The awaited atom holds; a binding wait takes the value first
             # observed with its tag (arrival order).
             if stmt.dest is not None:
                 proc.locals[stmt.dest] = proc.first.get(stmt.until.tag)
-            self.log(proc.pid, "step", stmt=proc.pc)
+            self._log_step(proc)
         else:
             raise KernelError(f"unknown statement {stmt!r}")
+
+    def _log_step(self, proc: _Proc) -> None:
+        if self.record:
+            self.events.append({"kind": "step", "pid": proc.pid, "seq": len(self.events),
+                                "stmt": proc.pc, "t": self.now})
 
     def emit(self, item: InfoItem) -> None:
         raise NotImplementedError
@@ -399,10 +471,10 @@ class _Kernel:
             proc.first[item.tag] = item.value
         else:
             seen.add(item.value)
-        self.log(
-            proc.pid, "observe", sender=item.sender, index=item.index,
-            tag=item.tag, value=item.value,
-        )
+        if self.record:
+            self.events.append({"index": item.index, "kind": "observe", "pid": proc.pid,
+                                "sender": item.sender, "seq": len(self.events), "t": self.now,
+                                "tag": item.tag, "value": item.value})
 
     def finalize(self, termination: str) -> ExecutionTrace:
         outputs = tuple(p.output for p in self.procs)

@@ -1,6 +1,8 @@
 """Role assignment, line-to-instance mapping, program shapes, and the
 behavioral guarantees each algorithm's correctness argument claims."""
 
+import itertools
+
 import pytest
 
 from binsos import algorithms
@@ -122,6 +124,43 @@ class TestInstanceForLine:
             for timing in [only] if only else Timing:
                 inst = algorithms.AlgorithmInstance(kind=kind, timing=timing, **params)
                 assert inst.effective_line == line, (kind, timing, params)
+
+    def test_line_lookup_equals_a_search_of_the_line_table(self):
+        # Every parameter set each kind takes, values in any order and with
+        # repeats, against the first line (and timing) whose mandated
+        # instance has the same kind and parameters; and the same instance
+        # read from a descriptor with line null.
+        def params(inst):
+            values = None if inst.values is None else frozenset(inst.values)
+            return inst.kind, inst.no_out, inst.default_value, values
+
+        def searched(inst):
+            return next(line for line in range(1, 16) for timing in Timing
+                        if params(instance_for_line(line, timing)) == params(inst))
+
+        choices = {
+            "values": [vs for size in (1, 2, 3)
+                       for vs in itertools.product((0, 1, None), repeat=size)],
+            "no_out": [False, True],
+            "default_value": [0, 1],
+        }
+        checked = set()
+        for kind, (only, names, _) in algorithms._KINDS.items():
+            for timing in [only] if only else Timing:
+                for combo in itertools.product(*(choices[name] for name in names)):
+                    inst = algorithms.AlgorithmInstance(
+                        kind=kind, timing=timing, **dict(zip(names, combo))
+                    )
+                    line = searched(inst)
+                    assert algorithms._infer_line(inst) == inst.effective_line == line
+                    cond = tight_condition(line, timing)
+                    n, t = next((n, t) for n in range(6) for t in range(n + 1)
+                                if cond.holds(n, t))
+                    described = inst.bind(n, t).describe()
+                    assert described["line"] is None
+                    assert instance_from_descriptor(described).effective_line == line
+                    checked.add((kind, timing, line))
+        assert {line for _, _, line in checked} == set(range(1, 16))
 
     def test_line_16_rejected(self):
         with pytest.raises(PreconditionError):

@@ -338,6 +338,47 @@ class TestReplayCommand:
         assert code == cli.EXIT_PRECONDITION
         assert "trace final record has the undeclared key 'note'" in err and stdout == ""
 
+    @pytest.mark.parametrize(
+        "kind, edit, named",
+        [
+            ("pick", lambda e: e.update(kind="decide"), ": kind 'decide' is not an event kind"),
+            ("observe", lambda e: e.pop("sender"), " (observe event) lacks 'sender'"),
+            ("output", lambda e: e.pop("value"), " (output event) lacks 'value'"),
+            ("output", lambda e: e.update(note=1),
+             " (output event) has the undeclared key 'note'"),
+            ("communicate", lambda e: e.update(index=True),
+             " (communicate event) index True must be int"),
+            ("observe", lambda e: e.update(seq=1.0), " (observe event) seq 1.0 must be int"),
+            ("pick", lambda e: e.update(value=2),
+             " (pick event) value 2 must be 0, 1 or null"),
+            ("pick", lambda e: e.update(value=False),
+             " (pick event) value False must be 0, 1 or null"),
+            ("observe", lambda e: e.update(tag=0), " (observe event) tag 0 must be str"),
+        ],
+        ids=["unknown-kind", "missing-field", "missing-value", "extra-field", "bool-int",
+             "float-int", "value-2", "value-bool", "int-tag"],
+    )
+    def test_event_the_kernel_never_writes_rejected(self, tmp_path, capsys, kind, edit, named):
+        out = self.make_trace(tmp_path, capsys)
+        lines = out.read_text().splitlines()
+        number = next(k for k, line in enumerate(lines, 1) if f'"kind":"{kind}"' in line)
+        event = json.loads(lines[number - 1])
+        edit(event)
+        lines[number - 1] = json.dumps(event, sort_keys=True, separators=(",", ":"))
+        out.write_text("\n".join(lines) + "\n")
+        code, stdout, err = invoke(capsys, "replay", str(out))
+        assert code == cli.EXIT_PRECONDITION
+        assert f"trace line {number}{named}" in err and stdout == ""
+
+    def test_event_line_that_is_no_object_rejected(self, tmp_path, capsys):
+        out = self.make_trace(tmp_path, capsys)
+        lines = out.read_text().splitlines()
+        lines[1] = "[1]"
+        out.write_text("\n".join(lines) + "\n")
+        code, stdout, err = invoke(capsys, "replay", str(out))
+        assert code == cli.EXIT_PRECONDITION
+        assert "trace line 2 is not a JSON object" in err and stdout == ""
+
 
 class TestCheckCommand:
     def test_single_cell_verdict(self, capsys):

@@ -1,5 +1,6 @@
 """Fuzzed external inputs: every mutated --fp, --dp or --params literal,
---config object and trace header ends in an exit code, never in a traceback."""
+--config object, trace header and trace event ends in an exit code, never in
+a traceback."""
 
 import copy
 import json
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binsos import cli
+from binsos.simkernel import EVENT_FIELDS
 
 EXIT_CODES = {
     cli.EXIT_OK,
@@ -118,6 +120,41 @@ def test_mutated_trace_headers_exit_cleanly(tmp_path_factory, data, command):
     lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n")
     assert cli.main(["replay", str(path)]) in EXIT_CODES
+
+
+def _fits_the_event_table(event):
+    """Whether ``event`` has exactly the fields of its kind, each of the type
+    the kernel writes: a string kind and tag, a value of 0, 1 or null, ints
+    elsewhere."""
+    if not isinstance(event, dict) or not isinstance(event.get("kind"), str):
+        return False
+    fields = EVENT_FIELDS.get(event["kind"])
+    return fields is not None and sorted(event) == list(fields) and all(
+        type(v) is str if k in ("kind", "tag")
+        else v is None or (type(v) is int and v in (0, 1)) if k == "value"
+        else type(v) is int
+        for k, v in event.items()
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), command=st.sampled_from(TRACE_COMMANDS))
+def test_mutated_trace_events_exit_cleanly(tmp_path_factory, data, command):
+    # An event line the kernel never writes is rejected (2); any other edit
+    # that changes the text makes the replay diverge (1).
+    path = tmp_path_factory.mktemp("trace") / "t.trace"
+    assert cli.main([*command, "--out", str(path)]) == cli.EXIT_OK
+    lines = path.read_text().splitlines()
+    k = data.draw(st.integers(1, len(lines) - 2), label="event line")
+    event = _mutated(data, json.loads(lines[k]))
+    edited = json.dumps(event, sort_keys=True, separators=(",", ":"))
+    if edited == lines[k]:
+        expected = cli.EXIT_OK
+    else:
+        expected = cli.EXIT_VERDICT if _fits_the_event_table(event) else cli.EXIT_PRECONDITION
+    lines[k] = edited
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["replay", str(path)]) == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,8 +6,8 @@ import pytest
 from conftest import all_latest
 
 from binsos.algorithms import AlgorithmInstance, AlgorithmKind, instance_for_line
-from binsos.checker import sample_traces
-from binsos.outputsets import OutputSet, SystemConfig, Timing
+from binsos.checker import sample_traces, witness
+from binsos.outputsets import OutputSet, SystemConfig, Timing, tight_condition
 from binsos.patterns import (
     ALL_IMMEDIATE,
     NO_CRASHES,
@@ -17,6 +17,7 @@ from binsos.patterns import (
 )
 from binsos.program import ScriptedChoices, SeededChoices
 from binsos.simkernel import (
+    EVENT_FIELDS,
     TRACE_VERSION,
     ExecutionTrace,
     PreconditionError,
@@ -181,6 +182,44 @@ class TestDeterminismAndReplay:
             ]
             assert trace.to_jsonl().split("\n") == expected + [""]
         assert len(kinds) == 6
+
+    def test_line_formatters_write_what_json_dumps_writes(self):
+        # Every line of every recorded trace is its sorted compact JSON, and
+        # parsing the text gives it back: a few seeded traces of each line's
+        # instance at each n <= 5 under both timings, and the violations of
+        # permissively bound line-7/8 instances outside their conditions.
+        traces = []
+        for line in range(1, 16):
+            for timing in Timing:
+                condition = tight_condition(line, timing)
+                for n in range(1, 6):
+                    ts = [t for t in range(n + 1) if condition.holds(n, t)]
+                    if ts:
+                        inst = instance_for_line(line, timing)
+                        cfg = SystemConfig(n, ts[-1], timing)
+                        traces += sample_traces(inst, cfg, 4, meta_seed=n, record=True)
+        for cfg, no_out in [(SystemConfig(2, 1, Timing.SYNC), False),
+                            (SystemConfig(2, 1, Timing.ASYNC), False),
+                            (SystemConfig(4, 2, Timing.ASYNC), True),
+                            (SystemConfig(3, 2, Timing.SYNC), True)]:
+            traces += witness(cfg, no_out).verdict.violations
+        seen = set()
+        for trace in traces:
+            final = {"kind": "final", "outputs": list(trace.outputs),
+                     "termination": trace.termination}
+            text = trace.to_jsonl()
+            assert text.split("\n") == [
+                json.dumps(record, sort_keys=True, separators=(",", ":"))
+                for record in [trace.header, *trace.events, final]
+            ] + [""]
+            parsed = ExecutionTrace.parse(text)
+            assert parsed.events == trace.events and parsed.to_jsonl() == text
+            seen.add((trace.header["alg"]["kind"], trace.timing))
+            seen.update(e["kind"] for e in trace.events)
+            seen.update(("pick", e["value"]) for e in trace.events if e["kind"] == "pick")
+        runs = {(kind.value, timing) for kind in AlgorithmKind for timing in Timing}
+        assert len(seen & runs) == 9  # each algorithm under each timing it admits
+        assert set(EVENT_FIELDS) | {("pick", None)} <= seen
 
     def test_parse_roundtrip(self):
         inst = instance_for_line(10, Timing.SYNC).bind(2, 1)
