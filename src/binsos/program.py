@@ -263,8 +263,8 @@ class ScriptedChoices(ChoiceStream):
 
     Sync ``explore`` catches ChoiceNeeded, forks one extended script per
     candidate and restarts, which enumerates every pick outcome reachable
-    under the given failure pattern.  ``search_async`` instead forks cloned
-    kernel states on ChoiceNeeded, and returns the picks of each output set
+    under the given failure pattern.  ``search_async`` instead forks its
+    kernel state on ChoiceNeeded, and returns the picks of each output set
     it reaches as a script for the recorded rerun.
     """
 

@@ -33,12 +33,14 @@ acting process, ``stmt`` its statement index, ``slot`` the statement it
 crashes before, ``ctr`` its pick counter, and ``sender`` and ``index`` name
 an item by its emitter and emission ordinal.  ``ExecutionTrace.to_jsonl``
 writes each event with its kind's line formatter, and
-``ExecutionTrace.parse`` rejects an event line the table does not allow.
+``ExecutionTrace.parse`` rejects an event line the table does not allow, and
+a final record whose outputs or termination the kernel never writes.
 
 ``search_async`` explores the same interpreter as a state graph: it forks
 the kernel at each pick and each choice of what lands next, instead of
 fixing choices and delays up front, and maps every output set it reaches
-back to the choices and delay pattern of one kernel run.
+back to the choices and delay pattern of one kernel run.  Its states share
+processes copy-on-write.
 """
 
 from __future__ import annotations
@@ -179,8 +181,20 @@ class ExecutionTrace:
         )
         if final["kind"] != "final":
             raise ValueError("trace missing final record")
-        events = [_read_event(line, number) for number, line in lines[1:-1]]
         outputs = tuple(final["outputs"])
+        n = SystemConfig.from_descriptor(header["cfg"]).n
+        if len(outputs) != n:
+            raise ValueError(
+                f"trace final record outputs has {len(outputs)} entries, not cfg.n = {n}"
+            )
+        for value in outputs:
+            _check_value(value, "trace final record outputs entry")
+        if final["termination"] not in (ALL_DONE, QUIESCENT):
+            raise ValueError(
+                f"trace final record termination {final['termination']!r} must be "
+                f"{ALL_DONE!r} or {QUIESCENT!r}"
+            )
+        events = [_read_event(line, number) for number, line in lines[1:-1]]
         return ExecutionTrace(header, events, outputs, final["termination"])
 
 
@@ -228,10 +242,15 @@ def _read_event(line: str, number: int) -> Dict[str, object]:
     if "value" in fields:
         if "value" not in event:
             raise ValueError(f"{what} lacks 'value'")
-        value = event["value"]
-        if value is not None and not (type(value) is int and value in (0, 1)):
-            raise ValueError(f"{what} value {value!r} must be 0, 1 or null")
+        _check_value(event["value"], f"{what} value")
     return event
+
+
+def _check_value(value: object, what: str) -> None:
+    """A ValueError naming ``what`` unless ``value`` is 0, 1 or None (a
+    ``bool`` is no value)."""
+    if value is not None and not (type(value) is int and value in (0, 1)):
+        raise ValueError(f"{what} {value!r} must be 0, 1 or null")
 
 
 def _read_header(header) -> Dict[str, object]:
@@ -266,6 +285,7 @@ class _Proc:
         "crash_slot",
         "pick_counter",
         "emission_counter",
+        "key",
     )
 
     def __init__(self, pid: int, program: Program, crash_slot: Optional[int]):
@@ -285,6 +305,7 @@ class _Proc:
         self.crash_slot = -1 if crash_slot is None else crash_slot
         self.pick_counter = 0
         self.emission_counter = 0
+        self.key: Optional[tuple] = None  # this process's part of a search key
 
     def clone(self) -> "_Proc":
         other = _Proc.__new__(_Proc)
@@ -299,6 +320,7 @@ class _Proc:
         other.crash_slot = self.crash_slot
         other.pick_counter = self.pick_counter
         other.emission_counter = self.emission_counter
+        other.key = None
         return other
 
 
@@ -729,13 +751,18 @@ class SearchOutcome:
 class _SearchState(_AsyncKernel):
     """One node of the search: an unrecorded asynchronous kernel whose
     pending (receiver, item) deliveries carry no step yet.  They are kept
-    in ``pending[horizon]``, where the deadline step finds them."""
+    in ``pending[horizon]``, where the deadline step finds them.  States
+    share their processes copy-on-write: ``fork`` copies the list of
+    processes, and ``own`` clones a shared one just before it changes.
+    Forks share their script of picks too, until a pick fork extends a
+    copy."""
 
     def __init__(self, instance, cfg: SystemConfig, fp: FailurePattern):
         super().__init__(instance, cfg, ScriptedChoices(), fp, ALL_IMMEDIATE, record=False)
         self.relevant = [relevant_tags(p.program) for p in self.procs]
         self.path: tuple = ()  # the batches landed so far, as (earlier, batch) pairs
         self.steps = 0  # how many batches that is
+        self.owned = 0  # bit pid: procs[pid - 1] is referenced by no other state
 
     def _relevant(self, proc: _Proc, item: InfoItem) -> bool:
         return (
@@ -753,15 +780,32 @@ class _SearchState(_AsyncKernel):
     def fork(self) -> "_SearchState":
         other = _SearchState.__new__(_SearchState)
         other.__dict__.update(self.__dict__)
-        other.procs = [p.clone() for p in self.procs]
+        other.procs = list(self.procs)
+        other.owned = self.owned = 0
         other.pending = {step: list(items) for step, items in self.pending.items()}
-        other.choices = ScriptedChoices(self.choices.picks)
         return other
+
+    def own(self, pid: int) -> _Proc:
+        """Process ``pid``, cloned first if shared, about to be changed."""
+        proc = self.procs[pid - 1]
+        if self.owned >> pid & 1:
+            proc.key = None
+        else:
+            proc = self.procs[pid - 1] = proc.clone()
+            self.owned |= 1 << pid
+        return proc
 
     def after(self, batch: Optional[tuple]) -> List["_SearchState"]:
         """The quiescent states reached by landing ``batch`` (nothing, when
         it is empty), one per outcome of the picks met on the way; ``None``
-        takes the deadline step instead."""
+        takes the deadline step instead, and a state the deadline step
+        cannot change is its own terminal."""
+        if batch is None and not self.pending.get(self.horizon) and not any(
+            p.status == _BLOCKED and isinstance(p.program.statements[p.pc].until, Deadline)
+            for p in self.procs
+        ):
+            # The deadline step would land nothing and wake no process.
+            return [self]
         state = self.fork()
         if batch is None:
             state.now = state.horizon
@@ -769,7 +813,7 @@ class _SearchState(_AsyncKernel):
             pending = state.pending[state.horizon]
             for receiver, item in batch:
                 pending.remove((receiver, item))
-                state.deliver(state.procs[receiver - 1], item)
+                state.deliver(state.own(receiver), item)
             state.path = (self.path, batch)
             state.steps += 1
             if state.steps >= state.horizon:
@@ -777,21 +821,31 @@ class _SearchState(_AsyncKernel):
                     f"search path of {state.steps} batches has no delay pattern "
                     f"within horizon {state.horizon}"
                 )
+        receivers = {receiver for receiver, _ in batch or ()}
         settled, todo = [], [state]
         while todo:
             state = todo.pop()
             try:
                 if state.now < state.horizon:
-                    # Nothing is due before the horizon, so one pass runs every
-                    # process until it blocks: only a landing can wake it.
-                    state._advance_all()
+                    # Nothing is due before the horizon, so only a landing can
+                    # wake a blocked process: run the receivers and every
+                    # running process until each blocks.
+                    for proc in state.procs:
+                        if proc.status == _RUNNING or proc.pid in receivers:
+                            proc = state.own(proc.pid)
+                            while state.step_proc(proc):
+                                pass
                 else:
+                    for proc in state.procs:
+                        if proc.status in (_RUNNING, _BLOCKED):
+                            state.own(proc.pid)
                     state._deadline_step()
             except ChoiceNeeded as need:
                 # The pick raised before changing anything, so each fork
                 # resumes where this state stopped.
                 for value in reversed(need.candidates):
                     child = state.fork()
+                    child.choices = ScriptedChoices(state.choices.picks)
                     child.choices.picks[(need.pid, need.counter)] = value
                     todo.append(child)
                 continue
@@ -822,17 +876,19 @@ class _SearchState(_AsyncKernel):
     def key(self) -> tuple:
         procs = []
         for p in self.procs:
-            if p.status != _BLOCKED:
-                procs.append((p.status, p.output))
-                continue
-            seen = tuple(
-                (p.first.get(tag), frozenset(p.observed.get(tag, ())))
-                for tag in self.relevant[p.pid - 1][p.pc]
-            )
-            procs.append((
-                p.pc, p.output, frozenset(p.locals.items()),
-                p.pick_counter, p.emission_counter, seen,
-            ))
+            if p.key is None:
+                if p.status != _BLOCKED:
+                    p.key = (p.status, p.output)
+                else:
+                    seen = tuple(
+                        (p.first.get(tag), frozenset(p.observed.get(tag, ())))
+                        for tag in self.relevant[p.pid - 1][p.pc]
+                    )
+                    p.key = (
+                        p.pc, p.output, frozenset(p.locals.items()),
+                        p.pick_counter, p.emission_counter, seen,
+                    )
+            procs.append(p.key)
         pending = frozenset(
             (r, item.sender, item.index, item.tag, item.value)
             for r, item in self.pending.get(self.horizon, ())
@@ -866,11 +922,16 @@ def search_async(
     with a set of pending (receiver, item) deliveries that carry no step
     yet.  Before the horizon a state has two kinds of move, generated
     lazily: land a nonempty subset of one receiver's pending items, in the
-    kernel's delivery order, and run every process until it blocks; or take
-    the deadline step (``_AsyncKernel._deadline_step``, shared with ``run``),
-    whose result is terminal.  A pick met on the way forks a cloned state
-    once per candidate.  Visited states are deduplicated by key in one set,
-    freed on return.
+    kernel's delivery order, and run that receiver (and any process still
+    running) until it blocks, since nothing else can wake before the
+    horizon; or take the deadline step (``_AsyncKernel._deadline_step``,
+    shared with ``run``), whose result is terminal.  Where nothing is
+    pending and no blocked process awaits ``Deadline()``, the deadline step
+    moves nothing, so the state is its own terminal and the step is not
+    taken.  A pick met on the way forks the state once per candidate.
+    Forked states share their processes until one changes (``own`` clones
+    it first), and each process caches its part of the key until then.
+    Visited states are deduplicated by key in one set, freed on return.
 
     Why this reaches exactly the output sets of the kernel's runs under
     ``fp``, for every choice stream and delay pattern:
@@ -913,13 +974,13 @@ def search_async(
     while moves:
         parent, batch = moves.pop()
         for state in parent.after(batch):
-            key = state.key()
-            if key in visited:
+            seen = len(visited)
+            visited.add(state.key())  # one hash of the key, not two
+            if len(visited) == seen:
                 continue
             if outcome.states == max_states:
                 outcome.complete = False
                 return outcome
-            visited.add(key)
             outcome.states += 1
             for leaf in state.after(None):
                 outcome.terminals += 1

@@ -339,6 +339,33 @@ class TestReplayCommand:
         assert "trace final record has the undeclared key 'note'" in err and stdout == ""
 
     @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda final: final.update(outputs=[2, 1]),
+             "trace final record outputs entry 2 must be 0, 1 or null"),
+            (lambda final: final.update(outputs=[True, 1]),
+             "trace final record outputs entry True must be 0, 1 or null"),
+            (lambda final: final.update(outputs=["x", None]),
+             "trace final record outputs entry 'x' must be 0, 1 or null"),
+            (lambda final: final.update(outputs=[1, 1, 1]),
+             "trace final record outputs has 3 entries, not cfg.n = 2"),
+            (lambda final: final.update(termination="DONE"),
+             "trace final record termination 'DONE' must be 'ALL_DONE' or 'QUIESCENT'"),
+        ],
+        ids=["outputs-2", "outputs-bool", "outputs-str", "outputs-length", "termination"],
+    )
+    def test_final_record_the_kernel_never_writes_rejected(self, tmp_path, capsys, edit, named):
+        out = self.make_trace(tmp_path, capsys)
+        lines = out.read_text().splitlines()
+        final = json.loads(lines[-1])
+        edit(final)
+        lines[-1] = json.dumps(final, sort_keys=True, separators=(",", ":"))
+        out.write_text("\n".join(lines) + "\n")
+        code, stdout, err = invoke(capsys, "replay", str(out))
+        assert code == cli.EXIT_PRECONDITION
+        assert named in err and stdout == ""
+
+    @pytest.mark.parametrize(
         "kind, edit, named",
         [
             ("pick", lambda e: e.update(kind="decide"), ": kind 'decide' is not an event kind"),

@@ -1,6 +1,6 @@
 """Fuzzed external inputs: every mutated --fp, --dp or --params literal,
---config object, trace header and trace event ends in an exit code, never in
-a traceback."""
+--config object, trace header, trace event and trace final record ends in an
+exit code, never in a traceback."""
 
 import copy
 import json
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binsos import cli
-from binsos.simkernel import EVENT_FIELDS
+from binsos.simkernel import ALL_DONE, EVENT_FIELDS, QUIESCENT
 
 EXIT_CODES = {
     cli.EXIT_OK,
@@ -153,6 +153,40 @@ def test_mutated_trace_events_exit_cleanly(tmp_path_factory, data, command):
     else:
         expected = cli.EXIT_VERDICT if _fits_the_event_table(event) else cli.EXIT_PRECONDITION
     lines[k] = edited
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["replay", str(path)]) == expected
+
+
+def _fits_the_final_record(final, n):
+    """Whether ``final`` is a final record the kernel could write for ``n``
+    processes: n outputs of 0, 1 or null and a termination it names."""
+    return (
+        isinstance(final, dict)
+        and sorted(final) == ["kind", "outputs", "termination"]
+        and final["kind"] == "final"
+        and type(final["outputs"]) is list
+        and len(final["outputs"]) == n
+        and all(v is None or (type(v) is int and v in (0, 1)) for v in final["outputs"])
+        and final["termination"] in (ALL_DONE, QUIESCENT)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), command=st.sampled_from(TRACE_COMMANDS))
+def test_mutated_trace_final_record_exits_cleanly(tmp_path_factory, data, command):
+    # A final record the kernel never writes is rejected (2); any other edit
+    # that changes the text makes the replay diverge (1).
+    path = tmp_path_factory.mktemp("trace") / "t.trace"
+    assert cli.main([*command, "--out", str(path)]) == cli.EXIT_OK
+    lines = path.read_text().splitlines()
+    final = _mutated(data, json.loads(lines[-1]))
+    edited = json.dumps(final, sort_keys=True, separators=(",", ":"))
+    if edited == lines[-1]:
+        expected = cli.EXIT_OK
+    else:
+        n = json.loads(lines[0])["cfg"]["n"]
+        expected = cli.EXIT_VERDICT if _fits_the_final_record(final, n) else cli.EXIT_PRECONDITION
+    lines[-1] = edited
     path.write_text("\n".join(lines) + "\n")
     assert cli.main(["replay", str(path)]) == expected
 

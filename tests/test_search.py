@@ -1,7 +1,8 @@
-"""Asynchronous state-graph search: its reductions, its bound, that every
-kernel run lies inside the family it finds, and that exploring one failure
-pattern per symmetry orbit, with crashes only at the crash slots, finds the
-family of every failure pattern."""
+"""Asynchronous state-graph search: its reductions, its bound, that its
+states share processes safely and skip the deadline step only where it
+moves nothing, that every kernel run lies inside the family it finds, and
+that exploring one failure pattern per symmetry orbit, with crashes only at
+the crash slots, finds the family of every failure pattern."""
 
 import pytest
 from conftest import all_latest, stretch_representative
@@ -22,6 +23,7 @@ from binsos.program import (
     INIT,
     OUTPUT,
     Communicate,
+    Deadline,
     Flip,
     LocalRef,
     Observed,
@@ -32,6 +34,7 @@ from binsos.program import (
     Wait,
 )
 from binsos.simkernel import (
+    _BLOCKED,
     _SearchState,
     default_horizon,
     relevant_tags,
@@ -172,6 +175,121 @@ class TestBound:
             for fp in enum_failure_pattern_orbits(2, 1, inst.programs())
         )
         assert verdict.exhaustive and verdict.executions == terminals
+
+
+def _settled_states(inst, cfg, fp):
+    """Every distinct settled state of the search under ``fp``, each yielded
+    before the walk takes its landing moves."""
+    seen = set()
+    todo = _SearchState(inst, cfg, fp).after(())
+    while todo:
+        state = todo.pop()
+        key = state.key()
+        if key in seen:
+            continue
+        seen.add(key)
+        yield state
+        todo.extend(s for b in state.batches() for s in state.after(b))
+
+
+def _every_async_search(n_max):
+    """(instance, cfg, fp) of every orbit search of every solvable async
+    cell with n <= n_max."""
+    for line in range(1, 17):
+        condition = tight_condition(line, Timing.ASYNC)
+        for n in range(n_max + 1):
+            for t in range(n + 1):
+                if condition.holds(n, t):
+                    inst, cfg = _bound(line, n, t)
+                    for fp in enum_failure_pattern_orbits(n, t, inst.programs()):
+                        yield inst, cfg, fp
+
+
+def _contents(state):
+    """What a state holds, read afresh from its processes, pending list and
+    picks."""
+    procs = [
+        (p.pc, p.status, p.output, dict(p.locals),
+         {tag: frozenset(values) for tag, values in p.observed.items()}, dict(p.first),
+         p.pick_counter, p.emission_counter)
+        for p in state.procs
+    ]
+    pending = {step: list(items) for step, items in state.pending.items()}
+    return procs, pending, dict(state.choices.picks)
+
+
+def _outputs(state):
+    return tuple(p.output for p in state.procs)
+
+
+class TestSearchStates:
+    def test_moves_leave_the_state_they_start_from_unchanged(self):
+        # States share processes copy-on-write: a move that wrote to a
+        # shared process would change the state it started from.
+        checked = 0
+        for inst, cfg, fp in _every_async_search(4):
+            for state in _settled_states(inst, cfg, fp):
+                key, before = state.key(), _contents(state)
+                for batch in [*state.batches(), None]:
+                    state.after(batch)
+                assert state.key() == key and _contents(state) == before
+                checked += 1
+        assert checked == 4_140
+
+    def test_own_clones_a_shared_process_once_and_clears_its_key_part(self):
+        inst, cfg = _bound(7, 4, 1)
+        root = _root(inst, cfg, {(1, 0): 0, (2, 0): 0})
+        state = root.fork()
+        assert state.procs == root.procs
+        proc = state.own(1)
+        assert proc is not root.procs[0] and state.procs[1:] == root.procs[1:]
+        state.key()
+        assert proc.key is not None
+        assert state.own(1) is proc and proc.key is None
+
+    def test_deadline_shortcut_gives_what_the_deadline_step_gives(self):
+        # Where nothing is pending and no blocked process awaits Deadline(),
+        # after(None) returns the state itself as its one leaf; taking the
+        # deadline step in full gives the same outputs, picks and inputs.
+        applied = skipped = 0
+        for inst, cfg, fp in _every_async_search(4):
+            horizon = default_horizon(cfg.n)
+            for state in _settled_states(inst, cfg, fp):
+                if state.pending.get(horizon) or any(
+                    p.status == _BLOCKED
+                    and isinstance(p.program.statements[p.pc].until, Deadline)
+                    for p in state.procs
+                ):
+                    skipped += 1
+                    continue
+                applied += 1
+                (leaf,) = state.after(None)
+                full = state.fork()
+                for p in full.procs:
+                    full.own(p.pid)
+                full._deadline_step()
+                for other in (state, full):
+                    assert _outputs(leaf) == _outputs(other)
+                    (picks, dp), (other_picks, other_dp) = leaf.inputs(), other.inputs()
+                    assert (picks.picks, dp) == (other_picks.picks, other_dp)
+        assert (applied, skipped) == (2_526, 1_614)
+
+    @pytest.mark.parametrize(
+        "line, n, t, states, terminals",
+        [(7, 4, 1, 208, 208), (3, 3, 2, 76, 88), (5, 4, 1, 87, 110), (7, 5, 2, 1938, 1938),
+         (4, 2, 0, 2, 3)],
+    )
+    def test_state_graph_counts(self, line, n, t, states, terminals):
+        # Summed over the orbit patterns; a cheaper state must be the same
+        # state graph.
+        inst, cfg = _bound(line, n, t)
+        outcomes = [
+            search_async(inst, cfg, fp, 10**6)
+            for fp in enum_failure_pattern_orbits(n, t, inst.programs())
+        ]
+        assert all(o.complete for o in outcomes)
+        assert sum(o.states for o in outcomes) == states
+        assert sum(o.terminals for o in outcomes) == terminals
 
 
 class TestCoverage:
