@@ -27,7 +27,8 @@ apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from functools import cached_property
+from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from .outputsets import Value, _descriptor_fields
 
@@ -203,6 +204,17 @@ class Program:
             k for k, s in enumerate(self.statements) if isinstance(s, (Output, Communicate))
         ]
         return tuple([0] + [k + 1 for k in effects[:-1]]) if effects else ()
+
+    @cached_property
+    def relevant_tags(self) -> Tuple[FrozenSet[str], ...]:
+        """Entry k: the tags that statements k, k+1, ... read, as an
+        ``Observed`` guard atom or awaited atom.  The entry past the last
+        statement is empty.  Computed once per program."""
+        table = [frozenset()]
+        for stmt in reversed(self.statements):
+            atoms = stmt.guard + ((stmt.until,) if isinstance(stmt, Wait) else ())
+            table.append(table[-1] | {a.tag for a in atoms if isinstance(a, Observed)})
+        return tuple(reversed(table))
 
 
 # ---------------------------------------------------------------------------

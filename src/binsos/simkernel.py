@@ -724,14 +724,9 @@ def replay(source) -> ExecutionTrace:
 
 
 def relevant_tags(program: Program) -> Tuple[FrozenSet[str], ...]:
-    """Entry k: the tags that statements k, k+1, ... of ``program`` read, as
-    an ``Observed`` guard atom or awaited atom.  The entry past the last
-    statement is empty."""
-    table = [frozenset()]
-    for stmt in reversed(program.statements):
-        atoms = stmt.guard + ((stmt.until,) if isinstance(stmt, Wait) else ())
-        table.append(table[-1] | {a.tag for a in atoms if isinstance(a, Observed)})
-    return tuple(reversed(table))
+    """Entry k: the tags that statements k, k+1, ... of ``program`` read
+    (``Program.relevant_tags``, computed once per program)."""
+    return program.relevant_tags
 
 
 @dataclass

@@ -244,3 +244,24 @@ def test_criterion_8_table_at_n5(table_n5):
         f"{len(report.cells)} cells explored exhaustively in {seconds:.1f}s CPU; "
         f"failures or not exhaustive: {bad}",
     )
+
+
+def test_criterion_9_oracle_at_n5(table_n5):
+    """The explorer and the full-interleaving interpreter agree on every
+    solvable cell with n = 5."""
+    report, _ = table_n5
+    cells = [c for c in report.cells if c.n == 5]
+    mismatches = []
+    start = time.process_time()
+    for cell in cells:
+        inst = instance_for_line(cell.line, cell.timing).bind(cell.n, cell.t)
+        cfg = SystemConfig(cell.n, cell.t, cell.timing)
+        if cell.verdict.observed != observed_output_sets(inst, cfg):
+            mismatches.append((cell.line, cell.timing.value, cell.n, cell.t))
+    seconds = time.process_time() - start
+    _report(
+        "9 oracle-n5",
+        len(cells) == 154 and not mismatches,
+        f"{len(cells) - len(mismatches)}/{len(cells)} cells agree in {seconds:.1f}s oracle CPU; "
+        f"mismatches: {mismatches}",
+    )

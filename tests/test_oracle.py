@@ -4,7 +4,7 @@ import pytest
 
 from binsos.algorithms import AlgorithmInstance, AlgorithmKind, RoleError, instance_for_line
 from binsos.checker import explore
-from binsos.oracle import observed_output_sets
+from binsos.oracle import _B, _BD, _C, _D, _Cell, observed_output_sets
 from binsos.outputsets import OutputSet, SystemConfig, Timing, sos, tight_condition
 
 
@@ -67,9 +67,9 @@ def test_zero_process_system():
 
 
 def test_oracle_refuses_large_systems():
-    inst = instance_for_line(1, Timing.ASYNC).bind(5, 0)
+    inst = instance_for_line(1, Timing.ASYNC).bind(6, 0)
     with pytest.raises(ValueError):
-        observed_output_sets(inst, SystemConfig(5, 0, Timing.ASYNC))
+        observed_output_sets(inst, SystemConfig(6, 0, Timing.ASYNC))
 
 
 def test_unmodelled_tag_rejected(foo_instance):
@@ -113,3 +113,40 @@ def test_crash_moves_match_explore_outside_the_conditions():
         if observed_output_sets(inst, cfg) != explore(inst, cfg).observed
     ]
     assert not mismatches
+
+
+# The number of visited states of five cells which together cover both
+# timings, picks, blocking and deadline waits, and crashes.  A faster
+# search must visit exactly these states: it may cache moves, not skip them.
+VISITED = {
+    (7, Timing.ASYNC, 4, 1): 5157,
+    (3, Timing.ASYNC, 4, 4): 5174,
+    (1, Timing.ASYNC, 4, 4): 2401,
+    (10, Timing.SYNC, 4, 3): 4160,
+    (3, Timing.SYNC, 4, 4): 3468,
+}
+
+
+@pytest.fixture(scope="module")
+def searched():
+    """Each cell of ``VISITED`` after a full oracle search."""
+    cells = {}
+    for line, timing, n, t in VISITED:
+        cell = _Cell(instance_for_line(line, timing).bind(n, t).programs(), t)
+        (cell.search_sync if timing is Timing.SYNC else cell.search_async)()
+        cells[line, timing, n, t] = cell
+    return cells
+
+
+def test_visited_states_are_pinned(searched):
+    assert {key: len(cell.visited) for key, cell in searched.items()} == VISITED
+
+
+def test_interned_processes_are_never_changed(searched):
+    # Every move reads its process from the table and interns a changed
+    # copy; a write to an interned process would leave its key elsewhere.
+    for cell in searched.values():
+        assert len(cell.ids) == len(cell.table)
+        assert all(cell.ids[proc.key()] == i for i, proc in enumerate(cell.table))
+    statuses = {proc.status for cell in searched.values() for proc in cell.table}
+    assert {_B, _BD, _D, _C} <= statuses
