@@ -104,13 +104,18 @@ class Verdict:
     """Outcome of exploring one instance against a target family."""
 
     target: SetOfOutputSets
-    observed: SetOfOutputSets = frozenset()
     violations: List[ExecutionTrace] = field(default_factory=list)
     witnesses: Dict[OutputSet, ExecutionTrace] = field(default_factory=dict)
     executions: int = 0
     exhaustive: bool = False
     failure_patterns: int = 0  # the cell's failure patterns, at every slot
     failure_pattern_orbits: int = 0  # orbits at crash slots: what exhaustive mode explores
+
+    @property
+    def observed(self) -> SetOfOutputSets:
+        """Every output set reached: ``explore`` keeps one evidence trace
+        for each."""
+        return frozenset(self.witnesses).union(t.output_set() for t in self.violations)
 
     @property
     def safety_ok(self) -> bool:
@@ -321,7 +326,6 @@ def explore(
             verdict.witnesses[reached] = full
         else:
             verdict.violations.append(full)
-    verdict.observed = frozenset(observed)
     return verdict
 
 

@@ -24,8 +24,10 @@ disagreement algorithms), ``no_out`` and ``default_value`` (timing_adaptive),
 none (sync_consensus).  A missing or an extra parameter is rejected with its
 name.
 
-Every JSON input is read strictly: a repeated key, or one its reader does
-not take, is rejected.  A ``--config``
+``--alg`` and ``--line`` exclude each other, and ``--params`` needs ``--alg``.
+
+Every JSON input is read strictly: a repeated key, one its reader does not
+take, or nesting too deep to read is rejected.  A ``--config``
 key is the name of a flag of the subcommand (a one-letter key is its short
 flag) and a boolean is given exactly to its switches; flags are never
 abbreviated.
@@ -102,6 +104,8 @@ def _read_text(path: str) -> str:
 
 
 def _build_instance(args) -> AlgorithmInstance:
+    if args.params is not None and args.alg is None:
+        raise CliError("--params needs --alg")
     if args.line is not None:
         return instance_for_line(args.line, Timing(args.timing))
     if args.alg is None:
@@ -246,12 +250,13 @@ def _add_system_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alg", help="algorithm name or algN alias")
-    p.add_argument(
-        "--params", help="instantiation parameters: JSON object literal or @file"
+    either = p.add_mutually_exclusive_group()
+    either.add_argument("--alg", help="algorithm name or algN alias")
+    either.add_argument(
+        "--line", type=int, help="build the instance mandated for a table line"
     )
     p.add_argument(
-        "--line", type=int, help="build the instance mandated for a table line"
+        "--params", help="instantiation parameters for --alg: JSON object literal or @file"
     )
 
 
@@ -314,11 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_config(argv: List[str], parser: argparse.ArgumentParser) -> List[str]:
     """Prepend flag defaults from --config FILE or --config=FILE (flags on the
-    line win).  A key names a flag of the subcommand: ``-k`` for a one-letter
-    key, else ``--key`` with ``_`` as ``-``.  A switch (a flag the subcommand's
-    parser reads without a value) takes exactly ``true``, which sets it, or
-    ``false``, which leaves it unset; any other flag takes no boolean.  An
-    object or list is passed on as JSON text."""
+    line win, and --alg or --params on the line drops the default of --line,
+    as --line drops theirs).  A key names a flag of the subcommand: ``-k`` for
+    a one-letter key, else ``--key`` with ``_`` as ``-``.  A switch (a flag
+    the subcommand's parser reads without a value) takes exactly ``true``,
+    which sets it, or ``false``, which leaves it unset; any other flag takes
+    no boolean.  An object or list is passed on as JSON text."""
     found = [i for i, a in enumerate(argv) if a == "--config" or a.startswith("--config=")]
     if not found:
         return argv
@@ -339,6 +345,14 @@ def _merge_config(argv: List[str], parser: argparse.ArgumentParser) -> List[str]
         return rest  # the parser rejects the missing or unknown command
     actions = sub.choices[rest[0]]._actions
     switches = {flag for a in actions if a.nargs == 0 for flag in a.option_strings}
+    # A default yields to its flag on the line; --alg (with --params) and
+    # --line are alternatives, so each also yields to the other side.
+    given = {a.partition("=")[0] for a in rest[1:]}
+    alg_side, line_side = {"--alg", "--params"}, {"--line"}
+    if given & alg_side:
+        given |= line_side
+    if given & line_side:
+        given |= alg_side
     injected: List[str] = []
     for key, value in defaults.items():
         if not re.fullmatch(r"[a-z][a-z0-9_-]*", key) or key in ("h", "help"):
@@ -351,7 +365,7 @@ def _merge_config(argv: List[str], parser: argparse.ArgumentParser) -> List[str]
             raise CliError(
                 f"--config key {key!r} is {json.dumps(value)}, but {flag} is {what}"
             )
-        if flag in rest:
+        if flag in given:
             continue
         if isinstance(value, bool):
             if value:

@@ -182,7 +182,7 @@ def _descriptor_fields(d: object, what: str, **types: Optional[type]) -> Dict[st
 
 def _read_json(text: str, what: str) -> object:
     """The JSON value in ``text``; a ValueError naming ``what`` if the text is
-    not JSON or an object in it repeats a key."""
+    not JSON, is nested too deeply to read, or an object in it repeats a key."""
 
     def unique_keys(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
         obj: Dict[str, object] = {}
@@ -196,6 +196,8 @@ def _read_json(text: str, what: str) -> object:
         return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{what} is not JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
 
 
 # Primitive comparisons over (n, t).  The strict rational bound n > (3/2)t+1

@@ -49,7 +49,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .algorithms import instance_from_descriptor
 from .outputsets import (
@@ -483,9 +483,6 @@ class _Kernel:
             self.events.append({"kind": "step", "pid": proc.pid, "seq": len(self.events),
                                 "stmt": proc.pc, "t": self.now})
 
-    def emit(self, item: InfoItem) -> None:
-        raise NotImplementedError
-
     def deliver(self, proc: _Proc, item: InfoItem) -> None:
         seen = proc.observed.get(item.tag)
         if seen is None:
@@ -554,34 +551,28 @@ class _AsyncKernel(_Kernel):
             step = max(self.now, min(step, self.horizon))
             self.pending.setdefault(step, []).append((receiver, item))
 
-    def _deliver_due(self) -> bool:
-        due = []
-        for step in sorted(s for s in self.pending if s <= self.now):
-            due.extend(self.pending.pop(step))
-        if not due:
-            return False
-        due.sort(key=lambda d: (d[0],) + d[1].sort_key)
-        progressed = False
-        for receiver, item in due:
-            proc = self.procs[receiver - 1]
-            if proc.status == _CRASHED:
-                continue
-            self.deliver(proc, item)
-            progressed = True
-        return progressed
-
-    def _advance_all(self) -> bool:
-        progressed = False
+    def _advance_all(self) -> None:
         for proc in self.procs:
             while self.step_proc(proc):
-                progressed = True
-        return progressed
+                pass
 
     def _drain(self) -> None:
+        """Land step ``now``'s deliveries, in receiver order, on every
+        receiver not crashed, then run every process until it blocks, until
+        nothing more is due at ``now``.  No pending step is ever below
+        ``now``: ``emit`` schedules at ``now`` or later, ``run`` moves ``now``
+        only to the least pending step, and the deadline step moves it to H
+        only once nothing pending lies below H.  Only a landing or a change
+        of ``now`` can wake a blocked process, so a pass that lands nothing
+        moves nothing."""
         while True:
-            moved = self._deliver_due()
-            moved = self._advance_all() or moved
-            if not moved and not any(s <= self.now for s in self.pending):
+            due = self.pending.pop(self.now, ())
+            for receiver, item in sorted(due, key=lambda d: (d[0],) + d[1].sort_key):
+                proc = self.procs[receiver - 1]
+                if proc.status != _CRASHED:
+                    self.deliver(proc, item)
+            self._advance_all()
+            if self.now not in self.pending:
                 return
 
     def _deadline_step(self) -> None:
@@ -723,12 +714,6 @@ def replay(source) -> ExecutionTrace:
 # Asynchronous state-graph search.
 
 
-def relevant_tags(program: Program) -> Tuple[FrozenSet[str], ...]:
-    """Entry k: the tags that statements k, k+1, ... of ``program`` read
-    (``Program.relevant_tags``, computed once per program)."""
-    return program.relevant_tags
-
-
 @dataclass
 class SearchOutcome:
     """What ``search_async`` found under one failure pattern.
@@ -754,7 +739,6 @@ class _SearchState(_AsyncKernel):
 
     def __init__(self, instance, cfg: SystemConfig, fp: FailurePattern):
         super().__init__(instance, cfg, ScriptedChoices(), fp, ALL_IMMEDIATE, record=False)
-        self.relevant = [relevant_tags(p.program) for p in self.procs]
         self.path: tuple = ()  # the batches landed so far, as (earlier, batch) pairs
         self.steps = 0  # how many batches that is
         self.owned = 0  # bit pid: procs[pid - 1] is referenced by no other state
@@ -762,7 +746,7 @@ class _SearchState(_AsyncKernel):
     def _relevant(self, proc: _Proc, item: InfoItem) -> bool:
         return (
             proc.status != _CRASHED
-            and item.tag in self.relevant[proc.pid - 1][proc.pc]
+            and item.tag in proc.program.relevant_tags[proc.pc]
             and item.value not in proc.observed.get(item.tag, ())
         )
 
@@ -877,7 +861,7 @@ class _SearchState(_AsyncKernel):
                 else:
                     seen = tuple(
                         (p.first.get(tag), frozenset(p.observed.get(tag, ())))
-                        for tag in self.relevant[p.pid - 1][p.pc]
+                        for tag in p.program.relevant_tags[p.pc]
                     )
                     p.key = (
                         p.pc, p.output, frozenset(p.locals.items()),

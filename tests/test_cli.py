@@ -23,6 +23,10 @@ def last_json(out):
     return json.loads(out.strip().splitlines()[-1])
 
 
+#: JSON nested past the reader's recursion limit.
+DEEP = "[" * 3000 + "]" * 3000
+
+
 class TestRunCommand:
     def test_run_consensus_writes_trace(self, tmp_path, capsys):
         out = tmp_path / "alg6.trace"
@@ -148,6 +152,9 @@ class TestRunCommand:
                 ["--line", "9", "--dp", '{"kind":"map","entries":[],"delay":0}'],
                 "delay pattern has the undeclared key 'delay'",
             ),
+            (["--line", "1", "--fp", DEEP], "error: --fp is nested too deeply"),
+            (["--line", "1", "--dp", DEEP], "error: --dp is nested too deeply"),
+            (["--alg", "alg3", "--params", DEEP], "error: --params is nested too deeply"),
         ],
     )
     def test_bad_input_is_rejected_with_its_field_named(self, tmp_path, capsys, flags, named):
@@ -179,6 +186,15 @@ class TestRunCommand:
         code, stdout, err = invoke(capsys, *argv)
         assert code == cli.EXIT_PRECONDITION
         assert f"cannot write {argv[-1]}" in err and stdout == ""
+
+    def test_deeply_nested_config_rejected_with_its_path_named(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"fp": %s}' % DEEP)
+        code, stdout, err = invoke(
+            capsys, "--config", str(config), "run", "--line", "1", "-n", "2", "-t", "1"
+        )
+        assert code == cli.EXIT_PRECONDITION
+        assert f"error: --config file {config} is nested too deeply" in err and stdout == ""
 
     def test_json_params_take_a_values_list(self, capsys):
         code, stdout, _ = invoke(
@@ -397,6 +413,20 @@ class TestReplayCommand:
         assert code == cli.EXIT_PRECONDITION
         assert f"trace line {number}{named}" in err and stdout == ""
 
+    @pytest.mark.parametrize(
+        "index, named",
+        [(0, "trace header"), (1, "trace line 2"), (-1, "trace final record")],
+        ids=["header", "event", "final"],
+    )
+    def test_deeply_nested_line_rejected_with_it_named(self, tmp_path, capsys, index, named):
+        out = self.make_trace(tmp_path, capsys)
+        lines = out.read_text().splitlines()
+        lines[index] = DEEP
+        out.write_text("\n".join(lines) + "\n")
+        code, stdout, err = invoke(capsys, "replay", str(out))
+        assert code == cli.EXIT_PRECONDITION
+        assert f"error: {named} is nested too deeply" in err and stdout == ""
+
     def test_event_line_that_is_no_object_rejected(self, tmp_path, capsys):
         out = self.make_trace(tmp_path, capsys)
         lines = out.read_text().splitlines()
@@ -421,6 +451,24 @@ class TestCheckCommand:
         code, stdout, err = invoke(capsys, "check", "-n", "2", "-t", "1")
         assert code == cli.EXIT_PRECONDITION
         assert "one of --alg or --line is required" in err and stdout == ""
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_alg_and_line_exclude_each_other(self, capsys, command):
+        code, stdout, err = invoke(
+            capsys, command, "--line", "10", "--alg", "alg1", "--timing", "sync",
+            "-n", "3", "-t", "1",
+        )
+        assert code == cli.EXIT_PRECONDITION
+        assert "argument --alg: not allowed with argument --line" in err and stdout == ""
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_params_without_alg_rejected(self, capsys, command):
+        code, stdout, err = invoke(
+            capsys, command, "--line", "1", "--params", '{"bogus": 1}', "--timing", "sync",
+            "-n", "2", "-t", "1",
+        )
+        assert code == cli.EXIT_PRECONDITION
+        assert "--params needs --alg" in err and stdout == ""
 
     def test_cell_outside_the_condition_rejected_at_bind(self, capsys):
         code, _, err = invoke(
@@ -567,6 +615,40 @@ class TestPlumbing:
         header = json.loads(out.read_text().splitlines()[0])
         assert header["choices"] == {"mode": "seed", "seed": 3}
         assert header["cfg"]["t"] == 1
+
+    @pytest.mark.parametrize("alg", [["--alg", "alg6"], ["--alg=alg6"]])
+    def test_config_line_yields_to_alg_on_the_command_line(self, tmp_path, capsys, alg):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"line": 1}))
+        out = tmp_path / "t.trace"
+        code, _, err = invoke(
+            capsys, "--config", str(config), "run", *alg, "--timing", "sync",
+            "-n", "2", "-t", "1", "--out", str(out),
+        )
+        assert code == cli.EXIT_OK, err
+        header = json.loads(out.read_text().splitlines()[0])
+        assert header["alg"]["kind"] == "sync_consensus"
+
+    def test_config_alg_and_params_yield_to_line_on_the_command_line(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"alg": "alg3", "params": {"values": [0, 1]}}))
+        out = tmp_path / "t.trace"
+        code, _, err = invoke(
+            capsys, "--config", str(config), "run", "--line", "10", "--timing", "sync",
+            "-n", "2", "-t", "1", "--out", str(out),
+        )
+        assert code == cli.EXIT_OK, err
+        header = json.loads(out.read_text().splitlines()[0])
+        assert (header["alg"]["kind"], header["alg"]["line"]) == ("sync_consensus", 10)
+
+    def test_config_giving_alg_and_line_rejected(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"alg": "alg6", "line": 1}))
+        code, stdout, err = invoke(
+            capsys, "--config", str(config), "run", "--timing", "sync", "-n", "2", "-t", "1"
+        )
+        assert code == cli.EXIT_PRECONDITION
+        assert "not allowed with argument" in err and stdout == ""
 
     def test_config_given_with_an_equals_sign(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -271,6 +271,41 @@ class TestTraceInvariants:
         for trace in self.traces():
             assert medium_check(trace) == []
 
+    @staticmethod
+    def clock_faults(trace):
+        """Events of ``trace`` that break the kernel's clock: a step below
+        the one before it along ``seq``, or an observe at a step before its
+        item's communicate."""
+        faults, last, sent = [], 0, {}
+        for event in trace.events:
+            if event["t"] < last:
+                faults.append(event)
+            last = event["t"]
+            if event["kind"] == "communicate":
+                sent[(event["pid"], event["index"])] = event["t"]
+            elif event["kind"] == "observe":
+                if event["t"] < sent[(event["sender"], event["index"])]:
+                    faults.append(event)
+        return faults
+
+    def test_steps_never_run_backwards(self, table_n4):
+        report, _ = table_n4
+        traces = [
+            trace for cell in report.cells
+            for trace in [*cell.verdict.witnesses.values(), *cell.verdict.violations]
+        ]
+        for line in (1, 3, 7, 8, 9, 10):
+            for timing in (Timing.ASYNC, Timing.SYNC):
+                condition = tight_condition(line, timing)
+                t = max((t for t in range(6) if condition.holds(5, t)), default=None)
+                if t is not None:
+                    cfg = SystemConfig(5, t, timing)
+                    inst = instance_for_line(line, timing).bind(5, t)
+                    traces.extend(sample_traces(inst, cfg, 300, record=True))
+        assert len(traces) > 4000
+        for trace in traces:
+            assert self.clock_faults(trace) == [], trace.header
+
     def test_quiescent_runs_have_all_items_delivered(self):
         inst = instance_for_line(7, Timing.ASYNC)
         cfg = SystemConfig(5, 2, Timing.ASYNC)
@@ -308,6 +343,37 @@ class TestForgedTraces:
         ]
         violations = medium_check(self.forged(events))
         assert any("C-Validity" in v for v in violations)
+
+    @staticmethod
+    def recorded_sync_run():
+        inst = instance_for_line(10, Timing.SYNC).bind(2, 1)
+        return run_sync(inst, SYNC2, ScriptedChoices({(1, 0): 0, (2, 0): 1}), NO_CRASHES)
+
+    def test_corrupted_payload_breaks_validity(self):
+        trace = self.recorded_sync_run()
+        assert medium_check(trace) == []
+        obs = next(e for e in trace.events if e["kind"] == "observe")
+        obs["value"] = 1 - obs["value"]
+        assert medium_check(trace) == [
+            f"C-Validity: item {(obs['sender'], obs['index'])} observed by {obs['pid']} "
+            f"with corrupted payload {obs['tag']}({obs['value']})"
+        ]
+
+    def test_communicate_at_a_computation_tick_breaks_synchrony(self):
+        trace = self.recorded_sync_run()
+        comm = next(e for e in trace.events if e["kind"] == "communicate")
+        key = (comm["pid"], comm["index"])
+        # Move the item and its observations together, so that only the
+        # tick's parity is wrong.
+        for event in trace.events:
+            if event is comm or (
+                event["kind"] == "observe" and (event["sender"], event["index"]) == key
+            ):
+                event["t"] += 1
+        assert medium_check(trace) == [
+            f"C-Synchrony: item {key} communicated outside a communication step "
+            f"(tick {comm['t']})"
+        ]
 
     def test_late_delivery_breaks_synchrony(self):
         events = [

@@ -37,7 +37,6 @@ from binsos.simkernel import (
     _BLOCKED,
     _SearchState,
     default_horizon,
-    relevant_tags,
     replay,
     run,
     search_async,
@@ -105,12 +104,12 @@ class TestReductions:
             programs = inst.programs()
             for pid in inst.roles.flip_group:
                 # A flip process reads OUTPUT at its wait and nothing after it.
-                table = relevant_tags(programs[pid - 1])
+                table = programs[pid - 1].relevant_tags
                 wait = len(programs[pid - 1].statements) - 2
                 assert table[wait] == {OUTPUT}
                 assert all(tags == frozenset() for tags in table[wait + 1:])
             for pid in inst.roles.zero_group + inst.roles.one_group:
-                table = relevant_tags(programs[pid - 1])
+                table = programs[pid - 1].relevant_tags
                 assert OUTPUT not in frozenset().union(*table)
                 assert (INIT in table[0]) == (line == 7)
 
@@ -397,7 +396,7 @@ class TestSymmetry:
                             tag = stmt.until.tag
                             readers = [
                                 j for j, other in enumerate(statements)
-                                if tag in relevant_tags(Program((other,)))[0]
+                                if tag in Program((other,)).relevant_tags[0]
                             ]
                             assert readers == [k], (line, n, t, program)
                             assert all(
