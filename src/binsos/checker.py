@@ -2,9 +2,10 @@
 
 ``explore`` runs an algorithm instance under every failure pattern, up to
 the symmetry of processes with equal programs and to where a crash can be
-seen, and every pick outcome -- an asynchronous one by
-``simkernel.search_async``, which also covers every delay pattern -- or,
-over its budget (``ExplorationBudget``), under seeded draws, and compares
+seen, and every pick outcome -- an asynchronous cell by
+``simkernel.search_async``, which also covers every delay pattern, and a
+synchronous one by a kernel run per pick outcome, or under seeded draws
+when those runs exceed its budget (``ExplorationBudget``) -- and compares
 the union of observed output sets against the family of the instance's
 line: safety holds when nothing outside the family was ever produced,
 completeness when every member of it has a stored witness trace.  Each
@@ -76,19 +77,21 @@ class ExplorationBudget:
     """What a caller may set about one exploration, and the one statement of
     what ``explore`` does with a cell over its budget.
 
-    Let the bound be ``max(SIZE_CAP, sample_runs)``.  ``explore`` covers a
-    synchronous cell whole when its pick outcomes times failure-pattern
-    orbits are at most the bound, and searches an asynchronous cell whole
-    when its orbits are; that search stops, reporting ``exhaustive: false``,
-    once it would visit more states than the bound.  Orbits are counted over
-    the crash slots others can tell apart (``Program.crash_slots``), and
-    whole means every failure pattern up to the symmetry of processes with
-    equal programs and to those slots; ``executions`` then counts kernel
-    runs (sync) or terminal search states (async).  A larger cell runs
-    exactly ``sample_runs`` random (seed, fp, dp) triples drawn from
-    ``sample_seed`` over every failure pattern at every slot, and
-    ``executions`` counts those runs.  The horizon is not part of the
-    budget: every asynchronous run has ``default_horizon(n)``.
+    Let the bound be ``max(SIZE_CAP, sample_runs)``.  ``explore`` searches
+    every asynchronous cell, one failure-pattern orbit after another, and
+    stops, reporting ``exhaustive: false``, once it would visit more states
+    than the bound; each orbit's search visits at least one state, so a
+    cell with more orbits than the bound stops short too.  It covers a
+    synchronous cell whole when its pick outcomes times orbits are at most
+    the bound.  Orbits are counted over the crash slots others can tell
+    apart (``Program.crash_slots``), and whole means every failure pattern
+    up to the symmetry of processes with equal programs and to those slots;
+    ``executions`` then counts kernel runs (sync) or terminal search states
+    (async).  Only a larger synchronous cell is sampled: it runs exactly
+    ``sample_runs`` random (seed, fp, dp) triples drawn from ``sample_seed``
+    over every failure pattern at every slot, and ``executions`` counts
+    those runs.  The horizon is not part of the budget: every asynchronous
+    run has ``default_horizon(n)``.
     """
 
     sample_runs: int = 10_000
@@ -211,8 +214,9 @@ def explore(
     ``Program.crash_slots``, where other processes can tell them apart.
     Processes with equal bound programs are interchangeable, so one pattern
     per orbit under permutations of them is explored
-    (``enum_failure_pattern_orbits``).  A cell over its budget is sampled
-    instead, or its search stopped short; ``ExplorationBudget`` says when.
+    (``enum_failure_pattern_orbits``).  A synchronous cell over its budget
+    is sampled instead, and an asynchronous search over it stops short;
+    ``ExplorationBudget`` says when.
 
     Why crashing only at the crash slots reaches every output set, for any
     program under either timing: call an ``Output`` or a ``Communicate`` an
@@ -264,9 +268,9 @@ def explore(
             f"{instance.kind.value} instance is built for {instance.timing}"
         )
 
-    # One failure pattern per orbit (and, under synchrony, every pick outcome
-    # under each) when the count fits the cap; otherwise sample_runs seeded
-    # draws.
+    # One failure pattern per orbit, searched (async) or, when the runs fit
+    # the cap, run under every pick outcome (sync); otherwise sample_runs
+    # seeded draws.
     programs = instance.programs()
     fps = enum_failure_pattern_orbits(cfg.n, cfg.t, programs)
     orbits = count_failure_pattern_orbits(cfg.n, cfg.t, programs)
@@ -297,9 +301,9 @@ def explore(
                 verdict.exhaustive = False
                 return
 
-    if cfg.timing is Timing.ASYNC and orbits <= cap:
+    if cfg.timing is Timing.ASYNC:
         found = searched()
-    elif cfg.timing is Timing.SYNC and _choice_bound(instance) * orbits <= cap:
+    elif _choice_bound(instance) * orbits <= cap:
         verdict.exhaustive = True
         found = (
             leaf
@@ -480,5 +484,5 @@ def witness(cfg: SystemConfig, no_out: bool = False) -> WitnessResult:
     raise WitnessSearchError(f"no singleton output set among the violations {violating}")
 
 
-# The names bench/workloads.py imports; the benchmark revision (ROADMAP item 1) removes them.
+# The names bench/workloads.py imports; the benchmark revision removes them.
 witness_lone_survivor = witness_split_crash = witness

@@ -11,7 +11,9 @@ table.
 
 Exit codes partition outcomes: 0 success, 1 verdict failure, 2 usage or
 precondition rejection, 3 completeness not witnessed within budget (or no
-singleton output set found by ``witness``).
+singleton output set found by ``witness``), 141 stdout closed by its reader
+before the output was written (as in ``binsos run ... | head -1``), with no
+traceback.
 ``--budget N`` (N >= 0) sets ``checker.ExplorationBudget.sample_runs``,
 whose docstring states when a cell is sampled or its search stops short.
 No flag sets the horizon (4n async, 0 sync); ``replay`` rejects a trace
@@ -38,6 +40,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -54,6 +57,7 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a reader gone early
 
 #: The algorithms in presentation order; the short alias algN names the N-th.
 _ALG_ORDER = (
@@ -383,7 +387,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         argv = _merge_config(argv, parser)
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the interpreter's last flush of
+        # what the pipe refused succeeds silently.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

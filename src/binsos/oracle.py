@@ -25,13 +25,15 @@ search visits exactly the states it would visit without them.
 
 Deliberately re-implements statement and guard evaluation rather than
 reusing the kernel's interpreter, so the two routes stay independent; it
-imports nothing from ``simkernel``, ``checker`` or ``patterns``.  It keeps
-its own per-process state for the tags it models: whether an ``INIT`` was
-observed, the ``OUTPUT`` and ``PROPOSE`` values observed, and the first
-``OUTPUT`` value.  ``Observed(tag, value)`` guards and ``Wait(until, dest)``
-statements read that state; a wait on ``Deadline()`` blocks until that
-process's deadline fires, a move of its own in the search.  Any other tag,
-atom or binding is rejected with ``TypeError`` rather than misread.
+imports nothing from ``simkernel``, ``checker`` or ``patterns``.  Like the
+kernel it reads any tag.  A process keeps what it observed as one set of
+``(tag, value)`` pairs, with ``(tag, None)`` once the tag was seen at all,
+so an ``Observed`` atom, valued or not, is one membership test.  A binding
+wait, on any tag, takes the first value observed with its tag; that value
+is kept only for the tags some binding wait of the cell reads.
+``Deadline()`` is modelled only as a plain, non-negated wait, which blocks
+until that process's deadline fires, a move of its own in the search; in a
+guard or negated it raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -53,9 +55,6 @@ from .program import (
     Pick,
     SetLocal,
     Wait,
-    INIT,
-    OUTPUT,
-    PROPOSE,
 )
 
 _R, _B, _BD, _D, _C = 0, 1, 2, 3, 4  # running/blocked/deadline-blocked/done/crashed
@@ -67,10 +66,8 @@ class _Proc:
         "status",
         "output",
         "locals",
-        "has_init",
-        "out_bits",  # bit v: OUTPUT value v observed
-        "prop_bits",  # bit v: PROPOSE value v observed
-        "first_out",
+        "seen",  # the (tag, value) pairs observed, and (tag, None) per tag
+        "first",  # (tag, value) first observed, for the tags a binding wait reads
         "emitted",
         "deadline_passed",
         "fresh",  # no crash fork offered yet at pc
@@ -81,10 +78,8 @@ class _Proc:
         self.status = _R
         self.output: Optional[int] = None
         self.locals: Dict[str, Optional[int]] = dict(initial_locals)
-        self.has_init = False
-        self.out_bits = 0
-        self.prop_bits = 0
-        self.first_out: Optional[int] = None
+        self.seen: FrozenSet[tuple] = frozenset()
+        self.first: FrozenSet[tuple] = frozenset()
         self.emitted = 0
         self.deadline_passed = False
         self.fresh = True
@@ -94,10 +89,8 @@ class _Proc:
         other.pc = self.pc
         other.status = self.status
         other.output = self.output
-        other.has_init = self.has_init
-        other.out_bits = self.out_bits
-        other.prop_bits = self.prop_bits
-        other.first_out = self.first_out
+        other.seen = self.seen
+        other.first = self.first
         other.emitted = self.emitted
         other.deadline_passed = self.deadline_passed
         other.fresh = self.fresh
@@ -110,10 +103,8 @@ class _Proc:
             self.status,
             self.output,
             tuple(sorted(self.locals.items())),
-            self.has_init,
-            self.out_bits,
-            self.prop_bits,
-            self.first_out,
+            self.seen,
+            self.first,
             self.emitted,
             self.deadline_passed,
             self.fresh,
@@ -128,20 +119,12 @@ def _value(proc: _Proc, expr):
     return expr
 
 
-def _seen(bits: int, value) -> bool:
-    return bits != 0 if value is None else bool(bits >> value & 1)
-
-
 def _holds(proc: _Proc, guard) -> bool:
     for atom in guard:
         if isinstance(atom, LocalIs):
             ok = proc.locals.get(atom.name) == atom.value
-        elif isinstance(atom, Observed) and atom.tag == OUTPUT:
-            ok = _seen(proc.out_bits, atom.value)
-        elif isinstance(atom, Observed) and atom.tag == PROPOSE:
-            ok = _seen(proc.prop_bits, atom.value)
-        elif isinstance(atom, Observed) and atom.tag == INIT and atom.value is None:
-            ok = proc.has_init
+        elif isinstance(atom, Observed):
+            ok = (atom.tag, atom.value) in proc.seen
         elif isinstance(atom, HasOutput):
             ok = proc.output is not None
         else:
@@ -149,19 +132,6 @@ def _holds(proc: _Proc, guard) -> bool:
         if ok == atom.negate:
             return False
     return True
-
-
-def _absorb(proc: _Proc, tag: str, value) -> None:
-    if tag == INIT:
-        proc.has_init = True
-    elif tag == OUTPUT:
-        if proc.first_out is None:
-            proc.first_out = value
-        proc.out_bits |= 1 << value
-    elif tag == PROPOSE:
-        proc.prop_bits |= 1 << value
-    else:
-        raise TypeError(f"unknown tag {tag!r}")
 
 
 class _State:
@@ -202,6 +172,10 @@ class _Cell:
         self.bits: Dict[tuple, int] = {}  # pending item -> bit
         self.items: List[tuple] = []  # bit -> (receiver, items to absorb)
         self.to: List[int] = [0] * len(programs)  # bits of items to each pid
+        self.bound = {  # the tags whose first value a binding wait reads
+            s.until.tag for p in programs for s in p.statements
+            if isinstance(s, Wait) and s.dest is not None
+        }
 
     def intern(self, proc: _Proc) -> int:
         """The id of ``proc``'s key; ``proc`` is stored if the key is new."""
@@ -237,7 +211,9 @@ class _Cell:
             if items is None:
                 proc.deadline_passed = True
             for tag, value in items or ():
-                _absorb(proc, tag, value)
+                if tag in self.bound and (tag, None) not in proc.seen:
+                    proc.first |= {(tag, value)}
+                proc.seen |= {(tag, value), (tag, None)}
             if items is None or proc.status == _B:
                 proc.status = _R
             j = self.moves[key] = self.intern(proc)
@@ -324,9 +300,7 @@ class _Cell:
                     proc.status = _B
                     break
                 if stmt.dest is not None:
-                    if stmt.until.tag != OUTPUT:
-                        raise TypeError(f"unmodelled binding wait {stmt!r}")
-                    proc.locals[stmt.dest] = proc.first_out
+                    proc.locals[stmt.dest] = dict(proc.first).get(stmt.until.tag)
             elif isinstance(stmt, SetLocal):
                 proc.locals[stmt.dest] = _value(proc, stmt.value)
             elif isinstance(stmt, Output):

@@ -1,8 +1,11 @@
 """Command line surface: flags, files, exit codes."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -591,6 +594,23 @@ class TestPlumbing:
             cli.EXIT_BUDGET,
         }
         assert codes == {0, 1, 2, 3}
+
+    def test_reader_closing_the_pipe_early_is_no_traceback(self):
+        # As in ``binsos run ... | head -1``: the reader is gone before the
+        # trace is written.
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "binsos.cli", "run", "--line", "1", "-n", "2",
+             "-t", "1", "--timing", "sync"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == cli.EXIT_PIPE
+        assert err == b""
 
     def test_config_file_defaults(self, tmp_path, capsys):
         config = tmp_path / "defaults.json"

@@ -2,10 +2,25 @@
 
 import pytest
 
+from binsos import algorithms
 from binsos.algorithms import AlgorithmInstance, AlgorithmKind, RoleError, instance_for_line
 from binsos.checker import explore
 from binsos.oracle import _B, _BD, _C, _D, _Cell, observed_output_sets
 from binsos.outputsets import OutputSet, SystemConfig, Timing, sos, tight_condition
+from binsos.program import (
+    INIT,
+    OUTPUT,
+    PROPOSE,
+    Communicate,
+    Deadline,
+    LocalIs,
+    LocalRef,
+    Observed,
+    Output,
+    Pick,
+    Program,
+    Wait,
+)
 
 
 def test_silent_alphabet_is_always_empty():
@@ -72,12 +87,68 @@ def test_oracle_refuses_large_systems():
         observed_output_sets(inst, SystemConfig(6, 0, Timing.ASYNC))
 
 
-def test_unmodelled_tag_rejected(foo_instance):
-    # The kernel observes any tag; the oracle models only INIT, OUTPUT and
-    # PROPOSE, and refuses the rest rather than misreading it.
+def test_any_tag_is_modelled(foo_instance):
+    # Like the kernel, the oracle reads a tag no algorithm uses, here by a
+    # binding wait on it.
     inst, cfg = foo_instance
-    with pytest.raises(TypeError, match="FOO"):
-        observed_output_sets(inst, cfg)
+    assert observed_output_sets(inst, cfg) == explore(inst, cfg).observed
+
+
+def _everyone_runs(monkeypatch, program):
+    """An async instance whose every process runs ``program``."""
+    timing, params, _ = algorithms._KINDS[AlgorithmKind.SINGLE_OUTPUT]
+
+    def build(instance, pid):
+        return program
+
+    monkeypatch.setitem(algorithms._KINDS, AlgorithmKind.SINGLE_OUTPUT, (timing, params, build))
+    return AlgorithmInstance(AlgorithmKind.SINGLE_OUTPUT, Timing.ASYNC, no_out=False)
+
+
+# Programs outside the six algorithms' vocabulary, each of which reads its
+# observations in a way the shipped programs never do.
+UNSHIPPED = {
+    "valued INIT guard": Program((
+        Pick("v", (0, 1)),
+        Communicate(INIT, LocalRef("v")),
+        Wait(Observed(INIT)),
+        Output(1, guard=(Observed(INIT, 1),)),
+        Output(0, guard=(Observed(INIT, 1, negate=True),)),
+    )),
+    # The binding wait is the only statement reading PROPOSE and only an
+    # unguarded output follows it: the premise of explore's async orbits.
+    "binding wait on PROPOSE": Program((
+        Pick("v", (0, 1)),
+        Communicate(PROPOSE, LocalRef("v")),
+        Wait(Observed(PROPOSE), dest="x"),
+        Output(LocalRef("x")),
+    )),
+    "OUTPUT item without a value": Program((
+        Pick("v", (0, 1)),
+        Communicate(OUTPUT, guard=(LocalIs("v", 0),)),
+        Communicate(OUTPUT, 1, guard=(LocalIs("v", 1),)),
+        Wait(Observed(OUTPUT)),
+        Output(1, guard=(Observed(OUTPUT, 1),)),
+        Output(0, guard=(Observed(OUTPUT, 1, negate=True),)),
+    )),
+}
+
+
+@pytest.mark.parametrize("n, t", [(2, 0), (2, 1), (3, 1), (3, 2)])
+@pytest.mark.parametrize("name", UNSHIPPED)
+def test_unshipped_programs_match_explore(monkeypatch, name, n, t):
+    inst = _everyone_runs(monkeypatch, UNSHIPPED[name]).bind(n, t, permissive=True)
+    cfg = SystemConfig(n, t, Timing.ASYNC)
+    assert observed_output_sets(inst, cfg) == explore(inst, cfg).observed
+
+
+def test_deadline_in_a_guard_rejected(monkeypatch):
+    # Only a plain wait on Deadline() is modelled; what a deadline means
+    # anywhere else is left open.
+    program = Program((Output(0, guard=(Deadline(),)),))
+    inst = _everyone_runs(monkeypatch, program).bind(2, 0, permissive=True)
+    with pytest.raises(TypeError, match=r"Deadline\(negate=False\)"):
+        observed_output_sets(inst, SystemConfig(2, 0, Timing.ASYNC))
 
 
 def _outside_the_conditions(ns):

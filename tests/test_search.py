@@ -166,6 +166,16 @@ class TestBound:
         for trace in evidence:
             assert replay(trace.to_jsonl()).to_jsonl() == trace.to_jsonl()
 
+    def test_more_orbits_than_the_bound_are_searched_not_sampled(self, monkeypatch):
+        # Each orbit's search visits at least one state, so the state bound
+        # alone cuts such a cell short.
+        inst, cfg = _bound(9, 2, 1)
+        assert count_failure_pattern_orbits(2, 1, inst.programs()) == 2
+        monkeypatch.setattr(checker, "SIZE_CAP", 1)
+        verdict = explore(inst, cfg, ExplorationBudget(sample_runs=0))
+        assert not verdict.exhaustive
+        assert verdict.executions == 1 and verdict.observed == {OutputSet.ZERO}
+
     def test_executions_count_terminal_states(self):
         inst, cfg = _bound(9, 2, 1)
         verdict = explore(inst, cfg)
