@@ -47,7 +47,6 @@ from .patterns import (
     SYNC_CANONICAL,
     DelayPattern,
     FailurePattern,
-    count_failure_pattern_orbits,
     count_failure_patterns,
     enum_failure_pattern_orbits,
     sample_delay_pattern,
@@ -244,21 +243,23 @@ def explore(
     relabelled pids, reach the same output sets.
 
     - Sync: a process reads only its own program, locals, output, picks and
-      observations.  Sync programs cannot ``Wait``, ``_Proc.first`` is read
-      only by binding waits, and ``Observed(tag)`` tests only presence, so
-      the sender order at the delivery barrier cannot reach any guard.  The
-      relabelled run gives each process the state of its preimage, and so
-      the same output set.
+      observations.  A guard reads observations as a set of (tag, value)
+      pairs, which no delivery order changes; only a binding wait reads the
+      first value of a tag, and sync programs cannot ``Wait``.  So the
+      sender order at the delivery barrier reaches nothing.  The relabelled
+      run gives each process the state of its preimage, and so the same
+      output set.
     - Async: relabelling commutes with every search move, except that items
       landing together (a batch, or the deadline step's) land in sender
-      order.  That order reaches a process only through the value a binding
-      wait takes (``_Proc.first``).  A binding wait of the shipped programs
-      is the only statement reading its tag, and only unguarded outputs
-      follow it (``tests/test_search.py`` checks both), so it binds the
-      value of whichever item of its tag lands first, and nothing reads the
-      others.  The search lands every subset of a receiver's pending items,
-      any one item alone among them, so every arrival order, and every
-      bound value, is reachable under either labelling.
+      order.  The set of (tag, value) pairs a process observed is the same
+      in either order, so the order reaches it only through the first value
+      of a tag, which a binding wait takes.  A binding wait of the shipped
+      programs is the only statement reading its tag, and only unguarded
+      outputs follow it (``tests/test_search.py`` checks both), so it binds
+      the value of whichever item of its tag lands first, and nothing reads
+      the others.  The search lands every subset of a receiver's pending
+      items, any one item alone among them, so every arrival order, and
+      every bound value, is reachable under either labelling.
     """
     budget = budget or ExplorationBudget()
     instance = _bind(instance, cfg)
@@ -272,8 +273,8 @@ def explore(
     # the cap, run under every pick outcome (sync); otherwise sample_runs
     # seeded draws.
     programs = instance.programs()
-    fps = enum_failure_pattern_orbits(cfg.n, cfg.t, programs)
-    orbits = count_failure_pattern_orbits(cfg.n, cfg.t, programs)
+    fps = list(enum_failure_pattern_orbits(cfg.n, cfg.t, programs))
+    orbits = len(fps)
     cap = max(SIZE_CAP, budget.sample_runs)
     verdict = Verdict(
         target=target,

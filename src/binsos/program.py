@@ -156,6 +156,10 @@ class Wait:
     guard: Guard = ()
     at: SyncTag = None
 
+    def __post_init__(self) -> None:
+        if self.dest is not None and not isinstance(self.until, Observed):
+            raise ValueError(f"a binding wait awaits an Observed atom, not {self.until!r}")
+
 
 Statement = Union[Pick, SetLocal, Communicate, Output, Wait]
 

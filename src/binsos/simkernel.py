@@ -49,7 +49,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .algorithms import instance_from_descriptor
 from .outputsets import (
@@ -280,7 +280,7 @@ class _Proc:
         "locals",
         "status",
         "output",
-        "observed",
+        "seen",
         "first",
         "crash_slot",
         "pick_counter",
@@ -295,8 +295,11 @@ class _Proc:
         self.locals: Dict[str, Value] = dict(program.initial_locals)
         self.status = _RUNNING
         self.output: Value = None
-        self.observed: Dict[str, set] = {}  # tag -> every value observed with it
-        self.first: Dict[str, Value] = {}  # tag -> the value first observed with it
+        # The (tag, value) pairs observed, and (tag, None) once the tag was;
+        # tag -> the value first observed with it, which binding waits read.
+        # Both are replaced on write, never changed in place: clones share them.
+        self.seen: FrozenSet[Tuple[str, Value]] = frozenset()
+        self.first: Dict[str, Value] = {}
         if crash_slot is not None and crash_slot > len(program.statements):
             raise PreconditionError(
                 f"failure pattern crashes process {pid} at slot {crash_slot}, "
@@ -315,8 +318,8 @@ class _Proc:
         other.locals = dict(self.locals)
         other.status = self.status
         other.output = self.output
-        other.observed = {tag: set(values) for tag, values in self.observed.items()}
-        other.first = dict(self.first)
+        other.seen = self.seen
+        other.first = self.first
         other.crash_slot = self.crash_slot
         other.pick_counter = self.pick_counter
         other.emission_counter = self.emission_counter
@@ -383,10 +386,7 @@ class _Kernel:
             if isinstance(atom, LocalIs):
                 truth = proc.locals.get(atom.name) == atom.value
             elif isinstance(atom, Observed):
-                if atom.value is None:
-                    truth = atom.tag in proc.first
-                else:
-                    truth = atom.value in proc.observed.get(atom.tag, ())
+                truth = (atom.tag, atom.value) in proc.seen
             elif isinstance(atom, HasOutput):
                 truth = proc.output is not None
             elif isinstance(atom, Deadline):
@@ -484,12 +484,11 @@ class _Kernel:
                                 "stmt": proc.pc, "t": self.now})
 
     def deliver(self, proc: _Proc, item: InfoItem) -> None:
-        seen = proc.observed.get(item.tag)
-        if seen is None:
-            proc.observed[item.tag] = {item.value}
-            proc.first[item.tag] = item.value
-        else:
-            seen.add(item.value)
+        pair = (item.tag, item.value)
+        if pair not in proc.seen:
+            if item.tag not in proc.first:
+                proc.first = {**proc.first, item.tag: item.value}
+            proc.seen |= {pair, (item.tag, None)}
         if self.record:
             self.events.append({"index": item.index, "kind": "observe", "pid": proc.pid,
                                 "sender": item.sender, "seq": len(self.events), "t": self.now,
@@ -747,7 +746,7 @@ class _SearchState(_AsyncKernel):
         return (
             proc.status != _CRASHED
             and item.tag in proc.program.relevant_tags[proc.pc]
-            and item.value not in proc.observed.get(item.tag, ())
+            and (item.tag, item.value) not in proc.seen
         )
 
     def emit(self, item: InfoItem) -> None:
@@ -859,13 +858,12 @@ class _SearchState(_AsyncKernel):
                 if p.status != _BLOCKED:
                     p.key = (p.status, p.output)
                 else:
-                    seen = tuple(
-                        (p.first.get(tag), frozenset(p.observed.get(tag, ())))
-                        for tag in p.program.relevant_tags[p.pc]
-                    )
+                    tags = p.program.relevant_tags[p.pc]
                     p.key = (
                         p.pc, p.output, frozenset(p.locals.items()),
-                        p.pick_counter, p.emission_counter, seen,
+                        p.pick_counter, p.emission_counter,
+                        frozenset(pair for pair in p.seen if pair[0] in tags),
+                        tuple(p.first.get(tag) for tag in tags),
                     )
             procs.append(p.key)
         pending = frozenset(
@@ -924,17 +922,19 @@ def search_async(
        kernel run is a path of moves.
     2. Relevance.  A pending item is dropped when its receiver has crashed,
        when no statement of its receiver from the receiver's pc on reads its
-       tag, or when the receiver has already observed its (tag, value).
-       Landing it then changes nothing the receiver will read: the pc only
-       grows and observations only accumulate, so this stays true.  Such an
-       item is no branch point and no part of the key; the kernel lands it
-       at H at the latest.
+       tag, or when its (tag, value) pair is already in the receiver's
+       ``seen``.  Landing it then changes nothing the receiver will read:
+       ``seen`` stays as it is, and so does ``first``, which holds a value
+       once the tag is in ``seen``; the pc only grows and ``seen`` only
+       grows, so this stays true.  Such an item is no branch point and no
+       part of the key; the kernel lands it at H at the latest.
     3. Deduplication.  The key holds all that the future reads: of a blocked
-       process its pc, output, locals, pick and emission counters and its
-       observations of the tags it still reads; of a done or crashed one its
-       status and output; and the pending items.  Crash slots are fixed by
-       ``fp``, and every later pick has a new (pid, counter), so the picks
-       made so far do not matter.  States with one key have one future.
+       process its pc, output, locals, pick and emission counters, and the
+       pairs of ``seen`` and the ``first`` values of the tags it still reads;
+       of a done or crashed one its status and output; and the pending
+       items.  Crash slots are fixed by ``fp``, and every later pick has a
+       new (pid, counter), so the picks made so far do not matter.  States
+       with one key have one future.
     4. Back to a run.  A path that lands batches b_1..b_k and then takes the
        deadline step is the kernel run with its picks scripted and the
        delay pattern that delivers b_j's items at step j and every other

@@ -7,6 +7,7 @@ from binsos.program import (
     COMP,
     ChoiceNeeded,
     Communicate,
+    Deadline,
     Observed,
     Output,
     Pick,
@@ -85,6 +86,11 @@ class TestProgramStructure:
     def test_synchronous_wait_rejected(self):
         with pytest.raises(ValueError, match="cannot wait"):
             Program((Wait(Observed("INIT"), at=(1, COMM)), Output(0, at=(1, COMP))))
+
+    def test_binding_wait_on_a_non_observed_atom_rejected(self):
+        with pytest.raises(ValueError, match=r"Deadline\(negate=False\)"):
+            Wait(Deadline(), dest="x")
+        assert Wait(Observed("INIT"), dest="x").dest == "x"
 
     def test_synchronous_communication_outside_comm_step_rejected(self):
         with pytest.raises(ValueError, match="outside a COMM step"):

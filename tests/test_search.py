@@ -15,7 +15,6 @@ from binsos.patterns import (
     NO_CRASHES,
     SYNC_CANONICAL,
     FailurePattern,
-    count_failure_pattern_orbits,
     enum_failure_pattern_orbits,
     enum_failure_patterns,
 )
@@ -35,6 +34,7 @@ from binsos.program import (
 )
 from binsos.simkernel import (
     _BLOCKED,
+    InfoItem,
     _SearchState,
     default_horizon,
     replay,
@@ -155,7 +155,7 @@ class TestBound:
     def test_state_bound_stops_explore(self, monkeypatch, cap):
         # One orbit of 16 states: a cap below that cuts the search short.
         inst, cfg = _bound(7, 4, 0)
-        assert count_failure_pattern_orbits(4, 0, inst.programs()) == 1
+        assert len(list(enum_failure_pattern_orbits(4, 0, inst.programs()))) == 1
         assert search_async(inst, cfg, NO_CRASHES, 10**6).states == 16
         monkeypatch.setattr(checker, "SIZE_CAP", cap)
         verdict = explore(inst, cfg, ExplorationBudget(sample_runs=0))
@@ -170,7 +170,7 @@ class TestBound:
         # Each orbit's search visits at least one state, so the state bound
         # alone cuts such a cell short.
         inst, cfg = _bound(9, 2, 1)
-        assert count_failure_pattern_orbits(2, 1, inst.programs()) == 2
+        assert len(list(enum_failure_pattern_orbits(2, 1, inst.programs()))) == 2
         monkeypatch.setattr(checker, "SIZE_CAP", 1)
         verdict = explore(inst, cfg, ExplorationBudget(sample_runs=0))
         assert not verdict.exhaustive
@@ -219,7 +219,7 @@ def _contents(state):
     picks."""
     procs = [
         (p.pc, p.status, p.output, dict(p.locals),
-         {tag: frozenset(values) for tag, values in p.observed.items()}, dict(p.first),
+         p.seen, dict(p.first),
          p.pick_counter, p.emission_counter)
         for p in state.procs
     ]
@@ -251,7 +251,14 @@ class TestSearchStates:
         state = root.fork()
         assert state.procs == root.procs
         proc = state.own(1)
-        assert proc is not root.procs[0] and state.procs[1:] == root.procs[1:]
+        original = root.procs[0]
+        assert proc is not original and state.procs[1:] == root.procs[1:]
+        # A fresh clone shares the observations; a delivery replaces them.
+        assert proc.seen is original.seen and proc.first is original.first
+        seen, first = original.seen, dict(original.first)
+        state.deliver(proc, InfoItem(2, 9, "NEW", 1))
+        assert original.seen == seen and original.first == first
+        assert {("NEW", 1), ("NEW", None)} <= proc.seen and proc.first["NEW"] == 1
         state.key()
         assert proc.key is not None
         assert state.own(1) is proc and proc.key is None
