@@ -47,6 +47,7 @@ from .patterns import (
     SYNC_CANONICAL,
     DelayPattern,
     FailurePattern,
+    count_failure_pattern_orbits,
     count_failure_patterns,
     enum_failure_pattern_orbits,
     sample_delay_pattern,
@@ -243,23 +244,22 @@ def explore(
     relabelled pids, reach the same output sets.
 
     - Sync: a process reads only its own program, locals, output, picks and
-      observations.  A guard reads observations as a set of (tag, value)
-      pairs, which no delivery order changes; only a binding wait reads the
-      first value of a tag, and sync programs cannot ``Wait``.  So the
-      sender order at the delivery barrier reaches nothing.  The relabelled
-      run gives each process the state of its preimage, and so the same
-      output set.
+      observations.  Guards read these as (tag, value) pairs, and only a
+      binding wait reads a tag's first value; sync programs cannot ``Wait``,
+      so the sender order at the delivery barrier reaches nothing.  The
+      relabelled run gives each process the state of its preimage, and so
+      the same output set.
     - Async: relabelling commutes with every search move, except that items
       landing together (a batch, or the deadline step's) land in sender
-      order.  The set of (tag, value) pairs a process observed is the same
-      in either order, so the order reaches it only through the first value
-      of a tag, which a binding wait takes.  A binding wait of the shipped
-      programs is the only statement reading its tag, and only unguarded
-      outputs follow it (``tests/test_search.py`` checks both), so it binds
-      the value of whichever item of its tag lands first, and nothing reads
-      the others.  The search lands every subset of a receiver's pending
-      items, any one item alone among them, so every arrival order, and
-      every bound value, is reachable under either labelling.
+      order.  The pairs a process observed do not depend on that order, so
+      it reaches a process only through the value a binding wait takes.  A
+      binding wait of the shipped programs is the only statement reading its
+      tag, and only unguarded outputs follow it (``tests/test_search.py``
+      checks both), so it binds the value of whichever item of its tag lands
+      first, and nothing reads the others.  The search lands every subset of
+      a receiver's pending items, any one item alone among them, so every
+      arrival order, and every bound value, is reachable under either
+      labelling.
     """
     budget = budget or ExplorationBudget()
     instance = _bind(instance, cfg)
@@ -273,8 +273,8 @@ def explore(
     # the cap, run under every pick outcome (sync); otherwise sample_runs
     # seeded draws.
     programs = instance.programs()
-    fps = list(enum_failure_pattern_orbits(cfg.n, cfg.t, programs))
-    orbits = len(fps)
+    fps = enum_failure_pattern_orbits(cfg.n, cfg.t, programs)
+    orbits = count_failure_pattern_orbits(cfg.n, cfg.t, programs)
     cap = max(SIZE_CAP, budget.sample_runs)
     verdict = Verdict(
         target=target,

@@ -3,8 +3,7 @@
 Failure patterns map crashed processes to statement-boundary crash slots.
 They are enumerated whole, or one per orbit under permutations of processes
 with equal programs over only the crash slots other processes can tell
-apart (``Program.crash_slots``).  The whole family, which exploration never
-enumerates, is counted in closed form.
+apart (``Program.crash_slots``), and counted in closed form either way.
 Delay patterns map each potentially emitted item, per receiver, to the
 logical step at which it is delivered.  No delay-pattern family is
 enumerated: exhaustive exploration searches the kernel's states instead
@@ -17,6 +16,7 @@ so global termination of the medium holds by construction.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -158,6 +158,27 @@ def enum_failure_pattern_orbits(
     for f in range(t + 1):
         for crashes in spread(0, f):
             yield FailurePattern(tuple(sorted(crashes)))
+
+
+def count_failure_pattern_orbits(n: int, t: int, programs: Sequence) -> int:
+    """How many patterns ``enum_failure_pattern_orbits`` yields: the product
+    over classes of sum_c C(s+c-1, c) x^c (c up to the class size, s its
+    number of crash slots), truncated at degree t, at x = 1.  A class with
+    no crash slots contributes the factor 1."""
+    if not 0 <= t <= n:
+        raise ValueError(f"need 0 <= t <= n, got n={n}, t={t}")
+    poly = [1] + [0] * t  # poly[f]: orbits with f crashes
+    for pids, slots in _classes(n, programs):
+        if not slots:
+            continue
+        poly = [
+            sum(
+                poly[f - c] * math.comb(len(slots) + c - 1, c)
+                for c in range(min(f, len(pids)) + 1)
+            )
+            for f in range(t + 1)
+        ]
+    return sum(poly)
 
 
 def sample_failure_pattern(

@@ -295,11 +295,8 @@ class _Proc:
         self.locals: Dict[str, Value] = dict(program.initial_locals)
         self.status = _RUNNING
         self.output: Value = None
-        # The (tag, value) pairs observed, and (tag, None) once the tag was;
-        # tag -> the value first observed with it, which binding waits read.
-        # Both are replaced on write, never changed in place: clones share them.
-        self.seen: FrozenSet[Tuple[str, Value]] = frozenset()
-        self.first: Dict[str, Value] = {}
+        self.seen: FrozenSet[Tuple[str, Value]] = frozenset()  # (tag, value); (tag, None) per tag
+        self.first: Dict[str, Value] = {}  # tag -> the value first observed with it
         if crash_slot is not None and crash_slot > len(program.statements):
             raise PreconditionError(
                 f"failure pattern crashes process {pid} at slot {crash_slot}, "
@@ -318,6 +315,7 @@ class _Proc:
         other.locals = dict(self.locals)
         other.status = self.status
         other.output = self.output
+        # seen and first are replaced on write, never changed in place.
         other.seen = self.seen
         other.first = self.first
         other.crash_slot = self.crash_slot
@@ -923,18 +921,17 @@ def search_async(
     2. Relevance.  A pending item is dropped when its receiver has crashed,
        when no statement of its receiver from the receiver's pc on reads its
        tag, or when its (tag, value) pair is already in the receiver's
-       ``seen``.  Landing it then changes nothing the receiver will read:
-       ``seen`` stays as it is, and so does ``first``, which holds a value
-       once the tag is in ``seen``; the pc only grows and ``seen`` only
-       grows, so this stays true.  Such an item is no branch point and no
+       ``seen``.  Landing it then changes neither ``seen`` nor ``first``
+       (which has the tag once ``seen`` does); the pc and ``seen`` only
+       grow, so this stays true.  Such an item is no branch point and no
        part of the key; the kernel lands it at H at the latest.
     3. Deduplication.  The key holds all that the future reads: of a blocked
-       process its pc, output, locals, pick and emission counters, and the
-       pairs of ``seen`` and the ``first`` values of the tags it still reads;
-       of a done or crashed one its status and output; and the pending
-       items.  Crash slots are fixed by ``fp``, and every later pick has a
-       new (pid, counter), so the picks made so far do not matter.  States
-       with one key have one future.
+       process its pc, output, locals, pick and emission counters and its
+       ``seen`` pairs and ``first`` values of the tags it still reads; of a
+       done or crashed one its status and output; and the pending items.
+       Crash slots are fixed by ``fp``, and every later pick has a new (pid,
+       counter), so the picks made so far do not matter.  States with one
+       key have one future.
     4. Back to a run.  A path that lands batches b_1..b_k and then takes the
        deadline step is the kernel run with its picks scripted and the
        delay pattern that delivers b_j's items at step j and every other

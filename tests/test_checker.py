@@ -16,7 +16,7 @@ from binsos.checker import (
     witness,
 )
 from binsos.outputsets import OutputSet, SystemConfig, Timing, line_members, sos, tight_condition
-from binsos.patterns import enum_failure_pattern_orbits
+from binsos.patterns import count_failure_pattern_orbits
 from binsos.simkernel import PreconditionError, medium_check, replay
 
 
@@ -71,7 +71,7 @@ class TestExplore:
         # merges its failure patterns, and even over the crash slots alone
         # orbits times pick outcomes exceed SIZE_CAP: it is sampled.
         inst = instance_for_line(7, Timing.SYNC).bind(8, 6)
-        orbits = len(list(enum_failure_pattern_orbits(8, 6, inst.programs())))
+        orbits = count_failure_pattern_orbits(8, 6, inst.programs())
         assert orbits == 18_015
         assert _choice_bound(inst) * orbits == 2_305_920 > SIZE_CAP
         budget = ExplorationBudget(sample_runs=3)

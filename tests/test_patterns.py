@@ -13,6 +13,7 @@ from binsos.patterns import (
     SYNC_CANONICAL,
     DelayPattern,
     FailurePattern,
+    count_failure_pattern_orbits,
     count_failure_patterns,
     enum_failure_pattern_orbits,
     enum_failure_patterns,
@@ -80,6 +81,14 @@ def _canonical(fp, programs):
     )
 
 
+def test_failure_pattern_orbit_counts():
+    for n in range(0, 6):
+        for t in range(0, n + 1):
+            for programs in _class_structures(n):
+                orbits = list(enum_failure_pattern_orbits(n, t, programs))
+                assert count_failure_pattern_orbits(n, t, programs) == len(orbits), (n, t)
+
+
 def test_failure_pattern_orbits_one_per_orbit():
     for n in range(0, 6):
         for t in range(0, n + 1):
@@ -109,7 +118,7 @@ def test_failure_pattern_orbit_representatives_crash_the_lowest_pids():
         ((1, 1), (2, 1)), ((1, 1), (2, 3)), ((1, 3), (2, 3)),
     ]
     with pytest.raises(ValueError, match="expected 3 programs"):
-        list(enum_failure_pattern_orbits(3, 1, [same] * 2))
+        count_failure_pattern_orbits(3, 1, [same] * 2)
 
 
 def test_failure_pattern_descriptor_roundtrip():

@@ -15,6 +15,7 @@ from binsos.patterns import (
     NO_CRASHES,
     SYNC_CANONICAL,
     FailurePattern,
+    count_failure_pattern_orbits,
     enum_failure_pattern_orbits,
     enum_failure_patterns,
 )
@@ -155,7 +156,7 @@ class TestBound:
     def test_state_bound_stops_explore(self, monkeypatch, cap):
         # One orbit of 16 states: a cap below that cuts the search short.
         inst, cfg = _bound(7, 4, 0)
-        assert len(list(enum_failure_pattern_orbits(4, 0, inst.programs()))) == 1
+        assert count_failure_pattern_orbits(4, 0, inst.programs()) == 1
         assert search_async(inst, cfg, NO_CRASHES, 10**6).states == 16
         monkeypatch.setattr(checker, "SIZE_CAP", cap)
         verdict = explore(inst, cfg, ExplorationBudget(sample_runs=0))
@@ -170,7 +171,7 @@ class TestBound:
         # Each orbit's search visits at least one state, so the state bound
         # alone cuts such a cell short.
         inst, cfg = _bound(9, 2, 1)
-        assert len(list(enum_failure_pattern_orbits(2, 1, inst.programs()))) == 2
+        assert count_failure_pattern_orbits(2, 1, inst.programs()) == 2
         monkeypatch.setattr(checker, "SIZE_CAP", 1)
         verdict = explore(inst, cfg, ExplorationBudget(sample_runs=0))
         assert not verdict.exhaustive
