@@ -237,29 +237,19 @@ def explore(
       same as no crash, and that pattern, with one crash fewer, is already
       enumerated.
 
-    Why one pattern per orbit reaches every output set: let a permutation
-    of processes with equal programs relabel a failure pattern (equal
-    programs have equal crash slots).  The output set holds values and no
-    pid, so it suffices that the relabelled runs, picks keyed by the
-    relabelled pids, reach the same output sets.
-
-    - Sync: a process reads only its own program, locals, output, picks and
-      observations.  Guards read these as (tag, value) pairs, and only a
-      binding wait reads a tag's first value; sync programs cannot ``Wait``,
-      so the sender order at the delivery barrier reaches nothing.  The
-      relabelled run gives each process the state of its preimage, and so
-      the same output set.
-    - Async: relabelling commutes with every search move, except that items
-      landing together (a batch, or the deadline step's) land in sender
-      order.  The pairs a process observed do not depend on that order, so
-      it reaches a process only through the value a binding wait takes.  A
-      binding wait of the shipped programs is the only statement reading its
-      tag, and only unguarded outputs follow it (``tests/test_search.py``
-      checks both), so it binds the value of whichever item of its tag lands
-      first, and nothing reads the others.  The search lands every subset of
-      a receiver's pending items, any one item alone among them, so every
-      arrival order, and every bound value, is reachable under either
-      labelling.
+    Why one pattern per orbit reaches every output set, for any program
+    under either timing: let a permutation of processes with equal programs
+    relabel a failure pattern (equal programs have equal crash slots).  The
+    output set holds values and no pid, so it suffices that the relabelled
+    runs, picks keyed by the relabelled pids, reach the same output sets.
+    A process reads only its own program, locals, output, picks and
+    observations, and observations only as (tag, value) pairs: guards test
+    them, and a binding wait takes its tag's first value.  Items landing
+    together (at a sync barrier, in an async batch or at the deadline step)
+    land in value order (``InfoItem.sort_key``), so a tag's first item among
+    them carries its least value, and no sender id reaches any process.  So
+    relabelling commutes with every kernel step and search move, and the
+    relabelled run gives each process the state of its preimage.
     """
     budget = budget or ExplorationBudget()
     instance = _bind(instance, cfg)

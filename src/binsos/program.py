@@ -147,8 +147,8 @@ class Wait:
     """Block until ``until`` holds (asynchronous programs only).
 
     With ``dest``, ``until`` is an ``Observed`` atom, and ``dest`` is bound to
-    the value of the first item observed with its tag.  Ties within one
-    delivery batch resolve by (sender index, payload bit).
+    the value of the first item observed with its tag; of items landing
+    together, that is the least value (``InfoItem.sort_key``).
     """
 
     until: GuardAtom

@@ -88,7 +88,7 @@ _DONE = 2
 _CRASHED = 3
 
 TRACE_FORMAT = "binsos-trace"
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 #: The one event table: each kind of event the kernel logs, with its fields
 #: in sorted order.
@@ -122,8 +122,11 @@ class InfoItem:
 
     @property
     def sort_key(self) -> Tuple[int, int, int]:
+        """The delivery order of items landing together.  The value comes
+        first, so a tag's first item in a batch carries its least value and
+        no sender id decides what a binding wait takes."""
         bit = -1 if self.value is None else int(self.value)
-        return (self.sender, bit, self.index)
+        return (bit, self.sender, self.index)
 
 
 @dataclass

@@ -245,6 +245,7 @@ class TestReplayCommand:
         "edit, named",
         [
             (lambda header: header.update(version=99), "version 99"),
+            (lambda header: header.update(version=1), "trace version 1 is not supported"),
             (lambda header: header.pop("cfg"), "cfg"),
             (lambda header: header.update(cfg={}), "system config lacks 'n'"),
             (lambda header: header.update(choices={}), "choices lacks 'mode'"),

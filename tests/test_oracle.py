@@ -115,8 +115,8 @@ UNSHIPPED = {
         Output(1, guard=(Observed(INIT, 1),)),
         Output(0, guard=(Observed(INIT, 1, negate=True),)),
     )),
-    # The binding wait is the only statement reading PROPOSE and only an
-    # unguarded output follows it: the premise of explore's async orbits.
+    # A binding wait takes the least PROPOSE value of the first batch to
+    # land on it: items landing together land in value order.
     "binding wait on PROPOSE": Program((
         Pick("v", (0, 1)),
         Communicate(PROPOSE, LocalRef("v")),

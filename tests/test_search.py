@@ -4,6 +4,8 @@ moves nothing, that every kernel run lies inside the family it finds, and
 that exploring one failure pattern per symmetry orbit, with crashes only at
 the crash slots, finds the family of every failure pattern."""
 
+import random
+
 import pytest
 from conftest import all_latest, stretch_representative
 
@@ -395,57 +397,96 @@ class TestSymmetry:
         assert len(cells) == 43
         assert _families_differ(cells) == []
 
-    def test_binding_waits_read_their_tag_alone_and_only_outputs_follow(self):
-        # The premise of the asynchronous half of explore's symmetry
-        # argument, over every async program of every solvable line.
-        checked = 0
-        for line in range(1, 16):
-            condition = tight_condition(line, Timing.ASYNC)
-            for n in range(1, 7):
-                for t in range(n + 1):
-                    if not condition.holds(n, t):
-                        continue
-                    for program in instance_for_line(line, Timing.ASYNC).bind(n, t).programs():
-                        statements = program.statements
-                        for k, stmt in enumerate(statements):
-                            if not (isinstance(stmt, Wait) and stmt.dest is not None):
-                                continue
-                            checked += 1
-                            tag = stmt.until.tag
-                            readers = [
-                                j for j, other in enumerate(statements)
-                                if tag in Program((other,)).relevant_tags[0]
-                            ]
-                            assert readers == [k], (line, n, t, program)
-                            assert all(
-                                isinstance(after, Output) and after.guard == ()
-                                for after in statements[k + 1:]
-                            ), (line, n, t, program)
-        assert checked > 0
-
-    def test_the_premise_is_needed(self, monkeypatch):
+    def test_relabelled_patterns_reach_the_same_output_sets(self, p_p_q):
         # p1 and p2 pick v, communicate T(v) and output v; p3 binds the first
-        # T value it observes and then reads T again, breaking the premise.
-        # Landing both T items in one batch binds p1's, so crashing p1 or p2
-        # before its output, two relabellings of one orbit, differ.
-        timing, params, _ = algorithms._KINDS[AlgorithmKind.SINGLE_OUTPUT]
+        # T value it observes and then reads T again.  A batch landing both T
+        # items binds the least value, whoever sent it, so crashing p1 or p2
+        # before its output, two relabellings of one orbit, reach the same
+        # output sets.
+        p = Program((Pick("v", (0, 1)), Communicate("T", LocalRef("v")), Output(LocalRef("v"))))
+        both = (Observed("T", 0), Observed("T", 1))
+        q = Program((Wait(Observed("T"), dest="x"), Output(Flip("x"), guard=both)))
+        first, second = _crash_p1_or_p2(p_p_q(p, q), 2)
+        assert first == second and OutputSet.BOTH in first
 
-        def build(instance, pid):
-            if pid < 3:
-                return Program((Pick("v", (0, 1)), Communicate("T", LocalRef("v")),
-                                Output(LocalRef("v"))))
-            both = (Observed("T", 0), Observed("T", 1))
-            return Program((Wait(Observed("T"), dest="x"), Output(Flip("x"), guard=both)))
+    def test_relabelled_patterns_reach_the_same_output_sets_on_random_programs(self, p_p_q):
+        rng = random.Random(1)
+        for _ in range(2_500):
+            p, q = _random_program(rng), _random_program(rng)
+            inst = p_p_q(p, q)
+            for slot in p.crash_slots:
+                first, second = _crash_p1_or_p2(inst, slot)
+                assert first == second, (p, q, slot)
 
-        monkeypatch.setitem(algorithms._KINDS, AlgorithmKind.SINGLE_OUTPUT, (timing, params, build))
+
+def _crash_p1_or_p2(inst, slot):
+    """The output sets reached when process 1 crashes at ``slot``, and when
+    process 2 does, at async n = 3, t = 1."""
+    cfg = SystemConfig(3, 1, Timing.ASYNC)
+    return [
+        set(search_async(inst, cfg, FailurePattern.of({pid: slot}), 10**6).found)
+        for pid in (1, 2)
+    ]
+
+
+@pytest.fixture
+def p_p_q(monkeypatch):
+    """Binds programs P and Q to an async instance at n = 3, t = 1 whose
+    processes 1 and 2 run P and whose process 3 runs Q."""
+    timing, params, _ = algorithms._KINDS[AlgorithmKind.SINGLE_OUTPUT]
+    drawn = []
+    monkeypatch.setitem(
+        algorithms._KINDS, AlgorithmKind.SINGLE_OUTPUT,
+        (timing, params, lambda instance, pid: drawn[pid > 2]),
+    )
+
+    def bind(p, q):
+        drawn[:] = [p, q]
         inst = AlgorithmInstance(AlgorithmKind.SINGLE_OUTPUT, Timing.ASYNC, no_out=False)
-        inst = inst.bind(3, 1, permissive=True)
-        cfg = SystemConfig(3, 1, Timing.ASYNC)
-        first, second = (
-            set(search_async(inst, cfg, FailurePattern.of({pid: 2}), 10**6).found)
-            for pid in (1, 2)
-        )
-        assert second - first == {OutputSet.BOTH}
+        return inst.bind(3, 1, permissive=True)
+
+    return bind
+
+
+def _random_guard(rng):
+    """Up to two ``Observed`` atoms on tag A, valued or not, some negated."""
+    return tuple(
+        Observed("A", rng.choice((None, 0, 1)), negate=rng.random() < 0.3)
+        for _ in range(rng.choice((0, 0, 1, 2)))
+    )
+
+
+def _random_program(rng):
+    """Two to five statements on tag A: picks of v, guarded communicates of
+    a bit, guarded waits on ``Observed`` atoms, at most one binding wait
+    (into x) and at most one guarded output of v, x or Flip(x), each after
+    what it reads.  No ``Deadline()``.  Picks and the binding wait are
+    unguarded, so v and x hold bits once read."""
+    statements, picked, bound, output = [], False, False, False
+    for _ in range(rng.randint(2, 5)):
+        kinds = ["pick", "communicate", "wait"]
+        if not bound:
+            kinds.append("bind")
+        if not output and (picked or bound):
+            kinds.append("output")
+        kind = rng.choice(kinds)
+        if kind == "pick":
+            statements.append(Pick("v", (0, 1)))
+            picked = True
+        elif kind == "communicate":
+            value = rng.choice((0, 1, LocalRef("v")) if picked else (0, 1))
+            statements.append(Communicate("A", value, _random_guard(rng)))
+        elif kind == "wait":
+            until = Observed("A", rng.choice((None, 0, 1)))
+            statements.append(Wait(until, guard=_random_guard(rng)))
+        elif kind == "bind":
+            statements.append(Wait(Observed("A"), dest="x"))
+            bound = True
+        else:
+            values = [LocalRef("v")] * picked + [LocalRef("x"), Flip("x")] * bound
+            statements.append(Output(rng.choice(values), _random_guard(rng)))
+            output = True
+    return Program(tuple(statements))
 
 
 class TestCrashSlots:
