@@ -19,12 +19,7 @@ from .algorithms import (
     instance_for_line,
     make_roles,
 )
-from .patterns import (
-    SYNC_CANONICAL,
-    DelayPattern,
-    FailurePattern,
-    enum_failure_patterns,
-)
+from .patterns import DelayPattern, FailurePattern, enum_failure_patterns
 from .program import ChoiceStream, ScriptedChoices, SeededChoices
 from .simkernel import (
     ExecutionTrace,
@@ -60,7 +55,6 @@ __all__ = [
     "OutputSet",
     "PreconditionError",
     "RoleAssignment",
-    "SYNC_CANONICAL",
     "ScriptedChoices",
     "SeededChoices",
     "SetOfOutputSets",

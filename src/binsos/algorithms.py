@@ -176,7 +176,6 @@ class AlgorithmInstance:
     no_out: Optional[bool] = None
     values: Optional[Tuple[Value, ...]] = None
     default_value: Optional[int] = None
-    line: Optional[int] = None
     n: Optional[int] = None
     t: Optional[int] = None
     permissive: bool = False
@@ -188,7 +187,7 @@ class AlgorithmInstance:
     def __post_init__(self) -> None:
         if isinstance(self.values, list):
             object.__setattr__(self, "values", tuple(self.values))
-        for name, kind in (("no_out", bool), ("default_value", int), ("line", int),
+        for name, kind in (("no_out", bool), ("default_value", int),
                            ("n", int), ("t", int), ("permissive", bool)):
             value = getattr(self, name)
             if value is not None and type(value) is not kind:
@@ -231,10 +230,9 @@ class AlgorithmInstance:
         return self.n is not None
 
     @property
-    def effective_line(self) -> int:
-        """Table line this instance serves, inferred from parameters."""
-        if self.line is not None:
-            return self.line
+    def line(self) -> int:
+        """Table line this instance serves, derived from its kind and
+        parameters."""
         return _infer_line(self)
 
     def bind(self, n: int, t: int, permissive: bool = False) -> "AlgorithmInstance":
@@ -244,7 +242,7 @@ class AlgorithmInstance:
         condition; the violated condition is named in the rejection.
         """
         if not permissive:
-            cond = tight_condition(self.effective_line, self.timing)
+            cond = tight_condition(self.line, self.timing)
             if not cond.holds(n, t):
                 raise PreconditionError(
                     f"(n={n}, t={t}) violates condition '{cond}' for "
@@ -253,7 +251,7 @@ class AlgorithmInstance:
         return replace(self, n=n, t=t, permissive=permissive)
 
     def target_members(self) -> SetOfOutputSets:
-        return line_members(self.effective_line)
+        return line_members(self.line)
 
     def programs(self) -> Tuple[Program, ...]:
         if not self.bound:
@@ -281,7 +279,7 @@ def instance_from_descriptor(d: Dict[str, object]) -> AlgorithmInstance:
     """The instance a trace header describes, bound by ``bind``, or a rejection."""
     d = _descriptor_fields(
         d, "algorithm", kind=str, timing=str, n=int, t=int, permissive=bool,
-        line=None, roles=None, **dict.fromkeys(PARAM_NAMES),
+        line=int, roles=None, **dict.fromkeys(PARAM_NAMES),
     )
     instance = AlgorithmInstance(
         kind=AlgorithmKind(d["kind"]),
@@ -289,11 +287,10 @@ def instance_from_descriptor(d: Dict[str, object]) -> AlgorithmInstance:
         no_out=d.get("no_out"),
         values=d.get("values"),
         default_value=d.get("default_value"),
-        line=d.get("line"),
     )
     # The line, like the roles, follows from the kind and parameters.
-    if instance.line is not None and instance.line != _infer_line(instance):
-        raise ValueError(f"algorithm line {instance.line} is not {_infer_line(instance)}, "
+    if d["line"] != instance.line:
+        raise ValueError(f"algorithm line {d['line']} is not {instance.line}, "
                          f"the line of {instance.kind.value} with these parameters")
     instance = instance.bind(d["n"], d["t"], permissive=d["permissive"])
     # Roles follow from (kind, n, t, permissive); a described set must match.
@@ -307,8 +304,8 @@ def instance_from_descriptor(d: Dict[str, object]) -> AlgorithmInstance:
 
 def _infer_line(instance: AlgorithmInstance) -> int:
     """The line whose mandated instance, under either timing, has this one's
-    kind and parameters (``values`` compared as a set); the smallest, if
-    several do."""
+    kind and parameters (``values`` compared as a set); no two lines have
+    the same kind and parameters."""
     return _lines_by_parameters()[_parameters(instance)]
 
 
@@ -320,12 +317,12 @@ def _parameters(instance: AlgorithmInstance) -> Tuple:
 @functools.lru_cache(maxsize=None)
 def _lines_by_parameters() -> Dict[Tuple, int]:
     """``_parameters`` of each line's mandated instance, under each timing,
-    mapped to the smallest such line."""
-    lines: Dict[Tuple, int] = {}
-    for line in range(1, 16):
-        for timing in Timing:
-            lines.setdefault(_parameters(instance_for_line(line, timing)), line)
-    return lines
+    mapped to that line."""
+    return {
+        _parameters(instance_for_line(line, timing)): line
+        for line in range(1, 16)
+        for timing in Timing
+    }
 
 
 def instance_for_line(line: int, timing: Timing) -> AlgorithmInstance:
@@ -362,7 +359,7 @@ def instance_for_line(line: int, timing: Timing) -> AlgorithmInstance:
             kind, params = AlgorithmKind.SYNC_CONSENSUS, {}
     else:
         kind, params = kind_params[line]
-    return AlgorithmInstance(kind=kind, timing=timing, line=line, **params)
+    return AlgorithmInstance(kind=kind, timing=timing, **params)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .outputsets import (
     tight_condition,
 )
 from .patterns import (
-    SYNC_CANONICAL,
+    ALL_IMMEDIATE,
     DelayPattern,
     FailurePattern,
     count_failure_pattern_orbits,
@@ -300,7 +300,7 @@ def explore(
             leaf
             for fp in fps
             for _, leaf in branch_choices(
-                functools.partial(unrecorded, fp=fp, dp=SYNC_CANONICAL)
+                functools.partial(unrecorded, fp=fp, dp=ALL_IMMEDIATE)
             )
         )
     else:
@@ -335,7 +335,7 @@ def _draws(
         seed = rng.getrandbits(48)
         fp = sample_failure_pattern(rng, cfg.n, cfg.t, slot_counts)
         if cfg.timing is Timing.SYNC:
-            dp = SYNC_CANONICAL
+            dp = ALL_IMMEDIATE
         else:
             dp = sample_delay_pattern(rng, emissions, cfg.n, default_horizon(cfg.n))
         yield seed, fp, dp

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional
 from . import checker
 from .algorithms import PARAM_NAMES, AlgorithmInstance, AlgorithmKind, instance_for_line
 from .outputsets import SystemConfig, Timing, _read_json, condition_table
-from .patterns import NO_CRASHES, SYNC_CANONICAL, DelayPattern, FailurePattern
+from .patterns import ALL_IMMEDIATE, NO_CRASHES, DelayPattern, FailurePattern
 from .program import ChoiceNeeded, SeededChoices
 from .simkernel import ExecutionTrace, PreconditionError, replay, run
 
@@ -153,7 +153,7 @@ def cmd_run(args) -> int:
     choices = SeededChoices(args.seed)
     fp = (NO_CRASHES if args.fp is None
           else FailurePattern.from_descriptor(_load_literal(args.fp, "--fp")))
-    dp = (SYNC_CANONICAL if args.dp is None
+    dp = (ALL_IMMEDIATE if args.dp is None
           else DelayPattern.from_descriptor(_load_literal(args.dp, "--dp")))
     trace = run(bound, cfg, choices, fp, dp)
     _write_out(args.out, trace.to_jsonl())

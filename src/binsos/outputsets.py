@@ -151,14 +151,6 @@ class SystemConfig:
         if not (0 <= self.t <= self.n):
             raise ValueError(f"need 0 <= t <= n, got n={self.n}, t={self.t}")
 
-    def describe(self) -> Dict[str, object]:
-        return {"n": self.n, "t": self.t, "timing": self.timing.value}
-
-    @staticmethod
-    def from_descriptor(d: Dict[str, object]) -> "SystemConfig":
-        d = _descriptor_fields(d, "system config", n=int, t=int, timing=str)
-        return SystemConfig(d["n"], d["t"], Timing(d["timing"]))
-
 
 def _descriptor_fields(d: object, what: str, **types: Optional[type]) -> Dict[str, object]:
     """``d`` if it is a JSON object with no field but the named ones, each

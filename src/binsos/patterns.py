@@ -5,7 +5,9 @@ They are enumerated whole, or one per orbit under permutations of processes
 with equal programs over only the crash slots other processes can tell
 apart (``Program.crash_slots``), and counted in closed form either way.
 Delay patterns map each potentially emitted item, per receiver, to the
-logical step at which it is delivered.  No delay-pattern family is
+logical step at which it is delivered; ``ALL_IMMEDIATE`` delivers each
+item at once, and it is the only pattern a synchronous run takes, since its
+round barrier does the same.  No delay-pattern family is
 enumerated: exhaustive exploration searches the kernel's states instead
 (``simkernel.search_async``) and builds, for each path it reports, the one
 pattern that replays it.  Patterns are drawn at random for sampling, and
@@ -198,18 +200,14 @@ class DelayPattern:
 
     ``entries`` maps (sender, emission index, receiver) to a step in 0..H;
     edges not listed fall back to ``default`` (a strict pattern with
-    ``default=None`` rejects unknown edges at run time).  The special
-    ``sync_canonical`` kind is the unique same-round pattern of synchronous
-    systems; applied to an asynchronous run it behaves as all-immediate.
+    ``default=None`` rejects unknown edges at run time).  Its descriptor is
+    ``{"default": ..., "entries": [[sender, index, receiver, step], ...]}``.
     """
 
-    kind: str = "map"  # "map" | "sync_canonical"
     entries: Tuple[Tuple[int, int, int, int], ...] = ()  # (sender, idx, recv, step)
     default: Optional[int] = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("map", "sync_canonical"):
-            raise ValueError(f"unknown delay pattern kind: {self.kind!r}")
         keys = [(s, i, r) for s, i, r, _ in self.entries]
         if sorted(keys) != keys or len(set(keys)) != len(keys):
             raise ValueError("entries must be sorted and unique per edge")
@@ -225,11 +223,9 @@ class DelayPattern:
         flat = tuple(
             (s, i, r, step) for (s, i, r), step in sorted(entries.items())
         )
-        return DelayPattern("map", flat, default)
+        return DelayPattern(flat, default)
 
     def step_for(self, sender: int, index: int, receiver: int) -> int:
-        if self.kind == "sync_canonical":
-            return 0
         step = self._lookup().get((sender, index, receiver), self.default)
         if step is None:
             raise ValueError(
@@ -246,39 +242,25 @@ class DelayPattern:
         return cache
 
     def describe(self) -> Dict[str, object]:
-        if self.kind == "sync_canonical":
-            return {"kind": "sync_canonical"}
-        return {
-            "kind": "map",
-            "default": self.default,
-            "entries": [list(e) for e in self.entries],
-        }
+        return {"default": self.default, "entries": [list(e) for e in self.entries]}
 
     @staticmethod
     def from_descriptor(d: Dict[str, object]) -> "DelayPattern":
-        kind = _descriptor_fields(d, "delay pattern", kind=str, entries=None, default=None)["kind"]
-        if kind == "sync_canonical":
-            _descriptor_fields(d, "delay pattern", kind=str)  # and nothing else
-            return SYNC_CANONICAL
-        if kind != "map":
-            raise ValueError(f"delay pattern kind {kind!r} is not 'map' or 'sync_canonical'")
         entries = tuple(
             _int_row(e, 4, "delay pattern entry [sender, index, receiver, step]")
             for e in _descriptor_fields(
-                d, "delay pattern", kind=str, entries=list, default=None
+                d, "delay pattern", entries=list, default=None
             )["entries"]
         )
         default = d.get("default")
         if default is not None and type(default) is not int:
             raise ValueError(f"delay pattern default {default!r} must be an integer")
-        return DelayPattern("map", entries, default)
+        return DelayPattern(entries, default)
 
 
-#: The unique same-round delivery pattern of the synchronous model.
-SYNC_CANONICAL = DelayPattern(kind="sync_canonical")
-
-#: Every item delivered at the step it is emitted.
-ALL_IMMEDIATE = DelayPattern("map", (), 0)
+#: Every item delivered at the step it is emitted: the one pattern of a
+#: synchronous run, whose barrier lands each round's items in that round.
+ALL_IMMEDIATE = DelayPattern()
 
 
 def sample_delay_pattern(

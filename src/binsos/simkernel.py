@@ -55,7 +55,7 @@ from .algorithms import instance_from_descriptor
 from .outputsets import (
     OutputSet, SystemConfig, Timing, Value, _descriptor_fields, _read_json, output_set,
 )
-from .patterns import ALL_IMMEDIATE, SYNC_CANONICAL, DelayPattern, FailurePattern
+from .patterns import ALL_IMMEDIATE, DelayPattern, FailurePattern
 from .program import (
     COMM,
     COMP,
@@ -88,7 +88,7 @@ _DONE = 2
 _CRASHED = 3
 
 TRACE_FORMAT = "binsos-trace"
-TRACE_VERSION = 2
+TRACE_VERSION = 3
 
 #: The one event table: each kind of event the kernel logs, with its fields
 #: in sorted order.
@@ -149,11 +149,11 @@ class ExecutionTrace:
 
     @property
     def n(self) -> int:
-        return int(self.header["cfg"]["n"])  # type: ignore[index]
+        return int(self.header["alg"]["n"])  # type: ignore[index]
 
     @property
     def timing(self) -> Timing:
-        return Timing(self.header["cfg"]["timing"])  # type: ignore[index]
+        return Timing(self.header["alg"]["timing"])  # type: ignore[index]
 
     def to_jsonl(self) -> str:
         if not self.recorded:
@@ -185,10 +185,10 @@ class ExecutionTrace:
         if final["kind"] != "final":
             raise ValueError("trace missing final record")
         outputs = tuple(final["outputs"])
-        n = SystemConfig.from_descriptor(header["cfg"]).n
+        n = instance_from_descriptor(header["alg"]).n
         if len(outputs) != n:
             raise ValueError(
-                f"trace final record outputs has {len(outputs)} entries, not cfg.n = {n}"
+                f"trace final record outputs has {len(outputs)} entries, not alg.n = {n}"
             )
         for value in outputs:
             _check_value(value, "trace final record outputs entry")
@@ -271,7 +271,7 @@ def _read_header(header) -> Dict[str, object]:
         )
     return _descriptor_fields(
         header, "trace header", format=str, version=int,
-        alg=dict, cfg=dict, choices=dict, fp=dict, dp=dict, horizon=int,
+        alg=dict, choices=dict, fp=dict, dp=dict, horizon=int,
     )
 
 
@@ -357,7 +357,6 @@ class _Kernel:
                 "format": TRACE_FORMAT,
                 "version": TRACE_VERSION,
                 "alg": instance.describe(),
-                "cfg": cfg.describe(),
                 "choices": choices.describe(),
                 "fp": fp.describe(),
                 "dp": dp.describe(),
@@ -502,7 +501,7 @@ class _Kernel:
 
 class _SyncKernel(_Kernel):
     def __init__(self, instance, cfg, choices, fp, record):
-        super().__init__(instance, cfg, choices, fp, SYNC_CANONICAL, record)
+        super().__init__(instance, cfg, choices, fp, ALL_IMMEDIATE, record)
         self.round_items: List[InfoItem] = []
 
     def emit(self, item: InfoItem) -> None:
@@ -623,8 +622,6 @@ def potential_emissions(instance) -> List[Tuple[int, int]]:
 
 def validate_delay_pattern(instance, cfg: SystemConfig, dp: DelayPattern) -> None:
     """Screen a delay pattern against an instance and its horizon."""
-    if dp.kind == "sync_canonical":
-        return
     horizon = default_horizon(cfg.n)
     emissions = set(potential_emissions(instance))
     for sender, index, receiver, step in dp.entries:
@@ -681,24 +678,25 @@ def run_async(
 def run(instance, cfg, choices, fp, dp=None, record=True) -> ExecutionTrace:
     """Dispatch on the configuration's timing model.
 
-    A SYNC run takes only SYNC_CANONICAL.  An ASYNC run given no delay
-    pattern, or SYNC_CANONICAL, delivers every item at the step it is
-    emitted.
+    A SYNC run takes only ALL_IMMEDIATE, which its round barrier does
+    anyway.  An ASYNC run given no delay pattern runs under ALL_IMMEDIATE,
+    delivering every item at the step it is emitted.
     """
     if cfg.timing is Timing.SYNC:
-        if dp not in (None, SYNC_CANONICAL):
-            raise PreconditionError("a SYNC run takes only the sync_canonical delay pattern")
+        if dp not in (None, ALL_IMMEDIATE):
+            raise PreconditionError("a SYNC run takes only the all-immediate delay pattern")
         return run_sync(instance, cfg, choices, fp, record=record)
-    dp = SYNC_CANONICAL if dp is None else dp
+    dp = ALL_IMMEDIATE if dp is None else dp
     return run_async(instance, cfg, choices, fp, dp, record=record)
 
 
 def replay(source) -> ExecutionTrace:
     """Re-execute a trace from its header alone (trace text or header dict)."""
     header = _read_header(source)
+    inst = instance_from_descriptor(header["alg"])
     rerun = run(
-        instance_from_descriptor(header["alg"]),
-        SystemConfig.from_descriptor(header["cfg"]),
+        inst,
+        SystemConfig(inst.n, inst.t, inst.timing),
         choices_from_descriptor(header["choices"]),
         FailurePattern.from_descriptor(header["fp"]),
         DelayPattern.from_descriptor(header["dp"]),

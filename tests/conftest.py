@@ -26,7 +26,7 @@ def pytest_terminal_summary(terminalreporter):
 
 def all_latest(horizon):
     """Every item delivered at the horizon."""
-    return DelayPattern("map", (), horizon)
+    return DelayPattern(default=horizon)
 
 
 def stretch_representative(fp, programs):

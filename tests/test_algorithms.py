@@ -14,7 +14,7 @@ from binsos.algorithms import (
     make_roles,
 )
 from binsos.checker import branch_choices, sample_traces
-from binsos.outputsets import OutputSet, SystemConfig, Timing, tight_condition
+from binsos.outputsets import OutputSet, SystemConfig, Timing, line_members, tight_condition
 from binsos.patterns import ALL_IMMEDIATE, NO_CRASHES, enum_failure_patterns
 from binsos.program import COMP, Communicate, Output, Pick, Program, ScriptedChoices, Wait
 from binsos.simkernel import PreconditionError, run, run_sync
@@ -97,8 +97,8 @@ class TestInstanceForLine:
         assert instance_for_line(7, Timing.SYNC).kind is AlgorithmKind.SYNC_DISAGREEMENT
 
     def test_effective_line_of_every_accepted_parameter_set(self):
-        # An instance built without a line reads it from the line table;
-        # values are compared as a set, so order and repeats do not matter.
+        # An instance derives its line from the line table; values are
+        # compared as a set, so order and repeats do not matter.
         cases = [
             (AlgorithmKind.ALL_OUTPUT, {"values": (0, 1, None)}, 1),
             (AlgorithmKind.ALL_OUTPUT, {"values": (1, 0)}, 2),
@@ -123,20 +123,21 @@ class TestInstanceForLine:
             only = algorithms._KINDS[kind][0]
             for timing in [only] if only else Timing:
                 inst = algorithms.AlgorithmInstance(kind=kind, timing=timing, **params)
-                assert inst.effective_line == line, (kind, timing, params)
+                assert inst.line == line, (kind, timing, params)
 
     def test_line_lookup_equals_a_search_of_the_line_table(self):
         # Every parameter set each kind takes, values in any order and with
-        # repeats, against the first line (and timing) whose mandated
+        # repeats, against the one line (under either timing) whose mandated
         # instance has the same kind and parameters; and the same instance
-        # read from a descriptor with line null.
+        # described and read back, its descriptor's line equal to that line.
         def params(inst):
             values = None if inst.values is None else frozenset(inst.values)
             return inst.kind, inst.no_out, inst.default_value, values
 
         def searched(inst):
-            return next(line for line in range(1, 16) for timing in Timing
-                        if params(instance_for_line(line, timing)) == params(inst))
+            (line,) = {line for line in range(1, 16) for timing in Timing
+                       if params(instance_for_line(line, timing)) == params(inst)}
+            return line
 
         choices = {
             "values": [vs for size in (1, 2, 3)
@@ -152,15 +153,33 @@ class TestInstanceForLine:
                         kind=kind, timing=timing, **dict(zip(names, combo))
                     )
                     line = searched(inst)
-                    assert algorithms._infer_line(inst) == inst.effective_line == line
+                    assert algorithms._infer_line(inst) == inst.line == line
                     cond = tight_condition(line, timing)
                     n, t = next((n, t) for n in range(6) for t in range(n + 1)
                                 if cond.holds(n, t))
                     described = inst.bind(n, t).describe()
-                    assert described["line"] is None
-                    assert instance_from_descriptor(described).effective_line == line
+                    assert described["line"] == line
+                    assert instance_from_descriptor(described).line == line
                     checked.add((kind, timing, line))
         assert {line for _, _, line in checked} == set(range(1, 16))
+
+    def test_line_is_derived_never_given(self):
+        # A line given beside the kind and parameters could name another
+        # line's family, and explore would judge the instance against it.
+        with pytest.raises(TypeError, match="line"):
+            algorithms.AlgorithmInstance(
+                kind=AlgorithmKind.ALL_OUTPUT, timing=Timing.ASYNC, values=(0, 1), line=7
+            )
+        inst = algorithms.AlgorithmInstance(
+            kind=AlgorithmKind.ALL_OUTPUT, timing=Timing.ASYNC, values=(0, 1)
+        ).bind(3, 1)
+        assert inst.line == 2
+        assert inst.target_members() == line_members(2)
+        described = dict(inst.describe(), line=7)
+        with pytest.raises(ValueError, match="algorithm line 7 is not 2"):
+            instance_from_descriptor(described)
+        with pytest.raises(ValueError, match="algorithm line None must be int"):
+            instance_from_descriptor(dict(described, line=None))
 
     def test_line_16_rejected(self):
         with pytest.raises(PreconditionError):

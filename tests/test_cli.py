@@ -96,10 +96,27 @@ class TestRunCommand:
         assert code == 0
         assert last_json(stdout)["output_set"] == "{}"
 
+    def test_one_run_writes_one_trace(self, tmp_path, capsys):
+        # A line and the algorithm with its parameters name the same
+        # instance; an async run given no --dp delivers every item at once.
+        by_line, by_alg = tmp_path / "line.trace", tmp_path / "alg.trace"
+        for out, flags in (
+            (by_line, ["--line", "10"]),
+            (by_alg, ["--alg", "single_output", "--params", '{"no_out":false}']),
+        ):
+            code, _, err = invoke(
+                capsys, "run", *flags, "-n", "2", "-t", "0", "--out", str(out)
+            )
+            assert code == cli.EXIT_OK, err
+        assert by_line.read_bytes() == by_alg.read_bytes()
+        header = json.loads(by_line.read_text().splitlines()[0])
+        assert header["alg"]["line"] == 10
+        assert header["dp"] == {"default": 0, "entries": []}
+
     @pytest.mark.parametrize(
         "flags, named",
         [
-            (["--line", "9", "--dp", '{"kind":"bogus"}'], "'bogus'"),
+            (["--line", "9", "--dp", '{"entries":[],"bogus":0}'], "'bogus'"),
             (["--line", "9", "--fp", '{"crash":[]}'], "'crashes'"),
             (["--line", "9", "--fp", "[1]"], "'crashes'"),
             (["--alg", "single_output", "--params", "no_out=false"], "--params"),
@@ -112,9 +129,9 @@ class TestRunCommand:
             (
                 [
                     "--line", "9", "--timing", "sync",
-                    "--dp", '{"kind":"map","entries":[[9,0,1,3]],"default":0}',
+                    "--dp", '{"entries":[[9,0,1,3]],"default":0}',
                 ],
-                "sync_canonical",
+                "all-immediate",
             ),
             # Nothing sets the horizon: argparse rejects the unknown flag.
             (["--line", "9", "--timing", "sync", "--horizon", "3"], "--horizon"),
@@ -126,7 +143,7 @@ class TestRunCommand:
                 "default_value",
             ),
             (
-                ["--line", "9", "--dp", '{"kind":"map","entries":[],"default":-1}'],
+                ["--line", "9", "--dp", '{"entries":[],"default":-1}'],
                 "default -1",
             ),
             (["--alg", "all_output", "--params", "[0]"], "--params"),
@@ -148,11 +165,11 @@ class TestRunCommand:
                 "failure pattern has the undeclared key 'crashez'",
             ),
             (
-                ["--line", "9", "--dp", '{"kind":"sync_canonical","default":0}'],
-                "delay pattern has the undeclared key 'default'",
+                ["--line", "9", "--dp", '{"kind":"map","entries":[],"default":0}'],
+                "delay pattern has the undeclared key 'kind'",
             ),
             (
-                ["--line", "9", "--dp", '{"kind":"map","entries":[],"delay":0}'],
+                ["--line", "9", "--dp", '{"entries":[],"delay":0}'],
                 "delay pattern has the undeclared key 'delay'",
             ),
             (["--line", "1", "--fp", DEEP], "error: --fp is nested too deeply"),
@@ -246,16 +263,14 @@ class TestReplayCommand:
         [
             (lambda header: header.update(version=99), "version 99"),
             (lambda header: header.update(version=1), "trace version 1 is not supported"),
-            (lambda header: header.pop("cfg"), "cfg"),
-            (lambda header: header.update(cfg={}), "system config lacks 'n'"),
+            (lambda header: header.update(version=2), "trace version 2 is not supported"),
+            # alg holds n, t and timing; a leftover copy under cfg is rejected.
+            (lambda header: header.update(cfg={"n": 2, "t": 1, "timing": "sync"}), "cfg"),
+            (lambda header: header["alg"].pop("n"), "algorithm lacks 'n'"),
             (lambda header: header.update(choices={}), "choices lacks 'mode'"),
             (lambda header: header.update(alg={}), "algorithm lacks 'kind'"),
             (lambda header: header["alg"].update(no_out=True), "no_out"),
             (lambda header: header.update(note=1), "trace header has the undeclared key 'note'"),
-            (
-                lambda header: header["cfg"].update(horizon=4),
-                "system config has the undeclared key 'horizon'",
-            ),
             (
                 lambda header: header["alg"].update(rounds=1),
                 "algorithm has the undeclared key 'rounds'",
@@ -368,7 +383,7 @@ class TestReplayCommand:
             (lambda final: final.update(outputs=["x", None]),
              "trace final record outputs entry 'x' must be 0, 1 or null"),
             (lambda final: final.update(outputs=[1, 1, 1]),
-             "trace final record outputs has 3 entries, not cfg.n = 2"),
+             "trace final record outputs has 3 entries, not alg.n = 2"),
             (lambda final: final.update(termination="DONE"),
              "trace final record termination 'DONE' must be 'ALL_DONE' or 'QUIESCENT'"),
         ],
@@ -635,7 +650,7 @@ class TestPlumbing:
         assert code == cli.EXIT_OK, err
         header = json.loads(out.read_text().splitlines()[0])
         assert header["choices"] == {"mode": "seed", "seed": 3}
-        assert header["cfg"]["t"] == 1
+        assert header["alg"]["t"] == 1
 
     @pytest.mark.parametrize("alg", [["--alg", "alg6"], ["--alg=alg6"]])
     def test_config_line_yields_to_alg_on_the_command_line(self, tmp_path, capsys, alg):
@@ -703,7 +718,7 @@ class TestPlumbing:
         )
         assert code == cli.EXIT_OK, err
         header = json.loads(out.read_text().splitlines()[0])
-        assert (header["cfg"]["n"], header["cfg"]["t"]) == (2, 1)
+        assert (header["alg"]["n"], header["alg"]["t"]) == (2, 1)
 
     @pytest.mark.parametrize(
         "config, argv, named",

@@ -38,7 +38,7 @@ LITERALS = [
     (
         ["--line", "7", "-n", "3", "-t", "0"],
         "--dp",
-        {"kind": "map", "default": 0, "entries": [[1, 0, 2, 3], [2, 0, 1, 5]]},
+        {"default": 0, "entries": [[1, 0, 2, 3], [2, 0, 1, 5]]},
     ),
     (["--alg", "all_output", "-n", "2", "-t", "1"], "--params", {"values": [0, 1]}),
     (["--alg", "single_output", "-n", "2", "-t", "1"], "--params", {"no_out": False}),
@@ -184,7 +184,7 @@ def test_mutated_trace_final_record_exits_cleanly(tmp_path_factory, data, comman
     if edited == lines[-1]:
         expected = cli.EXIT_OK
     else:
-        n = json.loads(lines[0])["cfg"]["n"]
+        n = json.loads(lines[0])["alg"]["n"]
         expected = cli.EXIT_VERDICT if _fits_the_final_record(final, n) else cli.EXIT_PRECONDITION
     lines[-1] = edited
     path.write_text("\n".join(lines) + "\n")

@@ -11,7 +11,6 @@ from binsos.outputsets import OutputSet, SystemConfig, Timing, tight_condition
 from binsos.patterns import (
     ALL_IMMEDIATE,
     NO_CRASHES,
-    SYNC_CANONICAL,
     DelayPattern,
     FailurePattern,
 )
@@ -98,7 +97,7 @@ class TestAsyncDisagreementRuns:
         inst = instance_for_line(7, Timing.ASYNC).bind(5, 2)
         cfg = SystemConfig(5, 2, Timing.ASYNC)
         gates_closed = ScriptedChoices({(1, 0): 1, (2, 0): 1, (3, 0): 1})
-        for dp in (ALL_IMMEDIATE, all_latest(20), SYNC_CANONICAL):
+        for dp in (ALL_IMMEDIATE, all_latest(20)):
             trace = run_async(inst, cfg, gates_closed, NO_CRASHES, dp)
             assert trace.termination == "QUIESCENT"
             assert trace.output_set() is OutputSet.EMPTY
@@ -333,7 +332,7 @@ class TestTraceInvariants:
 
 class TestForgedTraces:
     def forged(self, events, timing=Timing.SYNC, n=2):
-        header = {"cfg": {"n": n, "t": 0, "timing": timing.value}}
+        header = {"alg": {"n": n, "t": 0, "timing": timing.value}}
         return ExecutionTrace(header, events, (None,) * n, "ALL_DONE")
 
     def test_observe_without_communicate(self):

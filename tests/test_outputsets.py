@@ -119,8 +119,7 @@ def test_condition_table_document():
 
 def test_system_config_validation():
     cfg = SystemConfig(3, 1, Timing.SYNC)
-    assert cfg.describe() == {"n": 3, "t": 1, "timing": "sync"}
-    assert SystemConfig.from_descriptor(cfg.describe()) == cfg
+    assert (cfg.n, cfg.t, cfg.timing) == (3, 1, Timing.SYNC)
     with pytest.raises(ValueError):
         SystemConfig(2, 3, Timing.ASYNC)
     with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from conftest import all_latest, stretch_representative
 from binsos.program import Communicate, Output, Program, SetLocal
 from binsos.patterns import (
     ALL_IMMEDIATE,
-    SYNC_CANONICAL,
     DelayPattern,
     FailurePattern,
     count_failure_pattern_orbits,
@@ -137,13 +136,6 @@ def test_sample_failure_pattern_is_valid():
         assert all(1 <= pid <= 5 and 0 <= slot < 4 for pid, slot in fp.crashes)
 
 
-def test_sync_canonical_pattern():
-    p = SYNC_CANONICAL
-    assert p.kind == "sync_canonical"
-    assert p.step_for(1, 0, 2) == 0
-    assert DelayPattern.from_descriptor(p.describe()) == p
-
-
 def test_delay_pattern_strict_lookup():
     p = DelayPattern.of({(1, 0, 1): 3}, default=None)
     assert p.step_for(1, 0, 1) == 3
@@ -153,12 +145,15 @@ def test_delay_pattern_strict_lookup():
 
 def test_negative_delay_pattern_default_rejected():
     with pytest.raises(ValueError, match="default -1"):
-        DelayPattern.from_descriptor({"kind": "map", "entries": [], "default": -1})
+        DelayPattern.from_descriptor({"entries": [], "default": -1})
 
 
 def test_delay_pattern_descriptor_roundtrip():
     p = DelayPattern.of({(2, 1, 1): 5, (1, 0, 2): 0}, default=7)
+    assert p.describe() == {"default": 7, "entries": [[1, 0, 2, 0], [2, 1, 1, 5]]}
     assert DelayPattern.from_descriptor(p.describe()) == p
+    assert ALL_IMMEDIATE.describe() == {"default": 0, "entries": []}
+    assert DelayPattern.from_descriptor(ALL_IMMEDIATE.describe()) == ALL_IMMEDIATE
     assert ALL_IMMEDIATE.step_for(4, 2, 1) == 0
     assert all_latest(9).step_for(4, 2, 1) == 9
 

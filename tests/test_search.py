@@ -14,8 +14,8 @@ from binsos.algorithms import AlgorithmInstance, AlgorithmKind, RoleError, insta
 from binsos.checker import ExplorationBudget, branch_choices, explore, sample_traces
 from binsos.outputsets import OutputSet, SystemConfig, Timing, sos, tight_condition
 from binsos.patterns import (
+    ALL_IMMEDIATE,
     NO_CRASHES,
-    SYNC_CANONICAL,
     FailurePattern,
     count_failure_pattern_orbits,
     enum_failure_pattern_orbits,
@@ -348,7 +348,7 @@ def _pattern_family(inst, cfg, fp):
     return frozenset(
         trace.output_set()
         for _, trace in branch_choices(
-            lambda choices: run(inst, cfg, choices, fp, SYNC_CANONICAL, record=False)
+            lambda choices: run(inst, cfg, choices, fp, ALL_IMMEDIATE, record=False)
         )
     )
 
