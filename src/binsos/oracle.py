@@ -21,16 +21,23 @@ process is a deterministic function of its program and its state, so it is
 computed once per cell and looked up afterwards: a run to the next block
 point, as its ordered effects on the rest of the state, and each delivery,
 deadline firing and channel absorb.  These are caches, not reductions: the
-search visits exactly the states it would visit without them.
+search visits exactly the states it would visit without them.  Two flat
+tables, filled when a process is interned, cache what the search reads of
+each id on every state: its status, and its output as a bit (0 for none,
+1 for output 0, 2 for output 1), so a state's output set is the OR of its
+processes' bits, in ``OutputSet``'s value order.
 
 Deliberately re-implements statement and guard evaluation rather than
 reusing the kernel's interpreter, so the two routes stay independent; it
 imports nothing from ``simkernel``, ``checker`` or ``patterns``.  Like the
-kernel it reads any tag.  A process keeps what it observed as one set of
-``(tag, value)`` pairs, with ``(tag, None)`` once the tag was seen at all,
-so an ``Observed`` atom, valued or not, is one membership test.  A binding
-wait, on any tag, takes the first value observed with its tag; that value
-is kept only for the tags some binding wait of the cell reads.
+kernel it reads any tag, and like the kernel it refuses a second
+``Output``, an ``Output`` of a value other than 0 or 1, and a ``Flip`` of a
+local that is not a bit, here with a ``ValueError`` naming the process and
+the value.  A process keeps what it observed as one set of ``(tag,
+value)`` pairs, with ``(tag, None)`` once the tag was seen at all, so an
+``Observed`` atom, valued or not, is one membership test.  A binding wait,
+on any tag, takes the first value observed with its tag; that value is
+kept only for the tags some binding wait of the cell reads.
 ``Deadline()`` is modelled only as a plain, non-negated wait, which blocks
 until that process's deadline fires, a move of its own in the search; in a
 guard or negated it raises ``TypeError``.
@@ -40,7 +47,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set
 
-from .outputsets import OutputSet, SystemConfig, Timing, output_set
+from .outputsets import OutputSet, SystemConfig, Timing
 from .program import (
     COMM,
     COMP,
@@ -111,11 +118,16 @@ class _Proc:
         )
 
 
-def _value(proc: _Proc, expr):
+def _value(pid: int, proc: _Proc, expr):
+    """The value of ``expr`` for process ``pid``, an index; an error names
+    the process by its number from 1, as the kernel does."""
     if isinstance(expr, LocalRef):
         return proc.locals.get(expr.name)
     if isinstance(expr, Flip):
-        return 1 ^ proc.locals[expr.name]
+        value = proc.locals.get(expr.name)
+        if value not in (0, 1):
+            raise ValueError(f"process {pid + 1} flips non-bit local {expr.name}={value!r}")
+        return 1 ^ value
     return expr
 
 
@@ -164,11 +176,13 @@ class _Cell:
         self.t = t
         self.ids: Dict[tuple, int] = {}  # process key -> index into table
         self.table: List[_Proc] = []  # interned processes, never changed
+        self.status: List[int] = []  # id -> its status
+        self.out: List[int] = []  # id -> its output bit: 0 none, 1 for 0, 2 for 1
         self.runs: Dict[tuple, tuple] = {}  # (pid, id, limit) -> (effects, end)
         self.moves: Dict[tuple, int] = {}  # (items or None, id) -> id
         self.stack = [_State([self.intern(_Proc(p.initial_locals)) for p in programs])]
         self.visited: Set[tuple] = set()
-        self.results: Set[OutputSet] = set()
+        self.results: Set[int] = set()  # OutputSet values
         self.bits: Dict[tuple, int] = {}  # pending item -> bit
         self.items: List[tuple] = []  # bit -> (receiver, items to absorb)
         self.to: List[int] = [0] * len(programs)  # bits of items to each pid
@@ -182,6 +196,8 @@ class _Cell:
         i = self.ids.setdefault(proc.key(), len(self.table))
         if i == len(self.table):
             self.table.append(proc)
+            self.status.append(proc.status)
+            self.out.append(0 if proc.output is None else 1 << proc.output)
         return i
 
     def first_visit(self, st: _State) -> bool:
@@ -190,14 +206,20 @@ class _Cell:
         self.visited.add((st.stage, tuple(st.procs), st.pending))
         return len(self.visited) > size
 
-    def outputs(self, st: _State) -> OutputSet:
-        return output_set(tuple(self.table[i].output for i in st.procs))
+    def outputs(self, st: _State) -> int:
+        """The ``OutputSet`` value of ``st``."""
+        out = self.out
+        mask = 0
+        for i in st.procs:
+            mask |= out[i]
+        return mask
 
     def settle(self, st: _State, limit=None) -> bool:
         """Run each running process in pid order; False when pick forks
         replace ``st``."""
+        status = self.status
         for pid, i in enumerate(st.procs):
-            if self.table[i].status == _R and not self.run(st, pid, limit):
+            if status[i] == _R and not self.run(st, pid, limit):
                 return False
         return True
 
@@ -220,8 +242,9 @@ class _Cell:
         return j
 
     def emit(self, st: _State, pid: int, item: tuple) -> None:
+        status = self.status
         for receiver, i in enumerate(st.procs):
-            if self.table[i].status < _D:
+            if status[i] < _D:
                 entry = (receiver, pid) + item
                 bit = self.bits.get(entry)
                 if bit is None:
@@ -302,14 +325,19 @@ class _Cell:
                 if stmt.dest is not None:
                     proc.locals[stmt.dest] = dict(proc.first).get(stmt.until.tag)
             elif isinstance(stmt, SetLocal):
-                proc.locals[stmt.dest] = _value(proc, stmt.value)
+                proc.locals[stmt.dest] = _value(pid, proc, stmt.value)
             elif isinstance(stmt, Output):
-                proc.output = _value(proc, stmt.value)
+                value = _value(pid, proc, stmt.value)
+                if value not in (0, 1):
+                    raise ValueError(f"process {pid + 1} outputs non-bit {value!r}")
+                if proc.output is not None:
+                    raise ValueError(f"process {pid + 1} outputs {value} after {proc.output}")
+                proc.output = value
             elif isinstance(stmt, Communicate) and limit is None:
-                effects.append((proc.emitted, stmt.tag, _value(proc, stmt.value)))
+                effects.append((proc.emitted, stmt.tag, _value(pid, proc, stmt.value)))
                 proc.emitted += 1
             elif isinstance(stmt, Communicate):
-                effects.append((stmt.tag, _value(proc, stmt.value)))
+                effects.append((stmt.tag, _value(pid, proc, stmt.value)))
             else:
                 raise TypeError(f"unknown statement {stmt!r}")
             proc.pc += 1
@@ -325,7 +353,7 @@ class _Cell:
                 continue
             if not self.first_visit(st):
                 continue
-            statuses = [self.table[i].status for i in st.procs]
+            statuses = [self.status[i] for i in st.procs]
             if not st.pending and _BD not in statuses:
                 self.results.add(self.outputs(st))
             pending = st.pending
@@ -353,7 +381,7 @@ class _Cell:
                     break
                 if st.channel:
                     for pid, i in enumerate(st.procs):
-                        if self.table[i].status != _C:
+                        if self.status[i] != _C:
                             st.procs[pid] = self.moved(i, st.channel)
                     st.channel = ()
                 st.stage += 1
@@ -379,4 +407,4 @@ def observed_output_sets(instance, cfg: SystemConfig) -> FrozenSet[OutputSet]:
         cell.search_sync()
     else:
         cell.search_async()
-    return frozenset(cell.results)
+    return frozenset(OutputSet(mask) for mask in cell.results)

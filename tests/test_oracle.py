@@ -1,5 +1,7 @@
 """The interleaving interpreter itself: sanity on hand-checkable cases."""
 
+from dataclasses import replace
+
 import pytest
 
 from binsos import algorithms
@@ -7,20 +9,26 @@ from binsos.algorithms import AlgorithmInstance, AlgorithmKind, RoleError, insta
 from binsos.checker import explore
 from binsos.oracle import _B, _BD, _C, _D, _Cell, observed_output_sets
 from binsos.outputsets import OutputSet, SystemConfig, Timing, sos, tight_condition
+from binsos.patterns import NO_CRASHES
 from binsos.program import (
+    COMP,
     INIT,
     OUTPUT,
     PROPOSE,
     Communicate,
     Deadline,
+    Flip,
     LocalIs,
     LocalRef,
     Observed,
     Output,
     Pick,
     Program,
+    ScriptedChoices,
+    SetLocal,
     Wait,
 )
+from binsos.simkernel import KernelError, run
 
 
 def test_silent_alphabet_is_always_empty():
@@ -94,15 +102,17 @@ def test_any_tag_is_modelled(foo_instance):
     assert observed_output_sets(inst, cfg) == explore(inst, cfg).observed
 
 
-def _everyone_runs(monkeypatch, program):
-    """An async instance whose every process runs ``program``."""
-    timing, params, _ = algorithms._KINDS[AlgorithmKind.SINGLE_OUTPUT]
+def _everyone_runs(monkeypatch, program, timing=Timing.ASYNC):
+    """An instance whose every process runs ``program``."""
+    kind_timing, params, _ = algorithms._KINDS[AlgorithmKind.SINGLE_OUTPUT]
 
     def build(instance, pid):
         return program
 
-    monkeypatch.setitem(algorithms._KINDS, AlgorithmKind.SINGLE_OUTPUT, (timing, params, build))
-    return AlgorithmInstance(AlgorithmKind.SINGLE_OUTPUT, Timing.ASYNC, no_out=False)
+    monkeypatch.setitem(
+        algorithms._KINDS, AlgorithmKind.SINGLE_OUTPUT, (kind_timing, params, build)
+    )
+    return AlgorithmInstance(AlgorithmKind.SINGLE_OUTPUT, timing, no_out=False)
 
 
 # Programs outside the six algorithms' vocabulary, each of which reads its
@@ -151,6 +161,29 @@ def test_deadline_in_a_guard_rejected(monkeypatch):
         observed_output_sets(inst, SystemConfig(2, 0, Timing.ASYNC))
 
 
+# Programs the kernel refuses with KernelError, each with the message the
+# oracle's ValueError must match: it names the process and the value.
+REFUSED = {
+    "second Output": ((Output(0), Output(1)), r"process 1 outputs 1 after 0"),
+    "Output of an unset local": ((Output(LocalRef("x")),), r"process 1 outputs non-bit None"),
+    "Flip of an unset local": ((SetLocal("y", Flip("x")),), r"process 1 flips non-bit local x=None"),
+}
+
+
+@pytest.mark.parametrize("timing", [Timing.ASYNC, Timing.SYNC])
+@pytest.mark.parametrize("name", REFUSED)
+def test_what_the_kernel_refuses_is_refused(monkeypatch, name, timing):
+    statements, message = REFUSED[name]
+    if timing is Timing.SYNC:
+        statements = tuple(replace(s, at=(1, COMP)) for s in statements)
+    inst = _everyone_runs(monkeypatch, Program(statements), timing).bind(2, 0, permissive=True)
+    cfg = SystemConfig(2, 0, timing)
+    with pytest.raises(KernelError):
+        run(inst, cfg, ScriptedChoices(), NO_CRASHES)
+    with pytest.raises(ValueError, match=message):
+        observed_output_sets(inst, cfg)
+
+
 def _outside_the_conditions(ns):
     """Every line and timing bound permissively at each n in ``ns`` and each
     t the line's tight condition rejects, where the roles can be built."""
@@ -179,7 +212,7 @@ def test_crash_moves_match_explore_outside_the_conditions():
     inst = instance_for_line(8, Timing.ASYNC).bind(4, 2, permissive=True)
     cells.append((inst, SystemConfig(4, 2, Timing.ASYNC)))
     mismatches = [
-        (inst.effective_line, cfg)
+        (inst.line, cfg)
         for inst, cfg in cells
         if observed_output_sets(inst, cfg) != explore(inst, cfg).observed
     ]
@@ -221,3 +254,13 @@ def test_interned_processes_are_never_changed(searched):
         assert all(cell.ids[proc.key()] == i for i, proc in enumerate(cell.table))
     statuses = {proc.status for cell in searched.values() for proc in cell.table}
     assert {_B, _BD, _D, _C} <= statuses
+
+
+def test_per_id_tables_agree_with_the_interned_processes(searched):
+    # The search reads a process's status and output from the flat tables,
+    # never from the process itself, so each table must match ``table``.
+    for cell in searched.values():
+        assert cell.status == [proc.status for proc in cell.table]
+        assert cell.out == [0 if p.output is None else 1 << p.output for p in cell.table]
+    bits = {bit for cell in searched.values() for bit in cell.out}
+    assert bits == {0, 1, 2}
