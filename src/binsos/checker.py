@@ -2,20 +2,23 @@
 
 ``explore`` runs an algorithm instance under every failure pattern, up to
 the symmetry of processes with equal programs and to where a crash can be
-seen, and every pick outcome -- an asynchronous cell by
-``simkernel.search_async``, which also covers every delay pattern, and a
-synchronous one by a kernel run per pick outcome, or under seeded draws
-when those runs exceed its budget (``ExplorationBudget``) -- and compares
-the union of observed output sets against the family of the instance's
-line: safety holds when nothing outside the family was ever produced,
-completeness when every member of it has a stored witness trace.  Each
-member's trace is a recorded kernel run, so it replays byte for byte.
+seen, and every pick outcome -- an asynchronous cell by one
+``simkernel.search_async``, whose crash moves cover every failure pattern
+and whose landings cover every delay pattern, and a synchronous one by a
+kernel run per pick outcome under one pattern per orbit, or under seeded
+draws when those runs exceed its budget (``ExplorationBudget``) -- and
+compares the union of observed output sets against the family of the
+instance's line: safety holds when nothing outside the family was ever
+produced, completeness when every member of it has a stored witness trace.
+Each member's trace is a recorded kernel run, so it replays byte for byte.
 ``exhaustive: true`` means every failure pattern was covered up to those
-two proven reductions: one pattern per orbit, crashing only at
-``Program.crash_slots`` (see ``explore``).  ``failure_patterns`` counts
-every failure pattern of the cell, at every slot, and
-``failure_pattern_orbits`` the orbits an exhaustive exploration runs.
-``check_table`` reproduces the whole characterization table at desk scale.
+two proven reductions: crashing only at ``Program.crash_slots``, and one
+pattern per orbit, or (async) states up to the same relabellings (see
+``explore``).  ``failure_patterns`` counts every failure pattern of the
+cell, at every slot, ``failure_pattern_orbits`` the orbits over the crash
+slots, which a synchronous cell runs one by one, and ``states`` the
+asynchronous search's visited states.  ``check_table`` reproduces the whole
+characterization table at desk scale.
 
 ``witness`` reads a counterexample from ``explore``: a run of a shipped
 disagreement algorithm (line 7 or 8), bound outside its line's tight
@@ -78,14 +81,13 @@ class ExplorationBudget:
     what ``explore`` does with a cell over its budget.
 
     Let the bound be ``max(SIZE_CAP, sample_runs)``.  ``explore`` searches
-    every asynchronous cell, one failure-pattern orbit after another, and
-    stops, reporting ``exhaustive: false``, once it would visit more states
-    than the bound; each orbit's search visits at least one state, so a
-    cell with more orbits than the bound stops short too.  It covers a
-    synchronous cell whole when its pick outcomes times orbits are at most
-    the bound.  Orbits are counted over the crash slots others can tell
-    apart (``Program.crash_slots``), and whole means every failure pattern
-    up to the symmetry of processes with equal programs and to those slots;
+    every asynchronous cell in one search, and stops, reporting
+    ``exhaustive: false``, once it would visit more states than the bound;
+    ``states`` counts those it visited.  It covers a synchronous cell whole
+    when its pick outcomes times orbits are at most the bound.  Orbits are
+    counted over the crash slots others can tell apart
+    (``Program.crash_slots``), and whole means every failure pattern up to
+    the symmetry of processes with equal programs and to those slots;
     ``executions`` then counts kernel runs (sync) or terminal search states
     (async).  Only a larger synchronous cell is sampled: it runs exactly
     ``sample_runs`` random (seed, fp, dp) triples drawn from ``sample_seed``
@@ -113,6 +115,7 @@ class Verdict:
     exhaustive: bool = False
     failure_patterns: int = 0  # the cell's failure patterns, at every slot
     failure_pattern_orbits: int = 0  # orbits at crash slots: what exhaustive mode explores
+    states: Optional[int] = None  # the async search's visited states; None for a sync cell
 
     @property
     def observed(self) -> SetOfOutputSets:
@@ -158,6 +161,7 @@ class Verdict:
             "exhaustive": self.exhaustive,
             "failure_patterns": self.failure_patterns,
             "failure_pattern_orbits": self.failure_pattern_orbits,
+            "states": self.states,
             "witness_refs": sorted(str(m) for m in self.witnesses),
         }
 
@@ -207,16 +211,18 @@ def explore(
     of the instance's own line (``instance.target_members()``).
 
     A synchronous cell runs every pick outcome under every failure pattern,
-    with the single canonical delay pattern.  An asynchronous cell searches
-    the kernel's state graph under every failure pattern (``search_async``),
-    which covers every delay pattern and pick outcome.  "Every failure
-    pattern" is up to two reductions.  Crashes are placed only at
-    ``Program.crash_slots``, where other processes can tell them apart.
-    Processes with equal bound programs are interchangeable, so one pattern
-    per orbit under permutations of them is explored
-    (``enum_failure_pattern_orbits``).  A synchronous cell over its budget
-    is sampled instead, and an asynchronous search over it stops short;
-    ``ExplorationBudget`` says when.
+    with the single canonical delay pattern.  An asynchronous cell is one
+    search of the kernel's state graph (``search_async``), which covers
+    every delay pattern and pick outcome, and every failure pattern as
+    crash moves.  "Every failure pattern" is up to two reductions.  Crashes
+    are placed only at ``Program.crash_slots``, where other processes can
+    tell them apart.  Processes with equal bound programs are
+    interchangeable: a synchronous cell runs one pattern per orbit under
+    permutations of them (``enum_failure_pattern_orbits``), and the
+    asynchronous search keys its states up to those permutations.  A
+    synchronous cell over its budget is sampled instead, and an
+    asynchronous search over it stops short; ``ExplorationBudget`` says
+    when.
 
     Why crashing only at the crash slots reaches every output set, for any
     program under either timing: call an ``Output`` or a ``Communicate`` an
@@ -237,9 +243,10 @@ def explore(
       same as no crash, and that pattern, with one crash fewer, is already
       enumerated.
 
-    Why one pattern per orbit reaches every output set, for any program
-    under either timing: let a permutation of processes with equal programs
-    relabel a failure pattern (equal programs have equal crash slots).  The
+    Why one pattern per orbit, or one state per relabelling class, reaches
+    every output set, for any program under either timing: let a
+    permutation of processes with equal programs relabel a failure pattern
+    (equal programs have equal crash slots), or a search state.  The
     output set holds values and no pid, so it suffices that the relabelled
     runs, picks keyed by the relabelled pids, reach the same output sets.
     A process reads only its own program, locals, output, picks and
@@ -247,8 +254,9 @@ def explore(
     them, and a binding wait takes its tag's first value.  Items landing
     together (at a sync barrier, in an async batch or at the deadline step)
     land in value order (``InfoItem.sort_key``), so a tag's first item among
-    them carries its least value, and no sender id reaches any process.  So
-    relabelling commutes with every kernel step and search move, and the
+    them carries its least value, and no sender id reaches any process.  A
+    crash offer reads only the process's own pc and how many have crashed.
+    So relabelling commutes with every kernel step and search move, and the
     relabelled run gives each process the state of its preimage.
     """
     budget = budget or ExplorationBudget()
@@ -259,11 +267,10 @@ def explore(
             f"{instance.kind.value} instance is built for {instance.timing}"
         )
 
-    # One failure pattern per orbit, searched (async) or, when the runs fit
-    # the cap, run under every pick outcome (sync); otherwise sample_runs
+    # One search (async); or, when the runs fit the cap, every pick outcome
+    # under one failure pattern per orbit (sync); otherwise sample_runs
     # seeded draws.
     programs = instance.programs()
-    fps = enum_failure_pattern_orbits(cfg.n, cfg.t, programs)
     orbits = count_failure_pattern_orbits(cfg.n, cfg.t, programs)
     cap = max(SIZE_CAP, budget.sample_runs)
     verdict = Verdict(
@@ -279,26 +286,19 @@ def explore(
         verdict.executions += 1
         return choices, fp, dp, trace.output_set()
 
-    def searched():
-        verdict.exhaustive = True
-        states = 0
-        for fp in fps:
-            outcome = search_async(instance, cfg, fp, cap - states)
-            states += outcome.states
-            verdict.executions += outcome.terminals
-            for reached, (choices, dp) in outcome.found.items():
-                yield choices, fp, dp, reached
-            if not outcome.complete:
-                verdict.exhaustive = False
-                return
-
     if cfg.timing is Timing.ASYNC:
-        found = searched()
+        outcome = search_async(instance, cfg, cap)
+        verdict.exhaustive = outcome.complete
+        verdict.states = outcome.states
+        verdict.executions = outcome.terminals
+        found = (
+            (choices, fp, dp, reached) for reached, (choices, fp, dp) in outcome.found.items()
+        )
     elif _choice_bound(instance) * orbits <= cap:
         verdict.exhaustive = True
         found = (
             leaf
-            for fp in fps
+            for fp in enum_failure_pattern_orbits(cfg.n, cfg.t, programs)
             for _, leaf in branch_choices(
                 functools.partial(unrecorded, fp=fp, dp=ALL_IMMEDIATE)
             )

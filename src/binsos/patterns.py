@@ -3,16 +3,19 @@
 Failure patterns map crashed processes to statement-boundary crash slots.
 They are enumerated whole, or one per orbit under permutations of processes
 with equal programs over only the crash slots other processes can tell
-apart (``Program.crash_slots``), and counted in closed form either way.
+apart (``Program.crash_slots``), and counted in closed form either way.  A
+synchronous cell runs the orbits one by one; an asynchronous cell's search
+(``simkernel.search_async``) takes crashes as moves at the crash slots
+instead, and names the pattern of each path it reports.
+
 Delay patterns map each potentially emitted item, per receiver, to the
 logical step at which it is delivered; ``ALL_IMMEDIATE`` delivers each
 item at once, and it is the only pattern a synchronous run takes, since its
-round barrier does the same.  No delay-pattern family is
-enumerated: exhaustive exploration searches the kernel's states instead
-(``simkernel.search_async``) and builds, for each path it reports, the one
-pattern that replays it.  Patterns are drawn at random for sampling, and
-every drawn pattern delivers every item to every receiver by the horizon,
-so global termination of the medium holds by construction.
+round barrier does the same.  No delay-pattern family is enumerated: the
+asynchronous search builds, for each path it reports, the one pattern that
+replays it.  Patterns are drawn at random for sampling, and every drawn
+pattern delivers every item to every receiver by the horizon, so global
+termination of the medium holds by construction.
 """
 
 from __future__ import annotations

@@ -172,6 +172,9 @@ class Program:
     initial_locals: Tuple[Tuple[str, Value], ...] = ()
 
     def __post_init__(self) -> None:
+        # The dataclass hash, computed once: orbit counts and search classes
+        # key dicts by program.
+        object.__setattr__(self, "_hash", hash((self.statements, self.initial_locals)))
         tags = [s.at for s in self.statements]
         if any(t is None for t in tags) and any(t is not None for t in tags):
             raise ValueError("program mixes tagged and untagged statements")
@@ -197,6 +200,9 @@ class Program:
     def slot_count(self) -> int:
         """Number of crash positions: before each statement plus after the last."""
         return len(self.statements) + 1
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def crash_slots(self) -> Tuple[int, ...]:
@@ -280,8 +286,9 @@ class ScriptedChoices(ChoiceStream):
     Sync ``explore`` catches ChoiceNeeded, forks one extended script per
     candidate and restarts, which enumerates every pick outcome reachable
     under the given failure pattern.  ``search_async`` instead forks its
-    kernel state on ChoiceNeeded, and returns the picks of each output set
-    it reaches as a script for the recorded rerun.
+    kernel state on ChoiceNeeded, as it does at a crash offer, and returns
+    the picks of each output set it reaches as a script for the recorded
+    rerun, beside the failure pattern its crash moves took.
     """
 
     def __init__(self, picks: Optional[Dict[Tuple[int, int], Value]] = None):

@@ -36,11 +36,13 @@ writes each event with its kind's line formatter, and
 ``ExecutionTrace.parse`` rejects an event line the table does not allow, and
 a final record whose outputs or termination the kernel never writes.
 
-``search_async`` explores the same interpreter as a state graph: it forks
-the kernel at each pick and each choice of what lands next, instead of
-fixing choices and delays up front, and maps every output set it reaches
-back to the choices and delay pattern of one kernel run.  Its states share
-processes copy-on-write.
+``search_async`` explores the same interpreter as a state graph, one
+search per cell: it forks the kernel at each pick, each crash offer and
+each choice of what lands next, instead of fixing choices, crashes and
+delays up front, and maps every output set it reaches back to the choices,
+failure pattern and delay pattern of one kernel run.  Its states share
+processes copy-on-write and are keyed up to the symmetry of processes with
+equal programs.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .algorithms import instance_from_descriptor
 from .outputsets import (
     OutputSet, SystemConfig, Timing, Value, _descriptor_fields, _read_json, output_set,
 )
-from .patterns import ALL_IMMEDIATE, DelayPattern, FailurePattern
+from .patterns import ALL_IMMEDIATE, DelayPattern, FailurePattern, _classes
 from .program import (
     COMM,
     COMP,
@@ -714,50 +716,97 @@ def replay(source) -> ExecutionTrace:
 
 @dataclass
 class SearchOutcome:
-    """What ``search_async`` found under one failure pattern.
+    """What ``search_async`` found in one cell.
 
-    ``found`` maps each output set reached to the run inputs (choices and
-    delay pattern) of the first terminal state that reached it.
+    ``found`` maps each output set reached to the run inputs (choices,
+    failure pattern and delay pattern) of the first terminal state that
+    reached it.
     """
 
-    states: int = 0  # distinct quiescent states visited
-    terminals: int = 0  # terminal states reached: one per deadline step and pick outcome
+    states: int = 0  # distinct quiescent states visited, up to class symmetry
+    terminals: int = 0  # terminal states reached: one per deadline step, pick and crash outcome
     complete: bool = True  # False when the state bound stopped the search
-    found: Dict[OutputSet, Tuple[ScriptedChoices, DelayPattern]] = field(default_factory=dict)
+    found: Dict[OutputSet, Tuple[ScriptedChoices, FailurePattern, DelayPattern]] = field(
+        default_factory=dict
+    )
+
+
+class _CrashOffer(Exception):
+    """Raised by a search state when a live process reaches its next crash
+    slot while fewer than t processes have crashed."""
+
+    def __init__(self, pid: int):
+        super().__init__(f"crash offer to process {pid}")
+        self.pid = pid
+
+
+def _next_crash_slot(proc: _Proc) -> int:
+    """The first of ``proc``'s crash slots after its pc, or -1."""
+    return next((slot for slot in proc.program.crash_slots if slot > proc.pc), -1)
 
 
 class _SearchState(_AsyncKernel):
     """One node of the search: an unrecorded asynchronous kernel whose
-    pending (receiver, item) deliveries carry no step yet.  They are kept
-    in ``pending[horizon]``, where the deadline step finds them.  States
-    share their processes copy-on-write: ``fork`` copies the list of
-    processes, and ``own`` clones a shared one just before it changes.
-    Forks share their script of picks too, until a pick fork extends a
-    copy."""
+    pending deliveries carry no step yet.  They are kept as one inbox per
+    receiver, a frozenset of (tag, value) pairs, and ``sent`` maps each
+    pair to the first item emitted with it, the item a landing lands.  A
+    live process's ``crash_slot`` is the next crash slot it will be offered
+    (-1 for none).  States share their processes copy-on-write: ``fork``
+    copies the lists of processes and inboxes, and ``own`` clones a shared
+    process just before it changes.  Forks share their script of picks too,
+    until a pick fork extends a copy, and one intern table of key parts."""
 
-    def __init__(self, instance, cfg: SystemConfig, fp: FailurePattern):
-        super().__init__(instance, cfg, ScriptedChoices(), fp, ALL_IMMEDIATE, record=False)
+    def __init__(self, instance, cfg: SystemConfig):
+        super().__init__(
+            instance, cfg, ScriptedChoices(), FailurePattern(), ALL_IMMEDIATE, record=False
+        )
+        for proc in self.procs:
+            slots = proc.program.crash_slots
+            proc.crash_slot = slots[0] if slots and cfg.t else -1
+        self.inbox: List[FrozenSet[Tuple[str, Value]]] = [frozenset()] * cfg.n
+        self.sent: Dict[Tuple[str, Value], InfoItem] = {}  # replaced on write
+        self.crashed = 0
+        self.classes = [tuple(pid - 1 for pid in pids)
+                        for pids, _ in _classes(cfg.n, instance.programs())]
+        self.parts: Dict[tuple, int] = {}  # a process's key part -> its id
+        self.members: Dict[tuple, int] = {}  # (part id, inbox) -> its id
         self.path: tuple = ()  # the batches landed so far, as (earlier, batch) pairs
         self.steps = 0  # how many batches that is
         self.owned = 0  # bit pid: procs[pid - 1] is referenced by no other state
 
-    def _relevant(self, proc: _Proc, item: InfoItem) -> bool:
+    def _relevant(self, proc: _Proc, pair: Tuple[str, Value]) -> bool:
         return (
             proc.status != _CRASHED
-            and item.tag in proc.program.relevant_tags[proc.pc]
-            and (item.tag, item.value) not in proc.seen
+            and pair[0] in proc.program.relevant_tags[proc.pc]
+            and pair not in proc.seen
         )
 
     def emit(self, item: InfoItem) -> None:
-        pending = self.pending.setdefault(self.horizon, [])
+        pair = (item.tag, item.value)
+        if self.now == self.horizon:  # the deadline step lands it at H
+            self.pending.setdefault(self.horizon, []).extend(
+                (proc.pid, item) for proc in self.procs if self._relevant(proc, pair)
+            )
+            return
+        if pair not in self.sent:
+            self.sent = {**self.sent, pair: item}
+        inbox = self.inbox
         for proc in self.procs:
-            if self._relevant(proc, item):
-                pending.append((proc.pid, item))
+            if self._relevant(proc, pair) and pair not in inbox[proc.pid - 1]:
+                inbox[proc.pid - 1] |= {pair}
+
+    def _crash(self, proc: _Proc) -> None:
+        """Offer a crash at the slot ``proc`` has reached, or, with t
+        crashes made, move on to its next slot."""
+        if self.crashed < self.cfg.t:
+            raise _CrashOffer(proc.pid)
+        proc.crash_slot = _next_crash_slot(proc)  # no crash left to offer
 
     def fork(self) -> "_SearchState":
-        other = _SearchState.__new__(_SearchState)
+        other = object.__new__(type(self))
         other.__dict__.update(self.__dict__)
         other.procs = list(self.procs)
+        other.inbox = list(self.inbox)
         other.owned = self.owned = 0
         other.pending = {step: list(items) for step, items in self.pending.items()}
         return other
@@ -772,25 +821,39 @@ class _SearchState(_AsyncKernel):
             self.owned |= 1 << pid
         return proc
 
+    def _forks(self, fork: Exception) -> List["_SearchState"]:
+        """The states that replace this one, the last of them this one
+        itself, at a pick or a crash offer.  Either raised before changing
+        anything, so each resumes where this state stopped."""
+        if isinstance(fork, ChoiceNeeded):
+            values = fork.candidates[::-1]
+            children = [self.fork() for _ in values[1:]] + [self]
+            picks = self.choices.picks
+            for child, value in zip(children, values):
+                child.choices = ScriptedChoices(picks)
+                child.choices.picks[(fork.pid, fork.counter)] = value
+            return children
+        crashed = self.fork()
+        crashed.own(fork.pid).status = _CRASHED
+        crashed.crashed += 1
+        proc = self.own(fork.pid)
+        proc.crash_slot = _next_crash_slot(proc)
+        return [crashed, self]
+
     def after(self, batch: Optional[tuple]) -> List["_SearchState"]:
         """The quiescent states reached by landing ``batch`` (nothing, when
-        it is empty), one per outcome of the picks met on the way; ``None``
-        takes the deadline step instead, and a state the deadline step
-        cannot change is its own terminal."""
-        if batch is None and not self.pending.get(self.horizon) and not any(
-            p.status == _BLOCKED and isinstance(p.program.statements[p.pc].until, Deadline)
-            for p in self.procs
-        ):
-            # The deadline step would land nothing and wake no process.
-            return [self]
-        state = self.fork()
+        it is empty), one per outcome of the picks and crash offers met on
+        the way, up to class symmetry; ``None`` takes the deadline step
+        instead, and a state the deadline step cannot change is its own
+        terminal."""
         if batch is None:
-            state.now = state.horizon
-        elif batch:
-            pending = state.pending[state.horizon]
-            for receiver, item in batch:
-                pending.remove((receiver, item))
-                state.deliver(state.own(receiver), item)
+            return self._deadline_leaves()
+        state = self.fork()
+        inbox = state.inbox
+        for receiver, item in batch:
+            state.deliver(state.own(receiver), item)
+            inbox[receiver - 1] -= {(item.tag, item.value)}
+        if batch:
             state.path = (self.path, batch)
             state.steps += 1
             if state.steps >= state.horizon:
@@ -798,82 +861,108 @@ class _SearchState(_AsyncKernel):
                     f"search path of {state.steps} batches has no delay pattern "
                     f"within horizon {state.horizon}"
                 )
-        receivers = {receiver for receiver, _ in batch or ()}
-        settled, todo = [], [state]
+        # Nothing is due before the horizon, so only a landing can wake a
+        # blocked process: settle the receiver and every running process,
+        # one at a time across the frontier of forks, each until it blocks.
+        receivers = {receiver for receiver, _ in batch}
+        movers = [p.pid for p in state.procs if p.status == _RUNNING or p.pid in receivers]
+        frontier = [state]
+        for pid in movers:
+            frontier = self._settle(frontier, pid)
+        return frontier
+
+    @staticmethod
+    def _settle(frontier: List["_SearchState"], pid: int) -> List["_SearchState"]:
+        """Each state of ``frontier`` with process ``pid`` run until it
+        blocks, forked at each pick and crash offer, less every state whose
+        key an earlier one has."""
+        settled, todo = [], frontier[::-1]
+        while todo:
+            state = todo.pop()
+            proc = state.own(pid)
+            try:
+                while state.step_proc(proc):
+                    pass
+            except (ChoiceNeeded, _CrashOffer) as fork:
+                todo.extend(state._forks(fork))
+                continue
+            pairs = state.inbox[pid - 1]
+            if pairs:
+                state.inbox[pid - 1] = frozenset(p for p in pairs if state._relevant(proc, p))
+            settled.append(state)
+        if len(settled) < 2:
+            return settled
+        unique: Dict[tuple, _SearchState] = {}
+        for state in settled:
+            unique.setdefault(state.key(), state)
+        return list(unique.values())
+
+    def _deadline_leaves(self) -> List["_SearchState"]:
+        if not any(self.inbox) and not any(
+            p.status == _BLOCKED and isinstance(p.program.statements[p.pc].until, Deadline)
+            for p in self.procs
+        ):
+            # The deadline step would land nothing and wake no process.
+            return [self]
+        state = self.fork()
+        state.now = state.horizon
+        sent = state.sent
+        state.pending = {state.horizon: [
+            (pid, sent[pair]) for pid, pairs in enumerate(state.inbox, 1) for pair in pairs
+        ]}
+        leaves, todo = [], [state]
         while todo:
             state = todo.pop()
             try:
-                if state.now < state.horizon:
-                    # Nothing is due before the horizon, so only a landing can
-                    # wake a blocked process: run the receivers and every
-                    # running process until each blocks.
-                    for proc in state.procs:
-                        if proc.status == _RUNNING or proc.pid in receivers:
-                            proc = state.own(proc.pid)
-                            while state.step_proc(proc):
-                                pass
-                else:
-                    for proc in state.procs:
-                        if proc.status in (_RUNNING, _BLOCKED):
-                            state.own(proc.pid)
-                    state._deadline_step()
-            except ChoiceNeeded as need:
-                # The pick raised before changing anything, so each fork
-                # resumes where this state stopped.
-                for value in reversed(need.candidates):
-                    child = state.fork()
-                    child.choices = ScriptedChoices(state.choices.picks)
-                    child.choices.picks[(need.pid, need.counter)] = value
-                    todo.append(child)
+                for proc in state.procs:
+                    if proc.status in (_RUNNING, _BLOCKED):
+                        state.own(proc.pid)
+                state._deadline_step()
+            except (ChoiceNeeded, _CrashOffer) as fork:
+                todo.extend(state._forks(fork))
                 continue
-            if state.now < state.horizon:
-                pending = state.pending.get(state.horizon)
-                if pending:
-                    state.pending[state.horizon] = [
-                        (r, item) for r, item in pending
-                        if state._relevant(state.procs[r - 1], item)
-                    ]
-            settled.append(state)
-        return settled
+            leaves.append(state)
+        return leaves
 
     def batches(self) -> List[tuple]:
         """Every landing move: a nonempty subset of one receiver's pending
-        items, in the kernel's delivery order."""
-        by_receiver: Dict[int, list] = {}
-        for pair in sorted(
-            self.pending.get(self.horizon, ()), key=lambda d: (d[0],) + d[1].sort_key
-        ):
-            by_receiver.setdefault(pair[0], []).append(pair)
+        pairs, each as the item ``sent`` holds for it, in the kernel's
+        delivery order."""
         moves = []
-        for items in by_receiver.values():
-            for size in range(1, len(items) + 1):
-                moves.extend(itertools.combinations(items, size))
+        for pid, pairs in enumerate(self.inbox, 1):
+            if pairs:
+                items = sorted(((pid, self.sent[pair]) for pair in pairs),
+                               key=lambda d: d[1].sort_key)
+                for size in range(1, len(items) + 1):
+                    moves.extend(itertools.combinations(items, size))
         return moves
 
     def key(self) -> tuple:
-        procs = []
-        for p in self.procs:
-            if p.key is None:
-                if p.status != _BLOCKED:
-                    p.key = (p.status, p.output)
+        """Per class of processes with equal programs, the sorted ids of its
+        members, each member's id naming its key part and its inbox."""
+        parts, members = self.parts, self.members
+        ids = []
+        for p, pairs in zip(self.procs, self.inbox):
+            part = p.key
+            if part is None:
+                if p.status in (_DONE, _CRASHED):
+                    state = (p.status, p.output)
                 else:
                     tags = p.program.relevant_tags[p.pc]
-                    p.key = (
-                        p.pc, p.output, frozenset(p.locals.items()),
+                    state = (
+                        p.status, p.pc, p.crash_slot, p.output, frozenset(p.locals.items()),
                         p.pick_counter, p.emission_counter,
                         frozenset(pair for pair in p.seen if pair[0] in tags),
                         tuple(p.first.get(tag) for tag in tags),
                     )
-            procs.append(p.key)
-        pending = frozenset(
-            (r, item.sender, item.index, item.tag, item.value)
-            for r, item in self.pending.get(self.horizon, ())
-        )
-        return tuple(procs), pending
+                part = p.key = parts.setdefault(state, len(parts))
+            ids.append(members.setdefault((part, pairs), len(members)))
+        return tuple([tuple(sorted([ids[i] for i in cls])) for cls in self.classes])
 
-    def inputs(self) -> Tuple[ScriptedChoices, DelayPattern]:
-        """Choices and delay pattern of the kernel run along this state's
-        path: the j-th batch lands at step j, every other item at H."""
+    def inputs(self) -> Tuple[ScriptedChoices, FailurePattern, DelayPattern]:
+        """Choices, failure pattern and delay pattern of the kernel run
+        along this state's path: each crashed process crashes at its pc,
+        the j-th batch lands at step j, every other item at H."""
         entries = {}
         step, path = self.steps, self.path
         while path:
@@ -883,89 +972,129 @@ class _SearchState(_AsyncKernel):
             step -= 1
         return (
             ScriptedChoices(self.choices.picks),
+            FailurePattern.of({p.pid: p.pc for p in self.procs if p.status == _CRASHED}),
             DelayPattern.of(entries, default=self.horizon),
         )
 
+    def search(self, max_states: int) -> SearchOutcome:
+        """The search from this state as its root (see ``search_async``)."""
+        outcome = SearchOutcome()
+        visited = set()
+        moves = [(self, ())]
+        while moves:
+            parent, batch = moves.pop()
+            for state in parent.after(batch):
+                seen = len(visited)
+                visited.add(state.key())  # one hash of the key, not two
+                if len(visited) == seen:
+                    continue
+                if outcome.states == max_states:
+                    outcome.complete = False
+                    return outcome
+                outcome.states += 1
+                for leaf in state.after(None):
+                    outcome.terminals += 1
+                    reached = output_set(tuple(p.output for p in leaf.procs))
+                    if reached not in outcome.found:
+                        outcome.found[reached] = leaf.inputs()
+                moves.extend((state, b) for b in reversed(state.batches()))
+        return outcome
 
-def search_async(
-    instance, cfg: SystemConfig, fp: FailurePattern, max_states: int
-) -> SearchOutcome:
-    """Every output set the asynchronous kernel produces under ``fp``, by a
-    depth-first search over its quiescent states, visiting at most
-    ``max_states`` of them.
+
+def search_async(instance, cfg: SystemConfig, max_states: int) -> SearchOutcome:
+    """Every output set the asynchronous kernel produces under every failure
+    pattern with at most t crashes, by one depth-first search over its
+    quiescent states, visiting at most ``max_states`` of them.
 
     A state is a kernel in which every process is blocked, done or crashed,
-    with a set of pending (receiver, item) deliveries that carry no step
-    yet.  Before the horizon a state has two kinds of move, generated
-    lazily: land a nonempty subset of one receiver's pending items, in the
-    kernel's delivery order, and run that receiver (and any process still
-    running) until it blocks, since nothing else can wake before the
-    horizon; or take the deadline step (``_AsyncKernel._deadline_step``,
-    shared with ``run``), whose result is terminal.  Where nothing is
-    pending and no blocked process awaits ``Deadline()``, the deadline step
-    moves nothing, so the state is its own terminal and the step is not
-    taken.  A pick met on the way forks the state once per candidate.
-    Forked states share their processes until one changes (``own`` clones
-    it first), and each process caches its part of the key until then.
-    Visited states are deduplicated by key in one set, freed on return.
+    with each receiver's pending deliveries as a set of (tag, value) pairs
+    that carry no step yet.  Before the horizon a state has two kinds of
+    move, generated lazily: land a nonempty subset of one receiver's
+    pending pairs, in the kernel's delivery order, and run that receiver
+    until it blocks, since nothing else can wake before the horizon; or
+    take the deadline step (``_AsyncKernel._deadline_step``, shared with
+    ``run``), whose result is terminal.  Where nothing is pending and no
+    blocked process awaits ``Deadline()``, the deadline step moves nothing,
+    so the state is its own terminal and the step is not taken.  A pick met
+    on the way forks the state once per candidate, and a crash offer forks
+    it in two.  Forked states share their processes until one changes
+    (``own`` clones it first), and each process caches the id of its part
+    of the key until then.  Visited states are deduplicated by key in one
+    set, freed on return.
 
     Why this reaches exactly the output sets of the kernel's runs under
-    ``fp``, for every choice stream and delay pattern:
+    every failure pattern at the crash slots with at most t crashes, for
+    every choice stream and delay pattern (``explore`` says why the crash
+    slots suffice):
 
     1. One receiver at a time.  Each round of a kernel step lands its due
        items, sorted by receiver, then runs every process until it blocks.
-       A process's run reads only its own locals, its own observations and
-       whether the horizon has come, and it only adds what it emits to the
-       pending set.  So landing a round's items receiver by receiver, running
-       after each, reaches the same state as landing them together: every
-       kernel run is a path of moves.
-    2. Relevance.  A pending item is dropped when its receiver has crashed,
-       when no statement of its receiver from the receiver's pc on reads its
-       tag, or when its (tag, value) pair is already in the receiver's
-       ``seen``.  Landing it then changes neither ``seen`` nor ``first``
-       (which has the tag once ``seen`` does); the pc and ``seen`` only
-       grow, so this stays true.  Such an item is no branch point and no
-       part of the key; the kernel lands it at H at the latest.
-    3. Deduplication.  The key holds all that the future reads: of a blocked
-       process its pc, output, locals, pick and emission counters and its
-       ``seen`` pairs and ``first`` values of the tags it still reads; of a
-       done or crashed one its status and output; and the pending items.
-       Crash slots are fixed by ``fp``, and every later pick has a new (pid,
-       counter), so the picks made so far do not matter.  States with one
-       key have one future.
-    4. Back to a run.  A path that lands batches b_1..b_k and then takes the
-       deadline step is the kernel run with its picks scripted and the
-       delay pattern that delivers b_j's items at step j and every other
-       item at H (``_SearchState.inputs``).  Each item of b_j was emitted
-       before b_j, at a step below j, so it lands at j; at step j only b_j's
+       A process's run reads only its own locals, its own observations,
+       whether the horizon has come and, at a crash slot, its failure
+       pattern, and it only adds what it emits to the pending set.  So
+       landing a round's items receiver by receiver, running after each,
+       reaches the same state as landing them together: every kernel run is
+       a path of moves.
+    2. Pairs and relevance.  Landing an item changes its receiver only
+       through its (tag, value) pair: ``deliver`` adds the pair to ``seen``
+       and, for a new tag, the value to ``first``.  So two pending items
+       with one pair to one receiver have one effect, and once one lands
+       the other changes nothing: a receiver's pending deliveries are a set
+       of pairs, each landed as the first item emitted with it.  That item
+       was pending to every receiver that has the pair pending, since a
+       crash, the pc and ``seen`` only grow and a receiver's tags read from
+       its pc on only shrink.  A pending pair is dropped when its receiver
+       has crashed, when no statement of its receiver from the receiver's
+       pc on reads its tag, or when it is already in the receiver's
+       ``seen``; landing it then changes nothing the receiver reads, and
+       this stays true.  Such a pair is no branch point and no part of the
+       key; the kernel lands its items at H at the latest.
+    3. Crash moves.  When a live process reaches one of its crash slots
+       (``Program.crash_slots``) while fewer than t processes have crashed,
+       the state forks: in one branch it crashes there, as a failure
+       pattern naming that slot makes it, and in the other it runs on and
+       is next offered its following slot.  A kernel run under a failure
+       pattern at the crash slots with f <= t crashes makes, at each offer,
+       the choice its pattern names; each of its processes that crashes
+       does so while fewer than f others have.  So the paths of the search
+       are the runs of every such pattern, and a crashed process's pc is
+       its slot.
+    4. Deduplication.  A process's key part holds all that its future
+       reads: of a blocked or running one its status, pc, next crash slot,
+       output, locals, pick and emission counters and its ``seen`` pairs
+       and ``first`` values of the tags it still reads; of a done or
+       crashed one its status and output.  Each member's key part and
+       pending pairs are interned as one id, and the key holds, per class
+       of processes with equal bound programs, the sorted ids of its
+       members.  Members of a class have equal programs, crash slots and
+       failure budget, so a state and its image under a permutation within
+       classes reach the same output sets (``explore``'s relabelling
+       argument), and the crash count is the number of crashed members.
+       Every later pick has a new (pid, counter), so the picks made so far
+       do not matter.  States with one key have one future.
+    5. One process at a time.  Before the horizon a process's run reads
+       only its own state (point 1), so the processes a move runs can be
+       settled one after another in pid order: each one's run, forked at
+       its picks and crash offers, across every state the earlier ones left.
+       After each, the states of the frontier differ only in processes
+       already settled and in pending pairs, and two with one key reach the
+       same output sets from there, so all but the first are dropped.  At
+       the root this keeps the frontier to the settled states up to
+       symmetry, not the product of every process's picks and crash offers.
+    6. Back to a run.  A path that lands batches b_1..b_k and then takes the
+       deadline step is the kernel run with its picks scripted, the failure
+       pattern that crashes each crashed process at its pc, and the delay
+       pattern that delivers b_j's items at step j and every other item at
+       H (``_SearchState.inputs``).  Each item of b_j was emitted before
+       b_j, at a step below j, so it lands at j; at step j only b_j's
        receiver can move; so the run passes through the path's states.  This
        needs k < H: a longer path raises ``KernelError`` rather than being
        dropped.
     """
     if cfg.timing is not Timing.ASYNC:
         raise PreconditionError("search_async requires an ASYNC configuration")
-    _validate_common(instance, cfg, fp)
-    outcome = SearchOutcome()
-    visited = set()
-    moves = [(_SearchState(instance, cfg, fp), ())]
-    while moves:
-        parent, batch = moves.pop()
-        for state in parent.after(batch):
-            seen = len(visited)
-            visited.add(state.key())  # one hash of the key, not two
-            if len(visited) == seen:
-                continue
-            if outcome.states == max_states:
-                outcome.complete = False
-                return outcome
-            outcome.states += 1
-            for leaf in state.after(None):
-                outcome.terminals += 1
-                reached = output_set(tuple(p.output for p in leaf.procs))
-                if reached not in outcome.found:
-                    outcome.found[reached] = leaf.inputs()
-            moves.extend((state, b) for b in reversed(state.batches()))
-    return outcome
+    _validate_common(instance, cfg, FailurePattern())
+    return _SearchState(instance, cfg).search(max_states)
 
 
 # ---------------------------------------------------------------------------

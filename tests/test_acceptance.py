@@ -12,6 +12,7 @@ from conftest import ACCEPTANCE_LINES
 from binsos.algorithms import instance_for_line
 from binsos.checker import (
     branch_choices,
+    explore,
     sample_traces,
     witness,
 )
@@ -264,4 +265,31 @@ def test_criterion_9_oracle_at_n5(table_n5):
         len(cells) == 154 and not mismatches,
         f"{len(cells) - len(mismatches)}/{len(cells)} cells agree in {seconds:.1f}s oracle CPU; "
         f"mismatches: {mismatches}",
+    )
+
+
+def test_criterion_10_table_at_n6():
+    """Every solvable cell with n = 6, the cells ``check_table(6)`` adds to
+    criterion 8's, is explored exhaustively, and each observed family is
+    exactly its line's."""
+    start = time.process_time()
+    cells, bad = 0, []
+    for line in range(1, 17):
+        for timing in TIMINGS:
+            for t in range(7):
+                if tight_condition(line, timing).holds(6, t):
+                    cells += 1
+                    inst = instance_for_line(line, timing).bind(6, t)
+                    verdict = explore(inst, SystemConfig(6, t, timing))
+                    if not (
+                        verdict.ok and verdict.exhaustive
+                        and verdict.observed == line_members(line)
+                    ):
+                        bad.append((line, timing.value, t, verdict.status))
+    seconds = time.process_time() - start
+    _report(
+        "10 table-n6",
+        cells == 183 and not bad,
+        f"{cells} cells explored exhaustively in {seconds:.1f}s CPU; "
+        f"failures or not exhaustive: {bad}",
     )

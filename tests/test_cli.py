@@ -465,6 +465,15 @@ class TestCheckCommand:
         summary = last_json(stdout)
         assert summary["status"] == "ok"
         assert summary["observed"] == "{{0}, {1}}"
+        assert summary["states"] is None  # a sync cell has no state search
+
+    def test_async_verdict_reports_its_search_states(self, capsys):
+        code, stdout, _ = invoke(
+            capsys, "check", "--line", "9", "--timing", "async", "-n", "2", "-t", "1"
+        )
+        assert code == 0
+        summary = last_json(stdout)
+        assert summary["exhaustive"] is True and summary["states"] == 4
 
     def test_neither_alg_nor_line_rejected(self, capsys):
         code, stdout, err = invoke(capsys, "check", "-n", "2", "-t", "1")
@@ -540,6 +549,9 @@ class TestTableCommand:
         rows = [json.loads(line) for line in report.read_text().splitlines()]
         summary = rows[-1]
         assert summary["kind"] == "summary" and summary["passed"] is True
+        assert all(
+            (r["states"] is None) == (r["timing"] == "sync") for r in rows[:-1]
+        )
         sync78 = [
             r for r in rows[:-1] if r.get("line") in (7, 8) and r["timing"] == "sync"
         ]

@@ -1,8 +1,9 @@
 """Asynchronous state-graph search: its reductions, its bound, that its
 states share processes safely and skip the deadline step only where it
 moves nothing, that every kernel run lies inside the family it finds, and
-that exploring one failure pattern per symmetry orbit, with crashes only at
-the crash slots, finds the family of every failure pattern."""
+that ``explore`` (one search per async cell, with crash moves at the crash
+slots and states up to class symmetry; one pattern per orbit for a sync
+cell) finds the family of every failure pattern."""
 
 import random
 
@@ -18,7 +19,6 @@ from binsos.patterns import (
     NO_CRASHES,
     FailurePattern,
     count_failure_pattern_orbits,
-    enum_failure_pattern_orbits,
     enum_failure_patterns,
 )
 from binsos.program import (
@@ -37,7 +37,9 @@ from binsos.program import (
 )
 from binsos.simkernel import (
     _BLOCKED,
+    _CRASHED,
     InfoItem,
+    _Kernel,
     _SearchState,
     default_horizon,
     replay,
@@ -46,14 +48,29 @@ from binsos.simkernel import (
 )
 
 
+class _PatternState(_SearchState):
+    """A search state whose crash offers follow one fixed failure pattern:
+    a process crashes at its slot in ``fp``, and nowhere else.  Its search
+    is the per-pattern reference that ``explore``'s crash moves replace."""
+
+    def __init__(self, inst, cfg, fp):
+        super().__init__(inst, cfg)
+        for proc in self.procs:
+            slot = fp.slot_of(proc.pid)
+            proc.crash_slot = -1 if slot is None else slot
+
+    def _crash(self, proc):
+        _Kernel._crash(self, proc)
+
+
 def _bound(line, n, t):
     return instance_for_line(line, Timing.ASYNC).bind(n, t), SystemConfig(n, t, Timing.ASYNC)
 
 
 def _root(inst, cfg, picks):
-    """The settled root state whose script holds ``picks``."""
+    """The settled failure-free root state whose script holds ``picks``."""
     (state,) = [
-        s for s in _SearchState(inst, cfg, NO_CRASHES).after(())
+        s for s in _PatternState(inst, cfg, NO_CRASHES).after(())
         if s.choices.picks == picks
     ]
     return state
@@ -65,34 +82,42 @@ def _order(delivery):
     return (receiver,) + item.sort_key
 
 
+def _pending(state, receiver):
+    """The deliveries pending to ``receiver``, one per pair, in the kernel's
+    delivery order."""
+    pairs = state.inbox[receiver - 1]
+    return tuple(sorted(((receiver, state.sent[pair]) for pair in pairs), key=_order))
+
+
 class TestReductions:
     def test_same_step_batch_to_two_receivers_equals_one_at_a_time(self):
         # L7 at n=4, t=1: p1, p2 form the 0-group, p3 the 1-group, p4 flips;
         # p1 and p2 are the init group.  With both gates 0, both INITs are
-        # pending for p1, p2 and p3, which wait for one.
+        # emitted for p1, p2 and p3, which wait for one; they carry one
+        # pair, (INIT, None), so each receiver has one delivery pending.
         inst, cfg = _bound(7, 4, 1)
         state = _root(inst, cfg, {(1, 0): 0, (2, 0): 0})
-        pending = state.pending[default_horizon(cfg.n)]
-        to_p1 = tuple(sorted((d for d in pending if d[0] == 1), key=_order))
-        to_p3 = tuple(sorted((d for d in pending if d[0] == 3), key=_order))
-        assert len(to_p1) == len(to_p3) == 2
+        to_p1, to_p3 = _pending(state, 1), _pending(state, 3)
+        assert [(r, item.tag, item.value) for r, item in to_p1 + to_p3] == [
+            (1, INIT, None), (3, INIT, None)
+        ]
         together = state.after(tuple(sorted(to_p1 + to_p3, key=_order)))
         apart = [s for first in state.after(to_p1) for s in first.after(to_p3)]
         assert [s.key() for s in together] == [s.key() for s in apart]
         # Both receivers ran: p1 output 0 and p3 output 1, and their OUTPUT
-        # items now wait for the flip process p4 beside p2's INITs.
+        # items now wait for the flip process p4 beside p2's INIT.
         (after,) = together
         assert after.procs[0].output == 0 and after.procs[2].output == 1
-        pending = after.pending[default_horizon(cfg.n)]
-        assert {(r, item.tag) for r, item in pending} == {(2, INIT), (4, OUTPUT)}
+        pending = [(r, *pair) for r, pairs in enumerate(after.inbox, 1) for pair in pairs]
+        assert sorted(pending, key=str) == [(2, INIT, None), (4, OUTPUT, 0), (4, OUTPUT, 1)]
 
     def test_deadline_step_wakes_waiters_before_landing(self):
         # L4 at n=2, t=0: the designated p1 waits for the deadline; p2
         # outputs 1 and communicates OUTPUT(1), which is still pending at H.
         inst, cfg = _bound(4, 2, 0)
         root = _root(inst, cfg, {})
-        pending = root.pending[default_horizon(cfg.n)]
-        assert [(r, item.tag, item.value) for r, item in pending] == [(1, OUTPUT, 1)]
+        assert [(r, item.tag, item.value) for r, item in _pending(root, 1)] == [(1, OUTPUT, 1)]
+        assert not any(root.inbox[1:])
         leaves = root.after(None)
         # p1 woke and saw no OUTPUT(1), so it output w = 1 without picking.
         assert [(s.choices.picks, tuple(p.output for p in s.procs)) for s in leaves] == [
@@ -136,30 +161,31 @@ class TestReductions:
         assert verdict.observed == sos(OutputSet.ZERO, OutputSet.ONE)
 
     def test_crashed_receiver_gets_no_pending_items(self):
-        # p3 crashes before its wait, so no INIT is pending for it.
+        # p3 takes the crash offer at its slot 0, before its wait, so no
+        # INIT is pending for it.
         inst, cfg = _bound(7, 4, 1)
-        fp = FailurePattern.of({3: 0})
         (state,) = [
-            s for s in _SearchState(inst, cfg, fp).after(())
+            s for s in _SearchState(inst, cfg).after(())
             if s.choices.picks == {(1, 0): 0, (2, 0): 0}
+            and [p.status == _CRASHED for p in s.procs] == [False, False, True, False]
         ]
-        assert {r for r, _ in state.pending[default_horizon(cfg.n)]} == {1, 2}
+        assert state.procs[2].pc == 0 and state.inputs()[1] == FailurePattern.of({3: 0})
+        assert {r for r, pairs in enumerate(state.inbox, 1) if pairs} == {1, 2}
 
 
 class TestBound:
     def test_state_bound_stops_the_search(self):
         inst, cfg = _bound(7, 4, 1)
-        whole = search_async(inst, cfg, NO_CRASHES, 10**6)
+        whole = search_async(inst, cfg, 10**6)
         assert whole.complete and whole.states > 3
-        cut = search_async(inst, cfg, NO_CRASHES, 3)
+        cut = search_async(inst, cfg, 3)
         assert not cut.complete and cut.states == 3
 
     @pytest.mark.parametrize("cap", [1, 2, 3])
     def test_state_bound_stops_explore(self, monkeypatch, cap):
-        # One orbit of 16 states: a cap below that cuts the search short.
+        # One search of 12 states: a cap below that cuts it short.
         inst, cfg = _bound(7, 4, 0)
-        assert count_failure_pattern_orbits(4, 0, inst.programs()) == 1
-        assert search_async(inst, cfg, NO_CRASHES, 10**6).states == 16
+        assert search_async(inst, cfg, 10**6).states == 12
         monkeypatch.setattr(checker, "SIZE_CAP", cap)
         verdict = explore(inst, cfg, ExplorationBudget(sample_runs=0))
         assert not verdict.exhaustive
@@ -170,30 +196,28 @@ class TestBound:
             assert replay(trace.to_jsonl()).to_jsonl() == trace.to_jsonl()
 
     def test_more_orbits_than_the_bound_are_searched_not_sampled(self, monkeypatch):
-        # Each orbit's search visits at least one state, so the state bound
-        # alone cuts such a cell short.
+        # An async cell is one search whatever its orbit count, so the state
+        # bound alone cuts a cell with more orbits than the bound short.
         inst, cfg = _bound(9, 2, 1)
         assert count_failure_pattern_orbits(2, 1, inst.programs()) == 2
         monkeypatch.setattr(checker, "SIZE_CAP", 1)
         verdict = explore(inst, cfg, ExplorationBudget(sample_runs=0))
-        assert not verdict.exhaustive
+        assert not verdict.exhaustive and verdict.states == 1
         assert verdict.executions == 1 and verdict.observed == {OutputSet.ZERO}
 
     def test_executions_count_terminal_states(self):
         inst, cfg = _bound(9, 2, 1)
         verdict = explore(inst, cfg)
-        terminals = sum(
-            search_async(inst, cfg, fp, 10**6).terminals
-            for fp in enum_failure_pattern_orbits(2, 1, inst.programs())
-        )
-        assert verdict.exhaustive and verdict.executions == terminals
+        outcome = search_async(inst, cfg, 10**6)
+        assert verdict.exhaustive and verdict.executions == outcome.terminals
+        assert verdict.states == outcome.states
 
 
-def _settled_states(inst, cfg, fp):
-    """Every distinct settled state of the search under ``fp``, each yielded
+def _settled_states(inst, cfg):
+    """Every distinct settled state of the cell's search, each yielded
     before the walk takes its landing moves."""
     seen = set()
-    todo = _SearchState(inst, cfg, fp).after(())
+    todo = _SearchState(inst, cfg).after(())
     while todo:
         state = todo.pop()
         key = state.key()
@@ -205,29 +229,27 @@ def _settled_states(inst, cfg, fp):
 
 
 def _every_async_search(n_max):
-    """(instance, cfg, fp) of every orbit search of every solvable async
-    cell with n <= n_max."""
+    """(instance, cfg) of every solvable async cell with n <= n_max."""
     for line in range(1, 17):
         condition = tight_condition(line, Timing.ASYNC)
         for n in range(n_max + 1):
             for t in range(n + 1):
                 if condition.holds(n, t):
-                    inst, cfg = _bound(line, n, t)
-                    for fp in enum_failure_pattern_orbits(n, t, inst.programs()):
-                        yield inst, cfg, fp
+                    yield _bound(line, n, t)
 
 
 def _contents(state):
-    """What a state holds, read afresh from its processes, pending list and
-    picks."""
+    """What a state holds, read afresh from its processes, inboxes, pending
+    list, crash count and picks."""
     procs = [
-        (p.pc, p.status, p.output, dict(p.locals),
+        (p.pc, p.status, p.crash_slot, p.output, dict(p.locals),
          p.seen, dict(p.first),
          p.pick_counter, p.emission_counter)
         for p in state.procs
     ]
     pending = {step: list(items) for step, items in state.pending.items()}
-    return procs, pending, dict(state.choices.picks)
+    return (procs, list(state.inbox), dict(state.sent), pending, state.crashed,
+            dict(state.choices.picks))
 
 
 def _outputs(state):
@@ -239,14 +261,14 @@ class TestSearchStates:
         # States share processes copy-on-write: a move that wrote to a
         # shared process would change the state it started from.
         checked = 0
-        for inst, cfg, fp in _every_async_search(4):
-            for state in _settled_states(inst, cfg, fp):
+        for inst, cfg in _every_async_search(4):
+            for state in _settled_states(inst, cfg):
                 key, before = state.key(), _contents(state)
                 for batch in [*state.batches(), None]:
                     state.after(batch)
                 assert state.key() == key and _contents(state) == before
                 checked += 1
-        assert checked == 4_140
+        assert checked == 1_666
 
     def test_own_clones_a_shared_process_once_and_clears_its_key_part(self):
         inst, cfg = _bound(7, 4, 1)
@@ -271,10 +293,9 @@ class TestSearchStates:
         # after(None) returns the state itself as its one leaf; taking the
         # deadline step in full gives the same outputs, picks and inputs.
         applied = skipped = 0
-        for inst, cfg, fp in _every_async_search(4):
-            horizon = default_horizon(cfg.n)
-            for state in _settled_states(inst, cfg, fp):
-                if state.pending.get(horizon) or any(
+        for inst, cfg in _every_async_search(4):
+            for state in _settled_states(inst, cfg):
+                if any(state.inbox) or any(
                     p.status == _BLOCKED
                     and isinstance(p.program.statements[p.pc].until, Deadline)
                     for p in state.procs
@@ -289,26 +310,33 @@ class TestSearchStates:
                 full._deadline_step()
                 for other in (state, full):
                     assert _outputs(leaf) == _outputs(other)
-                    (picks, dp), (other_picks, other_dp) = leaf.inputs(), other.inputs()
-                    assert (picks.picks, dp) == (other_picks.picks, other_dp)
-        assert (applied, skipped) == (2_526, 1_614)
+                    (picks, fp, dp), (other_picks, other_fp, other_dp) = (
+                        leaf.inputs(), other.inputs()
+                    )
+                    assert (picks.picks, fp, dp) == (other_picks.picks, other_fp, other_dp)
+        assert (applied, skipped) == (1_092, 574)
+
+    def test_root_settles_one_process_at_a_time(self):
+        # L5 at n=7, t=7: seven processes with one program, each offered
+        # crashes and forking at its picks.  Settled one at a time, with a
+        # repeated key dropped after each, the root leaves one state per
+        # key, not the product of every process's forks.
+        inst, cfg = _bound(5, 7, 7)
+        root = _SearchState(inst, cfg).after(())
+        assert len({state.key() for state in root}) == len(root) == 252
 
     @pytest.mark.parametrize(
         "line, n, t, states, terminals",
-        [(7, 4, 1, 208, 208), (3, 3, 2, 76, 88), (5, 4, 1, 87, 110), (7, 5, 2, 1938, 1938),
+        [(7, 4, 1, 73, 103), (3, 3, 2, 31, 50), (5, 4, 1, 31, 48), (7, 5, 2, 259, 487),
          (4, 2, 0, 2, 3)],
     )
     def test_state_graph_counts(self, line, n, t, states, terminals):
-        # Summed over the orbit patterns; a cheaper state must be the same
-        # state graph.
+        # The cell's one search; a cheaper state must be the same state
+        # graph.
         inst, cfg = _bound(line, n, t)
-        outcomes = [
-            search_async(inst, cfg, fp, 10**6)
-            for fp in enum_failure_pattern_orbits(n, t, inst.programs())
-        ]
-        assert all(o.complete for o in outcomes)
-        assert sum(o.states for o in outcomes) == states
-        assert sum(o.terminals for o in outcomes) == terminals
+        outcome = search_async(inst, cfg, 10**6)
+        assert outcome.complete
+        assert (outcome.states, outcome.terminals) == (states, terminals)
 
 
 class TestCoverage:
@@ -341,10 +369,11 @@ class TestCoverage:
 
 
 def _pattern_family(inst, cfg, fp):
-    """The output sets one failure pattern reaches: by ``search_async`` for
-    an async cell, and by running every pick outcome for a sync cell."""
+    """The output sets one failure pattern reaches: by the search whose
+    crashes follow ``fp`` for an async cell, and by running every pick
+    outcome for a sync cell."""
     if cfg.timing is Timing.ASYNC:
-        return frozenset(search_async(inst, cfg, fp, 10**6).found)
+        return frozenset(_PatternState(inst, cfg, fp).search(10**6).found)
     return frozenset(
         trace.output_set()
         for _, trace in branch_choices(
@@ -418,32 +447,56 @@ class TestSymmetry:
                 first, second = _crash_p1_or_p2(inst, slot)
                 assert first == second, (p, q, slot)
 
+    def test_class_key_reaches_what_singleton_classes_reach(self, p_p_q):
+        # The search's key sorts the ids of each class of processes with
+        # equal programs.  An unused initial local that differs per pid
+        # makes every class a singleton, so no state is merged with its
+        # relabelling; the family must not change.
+        rng = random.Random(2)
+        cfgs = {t: SystemConfig(3, t, Timing.ASYNC) for t in (0, 1)}
+        merged = 0
+        for k in range(2_500):
+            p, q = _random_program(rng), _random_program(rng)
+            t = k % 2
+            classes = p_p_q(p, q, t)
+            singletons = p_p_q(p, q, t, singletons=True)
+            assert singletons.programs()[0] != singletons.programs()[1]
+            first = search_async(classes, cfgs[t], 10**6)
+            second = search_async(singletons, cfgs[t], 10**6)
+            assert set(first.found) == set(second.found), (p, q, t)
+            merged += first.states < second.states
+        assert merged > 0
+
 
 def _crash_p1_or_p2(inst, slot):
     """The output sets reached when process 1 crashes at ``slot``, and when
     process 2 does, at async n = 3, t = 1."""
     cfg = SystemConfig(3, 1, Timing.ASYNC)
     return [
-        set(search_async(inst, cfg, FailurePattern.of({pid: slot}), 10**6).found)
+        set(_PatternState(inst, cfg, FailurePattern.of({pid: slot})).search(10**6).found)
         for pid in (1, 2)
     ]
 
 
 @pytest.fixture
 def p_p_q(monkeypatch):
-    """Binds programs P and Q to an async instance at n = 3, t = 1 whose
-    processes 1 and 2 run P and whose process 3 runs Q."""
+    """Binds programs P and Q to an async instance at n = 3 (t = 1 unless
+    given) whose processes 1 and 2 run P and whose process 3 runs Q.  With
+    ``singletons``, each process also gets an initial local ``pid`` that no
+    statement reads, holding its pid, so no two programs are equal."""
     timing, params, _ = algorithms._KINDS[AlgorithmKind.SINGLE_OUTPUT]
-    drawn = []
-    monkeypatch.setitem(
-        algorithms._KINDS, AlgorithmKind.SINGLE_OUTPUT,
-        (timing, params, lambda instance, pid: drawn[pid > 2]),
-    )
+    drawn, unused = [], []
 
-    def bind(p, q):
-        drawn[:] = [p, q]
+    def build(instance, pid):
+        program = drawn[pid > 2]
+        return Program(program.statements, (("pid", pid),)) if unused else program
+
+    monkeypatch.setitem(algorithms._KINDS, AlgorithmKind.SINGLE_OUTPUT, (timing, params, build))
+
+    def bind(p, q, t=1, singletons=False):
+        drawn[:], unused[:] = [p, q], [True] * singletons
         inst = AlgorithmInstance(AlgorithmKind.SINGLE_OUTPUT, Timing.ASYNC, no_out=False)
-        return inst.bind(3, 1, permissive=True)
+        return inst.bind(3, t, permissive=True)
 
     return bind
 
