@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .outputsets import (
     SetOfOutputSets,
@@ -168,7 +168,9 @@ class AlgorithmInstance:
 
     Construction checks the parameters against the kind's row of ``_KINDS``.
     A bound instance (``n`` and ``t`` given) also derives its ``roles`` and
-    builds its programs, once; ``programs()`` hands out that tuple.
+    builds its programs, once; ``programs()`` hands out that tuple, in which
+    equal programs are one object.  ``emissions`` holds every (sender,
+    emission ordinal) those programs can produce.
     """
 
     kind: AlgorithmKind
@@ -182,6 +184,9 @@ class AlgorithmInstance:
     roles: Optional[RoleAssignment] = field(default=None, init=False)
     _programs: Optional[Tuple[Program, ...]] = field(
         default=None, init=False, repr=False, compare=False
+    )
+    emissions: FrozenSet[Tuple[int, int]] = field(
+        default=frozenset(), init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -215,13 +220,20 @@ class AlgorithmInstance:
         object.__setattr__(
             self, "roles", make_roles(self.kind, self.n, self.t, self.permissive)
         )
-        programs = tuple(build(self, pid) for pid in range(1, self.n + 1))
+        built = [build(self, pid) for pid in range(1, self.n + 1)]
+        unique: Dict[Program, Program] = {}
+        programs = tuple([unique.setdefault(program, program) for program in built])
         if self.timing is Timing.SYNC:
             # The sync kernel runs a statement in the round its tag names.
             for pid, program in enumerate(programs, start=1):
                 if program.statements and not program.is_sync:
                     raise ValueError(f"program of process {pid} is not tagged with rounds")
         object.__setattr__(self, "_programs", programs)
+        object.__setattr__(self, "emissions", frozenset(
+            (pid, k)
+            for pid, program in enumerate(programs, start=1)
+            for k in range(program.communicate_count)
+        ))
 
     # -- binding --------------------------------------------------------------
 
@@ -292,7 +304,7 @@ def instance_from_descriptor(d: Dict[str, object]) -> AlgorithmInstance:
     if d["line"] != instance.line:
         raise ValueError(f"algorithm line {d['line']} is not {instance.line}, "
                          f"the line of {instance.kind.value} with these parameters")
-    instance = instance.bind(d["n"], d["t"], permissive=d["permissive"])
+    instance = _bound(instance, d["n"], d["t"], d["permissive"])
     # Roles follow from (kind, n, t, permissive); a described set must match.
     if d.get("roles") != instance.roles.describe():
         raise ValueError(
@@ -300,6 +312,14 @@ def instance_from_descriptor(d: Dict[str, object]) -> AlgorithmInstance:
             f"n={instance.n}, t={instance.t}"
         )
     return instance
+
+
+@functools.lru_cache(maxsize=64)
+def _bound(instance: AlgorithmInstance, n: int, t: int, permissive: bool) -> AlgorithmInstance:
+    """``instance.bind(n, t, permissive)``, built once per distinct
+    arguments: replaying traces binds the same few descriptors again and
+    again.  A rejection raises, so it is never cached."""
+    return instance.bind(n, t, permissive=permissive)
 
 
 def _infer_line(instance: AlgorithmInstance) -> int:

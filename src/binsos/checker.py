@@ -62,7 +62,6 @@ from .simkernel import (
     KernelError,
     PreconditionError,
     default_horizon,
-    potential_emissions,
     run,
     search_async,
 )
@@ -330,7 +329,7 @@ def _draws(
     """Endless seeded random (choice seed, fp, dp) triples for a bound instance."""
     rng = random.Random(meta_seed)
     slot_counts = [p.slot_count for p in instance.programs()]
-    emissions = potential_emissions(instance)
+    emissions = sorted(instance.emissions)
     while True:
         seed = rng.getrandbits(48)
         fp = sample_failure_pattern(rng, cfg.n, cfg.t, slot_counts)

@@ -272,10 +272,11 @@ def sample_delay_pattern(
     n: int,
     horizon: int,
 ) -> DelayPattern:
-    """One random pattern over the full step range 0..H."""
-    entries = {
-        (s, i, r): rng.randint(0, horizon)
+    """One random pattern over the full step range 0..H; ``emission_slots``
+    come sorted, so its entries are built in order."""
+    entries = tuple(
+        (s, i, r, rng.randint(0, horizon))
         for (s, i) in emission_slots
         for r in range(1, n + 1)
-    }
-    return DelayPattern.of(entries, default=None)
+    )
+    return DelayPattern(entries, default=None)

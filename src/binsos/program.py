@@ -172,9 +172,20 @@ class Program:
     initial_locals: Tuple[Tuple[str, Value], ...] = ()
 
     def __post_init__(self) -> None:
-        # The dataclass hash, computed once: orbit counts and search classes
-        # key dicts by program.
+        # Facts fixed by the statements, computed once: orbit counts and
+        # search classes key dicts by program, and the search offers crashes
+        # at its crash slots.
         object.__setattr__(self, "_hash", hash((self.statements, self.initial_locals)))
+        effects = [
+            k for k, s in enumerate(self.statements) if isinstance(s, (Output, Communicate))
+        ]
+        object.__setattr__(
+            self, "_crash_slots", tuple([0] + [k + 1 for k in effects[:-1]]) if effects else ()
+        )
+        object.__setattr__(
+            self, "_communicate_count",
+            len([s for s in self.statements if isinstance(s, Communicate)]),
+        )
         tags = [s.at for s in self.statements]
         if any(t is None for t in tags) and any(t is not None for t in tags):
             raise ValueError("program mixes tagged and untagged statements")
@@ -194,7 +205,7 @@ class Program:
 
     @property
     def communicate_count(self) -> int:
-        return sum(1 for s in self.statements if isinstance(s, Communicate))
+        return self._communicate_count
 
     @property
     def slot_count(self) -> int:
@@ -210,10 +221,7 @@ class Program:
         right after each effect (an ``Output`` or a ``Communicate``) but the
         last.  Each stands for its stretch of slots up to the next effect; a
         crash after the last effect is no crash at all (see ``explore``)."""
-        effects = [
-            k for k, s in enumerate(self.statements) if isinstance(s, (Output, Communicate))
-        ]
-        return tuple([0] + [k + 1 for k in effects[:-1]]) if effects else ()
+        return self._crash_slots
 
     @cached_property
     def relevant_tags(self) -> Tuple[FrozenSet[str], ...]:

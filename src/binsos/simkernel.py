@@ -614,18 +614,10 @@ def _validate_common(instance, cfg: SystemConfig, fp: FailurePattern) -> None:
         )
 
 
-def potential_emissions(instance) -> List[Tuple[int, int]]:
-    """Every (sender, emission ordinal) the instance's programs can produce."""
-    slots = []
-    for pid, program in enumerate(instance.programs(), start=1):
-        slots.extend((pid, k) for k in range(program.communicate_count))
-    return slots
-
-
 def validate_delay_pattern(instance, cfg: SystemConfig, dp: DelayPattern) -> None:
     """Screen a delay pattern against an instance and its horizon."""
     horizon = default_horizon(cfg.n)
-    emissions = set(potential_emissions(instance))
+    emissions = instance.emissions
     for sender, index, receiver, step in dp.entries:
         if not 1 <= sender <= cfg.n or not 1 <= receiver <= cfg.n:
             raise PreconditionError(
@@ -939,7 +931,17 @@ class _SearchState(_AsyncKernel):
 
     def key(self) -> tuple:
         """Per class of processes with equal programs, the sorted ids of its
-        members, each member's id naming its key part and its inbox."""
+        members, each member's id naming its key part and its inbox.
+
+        A live process's ``crash_slot`` in its part adds nothing the
+        program, the status, the pc and t do not fix.  With t = 0 it is -1.
+        Otherwise a process not yet run (at the root) keeps its first slot,
+        and a process that has run keeps the first of its crash slots after
+        its pc, or -1: it was set so when the pc last reached a slot (taken
+        crash offer or not, ``_crash`` and ``_forks`` move it on), and the pc
+        meets every slot on its way, since the offer comes before the
+        statement and its guard.  A blocked process has met the slot at its
+        pc before its wait."""
         parts, members = self.parts, self.members
         ids = []
         for p, pairs in zip(self.procs, self.inbox):

@@ -1,20 +1,42 @@
 """Shared pytest plumbing: surface acceptance verdicts in the summary, the
-n <= 4 and n <= 5 table reports, each failure pattern's representative at
-the crash slots, the all-latest delay pattern, and an instance outside the
-six algorithms' wire vocabulary."""
+acceptance-4 audit instances, the n <= 4 and n <= 5 table reports, each
+failure pattern's representative at the crash slots, the all-latest delay
+pattern, and an instance outside the six algorithms' wire vocabulary."""
 
 import time
 
 import pytest
 
 from binsos import algorithms
-from binsos.algorithms import AlgorithmInstance, AlgorithmKind
+from binsos.algorithms import AlgorithmInstance, AlgorithmKind, instance_for_line
 from binsos.checker import ExplorationBudget, check_table
-from binsos.outputsets import SystemConfig, Timing
+from binsos.outputsets import SystemConfig, Timing, tight_condition
 from binsos.patterns import DelayPattern, FailurePattern
 from binsos.program import Communicate, LocalRef, Observed, Output, Program, Wait
 
 ACCEPTANCE_LINES = []
+
+#: The acceptance-4 instance groups: one per algorithm, split across the
+#: timing models each algorithm admits.
+AUDIT_GROUPS = (
+    ((1, Timing.ASYNC), (1, Timing.SYNC)),    # all-output
+    ((9, Timing.ASYNC), (9, Timing.SYNC)),    # single-output
+    ((3, Timing.ASYNC), (3, Timing.SYNC)),    # timing-adaptive
+    ((7, Timing.ASYNC),),                     # asynchronous disagreement
+    ((7, Timing.SYNC), (8, Timing.SYNC)),     # synchronous disagreement
+    ((10, Timing.SYNC),),                     # synchronous consensus
+)
+
+
+def audit_instances(per_algorithm):
+    """Each acceptance-4 instance at n = 5 and its largest t, with its share
+    of ``per_algorithm`` runs."""
+    for group in AUDIT_GROUPS:
+        share = per_algorithm // len(group)
+        for line, timing in group:
+            condition = tight_condition(line, timing)
+            t = max(t for t in range(6) if condition.holds(5, t))
+            yield instance_for_line(line, timing), SystemConfig(5, t, timing), share
 
 
 def pytest_terminal_summary(terminalreporter):

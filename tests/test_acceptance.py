@@ -7,7 +7,7 @@ violations); there are no numeric tolerances anywhere in the artifact.
 
 import time
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, audit_instances
 
 from binsos.algorithms import instance_for_line
 from binsos.checker import (
@@ -104,34 +104,13 @@ def test_criterion_3_safety_is_budget_independent():
     )
 
 
-def _audit_instances():
-    # 10,000 randomized triples per algorithm at n = 5, split across the
-    # timing models each algorithm admits.
-    per_algorithm = 10_000
-    groups = [
-        [(1, Timing.ASYNC), (1, Timing.SYNC)],    # all-output
-        [(9, Timing.ASYNC), (9, Timing.SYNC)],    # single-output
-        [(3, Timing.ASYNC), (3, Timing.SYNC)],    # timing-adaptive
-        [(7, Timing.ASYNC)],                      # asynchronous disagreement
-        [(7, Timing.SYNC), (8, Timing.SYNC)],     # synchronous disagreement
-        [(10, Timing.SYNC)],                      # synchronous consensus
-    ]
-    for group in groups:
-        share = per_algorithm // len(group)
-        for line, timing in group:
-            condition = tight_condition(line, timing)
-            n = 5
-            t = max(t for t in range(0, n + 1) if condition.holds(n, t))
-            yield instance_for_line(line, timing), SystemConfig(n, t, timing), share
-
-
 def test_criterion_4_medium_property_audit():
     """Zero violations of the four medium properties, 10,000 randomized
     traces per algorithm, both timing models covered."""
     audited = 0
     kinds = set()
     dirty = []
-    for inst, cfg, share in _audit_instances():
+    for inst, cfg, share in audit_instances(per_algorithm=10_000):
         kinds.add(inst.kind)
         for trace in sample_traces(inst, cfg, share, meta_seed=97, record=True):
             violations = medium_check(trace)

@@ -206,6 +206,27 @@ class TestInstanceForLine:
                 inst = instance_for_line(line, timing).bind(n, t)
                 assert instance_from_descriptor(inst.describe()) == inst
 
+    def test_descriptor_checks_run_with_the_bind_cached(self):
+        # instance_from_descriptor reuses the bound instance of an equal
+        # (instance, n, t, permissive); every field, line and roles check
+        # still runs on every call.
+        inst = instance_for_line(7, Timing.ASYNC).bind(5, 2)
+        described = inst.describe()
+        assert instance_from_descriptor(described) is instance_from_descriptor(described)
+        roles = dict(described["roles"], zero_group=[2, 1])
+        with pytest.raises(ValueError, match="algorithm roles .* are not those of n=5, t=2"):
+            instance_from_descriptor(dict(described, roles=roles))
+        with pytest.raises(ValueError, match="algorithm line 8 is not 7"):
+            instance_from_descriptor(dict(described, line=8))
+        with pytest.raises(ValueError, match="algorithm n 5.0 must be int"):
+            instance_from_descriptor(dict(described, n=5.0))
+        # (4, 2) lies outside line 7's condition: bound permissively it is
+        # cached, and the same cell unpermitted is still rejected.
+        loose = instance_for_line(7, Timing.ASYNC).bind(4, 2, permissive=True).describe()
+        assert instance_from_descriptor(loose) is instance_from_descriptor(loose)
+        with pytest.raises(PreconditionError, match=r"\(n=4, t=2\) violates condition"):
+            instance_from_descriptor(dict(loose, permissive=False))
+
     def test_programs_are_built_once_at_bind(self, monkeypatch):
         inst = instance_for_line(8, Timing.SYNC).bind(4, 2)
         timing, params, _ = algorithms._KINDS[AlgorithmKind.SYNC_DISAGREEMENT]

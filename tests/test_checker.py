@@ -1,8 +1,10 @@
 """Verdict engine: exploration, table cells, bounds screen, witnesses."""
 
 import dataclasses
+import hashlib
 
 import pytest
+from conftest import audit_instances
 
 from binsos.algorithms import instance_for_line
 from binsos.checker import (
@@ -13,6 +15,7 @@ from binsos.checker import (
     bounds_screen,
     check_table,
     explore,
+    sample_traces,
     witness,
 )
 from binsos.outputsets import OutputSet, SystemConfig, Timing, line_members, sos, tight_condition
@@ -21,6 +24,21 @@ from binsos.simkernel import PreconditionError, medium_check, replay
 
 
 SMALL = ExplorationBudget()
+
+
+def test_sampled_audit_traces_are_pinned():
+    # The recorded bytes of 50 sampled traces per acceptance-4 group at
+    # meta-seed 5: the draws, the runs and their encoding cannot drift.
+    digest = hashlib.sha256()
+    count = 0
+    for inst, cfg, share in audit_instances(per_algorithm=50):
+        for trace in sample_traces(inst, cfg, share, meta_seed=5, record=True):
+            digest.update(trace.to_jsonl().encode())
+            count += 1
+    assert count == 300
+    assert digest.hexdigest() == (
+        "93ca171f771cd84baeca4b5bbf65254198688e76cbdb0945a5f7a8e627869b7c"
+    )
 
 
 class TestExplore:

@@ -13,6 +13,7 @@ from conftest import all_latest, stretch_representative
 from binsos import algorithms, checker
 from binsos.algorithms import AlgorithmInstance, AlgorithmKind, RoleError, instance_for_line
 from binsos.checker import ExplorationBudget, branch_choices, explore, sample_traces
+from binsos.oracle import observed_output_sets
 from binsos.outputsets import OutputSet, SystemConfig, Timing, sos, tight_condition
 from binsos.patterns import (
     ALL_IMMEDIATE,
@@ -467,6 +468,59 @@ class TestSymmetry:
             merged += first.states < second.states
         assert merged > 0
 
+    def test_class_key_keeps_members_of_different_classes_apart(self, monkeypatch):
+        # p1 outputs its pick at the deadline, p2 the complement of its own.
+        # The settled states (v1, v2) = (0, 1) and (1, 0) hold the same two
+        # key parts (blocked at the deadline wait, v = 0 and v = 1), each in
+        # the other class, and they reach {0} and {1}.  A key that merged
+        # members of different classes would keep only one of them.
+        timing, params, _ = algorithms._KINDS[AlgorithmKind.SINGLE_OUTPUT]
+        waits = (Pick("v", (0, 1)), Wait(Deadline()))
+        programs = (
+            Program(waits + (Output(LocalRef("v")),)),
+            Program(waits + (Output(Flip("v")),)),
+        )
+        monkeypatch.setitem(
+            algorithms._KINDS, AlgorithmKind.SINGLE_OUTPUT,
+            (timing, params, lambda instance, pid: programs[pid - 1]),
+        )
+        inst = AlgorithmInstance(AlgorithmKind.SINGLE_OUTPUT, Timing.ASYNC, no_out=False)
+        cfg = SystemConfig(2, 0, Timing.ASYNC)
+        verdict = explore(inst.bind(2, 0), cfg)
+        assert verdict.exhaustive
+        assert verdict.observed == sos(OutputSet.ZERO, OutputSet.ONE, OutputSet.BOTH)
+        assert verdict.observed == observed_output_sets(inst.bind(2, 0), cfg)
+
+    def test_crash_slot_of_a_key_part_follows_from_program_pc_and_t(self):
+        # _SearchState.key keeps each live process's next crash slot; in
+        # every settled state it is the first crash slot after the pc, or -1
+        # (none left, or t = 0), so it merges no states the pc keeps apart.
+        checked = sum(_blocked_crash_slots(inst, cfg) for inst, cfg in _every_async_search(5))
+        assert checked > 1_000
+
+    def test_crash_slot_of_a_key_part_on_random_programs(self, p_p_q):
+        rng = random.Random(4)
+        checked = 0
+        for k in range(300):
+            t = k % 2
+            inst = p_p_q(_random_program(rng), _random_program(rng), t)
+            checked += _blocked_crash_slots(inst, SystemConfig(3, t, Timing.ASYNC))
+        assert checked > 1_000
+
+
+def _blocked_crash_slots(inst, cfg):
+    """How many blocked processes the settled states of the cell's search
+    hold, each checked to keep as its crash slot the first of its
+    program's crash slots after its pc, or -1 for none or t = 0."""
+    checked = 0
+    for state in _settled_states(inst, cfg):
+        for p in state.procs:
+            if p.status == _BLOCKED:
+                later = [s for s in p.program.crash_slots if s > p.pc]
+                assert p.crash_slot == (later[0] if later and cfg.t else -1)
+                checked += 1
+    return checked
+
 
 def _crash_p1_or_p2(inst, slot):
     """The output sets reached when process 1 crashes at ``slot``, and when
@@ -543,6 +597,34 @@ def _random_program(rng):
 
 
 class TestCrashSlots:
+    def test_stored_facts_equal_their_formulas(self, monkeypatch):
+        # A program's crash slots and communicate count are computed once,
+        # when it is built; a bound instance holds one object per distinct
+        # program, here with each process's program built afresh.
+        rng = random.Random(5)
+        timing, params, _ = algorithms._KINDS[AlgorithmKind.SINGLE_OUTPUT]
+        drawn = []
+        monkeypatch.setitem(
+            algorithms._KINDS, AlgorithmKind.SINGLE_OUTPUT,
+            (timing, params, lambda instance, pid: Program(drawn[pid > 2].statements)),
+        )
+        inst = AlgorithmInstance(AlgorithmKind.SINGLE_OUTPUT, Timing.ASYNC, no_out=False)
+        for _ in range(250):
+            drawn[:] = [_random_program(rng), _random_program(rng)]
+            for program in drawn:
+                effects = [
+                    k for k, s in enumerate(program.statements)
+                    if isinstance(s, (Output, Communicate))
+                ]
+                slots = tuple([0] + [k + 1 for k in effects[:-1]]) if effects else ()
+                assert program.crash_slots == slots
+                assert program.communicate_count == sum(
+                    isinstance(s, Communicate) for s in program.statements
+                )
+            p1, p2, p3 = inst.bind(3, 1, permissive=True).programs()
+            assert p1 is p2 and p1 == drawn[0]
+            assert (p3 is p1) == (drawn[0] == drawn[1])
+
     def test_every_pattern_reaches_what_its_representative_reaches(self):
         # The lemma behind Program.crash_slots, pattern by pattern, on every
         # line in both timings, inside and outside its condition: moving each
