@@ -19,7 +19,7 @@ from .algorithms import (
     instance_for_line,
     make_roles,
 )
-from .patterns import DelayPattern, FailurePattern, enum_failure_patterns
+from .patterns import FailurePattern, enum_failure_patterns
 from .program import ChoiceStream, ScriptedChoices, SeededChoices
 from .simkernel import (
     ExecutionTrace,
@@ -47,7 +47,6 @@ __all__ = [
     "AlgorithmInstance",
     "AlgorithmKind",
     "ChoiceStream",
-    "DelayPattern",
     "ExecutionTrace",
     "ExplorationBudget",
     "FailurePattern",

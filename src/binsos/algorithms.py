@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .outputsets import (
     SetOfOutputSets,
@@ -169,8 +169,7 @@ class AlgorithmInstance:
     Construction checks the parameters against the kind's row of ``_KINDS``.
     A bound instance (``n`` and ``t`` given) also derives its ``roles`` and
     builds its programs, once; ``programs()`` hands out that tuple, in which
-    equal programs are one object.  ``emissions`` holds every (sender,
-    emission ordinal) those programs can produce.
+    equal programs are one object.
     """
 
     kind: AlgorithmKind
@@ -184,9 +183,6 @@ class AlgorithmInstance:
     roles: Optional[RoleAssignment] = field(default=None, init=False)
     _programs: Optional[Tuple[Program, ...]] = field(
         default=None, init=False, repr=False, compare=False
-    )
-    emissions: FrozenSet[Tuple[int, int]] = field(
-        default=frozenset(), init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -229,11 +225,6 @@ class AlgorithmInstance:
                 if program.statements and not program.is_sync:
                     raise ValueError(f"program of process {pid} is not tagged with rounds")
         object.__setattr__(self, "_programs", programs)
-        object.__setattr__(self, "emissions", frozenset(
-            (pid, k)
-            for pid, program in enumerate(programs, start=1)
-            for k in range(program.communicate_count)
-        ))
 
     # -- binding --------------------------------------------------------------
 

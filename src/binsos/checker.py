@@ -4,13 +4,16 @@
 the symmetry of processes with equal programs and to where a crash can be
 seen, and every pick outcome -- an asynchronous cell by one
 ``simkernel.search_async``, whose crash moves cover every failure pattern
-and whose landings cover every delay pattern, and a synchronous one by a
+and whose landings cover every schedule, and a synchronous one by a
 kernel run per pick outcome under one pattern per orbit, or under seeded
 draws when those runs exceed its budget (``ExplorationBudget``) -- and
 compares the union of observed output sets against the family of the
 instance's line: safety holds when nothing outside the family was ever
 produced, completeness when every member of it has a stored witness trace.
-Each member's trace is a recorded kernel run, so it replays byte for byte.
+Each member's trace is a recorded kernel run (an asynchronous one under
+the schedule of the search path that reached it), so it replays byte for
+byte.  ``sample_traces`` draws seeded runs for audits, an asynchronous one
+as a seeded walk over the enabled moves.
 ``exhaustive: true`` means every failure pattern was covered up to those
 two proven reductions: crashing only at ``Program.crash_slots``, and one
 pattern per orbit, or (async) states up to the same relabellings (see
@@ -47,13 +50,10 @@ from .outputsets import (
     tight_condition,
 )
 from .patterns import (
-    ALL_IMMEDIATE,
-    DelayPattern,
     FailurePattern,
     count_failure_pattern_orbits,
     count_failure_patterns,
     enum_failure_pattern_orbits,
-    sample_delay_pattern,
     sample_failure_pattern,
 )
 from .program import ChoiceNeeded, Pick, ScriptedChoices, SeededChoices
@@ -61,7 +61,6 @@ from .simkernel import (
     ExecutionTrace,
     KernelError,
     PreconditionError,
-    default_horizon,
     run,
     search_async,
 )
@@ -89,10 +88,9 @@ class ExplorationBudget:
     the symmetry of processes with equal programs and to those slots;
     ``executions`` then counts kernel runs (sync) or terminal search states
     (async).  Only a larger synchronous cell is sampled: it runs exactly
-    ``sample_runs`` random (seed, fp, dp) triples drawn from ``sample_seed``
-    over every failure pattern at every slot, and ``executions`` counts
-    those runs.  The horizon is not part of the budget: every asynchronous
-    run has ``default_horizon(n)``.
+    ``sample_runs`` random (seed, fp) pairs drawn from ``sample_seed`` over
+    every failure pattern at every slot, and ``executions`` counts those
+    runs.
     """
 
     sample_runs: int = 10_000
@@ -209,13 +207,12 @@ def explore(
     """Explore executions and judge safety/completeness against the family
     of the instance's own line (``instance.target_members()``).
 
-    A synchronous cell runs every pick outcome under every failure pattern,
-    with the single canonical delay pattern.  An asynchronous cell is one
-    search of the kernel's state graph (``search_async``), which covers
-    every delay pattern and pick outcome, and every failure pattern as
-    crash moves.  "Every failure pattern" is up to two reductions.  Crashes
-    are placed only at ``Program.crash_slots``, where other processes can
-    tell them apart.  Processes with equal bound programs are
+    A synchronous cell runs every pick outcome under every failure pattern.
+    An asynchronous cell is one search of the kernel's state graph
+    (``search_async``), which covers every schedule and pick outcome, and
+    every failure pattern as crash moves.  "Every failure pattern" is up to
+    two reductions.  Crashes are placed only at ``Program.crash_slots``,
+    where other processes can tell them apart.  Processes with equal bound programs are
     interchangeable: a synchronous cell runs one pattern per orbit under
     permutations of them (``enum_failure_pattern_orbits``), and the
     asynchronous search keys its states up to those permutations.  A
@@ -229,13 +226,13 @@ def explore(
     emits, and the output set reads only its output.
 
     - Between effects: let no effect lie in statements k..k'-1 of process
-      p's program.  With everything else fixed (choice stream, delay
-      pattern, the other crashes), crashing p at slot k or at slot k' gives
-      runs with the same emissions, at the same steps, and the same output
-      of p.  What p runs in between are picks, local writes and waits: its
+      p's program.  With everything else fixed (choice stream, schedule,
+      the other crashes), crashing p at slot k or at slot k' gives runs
+      with the same emissions, at the same moves, and the same output of
+      p.  What p runs in between are picks, local writes and waits: its
       picks are keyed by its own pid, its locals and the items delivered to
       it reach no one else, and a wait only stops it earlier.  So every
-      choice stream and delay pattern reaches the same output set in both
+      choice stream and schedule reaches the same output set in both
       runs, and a crash may move to the first slot of its stretch: slot 0,
       or the slot right after an effect.
     - After the last effect: by the same argument a crash there is the
@@ -251,7 +248,7 @@ def explore(
     A process reads only its own program, locals, output, picks and
     observations, and observations only as (tag, value) pairs: guards test
     them, and a binding wait takes its tag's first value.  Items landing
-    together (at a sync barrier, in an async batch or at the deadline step)
+    together (at a sync barrier, in one async move or at the deadline step)
     land in value order (``InfoItem.sort_key``), so a tag's first item among
     them carries its least value, and no sender id reaches any process.  A
     crash offer reads only the process's own pc and how many have crashed.
@@ -280,10 +277,10 @@ def explore(
         failure_pattern_orbits=orbits,
     )
 
-    def unrecorded(choices, fp, dp):
-        trace = run(instance, cfg, choices, fp, dp, record=False)
+    def unrecorded(choices, fp):
+        trace = run(instance, cfg, choices, fp, record=False)
         verdict.executions += 1
-        return choices, fp, dp, trace.output_set()
+        return choices, fp, (), trace.output_set()
 
     if cfg.timing is Timing.ASYNC:
         outcome = search_async(instance, cfg, cap)
@@ -291,27 +288,27 @@ def explore(
         verdict.states = outcome.states
         verdict.executions = outcome.terminals
         found = (
-            (choices, fp, dp, reached) for reached, (choices, fp, dp) in outcome.found.items()
+            (choices, fp, schedule, reached)
+            for reached, (choices, fp, schedule) in outcome.found.items()
         )
     elif _choice_bound(instance) * orbits <= cap:
         verdict.exhaustive = True
         found = (
             leaf
             for fp in enum_failure_pattern_orbits(cfg.n, cfg.t, programs)
-            for _, leaf in branch_choices(
-                functools.partial(unrecorded, fp=fp, dp=ALL_IMMEDIATE)
-            )
+            for _, leaf in branch_choices(functools.partial(unrecorded, fp=fp))
         )
     else:
-        draws = itertools.islice(_draws(instance, cfg, budget.sample_seed), budget.sample_runs)
-        found = (unrecorded(SeededChoices(seed), fp, dp) for seed, fp, dp in draws)
+        rng = random.Random(budget.sample_seed)
+        draws = itertools.islice(_draws(instance, cfg, rng), budget.sample_runs)
+        found = (unrecorded(SeededChoices(seed), fp) for seed, fp in draws)
 
     observed = set()
-    for choices, fp, dp, reached in found:
+    for choices, fp, schedule, reached in found:
         if reached in observed:
             continue
         observed.add(reached)
-        full = run(instance, cfg, choices, fp, dp)
+        full = run(instance, cfg, choices, fp, schedule)
         if full.output_set() is not reached:
             raise KernelError(
                 f"recorded run under {fp.describe()} gave {full.output_set()}, not {reached}"
@@ -324,20 +321,13 @@ def explore(
 
 
 def _draws(
-    instance: AlgorithmInstance, cfg: SystemConfig, meta_seed: int
-) -> Iterator[Tuple[int, FailurePattern, DelayPattern]]:
-    """Endless seeded random (choice seed, fp, dp) triples for a bound instance."""
-    rng = random.Random(meta_seed)
+    instance: AlgorithmInstance, cfg: SystemConfig, rng: random.Random
+) -> Iterator[Tuple[int, FailurePattern]]:
+    """Endless random (choice seed, fp) pairs for a bound instance, drawn
+    from ``rng``."""
     slot_counts = [p.slot_count for p in instance.programs()]
-    emissions = sorted(instance.emissions)
     while True:
-        seed = rng.getrandbits(48)
-        fp = sample_failure_pattern(rng, cfg.n, cfg.t, slot_counts)
-        if cfg.timing is Timing.SYNC:
-            dp = ALL_IMMEDIATE
-        else:
-            dp = sample_delay_pattern(rng, emissions, cfg.n, default_horizon(cfg.n))
-        yield seed, fp, dp
+        yield rng.getrandbits(48), sample_failure_pattern(rng, cfg.n, cfg.t, slot_counts)
 
 
 def sample_traces(
@@ -347,10 +337,15 @@ def sample_traces(
     meta_seed: int = 0,
     record: bool = False,
 ) -> Iterator[ExecutionTrace]:
-    """Randomized (seed, fp, dp) runs for safety audits and medium checks."""
+    """Seeded random runs for safety audits and medium checks: each a
+    choice seed and a failure pattern drawn from ``meta_seed``, and under
+    asynchrony a walk over the enabled moves drawn from the same stream,
+    which the trace records as its schedule."""
     instance = _bind(instance, cfg)
-    for seed, fp, dp in itertools.islice(_draws(instance, cfg, meta_seed), count):
-        yield run(instance, cfg, SeededChoices(seed), fp, dp, record=record)
+    rng = random.Random(meta_seed)
+    walk = rng if cfg.timing is Timing.ASYNC else None
+    for seed, fp in itertools.islice(_draws(instance, cfg, rng), count):
+        yield run(instance, cfg, SeededChoices(seed), fp, walk, record=record)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +438,7 @@ def bounds_screen(o: SetOfOutputSets, cfg: SystemConfig) -> Tuple[bool, str]:
 @dataclass
 class WitnessResult:
     """A singleton violation of a line-7/8 cell outside its condition, and the
-    cell's verdict; the trace's header holds the choices, fp and dp."""
+    cell's verdict; the trace's header holds the choices, fp and schedule."""
 
     trace: ExecutionTrace
     verdict: Verdict

@@ -16,8 +16,12 @@ before the output was written (as in ``binsos run ... | head -1``), with no
 traceback.
 ``--budget N`` (N >= 0) sets ``checker.ExplorationBudget.sample_runs``,
 whose docstring states when a cell is sampled or its search stops short.
-No flag sets the horizon (4n async, 0 sync); ``replay`` rejects a trace
-header that records another.
+
+``--schedule`` is the moves of an asynchronous ``run``, a JSON list (or
+``@file`` holding one) of ``[receiver, [[sender, index], ...]]``; with none
+given, every item lands at the deadline step, and a synchronous run takes
+only the empty one.  A malformed move, or one that is not enabled when the
+run reaches it, exits 2 naming the move's number and the reason.
 
 ``--params`` is a JSON object, or ``@file`` holding one, in the form of a
 trace header's ``alg``.  It gives an algorithm exactly the parameters it
@@ -49,7 +53,7 @@ from typing import Dict, List, Optional
 from . import checker
 from .algorithms import PARAM_NAMES, AlgorithmInstance, AlgorithmKind, instance_for_line
 from .outputsets import SystemConfig, Timing, _read_json, condition_table
-from .patterns import ALL_IMMEDIATE, NO_CRASHES, DelayPattern, FailurePattern
+from .patterns import NO_CRASHES, FailurePattern
 from .program import ChoiceNeeded, SeededChoices
 from .simkernel import ExecutionTrace, PreconditionError, replay, run
 
@@ -153,9 +157,8 @@ def cmd_run(args) -> int:
     choices = SeededChoices(args.seed)
     fp = (NO_CRASHES if args.fp is None
           else FailurePattern.from_descriptor(_load_literal(args.fp, "--fp")))
-    dp = (ALL_IMMEDIATE if args.dp is None
-          else DelayPattern.from_descriptor(_load_literal(args.dp, "--dp")))
-    trace = run(bound, cfg, choices, fp, dp)
+    schedule = None if args.schedule is None else _load_literal(args.schedule, "--schedule")
+    trace = run(bound, cfg, choices, fp, schedule)
     _write_out(args.out, trace.to_jsonl())
     summary = {
         "output_set": str(trace.output_set()),
@@ -282,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fp", help="failure pattern JSON literal or @file")
-    p.add_argument("--dp", help="delay pattern JSON literal or @file")
+    p.add_argument("--schedule", help="async moves [[receiver, [[sender, index], ...]], ...]: "
+                   "JSON literal or @file")
     p.add_argument("--permissive", action="store_true",
                    help="skip the tight-condition screen (witness experiments)")
     p.add_argument("--out", help="trace file path (default: stdout)")

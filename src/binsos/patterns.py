@@ -1,21 +1,14 @@
-"""Failure patterns and communication-delay patterns.
+"""Failure patterns.
 
 Failure patterns map crashed processes to statement-boundary crash slots.
 They are enumerated whole, or one per orbit under permutations of processes
 with equal programs over only the crash slots other processes can tell
-apart (``Program.crash_slots``), and counted in closed form either way.  A
-synchronous cell runs the orbits one by one; an asynchronous cell's search
-(``simkernel.search_async``) takes crashes as moves at the crash slots
-instead, and names the pattern of each path it reports.
-
-Delay patterns map each potentially emitted item, per receiver, to the
-logical step at which it is delivered; ``ALL_IMMEDIATE`` delivers each
-item at once, and it is the only pattern a synchronous run takes, since its
-round barrier does the same.  No delay-pattern family is enumerated: the
-asynchronous search builds, for each path it reports, the one pattern that
-replays it.  Patterns are drawn at random for sampling, and every drawn
-pattern delivers every item to every receiver by the horizon, so global
-termination of the medium holds by construction.
+apart (``Program.crash_slots``), and counted in closed form either way, or
+drawn at random for sampling.  A synchronous cell runs the orbits one by
+one; an asynchronous cell's search (``simkernel.search_async``) takes
+crashes as moves at the crash slots instead, and names the pattern of each
+path it reports.  When an asynchronous run's items land is no pattern: it
+is the run's schedule of moves (``simkernel``).
 """
 
 from __future__ import annotations
@@ -27,9 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .outputsets import _descriptor_fields
-
-#: A potential emission slot: (sender pid, emission ordinal within sender).
-EmissionSlot = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -195,88 +185,3 @@ def sample_failure_pattern(
     return FailurePattern(
         tuple((pid, rng.randrange(counts[pid - 1])) for pid in pids)
     )
-
-
-@dataclass(frozen=True)
-class DelayPattern:
-    """Delivery step for each (emission slot, receiver) edge.
-
-    ``entries`` maps (sender, emission index, receiver) to a step in 0..H;
-    edges not listed fall back to ``default`` (a strict pattern with
-    ``default=None`` rejects unknown edges at run time).  Its descriptor is
-    ``{"default": ..., "entries": [[sender, index, receiver, step], ...]}``.
-    """
-
-    entries: Tuple[Tuple[int, int, int, int], ...] = ()  # (sender, idx, recv, step)
-    default: Optional[int] = 0
-
-    def __post_init__(self) -> None:
-        keys = [(s, i, r) for s, i, r, _ in self.entries]
-        if sorted(keys) != keys or len(set(keys)) != len(keys):
-            raise ValueError("entries must be sorted and unique per edge")
-        if any(step < 0 for *_, step in self.entries):
-            raise ValueError("delivery steps must be non-negative")
-        if self.default is not None and self.default < 0:
-            raise ValueError(f"delay pattern default {self.default} must be non-negative")
-
-    @staticmethod
-    def of(
-        entries: Dict[Tuple[int, int, int], int], default: Optional[int] = 0
-    ) -> "DelayPattern":
-        flat = tuple(
-            (s, i, r, step) for (s, i, r), step in sorted(entries.items())
-        )
-        return DelayPattern(flat, default)
-
-    def step_for(self, sender: int, index: int, receiver: int) -> int:
-        step = self._lookup().get((sender, index, receiver), self.default)
-        if step is None:
-            raise ValueError(
-                f"delay pattern omits delivery of item ({sender},{index}) "
-                f"to process {receiver}"
-            )
-        return step
-
-    def _lookup(self) -> Dict[Tuple[int, int, int], int]:
-        cache = getattr(self, "_cache", None)
-        if cache is None:
-            cache = {(s, i, r): step for s, i, r, step in self.entries}
-            object.__setattr__(self, "_cache", cache)
-        return cache
-
-    def describe(self) -> Dict[str, object]:
-        return {"default": self.default, "entries": [list(e) for e in self.entries]}
-
-    @staticmethod
-    def from_descriptor(d: Dict[str, object]) -> "DelayPattern":
-        entries = tuple(
-            _int_row(e, 4, "delay pattern entry [sender, index, receiver, step]")
-            for e in _descriptor_fields(
-                d, "delay pattern", entries=list, default=None
-            )["entries"]
-        )
-        default = d.get("default")
-        if default is not None and type(default) is not int:
-            raise ValueError(f"delay pattern default {default!r} must be an integer")
-        return DelayPattern(entries, default)
-
-
-#: Every item delivered at the step it is emitted: the one pattern of a
-#: synchronous run, whose barrier lands each round's items in that round.
-ALL_IMMEDIATE = DelayPattern()
-
-
-def sample_delay_pattern(
-    rng: random.Random,
-    emission_slots: Sequence[EmissionSlot],
-    n: int,
-    horizon: int,
-) -> DelayPattern:
-    """One random pattern over the full step range 0..H; ``emission_slots``
-    come sorted, so its entries are built in order."""
-    entries = tuple(
-        (s, i, r, rng.randint(0, horizon))
-        for (s, i) in emission_slots
-        for r in range(1, n + 1)
-    )
-    return DelayPattern(entries, default=None)

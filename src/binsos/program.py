@@ -3,12 +3,12 @@
 A process's code is a flat sequence of guarded statements over the kernel
 primitives: pick a pseudo-random value, communicate an item, output a value,
 or wait until an atom holds.  Guards are conjunctions of atoms over the
-process's locals, its own output, its observation set and the horizon.
+process's locals, its own output, its observation set and the deadline.
 
 A process observes items as (tag, value) pairs.  ``Observed(tag)`` holds once
 some item with that tag has been observed, ``Observed(tag, value)`` once one
-with that tag and value has; ``Deadline()`` holds once the run has reached
-its horizon.  ``Wait(until, dest)`` blocks until the atom ``until`` holds;
+with that tag and value has; ``Deadline()`` holds once the run's deadline
+step begins (always, in a sync run).  ``Wait(until, dest)`` blocks until the atom ``until`` holds;
 with a ``dest`` it then binds the value of the first item observed with the
 awaited tag.  Tags are plain strings: only the builders in ``algorithms``
 give them meaning, and the constants below are the vocabulary they use.
@@ -98,7 +98,7 @@ class HasOutput:
 
 @dataclass(frozen=True)
 class Deadline:
-    """True once the run has reached its horizon (always, in a sync run)."""
+    """Holds once the deadline step begins; always under sync."""
 
     negate: bool = False
 
@@ -182,10 +182,6 @@ class Program:
         object.__setattr__(
             self, "_crash_slots", tuple([0] + [k + 1 for k in effects[:-1]]) if effects else ()
         )
-        object.__setattr__(
-            self, "_communicate_count",
-            len([s for s in self.statements if isinstance(s, Communicate)]),
-        )
         tags = [s.at for s in self.statements]
         if any(t is None for t in tags) and any(t is not None for t in tags):
             raise ValueError("program mixes tagged and untagged statements")
@@ -202,10 +198,6 @@ class Program:
     @property
     def is_sync(self) -> bool:
         return bool(self.statements) and self.statements[0].at is not None
-
-    @property
-    def communicate_count(self) -> int:
-        return self._communicate_count
 
     @property
     def slot_count(self) -> int:

@@ -1,7 +1,7 @@
 """Deterministic execution kernel for the communicate/observe medium.
 
 An execution is a pure function of (algorithm instance, choice stream,
-failure pattern, delay pattern): replaying the same inputs reproduces the
+failure pattern, schedule): replaying the same inputs reproduces the
 identical event log byte for byte.
 
 Synchronous runs proceed in lock-step rounds, each statement in the round its
@@ -9,14 +9,22 @@ tag names, until no process is left running; all items communicated during a
 round's communication step are observed, by every process not yet crashed, at
 that round's delivery barrier, before the computation step begins.
 
-Asynchronous runs advance in discrete delivery steps 0..H.  At each step
-the step's deliveries land, then every runnable process executes statements
-until it blocks or finishes.  The horizon H = max(1, 4n) (0 in a sync
-trace) is the one deadline: at step H, processes blocked on it wake first,
-re-checking their observations once, before that step's deliveries.
-Emitted items are delivered to all processes by the horizon, so the medium's
-termination properties hold by construction; ``medium_check`` audits them
-independently from the event log.
+An asynchronous run is a sequence of moves.  It starts with the root
+settle, which runs every process until it blocks; every item a process
+emits is then pending to every process.  Its schedule lists the moves
+that follow, each ``[receiver, [[sender, index], ...]]``: land those
+pending items on that receiver, in ``InfoItem.sort_key`` order, and run it
+until it blocks.  The run ends with the one deadline step: processes
+blocked on ``Deadline()`` wake first, re-checking their observations
+once, then everything still pending lands, receiver by receiver, and so
+does anything emitted meanwhile, until nothing is pending.  Every item
+thus reaches every process not crashed, so the medium's termination
+properties hold by construction; ``medium_check`` audits them
+independently from the event log.  ``read_schedule`` checks a schedule's
+shape, and a move that is not enabled (an unknown or crashed receiver, an
+item not emitted or not pending to it) is rejected when the run reaches
+it, naming the move.  A seeded ``random.Random`` in place of the schedule
+draws the moves as the run goes, and the trace records them.
 
 Crashes are positional: a process with crash slot k halts when about to
 execute statement k, or after its last statement when k is its statement
@@ -27,22 +35,24 @@ A recorded run logs one event per delivery and per statement executed, of
 the six kinds in ``EVENT_FIELDS``, the one event table.  Each kind has a
 fixed set of fields: ``kind`` its name, ``tag`` a string, ``value`` 0, 1
 or None, and every other field an int.  ``seq`` numbers the events from 0,
-``t`` is the delivery step (under synchrony 2(r-1) for round r's
-communication step and one more for its computation step), ``pid`` the
-acting process, ``stmt`` its statement index, ``slot`` the statement it
-crashes before, ``ctr`` its pick counter, and ``sender`` and ``index`` name
-an item by its emitter and emission ordinal.  ``ExecutionTrace.to_jsonl``
-writes each event with its kind's line formatter, and
-``ExecutionTrace.parse`` rejects an event line the table does not allow, and
-a final record whose outputs or termination the kernel never writes.
+``t`` is the move (0 for the root settle, j for the j-th move of the
+schedule and one more for the deadline step; under synchrony 2(r-1) for
+round r's communication step and one more for its computation step),
+``pid`` the acting process, ``stmt`` its statement index, ``slot`` the
+statement it crashes before, ``ctr`` its pick counter, and ``sender`` and
+``index`` name an item by its emitter and emission ordinal.
+``ExecutionTrace.to_jsonl`` writes each event with its kind's line
+formatter, and ``ExecutionTrace.parse`` rejects an event line the table
+does not allow, and a final record whose outputs or termination the
+kernel never writes.
 
 ``search_async`` explores the same interpreter as a state graph, one
 search per cell: it forks the kernel at each pick, each crash offer and
 each choice of what lands next, instead of fixing choices, crashes and
-delays up front, and maps every output set it reaches back to the choices,
-failure pattern and delay pattern of one kernel run.  Its states share
-processes copy-on-write and are keyed up to the symmetry of processes with
-equal programs.
+moves up front, and stores for every output set it reaches the choices,
+failure pattern and schedule of the path that reached it.  Its states
+share processes copy-on-write and are keyed up to the symmetry of
+processes with equal programs.
 """
 
 from __future__ import annotations
@@ -50,14 +60,15 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .algorithms import instance_from_descriptor
 from .outputsets import (
     OutputSet, SystemConfig, Timing, Value, _descriptor_fields, _read_json, output_set,
 )
-from .patterns import ALL_IMMEDIATE, DelayPattern, FailurePattern, _classes
+from .patterns import FailurePattern, _classes
 from .program import (
     COMM,
     COMP,
@@ -90,7 +101,7 @@ _DONE = 2
 _CRASHED = 3
 
 TRACE_FORMAT = "binsos-trace"
-TRACE_VERSION = 3
+TRACE_VERSION = 4
 
 #: The one event table: each kind of event the kernel logs, with its fields
 #: in sorted order.
@@ -106,11 +117,6 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
 
 class KernelError(Exception):
     """Internal invariant broken while interpreting a program."""
-
-
-def default_horizon(n: int) -> int:
-    """The last delivery step of an asynchronous n-process run."""
-    return max(1, 4 * n)
 
 
 @dataclass(frozen=True)
@@ -129,6 +135,41 @@ class InfoItem:
         no sender id decides what a binding wait takes."""
         bit = -1 if self.value is None else int(self.value)
         return (bit, self.sender, self.index)
+
+
+_SORT_KEY = operator.attrgetter("sort_key")
+
+#: One move of an asynchronous schedule: the receiver, and the (sender,
+#: index) of each pending item it lands.
+Move = Tuple[int, Tuple[Tuple[int, int], ...]]
+
+
+def read_schedule(doc: object) -> Tuple[Move, ...]:
+    """The moves of a schedule, a list of ``[receiver, [[sender, index],
+    ...]]`` as JSON gives it (tuples for lists will do), checked for shape
+    only: a ValueError names the move's number (from 1) and the fault.
+    Whether a move is enabled is checked when the run reaches it."""
+    sequence = (list, tuple)
+    if not isinstance(doc, sequence):
+        raise ValueError(f"schedule {doc!r} must be a list of moves")
+    moves = []
+    for number, move in enumerate(doc, 1):
+        where = f"schedule move {number}"
+        if not (isinstance(move, sequence) and len(move) == 2
+                and type(move[0]) is int and isinstance(move[1], sequence)):
+            raise ValueError(f"{where} is {move!r}, not [receiver, [[sender, index], ...]]")
+        for item in move[1]:
+            if not (isinstance(item, sequence) and len(item) == 2
+                    and all(type(x) is int for x in item)):
+                raise ValueError(f"{where} item {item!r} must be [sender, index]")
+        items = tuple([tuple(item) for item in move[1]])
+        if not items:
+            raise ValueError(f"{where} lands no item")
+        repeated = [item for item in items if items.count(item) > 1]
+        if repeated:
+            raise ValueError(f"{where} lands item {repeated[0]} twice")
+        moves.append((move[0], items))
+    return tuple(moves)
 
 
 @dataclass
@@ -273,7 +314,7 @@ def _read_header(header) -> Dict[str, object]:
         )
     return _descriptor_fields(
         header, "trace header", format=str, version=int,
-        alg=dict, choices=dict, fp=dict, dp=dict, horizon=int,
+        alg=dict, choices=dict, fp=dict, schedule=list,
     )
 
 
@@ -339,13 +380,12 @@ class _Kernel:
         cfg: SystemConfig,
         choices: ChoiceStream,
         fp: FailurePattern,
-        dp: DelayPattern,
         record: bool,
     ):
         self.cfg = cfg
         self.choices = choices
-        self.dp = dp
-        self.horizon = default_horizon(cfg.n) if cfg.timing is Timing.ASYNC else 0
+        # Deadline() holds once the deadline step begins; always under sync.
+        self.deadline = cfg.timing is Timing.SYNC
         self.record = record
         self.events: List[Dict[str, object]] = []  # each a row of EVENT_FIELDS
         self.now = 0
@@ -361,8 +401,7 @@ class _Kernel:
                 "alg": instance.describe(),
                 "choices": choices.describe(),
                 "fp": fp.describe(),
-                "dp": dp.describe(),
-                "horizon": self.horizon,
+                "schedule": [],  # the moves, as the run lands them
             }
         else:
             # Unrecorded traces are throwaway runs: their outputs are all
@@ -392,7 +431,7 @@ class _Kernel:
             elif isinstance(atom, HasOutput):
                 truth = proc.output is not None
             elif isinstance(atom, Deadline):
-                truth = self.now >= self.horizon
+                truth = self.deadline
             else:
                 raise KernelError(f"unknown guard atom {atom!r}")
             if truth == atom.negate:
@@ -503,7 +542,7 @@ class _Kernel:
 
 class _SyncKernel(_Kernel):
     def __init__(self, instance, cfg, choices, fp, record):
-        super().__init__(instance, cfg, choices, fp, ALL_IMMEDIATE, record)
+        super().__init__(instance, cfg, choices, fp, record)
         self.round_items: List[InfoItem] = []
 
     def emit(self, item: InfoItem) -> None:
@@ -527,7 +566,7 @@ class _SyncKernel(_Kernel):
             # Delivery barrier: everything communicated this round is observed
             # within the same communication step by every not-yet-crashed
             # process, before the computation step begins.
-            for item in sorted(self.round_items, key=lambda i: i.sort_key):
+            for item in sorted(self.round_items, key=_SORT_KEY):
                 for proc in self.procs:
                     if proc.status != _CRASHED:
                         self.deliver(proc, item)
@@ -537,64 +576,91 @@ class _SyncKernel(_Kernel):
 
 
 class _AsyncKernel(_Kernel):
-    def __init__(self, instance, cfg, choices, fp, dp, record):
-        super().__init__(instance, cfg, choices, fp, dp, record)
-        self.pending: Dict[int, List[Tuple[int, InfoItem]]] = {}
+    def __init__(self, instance, cfg, choices, fp, record):
+        super().__init__(instance, cfg, choices, fp, record)
+        # Per receiver, its pending items by (sender, index).
+        self.pending: List[Dict[Tuple[int, int], InfoItem]] = [{} for _ in self.procs]
 
     def emit(self, item: InfoItem) -> None:
-        for receiver in range(1, self.cfg.n + 1):
-            try:
-                step = self.dp.step_for(item.sender, item.index, receiver)
-            except ValueError as exc:
-                # An emitted item with no delivery entry for some process
-                # would break global termination of the medium.
-                raise PreconditionError(str(exc)) from None
-            step = max(self.now, min(step, self.horizon))
-            self.pending.setdefault(step, []).append((receiver, item))
+        key = (item.sender, item.index)
+        for box in self.pending:
+            box[key] = item
 
     def _advance_all(self) -> None:
         for proc in self.procs:
             while self.step_proc(proc):
                 pass
 
-    def _drain(self) -> None:
-        """Land step ``now``'s deliveries, in receiver order, on every
-        receiver not crashed, then run every process until it blocks, until
-        nothing more is due at ``now``.  No pending step is ever below
-        ``now``: ``emit`` schedules at ``now`` or later, ``run`` moves ``now``
-        only to the least pending step, and the deadline step moves it to H
-        only once nothing pending lies below H.  Only a landing or a change
-        of ``now`` can wake a blocked process, so a pass that lands nothing
-        moves nothing."""
-        while True:
-            due = self.pending.pop(self.now, ())
-            for receiver, item in sorted(due, key=lambda d: (d[0],) + d[1].sort_key):
-                proc = self.procs[receiver - 1]
-                if proc.status != _CRASHED:
-                    self.deliver(proc, item)
-            self._advance_all()
-            if self.now not in self.pending:
-                return
+    def land(self, receiver: int, keys: Sequence[Tuple[int, int]]) -> None:
+        """The next move: land the pending items ``keys`` names on
+        ``receiver``, in ``sort_key`` order, and run it until it blocks; a
+        move that is not enabled is rejected, naming it."""
+        self.now += 1
+        where = f"schedule move {self.now}"
+        if not 1 <= receiver <= self.cfg.n:
+            raise PreconditionError(f"{where}: receiver {receiver} is not a process")
+        proc = self.procs[receiver - 1]
+        if proc.status == _CRASHED:
+            raise PreconditionError(f"{where}: receiver {receiver} has crashed")
+        box = self.pending[receiver - 1]
+        for sender, index in keys:
+            if (sender, index) not in box:
+                emitted = 1 <= sender <= self.cfg.n and (
+                    0 <= index < self.procs[sender - 1].emission_counter
+                )
+                fault = f"is not pending to process {receiver}" if emitted else "was never emitted"
+                raise PreconditionError(f"{where}: item ({sender}, {index}) {fault}")
+        items = sorted([box.pop(key) for key in keys], key=_SORT_KEY)
+        if self.record:
+            self.header["schedule"].append(
+                [receiver, [[item.sender, item.index] for item in items]]
+            )
+        for item in items:
+            self.deliver(proc, item)
+        while self.step_proc(proc):
+            pass
 
     def _deadline_step(self) -> None:
-        """Step H.  Deadline waiters wake before this step's deliveries land,
-        so a delivery scheduled exactly at the deadline is not yet visible to
-        the re-check the waiter performs on waking; then everything still
-        pending lands, and so does anything emitted at H."""
-        self.now = self.horizon
+        """Deadline waiters wake first, re-checking their observations
+        before anything more lands; then everything pending lands, receiver
+        by receiver in ``sort_key`` order, on every receiver not crashed,
+        and every process runs until it blocks, until nothing is pending.
+        Every delivery precedes the runs that may fork a search state, so a
+        fork taking the step again from its start lands nothing twice."""
+        self.now += 1
+        self.deadline = True
         self._advance_all()
-        self._drain()
+        while any(self.pending):
+            boxes, self.pending = self.pending, [{} for _ in self.procs]
+            for proc, box in zip(self.procs, boxes):
+                if box and proc.status != _CRASHED:
+                    for item in sorted(box.values(), key=_SORT_KEY):
+                        self.deliver(proc, item)
+            self._advance_all()
 
-    def run(self) -> ExecutionTrace:
-        self._drain()
-        # Every delivery step is clamped to the horizon, the one deadline, so
-        # no run outlasts it.
-        while min(self.pending, default=self.horizon) < self.horizon:
-            self.now = min(self.pending)
-            self._drain()
+    def run(self, moves: Iterable[Move]) -> ExecutionTrace:
+        self._advance_all()
+        for receiver, keys in moves:
+            self.land(receiver, keys)
         self._deadline_step()
         done = all(p.status in (_DONE, _CRASHED) for p in self.procs)
         return self.finalize(ALL_DONE if done else QUIESCENT)
+
+
+def _walk(kernel: _AsyncKernel, rng: random.Random) -> Iterable[Move]:
+    """Moves drawn as the run goes, two numbers each: one of the blocked
+    receivers with pending items, or the deadline step, which ends the walk,
+    uniformly; then a nonzero bitmask over that receiver's pending items."""
+    while True:
+        pending = kernel.pending
+        enabled = [p.pid for p in kernel.procs if p.status == _BLOCKED and pending[p.pid - 1]]
+        pick = rng.randrange(len(enabled) + 1)
+        if pick == len(enabled):
+            return
+        receiver = enabled[pick]
+        keys = list(pending[receiver - 1])
+        mask = rng.randrange(1, 1 << len(keys))
+        yield receiver, [key for bit, key in enumerate(keys) if mask >> bit & 1]
 
 
 def _validate_common(instance, cfg: SystemConfig, fp: FailurePattern) -> None:
@@ -612,30 +678,6 @@ def _validate_common(instance, cfg: SystemConfig, fp: FailurePattern) -> None:
         raise PreconditionError(
             f"algorithm {instance.kind.value} does not run under {cfg.timing}"
         )
-
-
-def validate_delay_pattern(instance, cfg: SystemConfig, dp: DelayPattern) -> None:
-    """Screen a delay pattern against an instance and its horizon."""
-    horizon = default_horizon(cfg.n)
-    emissions = instance.emissions
-    for sender, index, receiver, step in dp.entries:
-        if not 1 <= sender <= cfg.n or not 1 <= receiver <= cfg.n:
-            raise PreconditionError(
-                f"delay pattern references unknown process in edge "
-                f"({sender},{index},{receiver})"
-            )
-        if (sender, index) not in emissions:
-            raise PreconditionError(
-                f"delay pattern delivers item ({sender},{index}) that process "
-                f"{sender} can never emit"
-            )
-        if step > horizon:
-            raise PreconditionError(
-                f"delivery of ({sender},{index}) to {receiver} at step {step} "
-                f"exceeds horizon {horizon}"
-            )
-    if dp.default is not None and dp.default > horizon:
-        raise PreconditionError("default delivery step exceeds horizon")
 
 
 def run_sync(
@@ -657,49 +699,49 @@ def run_async(
     cfg: SystemConfig,
     choices: ChoiceStream,
     fp: FailurePattern,
-    dp: DelayPattern,
+    schedule=(),
     record: bool = True,
 ) -> ExecutionTrace:
-    """Execute one asynchronous run under an explicit delay pattern, which
-    ``validate_delay_pattern`` screens first."""
+    """Execute one asynchronous run: the root settle, the moves of
+    ``schedule`` (``read_schedule`` checks it), then the deadline step.  A
+    ``random.Random`` in place of the schedule draws a walk over the
+    enabled moves instead (``_walk``)."""
     if cfg.timing is not Timing.ASYNC:
         raise PreconditionError("run_async requires an ASYNC configuration")
     _validate_common(instance, cfg, fp)
-    validate_delay_pattern(instance, cfg, dp)
-    return _AsyncKernel(instance, cfg, choices, fp, dp, record).run()
+    kernel = _AsyncKernel(instance, cfg, choices, fp, record)
+    if isinstance(schedule, random.Random):
+        return kernel.run(_walk(kernel, schedule))
+    return kernel.run(read_schedule(schedule))
 
 
-def run(instance, cfg, choices, fp, dp=None, record=True) -> ExecutionTrace:
+def run(instance, cfg, choices, fp, schedule=None, record=True) -> ExecutionTrace:
     """Dispatch on the configuration's timing model.
 
-    A SYNC run takes only ALL_IMMEDIATE, which its round barrier does
-    anyway.  An ASYNC run given no delay pattern runs under ALL_IMMEDIATE,
-    delivering every item at the step it is emitted.
+    An ASYNC run given no schedule takes the empty one, so every item
+    lands at the deadline step.  A SYNC run takes none: its round barrier
+    lands every item in the round it is sent.
     """
     if cfg.timing is Timing.SYNC:
-        if dp not in (None, ALL_IMMEDIATE):
-            raise PreconditionError("a SYNC run takes only the all-immediate delay pattern")
+        if schedule:
+            raise PreconditionError(
+                "a SYNC run takes no schedule: its round barrier lands every item"
+            )
         return run_sync(instance, cfg, choices, fp, record=record)
-    dp = ALL_IMMEDIATE if dp is None else dp
-    return run_async(instance, cfg, choices, fp, dp, record=record)
+    return run_async(instance, cfg, choices, fp, schedule or (), record=record)
 
 
 def replay(source) -> ExecutionTrace:
     """Re-execute a trace from its header alone (trace text or header dict)."""
     header = _read_header(source)
     inst = instance_from_descriptor(header["alg"])
-    rerun = run(
+    return run(
         inst,
         SystemConfig(inst.n, inst.t, inst.timing),
         choices_from_descriptor(header["choices"]),
         FailurePattern.from_descriptor(header["fp"]),
-        DelayPattern.from_descriptor(header["dp"]),
+        header["schedule"],
     )
-    # The horizon follows from the configuration, as the roles do.
-    horizon, derived = header["horizon"], rerun.header["horizon"]
-    if horizon != derived:
-        raise PreconditionError(f"trace header horizon {horizon} is not {derived}")
-    return rerun
 
 
 # ---------------------------------------------------------------------------
@@ -711,14 +753,14 @@ class SearchOutcome:
     """What ``search_async`` found in one cell.
 
     ``found`` maps each output set reached to the run inputs (choices,
-    failure pattern and delay pattern) of the first terminal state that
-    reached it.
+    failure pattern and schedule) of the first terminal state that reached
+    it.
     """
 
     states: int = 0  # distinct quiescent states visited, up to class symmetry
     terminals: int = 0  # terminal states reached: one per deadline step, pick and crash outcome
     complete: bool = True  # False when the state bound stopped the search
-    found: Dict[OutputSet, Tuple[ScriptedChoices, FailurePattern, DelayPattern]] = field(
+    found: Dict[OutputSet, Tuple[ScriptedChoices, FailurePattern, Tuple[Move, ...]]] = field(
         default_factory=dict
     )
 
@@ -739,19 +781,18 @@ def _next_crash_slot(proc: _Proc) -> int:
 
 class _SearchState(_AsyncKernel):
     """One node of the search: an unrecorded asynchronous kernel whose
-    pending deliveries carry no step yet.  They are kept as one inbox per
+    pending deliveries are kept, until the deadline step, as one inbox per
     receiver, a frozenset of (tag, value) pairs, and ``sent`` maps each
     pair to the first item emitted with it, the item a landing lands.  A
     live process's ``crash_slot`` is the next crash slot it will be offered
     (-1 for none).  States share their processes copy-on-write: ``fork``
     copies the lists of processes and inboxes, and ``own`` clones a shared
     process just before it changes.  Forks share their script of picks too,
-    until a pick fork extends a copy, and one intern table of key parts."""
+    until a pick fork extends a copy, and one intern table of key parts.
+    ``schedule`` holds the moves landed so far."""
 
     def __init__(self, instance, cfg: SystemConfig):
-        super().__init__(
-            instance, cfg, ScriptedChoices(), FailurePattern(), ALL_IMMEDIATE, record=False
-        )
+        super().__init__(instance, cfg, ScriptedChoices(), FailurePattern(), record=False)
         for proc in self.procs:
             slots = proc.program.crash_slots
             proc.crash_slot = slots[0] if slots and cfg.t else -1
@@ -762,8 +803,7 @@ class _SearchState(_AsyncKernel):
                         for pids, _ in _classes(cfg.n, instance.programs())]
         self.parts: Dict[tuple, int] = {}  # a process's key part -> its id
         self.members: Dict[tuple, int] = {}  # (part id, inbox) -> its id
-        self.path: tuple = ()  # the batches landed so far, as (earlier, batch) pairs
-        self.steps = 0  # how many batches that is
+        self.schedule: Tuple[Move, ...] = ()
         self.owned = 0  # bit pid: procs[pid - 1] is referenced by no other state
 
     def _relevant(self, proc: _Proc, pair: Tuple[str, Value]) -> bool:
@@ -775,10 +815,10 @@ class _SearchState(_AsyncKernel):
 
     def emit(self, item: InfoItem) -> None:
         pair = (item.tag, item.value)
-        if self.now == self.horizon:  # the deadline step lands it at H
-            self.pending.setdefault(self.horizon, []).extend(
-                (proc.pid, item) for proc in self.procs if self._relevant(proc, pair)
-            )
+        if self.deadline:  # the deadline step lands it
+            for proc in self.procs:
+                if self._relevant(proc, pair):
+                    self.pending[proc.pid - 1][(item.sender, item.index)] = item
             return
         if pair not in self.sent:
             self.sent = {**self.sent, pair: item}
@@ -800,7 +840,8 @@ class _SearchState(_AsyncKernel):
         other.procs = list(self.procs)
         other.inbox = list(self.inbox)
         other.owned = self.owned = 0
-        other.pending = {step: list(items) for step, items in self.pending.items()}
+        if self.deadline:  # pending items exist only in the deadline step
+            other.pending = [dict(box) for box in self.pending]
         return other
 
     def own(self, pid: int) -> _Proc:
@@ -832,32 +873,30 @@ class _SearchState(_AsyncKernel):
         proc.crash_slot = _next_crash_slot(proc)
         return [crashed, self]
 
-    def after(self, batch: Optional[tuple]) -> List["_SearchState"]:
-        """The quiescent states reached by landing ``batch`` (nothing, when
-        it is empty), one per outcome of the picks and crash offers met on
-        the way, up to class symmetry; ``None`` takes the deadline step
-        instead, and a state the deadline step cannot change is its own
-        terminal."""
-        if batch is None:
+    def after(self, move: Optional[tuple]) -> List["_SearchState"]:
+        """The quiescent states reached by the landing ``move``, a receiver
+        and the items it lands (the root settle, when it is empty), one per
+        outcome of the picks and crash offers met on the way, up to class
+        symmetry; ``None`` takes the deadline step instead, and a state the
+        deadline step cannot change is its own terminal."""
+        if move is None:
             return self._deadline_leaves()
         state = self.fork()
-        inbox = state.inbox
-        for receiver, item in batch:
-            state.deliver(state.own(receiver), item)
-            inbox[receiver - 1] -= {(item.tag, item.value)}
-        if batch:
-            state.path = (self.path, batch)
-            state.steps += 1
-            if state.steps >= state.horizon:
-                raise KernelError(
-                    f"search path of {state.steps} batches has no delay pattern "
-                    f"within horizon {state.horizon}"
-                )
-        # Nothing is due before the horizon, so only a landing can wake a
-        # blocked process: settle the receiver and every running process,
-        # one at a time across the frontier of forks, each until it blocks.
-        receivers = {receiver for receiver, _ in batch}
-        movers = [p.pid for p in state.procs if p.status == _RUNNING or p.pid in receivers]
+        if move:
+            receiver, items = move
+            proc = state.own(receiver)
+            for item in items:
+                state.deliver(proc, item)
+            state.inbox[receiver - 1] -= {(item.tag, item.value) for item in items}
+            state.schedule = self.schedule + (
+                (receiver, tuple([(item.sender, item.index) for item in items])),
+            )
+            movers = [receiver]
+        else:
+            movers = [p.pid for p in state.procs if p.status == _RUNNING]
+        # Before the deadline only a landing can wake a blocked process:
+        # settle the receiver, or at the root every process, one at a time
+        # across the frontier of forks, each until it blocks.
         frontier = [state]
         for pid in movers:
             frontier = self._settle(frontier, pid)
@@ -897,11 +936,11 @@ class _SearchState(_AsyncKernel):
             # The deadline step would land nothing and wake no process.
             return [self]
         state = self.fork()
-        state.now = state.horizon
         sent = state.sent
-        state.pending = {state.horizon: [
-            (pid, sent[pair]) for pid, pairs in enumerate(state.inbox, 1) for pair in pairs
-        ]}
+        state.pending = [
+            {(item.sender, item.index): item for item in map(sent.__getitem__, pairs)}
+            for pairs in state.inbox
+        ]
         leaves, todo = [], [state]
         while todo:
             state = todo.pop()
@@ -917,16 +956,15 @@ class _SearchState(_AsyncKernel):
         return leaves
 
     def batches(self) -> List[tuple]:
-        """Every landing move: a nonempty subset of one receiver's pending
-        pairs, each as the item ``sent`` holds for it, in the kernel's
-        delivery order."""
+        """Every landing move: a receiver and a nonempty subset of its
+        pending pairs, each as the item ``sent`` holds for it, in
+        ``sort_key`` order."""
         moves = []
         for pid, pairs in enumerate(self.inbox, 1):
             if pairs:
-                items = sorted(((pid, self.sent[pair]) for pair in pairs),
-                               key=lambda d: d[1].sort_key)
+                items = sorted([self.sent[pair] for pair in pairs], key=_SORT_KEY)
                 for size in range(1, len(items) + 1):
-                    moves.extend(itertools.combinations(items, size))
+                    moves.extend((pid, combo) for combo in itertools.combinations(items, size))
         return moves
 
     def key(self) -> tuple:
@@ -961,31 +999,14 @@ class _SearchState(_AsyncKernel):
             ids.append(members.setdefault((part, pairs), len(members)))
         return tuple([tuple(sorted([ids[i] for i in cls])) for cls in self.classes])
 
-    def inputs(self) -> Tuple[ScriptedChoices, FailurePattern, DelayPattern]:
-        """Choices, failure pattern and delay pattern of the kernel run
-        along this state's path: each crashed process crashes at its pc,
-        the j-th batch lands at step j, every other item at H."""
-        entries = {}
-        step, path = self.steps, self.path
-        while path:
-            path, batch = path
-            for receiver, item in batch:
-                entries[(item.sender, item.index, receiver)] = step
-            step -= 1
-        return (
-            ScriptedChoices(self.choices.picks),
-            FailurePattern.of({p.pid: p.pc for p in self.procs if p.status == _CRASHED}),
-            DelayPattern.of(entries, default=self.horizon),
-        )
-
     def search(self, max_states: int) -> SearchOutcome:
         """The search from this state as its root (see ``search_async``)."""
         outcome = SearchOutcome()
         visited = set()
         moves = [(self, ())]
         while moves:
-            parent, batch = moves.pop()
-            for state in parent.after(batch):
+            parent, move = moves.pop()
+            for state in parent.after(move):
                 seen = len(visited)
                 visited.add(state.key())  # one hash of the key, not two
                 if len(visited) == seen:
@@ -998,8 +1019,14 @@ class _SearchState(_AsyncKernel):
                     outcome.terminals += 1
                     reached = output_set(tuple(p.output for p in leaf.procs))
                     if reached not in outcome.found:
-                        outcome.found[reached] = leaf.inputs()
-                moves.extend((state, b) for b in reversed(state.batches()))
+                        outcome.found[reached] = (
+                            ScriptedChoices(leaf.choices.picks),
+                            FailurePattern.of(
+                                {p.pid: p.pc for p in leaf.procs if p.status == _CRASHED}
+                            ),
+                            leaf.schedule,
+                        )
+                moves.extend((state, move) for move in reversed(state.batches()))
         return outcome
 
 
@@ -1009,13 +1036,13 @@ def search_async(instance, cfg: SystemConfig, max_states: int) -> SearchOutcome:
     quiescent states, visiting at most ``max_states`` of them.
 
     A state is a kernel in which every process is blocked, done or crashed,
-    with each receiver's pending deliveries as a set of (tag, value) pairs
-    that carry no step yet.  Before the horizon a state has two kinds of
-    move, generated lazily: land a nonempty subset of one receiver's
-    pending pairs, in the kernel's delivery order, and run that receiver
-    until it blocks, since nothing else can wake before the horizon; or
-    take the deadline step (``_AsyncKernel._deadline_step``, shared with
-    ``run``), whose result is terminal.  Where nothing is pending and no
+    with each receiver's pending deliveries as a set of (tag, value) pairs.
+    A state has two kinds of move, generated lazily: land a nonempty subset
+    of one receiver's pending pairs, in ``sort_key`` order, and run that
+    receiver until it blocks, since nothing else can wake before the
+    deadline step; or take the deadline step
+    (``_AsyncKernel._deadline_step``, shared with ``run``), whose result is
+    terminal.  Where nothing is pending and no
     blocked process awaits ``Deadline()``, the deadline step moves nothing,
     so the state is its own terminal and the step is not taken.  A pick met
     on the way forks the state once per candidate, and a crash offer forks
@@ -1026,17 +1053,17 @@ def search_async(instance, cfg: SystemConfig, max_states: int) -> SearchOutcome:
 
     Why this reaches exactly the output sets of the kernel's runs under
     every failure pattern at the crash slots with at most t crashes, for
-    every choice stream and delay pattern (``explore`` says why the crash
-    slots suffice):
+    every choice stream and schedule (``explore`` says why the crash slots
+    suffice):
 
-    1. One receiver at a time.  Each round of a kernel step lands its due
-       items, sorted by receiver, then runs every process until it blocks.
-       A process's run reads only its own locals, its own observations,
-       whether the horizon has come and, at a crash slot, its failure
-       pattern, and it only adds what it emits to the pending set.  So
-       landing a round's items receiver by receiver, running after each,
-       reaches the same state as landing them together: every kernel run is
-       a path of moves.
+    1. Runs are paths.  A kernel move lands items on one receiver and runs
+       only it: before the deadline step a process's run reads only its own
+       locals, its own observations and, at a crash slot, its failure
+       pattern, and it only adds what it emits to the pending items.  By
+       point 2 the move does what landing its relevant new pairs does,
+       which is a landing move of the search, or nothing when there are
+       none; and the deadline step is the search's.  So every kernel run
+       is a path of moves.
     2. Pairs and relevance.  Landing an item changes its receiver only
        through its (tag, value) pair: ``deliver`` adds the pair to ``seen``
        and, for a new tag, the value to ``first``.  So two pending items
@@ -1050,7 +1077,7 @@ def search_async(instance, cfg: SystemConfig, max_states: int) -> SearchOutcome:
        pc on reads its tag, or when it is already in the receiver's
        ``seen``; landing it then changes nothing the receiver reads, and
        this stays true.  Such a pair is no branch point and no part of the
-       key; the kernel lands its items at H at the latest.
+       key; the kernel lands its items at the deadline step at the latest.
     3. Crash moves.  When a live process reaches one of its crash slots
        (``Program.crash_slots``) while fewer than t processes have crashed,
        the state forks: in one branch it crashes there, as a failure
@@ -1074,7 +1101,7 @@ def search_async(instance, cfg: SystemConfig, max_states: int) -> SearchOutcome:
        argument), and the crash count is the number of crashed members.
        Every later pick has a new (pid, counter), so the picks made so far
        do not matter.  States with one key have one future.
-    5. One process at a time.  Before the horizon a process's run reads
+    5. One process at a time.  Before the deadline step a process's run reads
        only its own state (point 1), so the processes a move runs can be
        settled one after another in pid order: each one's run, forked at
        its picks and crash offers, across every state the earlier ones left.
@@ -1083,15 +1110,18 @@ def search_async(instance, cfg: SystemConfig, max_states: int) -> SearchOutcome:
        same output sets from there, so all but the first are dropped.  At
        the root this keeps the frontier to the settled states up to
        symmetry, not the product of every process's picks and crash offers.
-    6. Back to a run.  A path that lands batches b_1..b_k and then takes the
-       deadline step is the kernel run with its picks scripted, the failure
-       pattern that crashes each crashed process at its pc, and the delay
-       pattern that delivers b_j's items at step j and every other item at
-       H (``_SearchState.inputs``).  Each item of b_j was emitted before
-       b_j, at a step below j, so it lands at j; at step j only b_j's
-       receiver can move; so the run passes through the path's states.  This
-       needs k < H: a longer path raises ``KernelError`` rather than being
-       dropped.
+    6. Back to a run.  A path's landing moves, each as its receiver and
+       the (sender, index) of the items it lands, are a schedule
+       (``_SearchState.schedule``).  Each of those items was emitted before
+       its move and is pending to its receiver until then, so the kernel
+       run under that schedule, with the path's picks scripted and the
+       failure pattern that crashes each crashed process at its pc, lands
+       the same items on the same receivers, runs only them, passes
+       through the path's states and ends with the same deadline step.
+       The items the search drops as irrelevant stay pending in the run
+       and land at the deadline step, where they change nothing read, so
+       ``medium_check`` still sees every delivery.  A schedule has no
+       length bound.
     """
     if cfg.timing is not Timing.ASYNC:
         raise PreconditionError("search_async requires an ASYNC configuration")

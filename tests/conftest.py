@@ -1,7 +1,8 @@
 """Shared pytest plumbing: surface acceptance verdicts in the summary, the
 acceptance-4 audit instances, the n <= 4 and n <= 5 table reports, each
-failure pattern's representative at the crash slots, the all-latest delay
-pattern, and an instance outside the six algorithms' wire vocabulary."""
+failure pattern's representative at the crash slots, an asynchronous run
+that lands every item as early as it can, and an instance outside the six
+algorithms' wire vocabulary."""
 
 import time
 
@@ -11,8 +12,9 @@ from binsos import algorithms
 from binsos.algorithms import AlgorithmInstance, AlgorithmKind, instance_for_line
 from binsos.checker import ExplorationBudget, check_table
 from binsos.outputsets import SystemConfig, Timing, tight_condition
-from binsos.patterns import DelayPattern, FailurePattern
+from binsos.patterns import NO_CRASHES, FailurePattern
 from binsos.program import Communicate, LocalRef, Observed, Output, Program, Wait
+from binsos.simkernel import _BLOCKED, _AsyncKernel
 
 ACCEPTANCE_LINES = []
 
@@ -46,9 +48,22 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def all_latest(horizon):
-    """Every item delivered at the horizon."""
-    return DelayPattern(default=horizon)
+def run_eager(inst, cfg, choices, fp=NO_CRASHES):
+    """The recorded asynchronous run whose every move lands all the pending
+    items of the lowest blocked receiver that has any, until none has: each
+    item lands as early as a move can land it.  The empty schedule, the
+    default, lands every item at the deadline step instead."""
+    kernel = _AsyncKernel(inst, cfg, choices, fp, record=True)
+
+    def moves():
+        while True:
+            ready = [p.pid for p in kernel.procs
+                     if p.status == _BLOCKED and kernel.pending[p.pid - 1]]
+            if not ready:
+                return
+            yield ready[0], list(kernel.pending[ready[0] - 1])
+
+    return kernel.run(moves())
 
 
 def stretch_representative(fp, programs):

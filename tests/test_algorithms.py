@@ -15,7 +15,7 @@ from binsos.algorithms import (
 )
 from binsos.checker import branch_choices, sample_traces
 from binsos.outputsets import OutputSet, SystemConfig, Timing, line_members, tight_condition
-from binsos.patterns import ALL_IMMEDIATE, NO_CRASHES, enum_failure_patterns
+from binsos.patterns import NO_CRASHES, enum_failure_patterns
 from binsos.program import COMP, Communicate, Output, Pick, Program, ScriptedChoices, Wait
 from binsos.simkernel import PreconditionError, run, run_sync
 
@@ -273,7 +273,7 @@ class TestProgramShapes:
         cfg = SystemConfig(2, 2, Timing.ASYNC)
         for fp in enum_failure_patterns(2, 2, [3, 3]):
             for picks, trace in branch_choices(
-                lambda c, fp=fp: run(inst, cfg, c, fp, ALL_IMMEDIATE)
+                lambda c, fp=fp: run(inst, cfg, c, fp)
             ):
                 assert trace.output_set() is OutputSet.EMPTY
 

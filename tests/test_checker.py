@@ -28,7 +28,8 @@ SMALL = ExplorationBudget()
 
 def test_sampled_audit_traces_are_pinned():
     # The recorded bytes of 50 sampled traces per acceptance-4 group at
-    # meta-seed 5: the draws, the runs and their encoding cannot drift.
+    # meta-seed 5: the draws, the walks, the runs and their encoding cannot
+    # drift.
     digest = hashlib.sha256()
     count = 0
     for inst, cfg, share in audit_instances(per_algorithm=50):
@@ -37,8 +38,21 @@ def test_sampled_audit_traces_are_pinned():
             count += 1
     assert count == 300
     assert digest.hexdigest() == (
-        "93ca171f771cd84baeca4b5bbf65254198688e76cbdb0945a5f7a8e627869b7c"
+        "339c1374aef280c4fae23703275b6e05ace063d24c0943cee4a4e6cc0a5235c4"
     )
+
+
+@pytest.mark.parametrize(
+    "line, t, count", [(1, 5, 500), (9, 5, 500), (3, 5, 500), (7, 2, 1000)]
+)
+def test_sampled_walks_reach_every_member(line, t, count):
+    # The four async audit cells at n = 5: the first draws of meta-seed 0
+    # reach every member of the line's family, so the walk over enabled
+    # moves does not collapse onto the deadline step.
+    cfg = SystemConfig(5, t, Timing.ASYNC)
+    traces = sample_traces(instance_for_line(line, Timing.ASYNC), cfg, count)
+    reached = {trace.output_set() for trace in traces}
+    assert reached == line_members(line)
 
 
 class TestExplore:

@@ -98,7 +98,7 @@ class TestRunCommand:
 
     def test_one_run_writes_one_trace(self, tmp_path, capsys):
         # A line and the algorithm with its parameters name the same
-        # instance; an async run given no --dp delivers every item at once.
+        # instance; an async run given no --schedule takes the empty one.
         by_line, by_alg = tmp_path / "line.trace", tmp_path / "alg.trace"
         for out, flags in (
             (by_line, ["--line", "10"]),
@@ -111,12 +111,12 @@ class TestRunCommand:
         assert by_line.read_bytes() == by_alg.read_bytes()
         header = json.loads(by_line.read_text().splitlines()[0])
         assert header["alg"]["line"] == 10
-        assert header["dp"] == {"default": 0, "entries": []}
+        assert header["schedule"] == []
 
     @pytest.mark.parametrize(
         "flags, named",
         [
-            (["--line", "9", "--dp", '{"entries":[],"bogus":0}'], "'bogus'"),
+            (["--line", "9", "--schedule", '["bogus"]'], "'bogus'"),
             (["--line", "9", "--fp", '{"crash":[]}'], "'crashes'"),
             (["--line", "9", "--fp", "[1]"], "'crashes'"),
             (["--alg", "single_output", "--params", "no_out=false"], "--params"),
@@ -127,11 +127,8 @@ class TestRunCommand:
                 "process 1 twice",
             ),
             (
-                [
-                    "--line", "9", "--timing", "sync",
-                    "--dp", '{"entries":[[9,0,1,3]],"default":0}',
-                ],
-                "all-immediate",
+                ["--line", "9", "--timing", "sync", "--schedule", "[[1,[[1,0]]]]"],
+                "a SYNC run takes no schedule",
             ),
             # Nothing sets the horizon: argparse rejects the unknown flag.
             (["--line", "9", "--timing", "sync", "--horizon", "3"], "--horizon"),
@@ -143,8 +140,8 @@ class TestRunCommand:
                 "default_value",
             ),
             (
-                ["--line", "9", "--dp", '{"entries":[],"default":-1}'],
-                "default -1",
+                ["--line", "9", "--schedule", "[[-1,[[1,0]]]]"],
+                "schedule move 1: receiver -1 is not a process",
             ),
             (["--alg", "all_output", "--params", "[0]"], "--params"),
             (["--alg", "all_output", "--params", '{"values":[0,1],"values":[1]}'], "'values'"),
@@ -165,15 +162,15 @@ class TestRunCommand:
                 "failure pattern has the undeclared key 'crashez'",
             ),
             (
-                ["--line", "9", "--dp", '{"kind":"map","entries":[],"default":0}'],
-                "delay pattern has the undeclared key 'kind'",
+                ["--line", "9", "--schedule", '{"kind":"map","moves":[]}'],
+                "schedule {'kind': 'map', 'moves': []} must be a list of moves",
             ),
             (
-                ["--line", "9", "--dp", '{"entries":[],"delay":0}'],
-                "delay pattern has the undeclared key 'delay'",
+                ["--line", "9", "--schedule", "[[2,[[1,0],[1,0]]]]"],
+                "schedule move 1 lands item (1, 0) twice",
             ),
             (["--line", "1", "--fp", DEEP], "error: --fp is nested too deeply"),
-            (["--line", "1", "--dp", DEEP], "error: --dp is nested too deeply"),
+            (["--line", "1", "--schedule", DEEP], "error: --schedule is nested too deeply"),
             (["--alg", "alg3", "--params", DEEP], "error: --params is nested too deeply"),
         ],
     )
@@ -297,6 +294,7 @@ class TestReplayCommand:
                 lambda header: header["choices"].update(seed=2**64 + 3),
                 "choice seed 18446744073709551619 is outside 0..2**64-1",
             ),
+            (lambda header: header.update(version=3), "trace version 3 is not supported"),
             (
                 lambda header: header["choices"].update(seed=-1),
                 "choice seed -1 is outside 0..2**64-1",
@@ -321,23 +319,25 @@ class TestReplayCommand:
     def test_header_repeating_a_key_rejected(self, tmp_path, capsys):
         out = self.make_trace(tmp_path, capsys)
         text = out.read_text()
-        out.write_text('{"horizon":0,' + text[1:])
+        out.write_text('{"schedule":[],' + text[1:])
         code, stdout, err = invoke(capsys, "replay", str(out))
         assert code == cli.EXIT_PRECONDITION
-        assert "trace header repeats the key 'horizon'" in err and stdout == ""
+        assert "trace header repeats the key 'schedule'" in err and stdout == ""
 
-    @pytest.mark.parametrize(
-        "flags, derived, edited", [((), 0, 3), (("--line", "4"), 4 * 2, 4 * 2 + 1)]
-    )
-    def test_header_horizon_other_than_derived_rejected(
-        self, tmp_path, capsys, flags, derived, edited
-    ):
-        out = self.make_trace(tmp_path, capsys, *flags)
-        assert json.loads(out.read_text().splitlines()[0])["horizon"] == derived
-        self.edit_header(out, lambda header: header.update(horizon=edited))
+    def test_header_of_a_horizon_rejected(self, tmp_path, capsys):
+        # Version 4 dropped the horizon: a version-4 header that records one
+        # is rejected for the key, and one edited back to version 3 for its
+        # version.
+        out = self.make_trace(tmp_path, capsys, "--line", "4")
+        self.edit_header(out, lambda header: header.update(horizon=8))
         code, stdout, err = invoke(capsys, "replay", str(out))
         assert code == cli.EXIT_PRECONDITION
-        assert f"horizon {edited} is not {derived}" in err and stdout == ""
+        assert "trace header has the undeclared key 'horizon'" in err and stdout == ""
+        self.edit_header(out, lambda header: header.update(version=3))
+        code, stdout, err = invoke(capsys, "replay", str(out))
+        assert code == cli.EXIT_PRECONDITION
+        assert "trace version 3 is not supported (expected 4)" in err and stdout == ""
+
 
     def test_header_permissive_false_outside_the_condition_rejected(self, tmp_path, capsys):
         out = tmp_path / "run.trace"
@@ -454,6 +454,47 @@ class TestReplayCommand:
         code, stdout, err = invoke(capsys, "replay", str(out))
         assert code == cli.EXIT_PRECONDITION
         assert "trace line 2 is not a JSON object" in err and stdout == ""
+
+
+# L7 async at n=3, t=1, seed 0, with p3 crashed at slot 0: at the root p1
+# picks 0 and communicates INIT, item (1, 0), and p2 picks 1 and emits
+# nothing.  Each schedule below has one fault, named with its move.
+SCHEDULE_FAULTS = [
+    ([[1, [[1, 0]]], 5], "schedule move 2 is 5, not [receiver, [[sender, index], ...]]"),
+    ([[1, [[1, 0]]], [1, [1, 0]]], "schedule move 2 item 1 must be [sender, index]"),
+    ([[4, [[1, 0]]]], "schedule move 1: receiver 4 is not a process"),
+    ([[3, [[1, 0]]]], "schedule move 1: receiver 3 has crashed"),
+    ([[1, [[2, 0]]]], "schedule move 1: item (2, 0) was never emitted"),
+    ([[1, [[1, 0]]], [1, [[1, 0]]]], "schedule move 2: item (1, 0) is not pending to process 1"),
+    ([[1, []]], "schedule move 1 lands no item"),
+    ([[2, [[1, 0], [1, 0]]]], "schedule move 1 lands item (1, 0) twice"),
+    ("[[1,", "schedule '[[1,' must be"),
+]
+SCHEDULE_RUN = ["--line", "7", "-n", "3", "-t", "1", "--fp", '{"crashes":[[3,0]]}']
+
+
+@pytest.mark.parametrize("source", ["flag", "header"])
+@pytest.mark.parametrize("schedule, named", SCHEDULE_FAULTS)
+def test_schedule_fault_rejected_by_name(tmp_path, capsys, source, schedule, named):
+    out = tmp_path / "run.trace"
+    if source == "flag":
+        # A literal that is no JSON at all is named as the flag.
+        text = schedule if isinstance(schedule, str) else json.dumps(schedule)
+        if isinstance(schedule, str):
+            named = "--schedule is not JSON"
+        code, stdout, err = invoke(capsys, "run", *SCHEDULE_RUN, "--schedule", text,
+                                   "--out", str(out))
+        assert not out.exists()
+    else:
+        assert invoke(capsys, "run", *SCHEDULE_RUN, "--out", str(out))[0] == cli.EXIT_OK
+        lines = out.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["schedule"] = schedule
+        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        out.write_text("\n".join(lines) + "\n")
+        code, stdout, err = invoke(capsys, "replay", str(out))
+    assert code == cli.EXIT_PRECONDITION
+    assert named in err and stdout == ""
 
 
 class TestCheckCommand:

@@ -1,4 +1,4 @@
-"""Fuzzed external inputs: every mutated --fp, --dp or --params literal,
+"""Fuzzed external inputs: every mutated --fp, --schedule or --params literal,
 --config object, trace header, trace event and trace final record ends in an
 exit code, never in a traceback."""
 
@@ -37,8 +37,8 @@ LITERALS = [
     (["--line", "9", "-n", "2", "-t", "1"], "--fp", {"crashes": [[1, 0]]}),
     (
         ["--line", "7", "-n", "3", "-t", "0"],
-        "--dp",
-        {"default": 0, "entries": [[1, 0, 2, 3], [2, 0, 1, 5]]},
+        "--schedule",
+        [[1, [[1, 0]]], [3, [[1, 1], [1, 0]]]],
     ),
     (["--alg", "all_output", "-n", "2", "-t", "1"], "--params", {"values": [0, 1]}),
     (["--alg", "single_output", "-n", "2", "-t", "1"], "--params", {"no_out": False}),
@@ -56,16 +56,18 @@ RUN_CONFIG = {
     "fp": {"crashes": [[1, 0]]},
 }
 CONFIG_KEYS = st.sampled_from(
-    ["alg", "line", "params", "n", "t", "timing", "seed", "fp", "dp", "horizon",
+    ["alg", "line", "params", "n", "t", "timing", "seed", "fp", "schedule", "horizon",
      "permissive", "out", "budget", "n_max", "no_out", "config", "h", "help",
      "n-m", "tim", "seed=3", "N", ""]
 ) | st.text(max_size=4)
 
-# Commands whose traces cover seeded and scripted choices, roles, sync and async.
+# Commands whose traces cover seeded and scripted choices, roles, sync and
+# async, and schedules empty and not.
 TRACE_COMMANDS = [
     ["run", "--alg", "alg6", "-n", "2", "-t", "1", "--timing", "sync", "--seed", "3"],
     ["run", "--line", "5", "-n", "3", "-t", "1", "--seed", "1"],
     ["run", "--line", "7", "-n", "3", "-t", "0"],
+    ["run", "--line", "7", "-n", "3", "-t", "0", "--schedule", "[[1,[[1,0]]],[3,[[1,1],[1,0]]]]"],
     ["witness", "-n", "3", "-t", "2"],
 ]
 

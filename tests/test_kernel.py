@@ -1,19 +1,15 @@
-"""Execution kernel: lock-step rounds, delivery steps, audit, replay."""
+"""Execution kernel: lock-step rounds, schedules of moves, audit, replay."""
 
 import json
+import re
 
 import pytest
-from conftest import all_latest
+from conftest import run_eager
 
 from binsos.algorithms import AlgorithmInstance, AlgorithmKind, instance_for_line
 from binsos.checker import sample_traces, witness
 from binsos.outputsets import OutputSet, SystemConfig, Timing, tight_condition
-from binsos.patterns import (
-    ALL_IMMEDIATE,
-    NO_CRASHES,
-    DelayPattern,
-    FailurePattern,
-)
+from binsos.patterns import NO_CRASHES, FailurePattern
 from binsos.program import ScriptedChoices, SeededChoices
 from binsos.simkernel import (
     EVENT_FIELDS,
@@ -21,6 +17,7 @@ from binsos.simkernel import (
     ExecutionTrace,
     PreconditionError,
     medium_check,
+    read_schedule,
     replay,
     run_async,
     run_sync,
@@ -74,9 +71,7 @@ class TestAsyncDisagreementRuns:
     def test_immediate_delivery_all_output(self):
         inst = instance_for_line(8, Timing.ASYNC).bind(5, 2)
         cfg = SystemConfig(5, 2, Timing.ASYNC)
-        trace = run_async(
-            inst, cfg, SeededChoices(0), NO_CRASHES, ALL_IMMEDIATE
-        )
+        trace = run_eager(inst, cfg, SeededChoices(0))
         assert trace.termination == "ALL_DONE"
         # Value-group members output their group value; the flip group echoes
         # the complement of the first output item it observed.
@@ -97,8 +92,8 @@ class TestAsyncDisagreementRuns:
         inst = instance_for_line(7, Timing.ASYNC).bind(5, 2)
         cfg = SystemConfig(5, 2, Timing.ASYNC)
         gates_closed = ScriptedChoices({(1, 0): 1, (2, 0): 1, (3, 0): 1})
-        for dp in (ALL_IMMEDIATE, all_latest(20)):
-            trace = run_async(inst, cfg, gates_closed, NO_CRASHES, dp)
+        for trace in (run_eager(inst, cfg, gates_closed),
+                      run_async(inst, cfg, gates_closed, NO_CRASHES)):
             assert trace.termination == "QUIESCENT"
             assert trace.output_set() is OutputSet.EMPTY
 
@@ -106,8 +101,8 @@ class TestAsyncDisagreementRuns:
         inst = instance_for_line(1, Timing.ASYNC).bind(3, 1)
         cfg = SystemConfig(3, 1, Timing.ASYNC)
         runs = [
-            run_async(inst, cfg, SeededChoices(5), NO_CRASHES, dp)
-            for dp in (ALL_IMMEDIATE, all_latest(12))
+            run_eager(inst, cfg, SeededChoices(5)),
+            run_async(inst, cfg, SeededChoices(5), NO_CRASHES),
         ]
         assert runs[0].outputs == runs[1].outputs
         assert runs[0].events == runs[1].events
@@ -119,7 +114,7 @@ class TestDeadlineSemantics:
         # fires, before that step's deliveries land.
         inst = instance_for_line(4, Timing.ASYNC).bind(2, 1)
         cfg = SystemConfig(2, 1, Timing.ASYNC)
-        trace = run_async(inst, cfg, SeededChoices(0), NO_CRASHES, all_latest(8))
+        trace = run_async(inst, cfg, SeededChoices(0), NO_CRASHES, ())
         assert trace.outputs[0] == 1  # default value, nothing observed in time
         assert trace.outputs == (1, 1)
 
@@ -128,9 +123,7 @@ class TestDeadlineSemantics:
         cfg = SystemConfig(2, 1, Timing.ASYNC)
         saw_flip = False
         for seed in range(40):
-            trace = run_async(
-                inst, cfg, SeededChoices(seed), NO_CRASHES, ALL_IMMEDIATE
-            )
+            trace = run_eager(inst, cfg, SeededChoices(seed))
             assert trace.outputs[1] == 1
             if trace.outputs[0] == 0:
                 saw_flip = True
@@ -415,54 +408,63 @@ class TestRejections:
     def test_wrong_timing_model(self):
         inst = instance_for_line(10, Timing.SYNC).bind(2, 1)
         with pytest.raises(PreconditionError):
-            run_async(
-                inst,
-                SystemConfig(2, 1, Timing.ASYNC),
-                SeededChoices(0),
-                NO_CRASHES,
-                ALL_IMMEDIATE,
-            )
+            run_async(inst, SystemConfig(2, 1, Timing.ASYNC), SeededChoices(0), NO_CRASHES)
 
     def test_sync_only_algorithm_rejected_async(self):
         inst = AlgorithmInstance(
             kind=AlgorithmKind.SYNC_DISAGREEMENT, timing=Timing.SYNC, no_out=False
         ).bind(4, 2)
         with pytest.raises(PreconditionError):
-            run_async(
-                inst,
-                SystemConfig(4, 2, Timing.ASYNC),
-                SeededChoices(0),
-                NO_CRASHES,
-                ALL_IMMEDIATE,
-            )
+            run_async(inst, SystemConfig(4, 2, Timing.ASYNC), SeededChoices(0), NO_CRASHES)
 
-    def test_delay_pattern_for_impossible_item(self):
-        inst = instance_for_line(8, Timing.ASYNC).bind(5, 2)
-        cfg = SystemConfig(5, 2, Timing.ASYNC)
-        bogus = DelayPattern.of({(4, 7, 1): 0}, default=0)  # p4 never emits 8 items
-        with pytest.raises(PreconditionError):
-            run_async(inst, cfg, SeededChoices(0), NO_CRASHES, bogus)
+    # L8 async at n=5, t=2: p1 and p2 (the 0-group) output 0 and communicate
+    # OUTPUT(0) at the root settle, p3 and p4 (the 1-group) OUTPUT(1), and
+    # the flip process p5 waits for an OUTPUT item.
+    L8 = instance_for_line(8, Timing.ASYNC).bind(5, 2), SystemConfig(5, 2, Timing.ASYNC)
 
-    def test_delay_pattern_for_negative_item_index(self):
-        inst = instance_for_line(8, Timing.ASYNC).bind(5, 2)
-        cfg = SystemConfig(5, 2, Timing.ASYNC)
-        bogus = DelayPattern.of({(1, -1, 1): 3}, default=0)
-        with pytest.raises(PreconditionError, match=r"\(1,-1\) that process 1 can never emit"):
-            run_async(inst, cfg, SeededChoices(0), NO_CRASHES, bogus)
+    def rejected(self, schedule, fp=NO_CRASHES):
+        with pytest.raises(PreconditionError) as info:
+            run_async(*self.L8, SeededChoices(0), fp, schedule)
+        return str(info.value)
 
-    def test_delay_pattern_omitting_a_receiver(self):
-        inst = instance_for_line(8, Timing.ASYNC).bind(5, 2)
-        cfg = SystemConfig(5, 2, Timing.ASYNC)
-        partial = DelayPattern.of({(1, 0, 1): 0}, default=None)
-        with pytest.raises(PreconditionError):
-            run_async(inst, cfg, SeededChoices(0), NO_CRASHES, partial)
+    def test_schedule_move_that_is_not_a_list(self):
+        for doc, named in [
+            ({"moves": []}, "schedule {'moves': []} must be a list of moves"),
+            ([[5, [[1, 0]]], 5], "schedule move 2 is 5, not [receiver, [[sender, index], ...]]"),
+            ([[5, [1, 0]]], "schedule move 1 item 1 must be [sender, index]"),
+            ([[True, [[1, 0]]]], "schedule move 1 is [True, [[1, 0]]], not [receiver"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                read_schedule(doc)
+            assert named in str(info.value)
 
-    def test_delivery_beyond_horizon(self):
-        inst = instance_for_line(8, Timing.ASYNC).bind(5, 2)
-        cfg = SystemConfig(5, 2, Timing.ASYNC)
-        late = DelayPattern.of({(1, 0, 1): 99}, default=0)
-        with pytest.raises(PreconditionError):
-            run_async(inst, cfg, SeededChoices(0), NO_CRASHES, late)
+    def test_schedule_receiver_unknown_or_crashed(self):
+        assert self.rejected([(5, [(1, 0)]), (6, [(1, 0)])]) == (
+            "schedule move 2: receiver 6 is not a process"
+        )
+        assert self.rejected([(0, [(1, 0)])]) == "schedule move 1: receiver 0 is not a process"
+        # p5 crashes at slot 0, at the root settle.
+        assert self.rejected([(5, [(1, 0)])], FailurePattern.of({5: 0})) == (
+            "schedule move 1: receiver 5 has crashed"
+        )
+
+    def test_schedule_item_never_emitted_or_not_pending(self):
+        # p4 emits one item; no process emits an item with index -1.
+        assert self.rejected([(5, [(4, 7)])]) == "schedule move 1: item (4, 7) was never emitted"
+        assert self.rejected([(5, [(1, -1)])]) == (
+            "schedule move 1: item (1, -1) was never emitted"
+        )
+        assert self.rejected([(5, [(1, 0)]), (1, [(2, 0)]), (5, [(2, 0), (1, 0)])]) == (
+            "schedule move 3: item (1, 0) is not pending to process 5"
+        )
+
+    def test_schedule_move_empty_or_repeating_an_item(self):
+        for doc, named in [
+            ([[5, [[1, 0]]], [5, []]], "schedule move 2 lands no item"),
+            ([[5, [[1, 0], [3, 0], [1, 0]]]], "schedule move 1 lands item (1, 0) twice"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(named)):
+                read_schedule(doc)
 
 
 def test_zero_process_system():
@@ -478,8 +480,8 @@ def test_any_tag_is_observed_and_bound(foo_instance):
     # The kernel knows no tag: a wait on "FOO" blocks until the item lands,
     # then binds its value.
     inst, cfg = foo_instance
-    for dp in (ALL_IMMEDIATE, all_latest(8)):
-        trace = run_async(inst, cfg, ScriptedChoices(), NO_CRASHES, dp)
+    for trace in (run_eager(inst, cfg, ScriptedChoices()),
+                  run_async(inst, cfg, ScriptedChoices(), NO_CRASHES)):
         assert trace.termination == "ALL_DONE"
         assert trace.outputs == (None, 1)
         assert medium_check(trace) == []

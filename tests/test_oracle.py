@@ -264,3 +264,56 @@ def test_per_id_tables_agree_with_the_interned_processes(searched):
         assert cell.out == [0 if p.output is None else 1 << p.output for p in cell.table]
     bits = {bit for cell in searched.values() for bit in cell.out}
     assert bits == {0, 1, 2}
+
+
+# ROADMAP item 3: the kernel lands several items on a process before it
+# runs, at a batch landing and at the one global deadline step, where the
+# oracle lands one item and runs its receiver.  Each test asserts the
+# agreement that one item per landing and a deadline per process restore.
+SPLIT = "the kernel lands several items on a process before it runs it"
+
+
+@pytest.mark.xfail(strict=True, reason=SPLIT)
+def test_one_deadline_for_all_matches_the_oracle(monkeypatch):
+    """Every process picks v, communicates PROPOSE(v), waits for the
+    deadline, communicates OUTPUT(1), waits for an OUTPUT item and outputs
+    0 if it has seen PROPOSE(0), else 1.  With picks 0 and 1, the oracle
+    lets p2 pass its deadline and see its own OUTPUT(1) before PROPOSE(0)
+    lands on it, so p2 outputs 1 and p1 outputs 0: {0,1}.  No schedule
+    splits them in the kernel: under every one, and the empty one ``[]``
+    is the plainest, the deadline step lands PROPOSE(0) on p2 in the batch
+    that holds its OUTPUT items, so the kernel reaches only {{0}, {1}}."""
+    program = Program((
+        Pick("v", (0, 1)),
+        Communicate(PROPOSE, LocalRef("v")),
+        Wait(Deadline()),
+        Communicate(OUTPUT, 1),
+        Wait(Observed(OUTPUT)),
+        Output(0, guard=(Observed(PROPOSE, 0),)),
+        Output(1, guard=(Observed(PROPOSE, 0, negate=True),)),
+    ))
+    inst = _everyone_runs(monkeypatch, program).bind(2, 1, permissive=True)
+    cfg = SystemConfig(2, 1, Timing.ASYNC)
+    assert explore(inst, cfg).observed == observed_output_sets(inst, cfg)
+
+
+@pytest.mark.xfail(strict=True, reason=SPLIT)
+@pytest.mark.parametrize("t", [0, 1])
+def test_binding_wait_on_a_batch_matches_the_oracle(monkeypatch, t):
+    """p1 and p2 pick v and communicate A(v); p3 binds x to the first A
+    value it observes and outputs x if it has seen A(1).  With picks 0 and
+    1, the schedule ``[[3, [[1, 0], [2, 0]]]]``, one move landing both A
+    items on p3, binds x to 0 with A(1) already seen, so the kernel reaches
+    {0}; the oracle lands one item before p3 runs, and binds x to 1 when
+    A(1) comes first, so it reaches {{}, {1}} only."""
+    p = Program((Pick("v", (0, 1)), Communicate("A", LocalRef("v"))))
+    q = Program((Wait(Observed("A"), dest="x"), Output(LocalRef("x"), guard=(Observed("A", 1),))))
+    kind_timing, params, _ = algorithms._KINDS[AlgorithmKind.SINGLE_OUTPUT]
+    monkeypatch.setitem(
+        algorithms._KINDS, AlgorithmKind.SINGLE_OUTPUT,
+        (kind_timing, params, lambda instance, pid: (p, p, q)[pid - 1]),
+    )
+    inst = AlgorithmInstance(AlgorithmKind.SINGLE_OUTPUT, Timing.ASYNC, no_out=False)
+    inst = inst.bind(3, t, permissive=True)
+    cfg = SystemConfig(3, t, Timing.ASYNC)
+    assert explore(inst, cfg).observed == observed_output_sets(inst, cfg)

@@ -1,22 +1,19 @@
-"""Failure and delay pattern generation."""
+"""Failure pattern generation."""
 
 import itertools
 import random
 
 import pytest
 
-from conftest import all_latest, stretch_representative
+from conftest import stretch_representative
 
 from binsos.program import Communicate, Output, Program, SetLocal
 from binsos.patterns import (
-    ALL_IMMEDIATE,
-    DelayPattern,
     FailurePattern,
     count_failure_pattern_orbits,
     count_failure_patterns,
     enum_failure_pattern_orbits,
     enum_failure_patterns,
-    sample_delay_pattern,
     sample_failure_pattern,
 )
 
@@ -134,35 +131,3 @@ def test_sample_failure_pattern_is_valid():
         fp = sample_failure_pattern(rng, 5, 3, [4] * 5)
         assert fp.f <= 3
         assert all(1 <= pid <= 5 and 0 <= slot < 4 for pid, slot in fp.crashes)
-
-
-def test_delay_pattern_strict_lookup():
-    p = DelayPattern.of({(1, 0, 1): 3}, default=None)
-    assert p.step_for(1, 0, 1) == 3
-    with pytest.raises(ValueError):
-        p.step_for(1, 0, 2)
-
-
-def test_negative_delay_pattern_default_rejected():
-    with pytest.raises(ValueError, match="default -1"):
-        DelayPattern.from_descriptor({"entries": [], "default": -1})
-
-
-def test_delay_pattern_descriptor_roundtrip():
-    p = DelayPattern.of({(2, 1, 1): 5, (1, 0, 2): 0}, default=7)
-    assert p.describe() == {"default": 7, "entries": [[1, 0, 2, 0], [2, 1, 1, 5]]}
-    assert DelayPattern.from_descriptor(p.describe()) == p
-    assert ALL_IMMEDIATE.describe() == {"default": 0, "entries": []}
-    assert DelayPattern.from_descriptor(ALL_IMMEDIATE.describe()) == ALL_IMMEDIATE
-    assert ALL_IMMEDIATE.step_for(4, 2, 1) == 0
-    assert all_latest(9).step_for(4, 2, 1) == 9
-
-
-def test_sample_delay_pattern_total_and_bounded():
-    rng = random.Random(11)
-    slots = [(1, 0), (1, 1), (2, 0)]
-    for _ in range(100):
-        p = sample_delay_pattern(rng, slots, n=3, horizon=5)
-        for (s, i) in slots:
-            for r in (1, 2, 3):
-                assert 0 <= p.step_for(s, i, r) <= 5

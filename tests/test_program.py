@@ -106,7 +106,6 @@ class TestProgramStructure:
             )
         )
         assert len(program.statements) == 4
-        assert program.communicate_count == 2
         assert program.slot_count == 5
         assert not program.is_sync
 

@@ -8,7 +8,7 @@ cell) finds the family of every failure pattern."""
 import random
 
 import pytest
-from conftest import all_latest, stretch_representative
+from conftest import stretch_representative
 
 from binsos import algorithms, checker
 from binsos.algorithms import AlgorithmInstance, AlgorithmKind, RoleError, instance_for_line
@@ -16,7 +16,6 @@ from binsos.checker import ExplorationBudget, branch_choices, explore, sample_tr
 from binsos.oracle import observed_output_sets
 from binsos.outputsets import OutputSet, SystemConfig, Timing, sos, tight_condition
 from binsos.patterns import (
-    ALL_IMMEDIATE,
     NO_CRASHES,
     FailurePattern,
     count_failure_pattern_orbits,
@@ -42,7 +41,7 @@ from binsos.simkernel import (
     InfoItem,
     _Kernel,
     _SearchState,
-    default_horizon,
+    medium_check,
     replay,
     run,
     search_async,
@@ -77,21 +76,15 @@ def _root(inst, cfg, picks):
     return state
 
 
-def _order(delivery):
-    """The kernel's delivery order."""
-    receiver, item = delivery
-    return (receiver,) + item.sort_key
-
-
 def _pending(state, receiver):
-    """The deliveries pending to ``receiver``, one per pair, in the kernel's
-    delivery order."""
-    pairs = state.inbox[receiver - 1]
-    return tuple(sorted(((receiver, state.sent[pair]) for pair in pairs), key=_order))
+    """The landing move of every pair pending to ``receiver``: the receiver
+    and, one per pair, the items it lands, in ``sort_key`` order."""
+    items = [state.sent[pair] for pair in state.inbox[receiver - 1]]
+    return receiver, tuple(sorted(items, key=lambda item: item.sort_key))
 
 
 class TestReductions:
-    def test_same_step_batch_to_two_receivers_equals_one_at_a_time(self):
+    def test_landings_on_two_receivers_commute(self):
         # L7 at n=4, t=1: p1, p2 form the 0-group, p3 the 1-group, p4 flips;
         # p1 and p2 are the init group.  With both gates 0, both INITs are
         # emitted for p1, p2 and p3, which wait for one; they carry one
@@ -99,33 +92,34 @@ class TestReductions:
         inst, cfg = _bound(7, 4, 1)
         state = _root(inst, cfg, {(1, 0): 0, (2, 0): 0})
         to_p1, to_p3 = _pending(state, 1), _pending(state, 3)
-        assert [(r, item.tag, item.value) for r, item in to_p1 + to_p3] == [
+        assert [(r, item.tag, item.value) for r, items in (to_p1, to_p3) for item in items] == [
             (1, INIT, None), (3, INIT, None)
         ]
-        together = state.after(tuple(sorted(to_p1 + to_p3, key=_order)))
-        apart = [s for first in state.after(to_p1) for s in first.after(to_p3)]
-        assert [s.key() for s in together] == [s.key() for s in apart]
+        first_p1 = [s for first in state.after(to_p1) for s in first.after(to_p3)]
+        first_p3 = [s for first in state.after(to_p3) for s in first.after(to_p1)]
+        assert [s.key() for s in first_p1] == [s.key() for s in first_p3]
         # Both receivers ran: p1 output 0 and p3 output 1, and their OUTPUT
         # items now wait for the flip process p4 beside p2's INIT.
-        (after,) = together
+        (after,) = first_p1
         assert after.procs[0].output == 0 and after.procs[2].output == 1
         pending = [(r, *pair) for r, pairs in enumerate(after.inbox, 1) for pair in pairs]
         assert sorted(pending, key=str) == [(2, INIT, None), (4, OUTPUT, 0), (4, OUTPUT, 1)]
 
     def test_deadline_step_wakes_waiters_before_landing(self):
         # L4 at n=2, t=0: the designated p1 waits for the deadline; p2
-        # outputs 1 and communicates OUTPUT(1), which is still pending at H.
+        # outputs 1 and communicates OUTPUT(1), which is still pending to p1.
         inst, cfg = _bound(4, 2, 0)
         root = _root(inst, cfg, {})
-        assert [(r, item.tag, item.value) for r, item in _pending(root, 1)] == [(1, OUTPUT, 1)]
+        receiver, items = _pending(root, 1)
+        assert [(receiver, item.tag, item.value) for item in items] == [(1, OUTPUT, 1)]
         assert not any(root.inbox[1:])
         leaves = root.after(None)
         # p1 woke and saw no OUTPUT(1), so it output w = 1 without picking.
         assert [(s.choices.picks, tuple(p.output for p in s.procs)) for s in leaves] == [
             ({}, (1, 1))
         ]
-        latest = all_latest(default_horizon(cfg.n))
-        assert run(inst, cfg, ScriptedChoices(), NO_CRASHES, latest).outputs == (1, 1)
+        # So does the kernel run under the empty schedule.
+        assert run(inst, cfg, ScriptedChoices(), NO_CRASHES).outputs == (1, 1)
 
     def test_relevant_tags_of_the_async_disagreement_programs(self):
         for line, n, t in ((7, 4, 1), (8, 4, 1), (7, 5, 2)):
@@ -170,8 +164,48 @@ class TestReductions:
             if s.choices.picks == {(1, 0): 0, (2, 0): 0}
             and [p.status == _CRASHED for p in s.procs] == [False, False, True, False]
         ]
-        assert state.procs[2].pc == 0 and state.inputs()[1] == FailurePattern.of({3: 0})
+        assert state.procs[2].pc == 0 and _inputs(state)[1] == FailurePattern.of({3: 0})
         assert {r for r, pairs in enumerate(state.inbox, 1) if pairs} == {1, 2}
+
+
+class TestLongPaths:
+    def test_a_path_of_more_than_4n_moves_runs_and_replays(self, monkeypatch):
+        # p1 and p2 hand off five times, each on a tag of its own: p1 sends
+        # A1, p2 answers B1 once A1 has landed, and so on up to A5.  p2
+        # outputs 1 if A5 lands before the deadline step and 0 if the
+        # deadline step lands it, so {1} needs a path of nine landings, more
+        # than 4n = 8 moves.
+        p1, p2 = [], []
+        for k in range(1, 6):
+            p1.append(Communicate(f"A{k}", 0))
+            p2.append(Wait(Observed(f"A{k}")))
+            if k < 5:
+                p1.append(Wait(Observed(f"B{k}")))
+                p2.append(Communicate(f"B{k}", 0))
+        p2 += [Output(1, guard=(Deadline(negate=True),)), Output(0, guard=(Deadline(),))]
+        programs = (Program(tuple(p1)), Program(tuple(p2)))
+        timing, params, _ = algorithms._KINDS[AlgorithmKind.SINGLE_OUTPUT]
+        monkeypatch.setitem(
+            algorithms._KINDS, AlgorithmKind.SINGLE_OUTPUT,
+            (timing, params, lambda instance, pid: programs[pid - 1]),
+        )
+        inst = AlgorithmInstance(AlgorithmKind.SINGLE_OUTPUT, Timing.ASYNC, no_out=False)
+        inst, cfg = inst.bind(2, 0), SystemConfig(2, 0, Timing.ASYNC)
+        verdict = explore(inst, cfg)
+        assert verdict.exhaustive and verdict.observed == sos(OutputSet.ZERO, OutputSet.ONE)
+        (trace,) = [t for t in [*verdict.witnesses.values(), *verdict.violations]
+                    if t.output_set() is OutputSet.ONE]
+        schedule = trace.header["schedule"]
+        assert len(schedule) == 9 > 4 * cfg.n
+        assert [receiver for receiver, _ in schedule] == [2, 1] * 4 + [2]
+        # The run under the header's inputs is the trace, byte for byte.
+        # (``replay`` would rebind the instance from its descriptor, whose
+        # cache does not see the builder this test patches in.)
+        assert trace.header["choices"] == {"mode": "script", "picks": []}
+        assert trace.header["fp"] == {"crashes": []}
+        again = run(inst, cfg, ScriptedChoices(), NO_CRASHES, schedule)
+        assert (again.outputs, again.termination) == ((None, 1), "ALL_DONE")
+        assert again.to_jsonl() == trace.to_jsonl() and medium_check(trace) == []
 
 
 class TestBound:
@@ -248,13 +282,20 @@ def _contents(state):
          p.pick_counter, p.emission_counter)
         for p in state.procs
     ]
-    pending = {step: list(items) for step, items in state.pending.items()}
+    pending = [dict(box) for box in state.pending]
     return (procs, list(state.inbox), dict(state.sent), pending, state.crashed,
-            dict(state.choices.picks))
+            dict(state.choices.picks), state.schedule)
 
 
 def _outputs(state):
     return tuple(p.output for p in state.procs)
+
+
+def _inputs(state):
+    """The picks, failure pattern and schedule of the kernel run along the
+    state's path, as ``search_async`` stores them for an output set."""
+    crashed = {p.pid: p.pc for p in state.procs if p.status == _CRASHED}
+    return state.choices.picks, FailurePattern.of(crashed), state.schedule
 
 
 class TestSearchStates:
@@ -292,7 +333,7 @@ class TestSearchStates:
     def test_deadline_shortcut_gives_what_the_deadline_step_gives(self):
         # Where nothing is pending and no blocked process awaits Deadline(),
         # after(None) returns the state itself as its one leaf; taking the
-        # deadline step in full gives the same outputs, picks and inputs.
+        # deadline step in full gives the same outputs and run inputs.
         applied = skipped = 0
         for inst, cfg in _every_async_search(4):
             for state in _settled_states(inst, cfg):
@@ -311,10 +352,7 @@ class TestSearchStates:
                 full._deadline_step()
                 for other in (state, full):
                     assert _outputs(leaf) == _outputs(other)
-                    (picks, fp, dp), (other_picks, other_fp, other_dp) = (
-                        leaf.inputs(), other.inputs()
-                    )
-                    assert (picks.picks, fp, dp) == (other_picks.picks, other_fp, other_dp)
+                    assert _inputs(leaf) == _inputs(other)
         assert (applied, skipped) == (1_092, 574)
 
     def test_root_settles_one_process_at_a_time(self):
@@ -378,7 +416,7 @@ def _pattern_family(inst, cfg, fp):
     return frozenset(
         trace.output_set()
         for _, trace in branch_choices(
-            lambda choices: run(inst, cfg, choices, fp, ALL_IMMEDIATE, record=False)
+            lambda choices: run(inst, cfg, choices, fp, record=False)
         )
     )
 
@@ -598,9 +636,9 @@ def _random_program(rng):
 
 class TestCrashSlots:
     def test_stored_facts_equal_their_formulas(self, monkeypatch):
-        # A program's crash slots and communicate count are computed once,
-        # when it is built; a bound instance holds one object per distinct
-        # program, here with each process's program built afresh.
+        # A program's crash slots are computed once, when it is built; a
+        # bound instance holds one object per distinct program, here with
+        # each process's program built afresh.
         rng = random.Random(5)
         timing, params, _ = algorithms._KINDS[AlgorithmKind.SINGLE_OUTPUT]
         drawn = []
@@ -618,9 +656,6 @@ class TestCrashSlots:
                 ]
                 slots = tuple([0] + [k + 1 for k in effects[:-1]]) if effects else ()
                 assert program.crash_slots == slots
-                assert program.communicate_count == sum(
-                    isinstance(s, Communicate) for s in program.statements
-                )
             p1, p2, p3 = inst.bind(3, 1, permissive=True).programs()
             assert p1 is p2 and p1 == drawn[0]
             assert (p3 is p1) == (drawn[0] == drawn[1])
