@@ -324,12 +324,14 @@ class TestReplayCommand:
         assert code == cli.EXIT_PRECONDITION
         assert "trace header repeats the key 'schedule'" in err and stdout == ""
 
-    def test_header_of_a_horizon_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags, horizon", [((), 3), (("--line", "4"), 4 * 2 + 1)])
+    def test_header_of_a_horizon_rejected(self, tmp_path, capsys, flags, horizon):
         # Version 4 dropped the horizon: a version-4 header that records one
         # is rejected for the key, and one edited back to version 3 for its
         # version.
-        out = self.make_trace(tmp_path, capsys, "--line", "4")
-        self.edit_header(out, lambda header: header.update(horizon=8))
+        out = self.make_trace(tmp_path, capsys, *flags)
+        assert "horizon" not in json.loads(out.read_text().splitlines()[0])
+        self.edit_header(out, lambda header: header.update(horizon=horizon))
         code, stdout, err = invoke(capsys, "replay", str(out))
         assert code == cli.EXIT_PRECONDITION
         assert "trace header has the undeclared key 'horizon'" in err and stdout == ""
@@ -337,7 +339,6 @@ class TestReplayCommand:
         code, stdout, err = invoke(capsys, "replay", str(out))
         assert code == cli.EXIT_PRECONDITION
         assert "trace version 3 is not supported (expected 4)" in err and stdout == ""
-
 
     def test_header_permissive_false_outside_the_condition_rejected(self, tmp_path, capsys):
         out = tmp_path / "run.trace"

@@ -448,12 +448,16 @@ class TestRejections:
             "schedule move 1: receiver 5 has crashed"
         )
 
-    def test_schedule_item_never_emitted_or_not_pending(self):
-        # p4 emits one item; no process emits an item with index -1.
+    def test_schedule_item_never_emitted(self):
+        # p4 emits one item.
         assert self.rejected([(5, [(4, 7)])]) == "schedule move 1: item (4, 7) was never emitted"
+
+    def test_schedule_item_of_negative_index(self):
         assert self.rejected([(5, [(1, -1)])]) == (
             "schedule move 1: item (1, -1) was never emitted"
         )
+
+    def test_schedule_item_not_pending(self):
         assert self.rejected([(5, [(1, 0)]), (1, [(2, 0)]), (5, [(2, 0), (1, 0)])]) == (
             "schedule move 3: item (1, 0) is not pending to process 5"
         )
