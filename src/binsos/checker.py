@@ -5,7 +5,8 @@ the symmetry of processes with equal programs and to where a crash can be
 seen, and every pick outcome -- an asynchronous cell by one
 ``simkernel.search_async``, whose crash moves cover every failure pattern
 and whose landings cover every schedule, and a synchronous one by a
-kernel run per pick outcome under one pattern per orbit, or under seeded
+kernel run per pick outcome under one pattern per orbit, with the first
+picks of interchangeable processes taken once per multiset, or under seeded
 draws when those runs exceed its budget (``ExplorationBudget``) -- and
 compares the union of observed output sets against the family of the
 instance's line: safety holds when nothing outside the family was ever
@@ -14,9 +15,10 @@ Each member's trace is a recorded kernel run (an asynchronous one under
 the schedule of the search path that reached it), so it replays byte for
 byte.  ``sample_traces`` draws seeded runs for audits, an asynchronous one
 as a seeded walk over the enabled moves.
-``exhaustive: true`` means every failure pattern was covered up to those
-two proven reductions: crashing only at ``Program.crash_slots``, and one
-pattern per orbit, or (async) states up to the same relabellings (see
+``exhaustive: true`` means every failure pattern and pick outcome was
+covered up to the proven reductions: crashing only at
+``Program.crash_slots``; one pattern per orbit, or (async) states up to the
+same relabellings; and (sync) a block's first picks once per multiset (see
 ``explore``).  ``failure_patterns`` counts every failure pattern of the
 cell, at every slot, ``failure_pattern_orbits`` the orbits over the crash
 slots, which a synchronous cell runs one by one, and ``states`` the
@@ -36,7 +38,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algorithms import AlgorithmInstance, instance_for_line
 from .outputsets import (
@@ -86,11 +88,13 @@ class ExplorationBudget:
     counted over the crash slots others can tell apart
     (``Program.crash_slots``), and whole means every failure pattern up to
     the symmetry of processes with equal programs and to those slots;
-    ``executions`` then counts kernel runs (sync) or terminal search states
-    (async).  Only a larger synchronous cell is sampled: it runs exactly
-    ``sample_runs`` random (seed, fp) pairs drawn from ``sample_seed`` over
-    every failure pattern at every slot, and ``executions`` counts those
-    runs.
+    ``executions`` then counts terminal search states (async), or (sync)
+    completed kernel runs: one per pick outcome under each orbit's pattern,
+    with each block's first picks taken once per multiset (see
+    ``explore``), and none for a run a pick forks.  Only a larger
+    synchronous cell is sampled: it runs exactly ``sample_runs`` random
+    (seed, fp) pairs drawn from ``sample_seed`` over every failure pattern
+    at every slot, and ``executions`` counts those runs.
     """
 
     sample_runs: int = 10_000
@@ -172,23 +176,42 @@ def _choice_bound(instance: AlgorithmInstance) -> int:
     return bound
 
 
-def branch_choices(run_one) -> Iterator[Tuple[Dict, object]]:
-    """Enumerate all pick outcomes by forking scripts on demand.
+def branch_choices(
+    run_one, blocks: Sequence[Sequence[int]] = ()
+) -> Iterator[Tuple[Dict, object]]:
+    """Enumerate pick outcomes by forking scripts on demand.
 
     ``run_one`` takes a ChoiceStream and returns a result; whenever an
     unscripted pick site is reached the script forks once per candidate, so
-    the leaves cover exactly the reachable choice combinations.
+    the leaves cover exactly the reachable choice combinations.  ``blocks``
+    holds runs of pids in ascending order: when a block's lowest pid needs
+    its first pick (counter 0), the script forks once per non-decreasing
+    tuple of candidates instead, one value per member in pid order, so the
+    leaves cover every outcome up to permutations within blocks (``explore``
+    says when that reaches every output set).  With no blocks, every
+    outcome.
     """
+    firsts = {block[0]: block for block in blocks}
     stack: List[Dict] = [{}]
     while stack:
         picks = stack.pop()
         try:
             yield picks, run_one(ScriptedChoices(picks))
         except ChoiceNeeded as need:
-            for value in need.candidates:
+            pids = firsts.get(need.pid, (need.pid,)) if need.counter == 0 else (need.pid,)
+            for values in itertools.combinations_with_replacement(need.candidates, len(pids)):
                 forked = dict(picks)
-                forked[(need.pid, need.counter)] = value
+                forked.update(((pid, need.counter), value) for pid, value in zip(pids, values))
                 stack.append(forked)
+
+
+def _blocks(programs: Sequence, fp: FailurePattern) -> List[List[int]]:
+    """The pids of each class of equal programs that ``fp`` crashes at one
+    slot or leaves uncrashed, in ascending order."""
+    blocks: Dict[tuple, List[int]] = {}
+    for pid, program in enumerate(programs, 1):
+        blocks.setdefault((program, fp.slot_of(pid)), []).append(pid)
+    return list(blocks.values())
 
 
 def _bind(instance: AlgorithmInstance, cfg: SystemConfig) -> AlgorithmInstance:
@@ -215,7 +238,9 @@ def explore(
     where other processes can tell them apart.  Processes with equal bound programs are
     interchangeable: a synchronous cell runs one pattern per orbit under
     permutations of them (``enum_failure_pattern_orbits``), and the
-    asynchronous search keys its states up to those permutations.  A
+    asynchronous search keys its states up to those permutations.  Under
+    each orbit's pattern a synchronous cell also runs the first picks of a
+    block (``_blocks``) once per multiset of values (``branch_choices``).  A
     synchronous cell over its budget is sampled instead, and an
     asynchronous search over it stops short; ``ExplorationBudget`` says
     when.
@@ -254,6 +279,24 @@ def explore(
     crash offer reads only the process's own pc and how many have crashed.
     So relabelling commutes with every kernel step and search move, and the
     relabelled run gives each process the state of its preimage.
+
+    Why a block's first picks need be taken once per multiset, under a
+    synchronous cell's pattern: call a block the pids of one class of equal
+    programs that the pattern crashes at one slot, or leaves uncrashed.
+    Until its first pick, a member's state follows from its program, its
+    crash slot and what it observes, and each round barrier delivers the
+    same items to every live process.  So the members run in lock step: they
+    reach their first pick at the same statement of the same phase, with the
+    same candidates, lowest pid first, since a phase runs processes in pid
+    order and no pick is seen by another process before the next barrier
+    (or they all crash before it, and none picks).  A permutation within
+    blocks fixes the pattern, so by the relabelling argument it maps each
+    run to a run with the same output set, and the permutation that sorts
+    each block's first picks in pid order maps every pick outcome to one
+    whose first picks are non-decreasing there.  A process crashed at
+    another slot, or not at all, may tell the members apart, so it is in
+    another block.  Later picks are taken one by one: after the first, the
+    members' states may differ.
     """
     budget = budget or ExplorationBudget()
     instance = _bind(instance, cfg)
@@ -296,7 +339,9 @@ def explore(
         found = (
             leaf
             for fp in enum_failure_pattern_orbits(cfg.n, cfg.t, programs)
-            for _, leaf in branch_choices(functools.partial(unrecorded, fp=fp))
+            for _, leaf in branch_choices(
+                functools.partial(unrecorded, fp=fp), _blocks(programs, fp)
+            )
         )
     else:
         rng = random.Random(budget.sample_seed)

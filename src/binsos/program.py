@@ -285,10 +285,12 @@ class ScriptedChoices(ChoiceStream):
 
     Sync ``explore`` catches ChoiceNeeded, forks one extended script per
     candidate and restarts, which enumerates every pick outcome reachable
-    under the given failure pattern.  ``search_async`` instead forks its
-    kernel state on ChoiceNeeded, as it does at a crash offer, and returns
-    the picks of each output set it reaches as a script for the recorded
-    rerun, beside the failure pattern its crash moves took.
+    under the given failure pattern, except that the first picks of a block
+    of interchangeable processes are scripted together, once per multiset
+    of values (``checker.branch_choices``).  ``search_async`` instead forks
+    its kernel state on ChoiceNeeded, as it does at a crash offer, and
+    returns the picks of each output set it reaches as a script for the
+    recorded rerun, beside the failure pattern its crash moves took.
     """
 
     def __init__(self, picks: Optional[Dict[Tuple[int, int], Value]] = None):

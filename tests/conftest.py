@@ -1,8 +1,8 @@
 """Shared pytest plumbing: surface acceptance verdicts in the summary, the
 acceptance-4 audit instances, the n <= 4 and n <= 5 table reports, each
 failure pattern's representative at the crash slots, an asynchronous run
-that lands every item as early as it can, and an instance outside the six
-algorithms' wire vocabulary."""
+that lands every item as early as it can, a kind's builder patched for
+one test, and an instance outside the six algorithms' wire vocabulary."""
 
 import time
 
@@ -97,17 +97,34 @@ def table_n5():
 
 
 @pytest.fixture
-def foo_instance(monkeypatch):
+def patch_builder(monkeypatch):
+    """``patch_builder(kind, build)`` makes ``build(instance, pid)`` the
+    program builder of ``kind``'s row of ``algorithms._KINDS`` until the test
+    ends.  ``algorithms._bound`` caches bound instances by descriptor, which
+    does not name the builder, so its cache is cleared when a builder is
+    patched and again when the test ends: a ``replay`` under the patch binds
+    the patched programs, and no instance bound under it outlives it."""
+
+    def patch(kind, build):
+        timing, params, _ = algorithms._KINDS[kind]
+        algorithms._bound.cache_clear()
+        monkeypatch.setitem(algorithms._KINDS, kind, (timing, params, build))
+
+    yield patch
+    algorithms._bound.cache_clear()
+
+
+@pytest.fixture
+def foo_instance(patch_builder):
     """A two-process async instance speaking tag "FOO", which no algorithm
     uses: p1 communicates FOO(1); p2 waits for a FOO item, binds its value
     to x and outputs x."""
-    timing, params, _ = algorithms._KINDS[AlgorithmKind.SINGLE_OUTPUT]
 
     def build(instance, pid):
         if pid == 1:
             return Program((Communicate("FOO", 1),))
         return Program((Wait(Observed("FOO"), dest="x"), Output(LocalRef("x"))))
 
-    monkeypatch.setitem(algorithms._KINDS, AlgorithmKind.SINGLE_OUTPUT, (timing, params, build))
+    patch_builder(AlgorithmKind.SINGLE_OUTPUT, build)
     instance = AlgorithmInstance(AlgorithmKind.SINGLE_OUTPUT, Timing.ASYNC, no_out=False)
     return instance.bind(2, 0), SystemConfig(2, 0, Timing.ASYNC)

@@ -227,42 +227,31 @@ class TestInstanceForLine:
         with pytest.raises(PreconditionError, match=r"\(n=4, t=2\) violates condition"):
             instance_from_descriptor(dict(loose, permissive=False))
 
-    def test_programs_are_built_once_at_bind(self, monkeypatch):
+    def test_programs_are_built_once_at_bind(self, patch_builder):
         inst = instance_for_line(8, Timing.SYNC).bind(4, 2)
-        timing, params, _ = algorithms._KINDS[AlgorithmKind.SYNC_DISAGREEMENT]
 
         def rebuild(instance, pid):
             raise AssertionError("programs rebuilt after bind")
 
-        monkeypatch.setitem(
-            algorithms._KINDS, AlgorithmKind.SYNC_DISAGREEMENT, (timing, params, rebuild)
-        )
+        patch_builder(AlgorithmKind.SYNC_DISAGREEMENT, rebuild)
         assert inst.programs() is inst.programs()
 
-    def test_sync_statement_runs_in_the_round_its_tag_names(self, monkeypatch):
-        timing, params, _ = algorithms._KINDS[AlgorithmKind.SYNC_CONSENSUS]
-
+    def test_sync_statement_runs_in_the_round_its_tag_names(self, patch_builder):
         def late(instance, pid):  # an output in round 2 of a one-round kind
             return Program((Output(0, at=(2, COMP)),))
 
-        monkeypatch.setitem(
-            algorithms._KINDS, AlgorithmKind.SYNC_CONSENSUS, (timing, params, late)
-        )
+        patch_builder(AlgorithmKind.SYNC_CONSENSUS, late)
         inst = instance_for_line(10, Timing.SYNC).bind(2, 1)
         trace = run_sync(inst, SystemConfig(2, 1, Timing.SYNC), ScriptedChoices(), NO_CRASHES)
         # Round 2's computation step is tick 2 * (2 - 1) + 1.
         assert [(e["pid"], e["t"]) for e in trace.events] == [(1, 3), (2, 3)]
         assert trace.output_set() is OutputSet.ZERO
 
-    def test_untagged_program_in_a_sync_instance_rejected_at_bind(self, monkeypatch):
-        timing, params, _ = algorithms._KINDS[AlgorithmKind.SYNC_CONSENSUS]
-
+    def test_untagged_program_in_a_sync_instance_rejected_at_bind(self, patch_builder):
         def untagged(instance, pid):
             return Program((Output(0),))
 
-        monkeypatch.setitem(
-            algorithms._KINDS, AlgorithmKind.SYNC_CONSENSUS, (timing, params, untagged)
-        )
+        patch_builder(AlgorithmKind.SYNC_CONSENSUS, untagged)
         with pytest.raises(ValueError, match="process 1 is not tagged with rounds"):
             instance_for_line(10, Timing.SYNC).bind(2, 1)
 

@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import pytest
 
-from binsos import algorithms
 from binsos.algorithms import AlgorithmInstance, AlgorithmKind, RoleError, instance_for_line
 from binsos.checker import explore
 from binsos.oracle import _B, _BD, _C, _D, _Cell, observed_output_sets
@@ -102,16 +101,9 @@ def test_any_tag_is_modelled(foo_instance):
     assert observed_output_sets(inst, cfg) == explore(inst, cfg).observed
 
 
-def _everyone_runs(monkeypatch, program, timing=Timing.ASYNC):
+def _everyone_runs(patch_builder, program, timing=Timing.ASYNC):
     """An instance whose every process runs ``program``."""
-    kind_timing, params, _ = algorithms._KINDS[AlgorithmKind.SINGLE_OUTPUT]
-
-    def build(instance, pid):
-        return program
-
-    monkeypatch.setitem(
-        algorithms._KINDS, AlgorithmKind.SINGLE_OUTPUT, (kind_timing, params, build)
-    )
+    patch_builder(AlgorithmKind.SINGLE_OUTPUT, lambda instance, pid: program)
     return AlgorithmInstance(AlgorithmKind.SINGLE_OUTPUT, timing, no_out=False)
 
 
@@ -146,17 +138,17 @@ UNSHIPPED = {
 
 @pytest.mark.parametrize("n, t", [(2, 0), (2, 1), (3, 1), (3, 2)])
 @pytest.mark.parametrize("name", UNSHIPPED)
-def test_unshipped_programs_match_explore(monkeypatch, name, n, t):
-    inst = _everyone_runs(monkeypatch, UNSHIPPED[name]).bind(n, t, permissive=True)
+def test_unshipped_programs_match_explore(patch_builder, name, n, t):
+    inst = _everyone_runs(patch_builder, UNSHIPPED[name]).bind(n, t, permissive=True)
     cfg = SystemConfig(n, t, Timing.ASYNC)
     assert observed_output_sets(inst, cfg) == explore(inst, cfg).observed
 
 
-def test_deadline_in_a_guard_rejected(monkeypatch):
+def test_deadline_in_a_guard_rejected(patch_builder):
     # Only a plain wait on Deadline() is modelled; what a deadline means
     # anywhere else is left open.
     program = Program((Output(0, guard=(Deadline(),)),))
-    inst = _everyone_runs(monkeypatch, program).bind(2, 0, permissive=True)
+    inst = _everyone_runs(patch_builder, program).bind(2, 0, permissive=True)
     with pytest.raises(TypeError, match=r"Deadline\(negate=False\)"):
         observed_output_sets(inst, SystemConfig(2, 0, Timing.ASYNC))
 
@@ -172,11 +164,11 @@ REFUSED = {
 
 @pytest.mark.parametrize("timing", [Timing.ASYNC, Timing.SYNC])
 @pytest.mark.parametrize("name", REFUSED)
-def test_what_the_kernel_refuses_is_refused(monkeypatch, name, timing):
+def test_what_the_kernel_refuses_is_refused(patch_builder, name, timing):
     statements, message = REFUSED[name]
     if timing is Timing.SYNC:
         statements = tuple(replace(s, at=(1, COMP)) for s in statements)
-    inst = _everyone_runs(monkeypatch, Program(statements), timing).bind(2, 0, permissive=True)
+    inst = _everyone_runs(patch_builder, Program(statements), timing).bind(2, 0, permissive=True)
     cfg = SystemConfig(2, 0, timing)
     with pytest.raises(KernelError):
         run(inst, cfg, ScriptedChoices(), NO_CRASHES)
@@ -274,7 +266,7 @@ SPLIT = "the kernel lands several items on a process before it runs it"
 
 
 @pytest.mark.xfail(strict=True, reason=SPLIT)
-def test_one_deadline_for_all_matches_the_oracle(monkeypatch):
+def test_one_deadline_for_all_matches_the_oracle(patch_builder):
     """Every process picks v, communicates PROPOSE(v), waits for the
     deadline, communicates OUTPUT(1), waits for an OUTPUT item and outputs
     0 if it has seen PROPOSE(0), else 1.  With picks 0 and 1, the oracle
@@ -292,14 +284,14 @@ def test_one_deadline_for_all_matches_the_oracle(monkeypatch):
         Output(0, guard=(Observed(PROPOSE, 0),)),
         Output(1, guard=(Observed(PROPOSE, 0, negate=True),)),
     ))
-    inst = _everyone_runs(monkeypatch, program).bind(2, 1, permissive=True)
+    inst = _everyone_runs(patch_builder, program).bind(2, 1, permissive=True)
     cfg = SystemConfig(2, 1, Timing.ASYNC)
     assert explore(inst, cfg).observed == observed_output_sets(inst, cfg)
 
 
 @pytest.mark.xfail(strict=True, reason=SPLIT)
 @pytest.mark.parametrize("t", [0, 1])
-def test_binding_wait_on_a_batch_matches_the_oracle(monkeypatch, t):
+def test_binding_wait_on_a_batch_matches_the_oracle(patch_builder, t):
     """p1 and p2 pick v and communicate A(v); p3 binds x to the first A
     value it observes and outputs x if it has seen A(1).  With picks 0 and
     1, the schedule ``[[3, [[1, 0], [2, 0]]]]``, one move landing both A
@@ -308,11 +300,7 @@ def test_binding_wait_on_a_batch_matches_the_oracle(monkeypatch, t):
     A(1) comes first, so it reaches {{}, {1}} only."""
     p = Program((Pick("v", (0, 1)), Communicate("A", LocalRef("v"))))
     q = Program((Wait(Observed("A"), dest="x"), Output(LocalRef("x"), guard=(Observed("A", 1),))))
-    kind_timing, params, _ = algorithms._KINDS[AlgorithmKind.SINGLE_OUTPUT]
-    monkeypatch.setitem(
-        algorithms._KINDS, AlgorithmKind.SINGLE_OUTPUT,
-        (kind_timing, params, lambda instance, pid: (p, p, q)[pid - 1]),
-    )
+    patch_builder(AlgorithmKind.SINGLE_OUTPUT, lambda instance, pid: (p, p, q)[pid - 1])
     inst = AlgorithmInstance(AlgorithmKind.SINGLE_OUTPUT, Timing.ASYNC, no_out=False)
     inst = inst.bind(3, t, permissive=True)
     cfg = SystemConfig(3, t, Timing.ASYNC)

@@ -3,14 +3,15 @@ states share processes safely and skip the deadline step only where it
 moves nothing, that every kernel run lies inside the family it finds, and
 that ``explore`` (one search per async cell, with crash moves at the crash
 slots and states up to class symmetry; one pattern per orbit for a sync
-cell) finds the family of every failure pattern."""
+cell, with each block's first picks once per multiset) finds the family of
+every failure pattern."""
 
 import random
 
 import pytest
 from conftest import stretch_representative
 
-from binsos import algorithms, checker
+from binsos import checker
 from binsos.algorithms import AlgorithmInstance, AlgorithmKind, RoleError, instance_for_line
 from binsos.checker import ExplorationBudget, branch_choices, explore, sample_traces
 from binsos.oracle import observed_output_sets
@@ -22,23 +23,29 @@ from binsos.patterns import (
     enum_failure_patterns,
 )
 from binsos.program import (
+    COMM,
+    COMP,
     INIT,
     OUTPUT,
     Communicate,
     Deadline,
     Flip,
+    HasOutput,
+    LocalIs,
     LocalRef,
     Observed,
     Output,
     Pick,
     Program,
     ScriptedChoices,
+    SetLocal,
     Wait,
 )
 from binsos.simkernel import (
     _BLOCKED,
     _CRASHED,
     InfoItem,
+    KernelError,
     _Kernel,
     _SearchState,
     medium_check,
@@ -136,19 +143,16 @@ class TestReductions:
                 assert OUTPUT not in frozenset().union(*table)
                 assert (INIT in table[0]) == (line == 7)
 
-    def test_pending_items_are_part_of_the_state(self, monkeypatch):
+    def test_pending_items_are_part_of_the_state(self, patch_builder):
         # p1 picks v, communicates FOO(v) and is done, so its own state no
         # longer shows v; only the pending item does.  p2 outputs the FOO
         # value it observes.
-        timing, params, _ = algorithms._KINDS[AlgorithmKind.SINGLE_OUTPUT]
-
         def build(instance, pid):
             if pid == 1:
                 return Program((Pick("v", (0, 1)), Communicate("FOO", LocalRef("v"))))
             return Program((Wait(Observed("FOO"), dest="x"), Output(LocalRef("x"))))
 
-        kinds = algorithms._KINDS
-        monkeypatch.setitem(kinds, AlgorithmKind.SINGLE_OUTPUT, (timing, params, build))
+        patch_builder(AlgorithmKind.SINGLE_OUTPUT, build)
         inst = AlgorithmInstance(AlgorithmKind.SINGLE_OUTPUT, Timing.ASYNC, no_out=False)
         cfg = SystemConfig(2, 0, Timing.ASYNC)
         verdict = explore(inst.bind(2, 0), cfg)
@@ -169,7 +173,7 @@ class TestReductions:
 
 
 class TestLongPaths:
-    def test_a_path_of_more_than_4n_moves_runs_and_replays(self, monkeypatch):
+    def test_a_path_of_more_than_4n_moves_runs_and_replays(self, patch_builder):
         # p1 and p2 hand off five times, each on a tag of its own: p1 sends
         # A1, p2 answers B1 once A1 has landed, and so on up to A5.  p2
         # outputs 1 if A5 lands before the deadline step and 0 if the
@@ -184,11 +188,7 @@ class TestLongPaths:
                 p2.append(Communicate(f"B{k}", 0))
         p2 += [Output(1, guard=(Deadline(negate=True),)), Output(0, guard=(Deadline(),))]
         programs = (Program(tuple(p1)), Program(tuple(p2)))
-        timing, params, _ = algorithms._KINDS[AlgorithmKind.SINGLE_OUTPUT]
-        monkeypatch.setitem(
-            algorithms._KINDS, AlgorithmKind.SINGLE_OUTPUT,
-            (timing, params, lambda instance, pid: programs[pid - 1]),
-        )
+        patch_builder(AlgorithmKind.SINGLE_OUTPUT, lambda instance, pid: programs[pid - 1])
         inst = AlgorithmInstance(AlgorithmKind.SINGLE_OUTPUT, Timing.ASYNC, no_out=False)
         inst, cfg = inst.bind(2, 0), SystemConfig(2, 0, Timing.ASYNC)
         verdict = explore(inst, cfg)
@@ -198,12 +198,7 @@ class TestLongPaths:
         schedule = trace.header["schedule"]
         assert len(schedule) == 9 > 4 * cfg.n
         assert [receiver for receiver, _ in schedule] == [2, 1] * 4 + [2]
-        # The run under the header's inputs is the trace, byte for byte.
-        # (``replay`` would rebind the instance from its descriptor, whose
-        # cache does not see the builder this test patches in.)
-        assert trace.header["choices"] == {"mode": "script", "picks": []}
-        assert trace.header["fp"] == {"crashes": []}
-        again = run(inst, cfg, ScriptedChoices(), NO_CRASHES, schedule)
+        again = replay(trace.to_jsonl())
         assert (again.outputs, again.termination) == ((None, 1), "ALL_DONE")
         assert again.to_jsonl() == trace.to_jsonl() and medium_check(trace) == []
 
@@ -506,22 +501,18 @@ class TestSymmetry:
             merged += first.states < second.states
         assert merged > 0
 
-    def test_class_key_keeps_members_of_different_classes_apart(self, monkeypatch):
+    def test_class_key_keeps_members_of_different_classes_apart(self, patch_builder):
         # p1 outputs its pick at the deadline, p2 the complement of its own.
         # The settled states (v1, v2) = (0, 1) and (1, 0) hold the same two
         # key parts (blocked at the deadline wait, v = 0 and v = 1), each in
         # the other class, and they reach {0} and {1}.  A key that merged
         # members of different classes would keep only one of them.
-        timing, params, _ = algorithms._KINDS[AlgorithmKind.SINGLE_OUTPUT]
         waits = (Pick("v", (0, 1)), Wait(Deadline()))
         programs = (
             Program(waits + (Output(LocalRef("v")),)),
             Program(waits + (Output(Flip("v")),)),
         )
-        monkeypatch.setitem(
-            algorithms._KINDS, AlgorithmKind.SINGLE_OUTPUT,
-            (timing, params, lambda instance, pid: programs[pid - 1]),
-        )
+        patch_builder(AlgorithmKind.SINGLE_OUTPUT, lambda instance, pid: programs[pid - 1])
         inst = AlgorithmInstance(AlgorithmKind.SINGLE_OUTPUT, Timing.ASYNC, no_out=False)
         cfg = SystemConfig(2, 0, Timing.ASYNC)
         verdict = explore(inst.bind(2, 0), cfg)
@@ -571,19 +562,18 @@ def _crash_p1_or_p2(inst, slot):
 
 
 @pytest.fixture
-def p_p_q(monkeypatch):
+def p_p_q(patch_builder):
     """Binds programs P and Q to an async instance at n = 3 (t = 1 unless
     given) whose processes 1 and 2 run P and whose process 3 runs Q.  With
     ``singletons``, each process also gets an initial local ``pid`` that no
     statement reads, holding its pid, so no two programs are equal."""
-    timing, params, _ = algorithms._KINDS[AlgorithmKind.SINGLE_OUTPUT]
     drawn, unused = [], []
 
     def build(instance, pid):
         program = drawn[pid > 2]
         return Program(program.statements, (("pid", pid),)) if unused else program
 
-    monkeypatch.setitem(algorithms._KINDS, AlgorithmKind.SINGLE_OUTPUT, (timing, params, build))
+    patch_builder(AlgorithmKind.SINGLE_OUTPUT, build)
 
     def bind(p, q, t=1, singletons=False):
         drawn[:], unused[:] = [p, q], [True] * singletons
@@ -635,16 +625,14 @@ def _random_program(rng):
 
 
 class TestCrashSlots:
-    def test_stored_facts_equal_their_formulas(self, monkeypatch):
+    def test_stored_facts_equal_their_formulas(self, patch_builder):
         # A program's crash slots are computed once, when it is built; a
         # bound instance holds one object per distinct program, here with
         # each process's program built afresh.
         rng = random.Random(5)
-        timing, params, _ = algorithms._KINDS[AlgorithmKind.SINGLE_OUTPUT]
         drawn = []
-        monkeypatch.setitem(
-            algorithms._KINDS, AlgorithmKind.SINGLE_OUTPUT,
-            (timing, params, lambda instance, pid: Program(drawn[pid > 2].statements)),
+        patch_builder(
+            AlgorithmKind.SINGLE_OUTPUT, lambda instance, pid: Program(drawn[pid > 2].statements)
         )
         inst = AlgorithmInstance(AlgorithmKind.SINGLE_OUTPUT, Timing.ASYNC, no_out=False)
         for _ in range(250):
@@ -692,3 +680,124 @@ class TestCrashSlots:
                                 mismatches.append((line, timing.value, n, t, fp.crashes))
         assert checked == 6_112
         assert mismatches == []
+
+
+def _sync_instance(patch_builder, programs, t):
+    """A sync instance whose process pid runs ``programs[pid - 1]``, bound
+    permissively at n = len(programs) and ``t``."""
+    patch_builder(AlgorithmKind.SINGLE_OUTPUT, lambda instance, pid: programs[pid - 1])
+    inst = AlgorithmInstance(AlgorithmKind.SINGLE_OUTPUT, Timing.SYNC, no_out=False)
+    n = len(programs)
+    return inst.bind(n, t, permissive=True), SystemConfig(n, t, Timing.SYNC)
+
+
+def _random_sync_guard(rng):
+    """Up to two atoms: observations of tag A or B, valued or not, the local
+    v, or the process's own output; some negated."""
+    atoms = []
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        kind = rng.choice(("observed", "local", "output"))
+        negate = rng.random() < 0.3
+        if kind == "observed":
+            atoms.append(Observed(rng.choice("AB"), rng.choice((None, 0, 1)), negate))
+        elif kind == "local":
+            atoms.append(LocalIs("v", rng.choice((0, 1)), negate))
+        else:
+            atoms.append(HasOutput(negate))
+    return tuple(atoms)
+
+
+def _random_sync_program(rng):
+    """Two to four statements over rounds 1 and 2, in (round, phase) order:
+    at most two picks of v, guarded communicates (in a communication step)
+    on tags A and B, guarded set-locals of v and guarded outputs.  v starts
+    at 0, and a value is a bit, v or Flip(v), so the one output a process
+    may make is a bit; a second output is refused, and the caller skips
+    that draw."""
+    slots = sorted((rng.randint(1, 2), rng.choice((COMM, COMP))) for _ in range(rng.randint(2, 4)))
+    statements, picks = [], 0
+    for at in slots:
+        kinds = ["set", "output"] + ["pick"] * (picks < 2) + ["communicate"] * 2 * (at[1] == COMM)
+        kind = rng.choice(kinds)
+        value = rng.choice((0, 1, LocalRef("v"), Flip("v")))
+        if kind == "pick":
+            statements.append(Pick("v", (0, 1), at=at))
+            picks += 1
+        elif kind == "communicate":
+            statements.append(Communicate(rng.choice("AB"), value, _random_sync_guard(rng), at))
+        elif kind == "set":
+            statements.append(SetLocal("v", value, _random_sync_guard(rng), at))
+        else:
+            statements.append(Output(value, _random_sync_guard(rng), at))
+    return Program(tuple(statements), (("v", 0),))
+
+
+class TestFirstPickBlocks:
+    """A synchronous cell runs each block's first picks once per multiset:
+    a block is the pids of one class of equal programs that the orbit's
+    pattern crashes at one slot, or leaves uncrashed (see ``explore``)."""
+
+    def test_a_class_split_by_its_crash_slots_keeps_every_family(self, patch_builder):
+        # Both processes pick v and communicate A(v); each outputs 0 if it
+        # saw A(1) and picked 0, or 1 if it picked 1.  {0} needs a process
+        # that picked 1 to crash after its communicate and before its
+        # outputs (crash slot 2): p1, the one the orbit's pattern crashes,
+        # holding the larger pick.  A block holding both processes, crashed
+        # or not, would give p1 the smaller pick only and miss {0}.
+        program = Program((
+            Pick("v", (0, 1), at=(1, COMM)),
+            Communicate("A", LocalRef("v"), at=(1, COMM)),
+            Output(0, guard=(Observed("A", 1), LocalIs("v", 0)), at=(1, COMP)),
+            Output(1, guard=(LocalIs("v", 1),), at=(1, COMP)),
+        ))
+        inst, cfg = _sync_instance(patch_builder, (program, program), 1)
+        verdict = explore(inst, cfg)
+        everything = sos(OutputSet.EMPTY, OutputSet.ZERO, OutputSet.ONE, OutputSet.BOTH)
+        assert verdict.exhaustive and verdict.observed == everything
+        assert _every_pattern_family(inst, cfg) == everything
+        trace = {t.output_set(): t for t in [*verdict.witnesses.values(), *verdict.violations]}[
+            OutputSet.ZERO
+        ]
+        assert trace.header["fp"] == {"crashes": [[1, 2]]}
+        assert trace.header["choices"]["picks"] == [[1, 0, 1], [2, 0, 0]]
+        assert replay(trace.to_jsonl()).to_jsonl() == trace.to_jsonl()
+
+    def test_random_sync_programs_reach_every_patterns_family(self, patch_builder):
+        # Each draw: two to four processes, each running one of two random
+        # programs (or all one), at a random t.  explore's family must be
+        # the union over every failure pattern of every pick outcome.
+        rng = random.Random(1)
+        mismatches, skipped, ran = [], {}, 0
+        for _ in range(400):
+            p, q = _random_sync_program(rng), _random_sync_program(rng)
+            n = rng.randint(2, 4)
+            programs = tuple(rng.choice((p, q)) for _ in range(n))
+            t = rng.randint(0, min(n, 2))
+            try:
+                inst, cfg = _sync_instance(patch_builder, programs, t)
+                observed = explore(inst, cfg).observed
+                family = _every_pattern_family(inst, cfg)
+            except (KernelError, ValueError) as refused:
+                kind = type(refused).__name__
+                skipped[kind] = skipped.get(kind, 0) + 1
+                continue
+            ran += 1
+            if observed != family:
+                mismatches.append((programs, t))
+        assert mismatches == []
+        # The draws that ran, and those skipped because the kernel refused
+        # a run (a second output).
+        assert (ran, skipped) == (342, {"KernelError": 58})
+
+    @pytest.mark.parametrize(
+        "line, n, t, executions",
+        [(10, 4, 3, 140), (1, 4, 4, 35), (3, 4, 4, 205), (7, 4, 2, 230)],
+    )
+    def test_sync_executions(self, line, n, t, executions):
+        # Kernel runs that complete, over every orbit's pattern.  Line 7
+        # gives every process a program of its own, so it has no block of
+        # two and runs every pick outcome.
+        inst = instance_for_line(line, Timing.SYNC).bind(n, t)
+        verdict = explore(inst, SystemConfig(n, t, Timing.SYNC))
+        assert verdict.exhaustive and verdict.status == "ok"
+        assert verdict.executions == executions
