@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -84,13 +85,14 @@ class ExplorationBudget:
     every asynchronous cell in one search, and stops, reporting
     ``exhaustive: false``, once it would visit more states than the bound;
     ``states`` counts those it visited.  It covers a synchronous cell whole
-    when its pick outcomes times orbits are at most the bound.  Orbits are
-    counted over the crash slots others can tell apart
-    (``Program.crash_slots``), and whole means every failure pattern up to
-    the symmetry of processes with equal programs and to those slots;
-    ``executions`` then counts terminal search states (async), or (sync)
-    completed kernel runs: one per pick outcome under each orbit's pattern,
-    with each block's first picks taken once per multiset (see
+    when its pick outcomes times orbits are at most the bound, or else a
+    bound that counts each block's first picks as multisets
+    (``_block_run_bound``).  Orbits are counted over the crash slots others
+    can tell apart (``Program.crash_slots``), and whole means every failure
+    pattern up to the symmetry of processes with equal programs and to
+    those slots; ``executions`` then counts terminal search states (async),
+    or (sync) completed kernel runs: one per pick outcome under each orbit's
+    pattern, with each block's first picks taken once per multiset (see
     ``explore``), and none for a run a pick forks.  Only a larger
     synchronous cell is sampled: it runs exactly ``sample_runs`` random
     (seed, fp) pairs drawn from ``sample_seed`` over every failure pattern
@@ -174,6 +176,36 @@ def _choice_bound(instance: AlgorithmInstance) -> int:
             if isinstance(stmt, Pick):
                 bound *= len(stmt.candidates)
     return bound
+
+
+def _block_bound(program, members: int) -> int:
+    """A bound on the pick outcomes of a block of ``members`` processes that
+    run ``program``, its first picks taken once per multiset: the block's
+    first pick may be any of the program's picks, and each member makes
+    every other pick at most once."""
+    sizes = [len(stmt.candidates) for stmt in program.statements if isinstance(stmt, Pick)]
+    whole = math.prod(sizes)
+    return max([math.comb(size + members - 1, members) * (whole // size) ** members
+                for size in sizes], default=1)
+
+
+def _block_run_bound(programs: Sequence, cfg: SystemConfig, cap: float) -> int:
+    """A bound on the completed runs of a synchronous cell's exhaustive
+    enumeration (``branch_choices`` with ``_blocks`` under each orbit's
+    pattern): the sum over the orbits' patterns of the product of
+    ``_block_bound`` over their blocks, given up once it passes ``cap``."""
+    total, bounds = 0, {}
+    for fp in enum_failure_pattern_orbits(cfg.n, cfg.t, programs):
+        runs = 1
+        for block in _blocks(programs, fp):
+            shape = (programs[block[0] - 1], len(block))
+            if shape not in bounds:
+                bounds[shape] = _block_bound(*shape)
+            runs *= bounds[shape]
+        total += runs
+        if total > cap:
+            break
+    return total
 
 
 def branch_choices(
@@ -334,7 +366,10 @@ def explore(
             (choices, fp, schedule, reached)
             for reached, (choices, fp, schedule) in outcome.found.items()
         )
-    elif _choice_bound(instance) * orbits <= cap:
+    elif _choice_bound(instance) * orbits <= cap or (
+        # Only a block of two or more takes first picks as multisets.
+        len(set(programs)) < len(programs) and _block_run_bound(programs, cfg, cap) <= cap
+    ):
         verdict.exhaustive = True
         found = (
             leaf

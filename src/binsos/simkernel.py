@@ -875,39 +875,104 @@ class _SearchState(_AsyncKernel):
 
     def after(self, move: Optional[tuple]) -> List["_SearchState"]:
         """The quiescent states reached by the landing ``move``, a receiver
-        and the items it lands (the root settle, when it is empty), one per
-        outcome of the picks and crash offers met on the way, up to class
-        symmetry; ``None`` takes the deadline step instead, and a state the
-        deadline step cannot change is its own terminal."""
+        and the items it lands, one per outcome of the picks and crash
+        offers met on the way, up to class symmetry.  An empty ``move`` is
+        the root settle, whose processes are independent: each is settled
+        once and the outcomes composed (``_roots``).  ``None`` takes the
+        deadline step instead, and a state the deadline step cannot change
+        is its own terminal."""
         if move is None:
             return self._deadline_leaves()
+        if not move:
+            return self._roots()
         state = self.fork()
-        if move:
-            receiver, items = move
-            proc = state.own(receiver)
-            for item in items:
-                state.deliver(proc, item)
-            state.inbox[receiver - 1] -= {(item.tag, item.value) for item in items}
-            state.schedule = self.schedule + (
-                (receiver, tuple([(item.sender, item.index) for item in items])),
-            )
-            movers = [receiver]
-        else:
-            movers = [p.pid for p in state.procs if p.status == _RUNNING]
-        # Before the deadline only a landing can wake a blocked process:
-        # settle the receiver, or at the root every process, one at a time
-        # across the frontier of forks, each until it blocks.
-        frontier = [state]
-        for pid in movers:
-            frontier = self._settle(frontier, pid)
-        return frontier
+        receiver, items = move
+        proc = state.own(receiver)
+        for item in items:
+            state.deliver(proc, item)
+        state.inbox[receiver - 1] -= {(item.tag, item.value) for item in items}
+        state.schedule = self.schedule + (
+            (receiver, tuple([(item.sender, item.index) for item in items])),
+        )
+        # Before the deadline only a landing can wake a blocked process.
+        return state._settle(receiver)
 
-    @staticmethod
-    def _settle(frontier: List["_SearchState"], pid: int) -> List["_SearchState"]:
-        """Each state of ``frontier`` with process ``pid`` run until it
-        blocks, forked at each pick and crash offer, less every state whose
-        key an earlier one has."""
-        settled, todo = [], frontier[::-1]
+    def _roots(self) -> List["_SearchState"]:
+        """The root states (``search_async`` point 5).  The running
+        processes are settled in pid order, each once: in place while each
+        has one outcome, and from the first with several outcomes on, each
+        alone from the state before that first one.  Their outcomes are then
+        composed (``_compose``)."""
+        running = [p for p in self.procs if p.status == _RUNNING]
+        base = self.fork()
+        rows: List[Tuple[_Proc, List[_SearchState]]] = []  # each process's outcomes
+        for k, p in enumerate(running):
+            if rows:
+                rows.append((p, base.fork()._settle(p.pid)))
+                continue
+            i = p.pid - 1
+            before = base.procs[i], base.sent, list(base.inbox), base.choices
+            outcomes = base._settle(p.pid)
+            if len(outcomes) == 1:
+                base = outcomes[0]
+            elif k + 1 == len(running):
+                return outcomes
+            else:
+                rows.append((p, outcomes))
+                base = base.fork()
+                base.procs[i], base.sent, base.inbox, base.choices = before
+        return base._compose(rows) if rows else [base]
+
+    def _compose(self, rows: List[Tuple[_Proc, List["_SearchState"]]]) -> List["_SearchState"]:
+        """The states that take one outcome of each process of ``rows``,
+        whose outcomes were each settled alone from this state.  The members
+        of a block take outcomes of non-decreasing rank by pid, at most t
+        processes crash, and one state per key is kept."""
+        combos: List[Tuple[Tuple[int, ...], int]] = [((), 0)]  # ranks taken, crashes
+        last: Dict[tuple, int] = {}  # per block, the row of its last member so far
+        for row, (p, outcomes) in enumerate(rows):
+            block = (p.program, p.crash_slot)
+            place = last.get(block, -1)
+            last[block] = row
+            combos = [
+                (ranks + (rank,), crashed + outcomes[rank].crashed)
+                for ranks, crashed in combos
+                for rank in range(ranks[place] if place >= 0 else 0, len(outcomes))
+                if crashed + outcomes[rank].crashed <= self.cfg.t
+            ]
+        roots: Dict[tuple, _SearchState] = {}
+        boxes: Dict[tuple, FrozenSet[Tuple[str, Value]]] = {}
+        for ranks, crashed in combos:
+            state = self.fork()
+            procs, picks, sent = state.procs, {}, {}
+            for (p, outcomes), rank in zip(rows[::-1], ranks[::-1]):  # the lowest pid's items stay
+                solo = outcomes[rank]
+                procs[p.pid - 1] = solo.procs[p.pid - 1]
+                picks.update(solo.choices.picks)
+                sent.update(solo.sent)
+            state.choices = ScriptedChoices(picks)
+            state.sent = sent
+            state.crashed = crashed
+            pairs = frozenset(sent)
+            inbox = []
+            for q in procs:
+                # Nothing lands at the root, so a live process reads the
+                # pairs whose tags a statement from its pc on reads.
+                tags = frozenset() if q.status == _CRASHED else q.program.relevant_tags[q.pc]
+                box = boxes.get((tags, pairs))
+                if box is None:
+                    box = boxes[tags, pairs] = frozenset([x for x in pairs if x[0] in tags])
+                inbox.append(box)
+            state.inbox = inbox
+            roots.setdefault(state.key(), state)
+        return list(roots.values())
+
+    def _settle(self, pid: int) -> List["_SearchState"]:
+        """This state with process ``pid`` run until it blocks, forked at
+        each pick and crash offer, each fork without the pending pairs
+        ``pid`` no longer reads, less every fork whose key an earlier one
+        has."""
+        settled, todo = [], [self]
         while todo:
             state = todo.pop()
             proc = state.own(pid)
@@ -1101,15 +1166,32 @@ def search_async(instance, cfg: SystemConfig, max_states: int) -> SearchOutcome:
        argument), and the crash count is the number of crashed members.
        Every later pick has a new (pid, counter), so the picks made so far
        do not matter.  States with one key have one future.
-    5. One process at a time.  Before the deadline step a process's run reads
-       only its own state (point 1), so the processes a move runs can be
-       settled one after another in pid order: each one's run, forked at
-       its picks and crash offers, across every state the earlier ones left.
-       After each, the states of the frontier differ only in processes
-       already settled and in pending pairs, and two with one key reach the
-       same output sets from there, so all but the first are dropped.  At
-       the root this keeps the frontier to the settled states up to
-       symmetry, not the product of every process's picks and crash offers.
+    5. The root.  Nothing has landed at the root and ``Deadline()`` does
+       not hold there, so by point 1 a process's run there reads only its
+       own state and, at a crash offer, the crash count: the processes are
+       independent.  Each running process is settled once, in pid order,
+       forked at its picks and crash offers, and of its forks with one key
+       only the first is kept.  While each has one outcome, a process is
+       settled in place; from the first with several on, each is settled
+       alone from the state before that one.  A root state takes one
+       outcome of each process, with at most t crashes among them, checked
+       as outcomes are combined.  Each process is as its outcome left it,
+       with its picks, crash and emitted items; the first item of a pair is
+       the lowest emitter's, as in a run that settles the processes in pid
+       order; and each receiver's pending pairs are those it still reads.
+       Two outcomes of one process with one key give root states with one
+       key, since a receiver settled later reads fewer pairs (point 2).
+       Call a block the processes with equal programs, crash slots and
+       status.  Its members run the same statements from equal states.
+       Members settled in place have one outcome each, and so has every
+       later member, which settles where fewer pairs are read; the others
+       all settle from one state.  As the key is class-symmetric, the
+       members' outcome lists are equal up to pid and come in one order.
+       A choice that gives the members some order of one multiset of
+       outcomes is a relabelling, within a class, of the choice that gives
+       them in rank order, and has its key (point 4).  So a block takes its
+       outcomes as multisets, of non-decreasing rank by pid, and one state
+       per key is kept.
     6. Back to a run.  A path's landing moves, each as its receiver and
        the (sender, index) of the items it lands, are a schedule
        (``_SearchState.schedule``).  Each of those items was emitted before

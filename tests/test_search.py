@@ -1,11 +1,13 @@
-"""Asynchronous state-graph search: its reductions, its bound, that its
-states share processes safely and skip the deadline step only where it
-moves nothing, that every kernel run lies inside the family it finds, and
-that ``explore`` (one search per async cell, with crash moves at the crash
-slots and states up to class symmetry; one pattern per orbit for a sync
-cell, with each block's first picks once per multiset) finds the family of
-every failure pattern."""
+"""Asynchronous state-graph search: its reductions, its root composed
+from each process's outcomes, its bound, that its states share processes
+safely and skip the deadline step only where it moves nothing, that every
+kernel run lies inside the family it finds, and that ``explore`` (one
+search per async cell, with crash moves at the crash slots and states up
+to class symmetry; one pattern per orbit for a sync cell, with each
+block's first picks once per multiset) finds the family of every failure
+pattern."""
 
+import math
 import random
 
 import pytest
@@ -44,6 +46,7 @@ from binsos.program import (
 from binsos.simkernel import (
     _BLOCKED,
     _CRASHED,
+    _RUNNING,
     InfoItem,
     KernelError,
     _Kernel,
@@ -352,9 +355,10 @@ class TestSearchStates:
 
     def test_root_settles_one_process_at_a_time(self):
         # L5 at n=7, t=7: seven processes with one program, each offered
-        # crashes and forking at its picks.  Settled one at a time, with a
-        # repeated key dropped after each, the root leaves one state per
-        # key, not the product of every process's forks.
+        # crashes and forking at its picks.  Each process is settled once,
+        # on its own, and the six members of the larger block take their
+        # outcomes as multisets, so the root holds one state per key, not
+        # the product of every process's forks.
         inst, cfg = _bound(5, 7, 7)
         root = _SearchState(inst, cfg).after(())
         assert len({state.key() for state in root}) == len(root) == 252
@@ -400,6 +404,68 @@ class TestCoverage:
         )
         for trace in traces:
             assert replay(trace.header).to_jsonl() == trace.to_jsonl()
+
+
+def _one_at_a_time(root):
+    """The root settle as a frontier: each running process settled in pid
+    order in every state the earlier ones left, a repeated key dropped after
+    each.  The reference for the composed root."""
+    frontier = [root.fork()]
+    for p in root.procs:
+        if p.status == _RUNNING:
+            unique = {}
+            for state in frontier:
+                for settled in state._settle(p.pid):
+                    unique.setdefault(settled.key(), settled)
+            frontier = list(unique.values())
+    return frontier
+
+
+def _root_differs(root):
+    """Whether the root settle of ``root`` holds a repeated key, or a set of
+    keys other than the frontier reference's."""
+    keys = [state.key() for state in root.after(())]
+    return len(set(keys)) != len(keys) or set(keys) != {s.key() for s in _one_at_a_time(root)}
+
+
+class TestRootSettle:
+    """At the root nothing lands and ``Deadline()`` does not hold, so each
+    process is settled once, alone, and the outcomes are composed, a
+    block's as multisets (``search_async`` point 5); a frontier settled one
+    process at a time across every state reaches the same keys."""
+
+    def test_the_algorithms_compose_the_frontiers_root(self):
+        cells = list(_every_async_search(6))
+        assert len(cells) == 316
+        assert [cfg for inst, cfg in cells if _root_differs(_SearchState(inst, cfg))] == []
+
+    def test_random_programs_compose_the_frontiers_root(self, p_p_q):
+        rng = random.Random(6)
+        differ = []
+        for k in range(500):
+            p, q = _random_program(rng), _random_program(rng)
+            t = k % 3
+            if _root_differs(_SearchState(p_p_q(p, q, t), SystemConfig(3, t, Timing.ASYNC))):
+                differ.append((p, q, t))
+        assert differ == []
+
+    def test_a_fixed_failure_pattern_splits_a_block_by_crash_slot(self, p_p_q):
+        # Under a fixed pattern, processes with one program but different
+        # crash slots reach different outcomes, so they are in different
+        # blocks: every pattern at n = 3, t = 2 crashes p1 and p2 at their
+        # own slots, or one of them.
+        rng = random.Random(7)
+        cfg = SystemConfig(3, 2, Timing.ASYNC)
+        checked, differ = 0, []
+        for _ in range(150):
+            p, q = _random_program(rng), _random_program(rng)
+            inst = p_p_q(p, q, 2)
+            slot_counts = [program.slot_count for program in inst.programs()]
+            for fp in enum_failure_patterns(3, 2, slot_counts):
+                checked += 1
+                if _root_differs(_PatternState(inst, cfg, fp)):
+                    differ.append((p, q, fp.crashes))
+        assert checked > 5_000 and differ == []
 
 
 def _pattern_family(inst, cfg, fp):
@@ -788,6 +854,40 @@ class TestFirstPickBlocks:
         # The draws that ran, and those skipped because the kernel refused
         # a run (a second output).
         assert (ran, skipped) == (342, {"KernelError": 58})
+
+    def test_executions_stay_within_the_block_bound(self, patch_builder):
+        # The bound explore checks against its cap, once pick outcomes times
+        # orbits pass it, must bound the completed runs it then makes.
+        rng = random.Random(8)
+        ran = 0
+        for _ in range(300):
+            p, q = _random_sync_program(rng), _random_sync_program(rng)
+            n = rng.randint(2, 5)
+            programs = tuple(rng.choice((p, q)) for _ in range(n))
+            t = rng.randint(0, min(n, 3))
+            try:
+                inst, cfg = _sync_instance(patch_builder, programs, t)
+                verdict = explore(inst, cfg)
+            except (KernelError, ValueError):
+                continue  # the kernel refused a run (a second output)
+            ran += 1
+            bound = checker._block_run_bound(inst.programs(), cfg, math.inf)
+            assert verdict.exhaustive
+            product = checker._choice_bound(inst) * verdict.failure_pattern_orbits
+            assert verdict.executions <= bound <= product, (programs, t)
+        assert ran > 200
+
+    def test_a_cell_over_the_product_bound_runs_whole_under_the_block_bound(self):
+        # L1 at sync n = 11, t = 11: 3^11 pick outcomes times 12 orbits pass
+        # the cap, but one block of eleven takes its first picks as
+        # multisets, so the cell is run whole.
+        inst = instance_for_line(1, Timing.SYNC).bind(11, 11)
+        cfg = SystemConfig(11, 11, Timing.SYNC)
+        assert checker._choice_bound(inst) * 12 > checker.SIZE_CAP
+        assert checker._block_run_bound(inst.programs(), cfg, math.inf) <= checker.SIZE_CAP
+        verdict = explore(inst, cfg)
+        assert verdict.exhaustive and verdict.status == "ok"
+        assert (verdict.failure_pattern_orbits, verdict.executions) == (12, 364)
 
     @pytest.mark.parametrize(
         "line, n, t, executions",
