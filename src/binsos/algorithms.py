@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import marshal
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -41,6 +42,7 @@ from .outputsets import (
     Timing,
     Value,
     _descriptor_fields,
+    _dumps,
     line_members,
     tight_condition,
 )
@@ -264,7 +266,26 @@ class AlgorithmInstance:
     # -- serialization ----------------------------------------------------------
 
     def describe(self) -> Dict[str, object]:
-        return {
+        """The descriptor a trace header holds as ``alg``: a new copy of
+        ``described``'s each call, which the caller may edit."""
+        d = dict(self.described[0])
+        if d["values"] is not None:
+            d["values"] = list(d["values"])
+        if d["roles"] is not None:
+            d["roles"] = {k: list(v) if isinstance(v, list) else v
+                          for k, v in d["roles"].items()}
+        return d
+
+    @functools.cached_property
+    def described(self) -> Tuple[Dict[str, object], bytes, str]:
+        """The descriptor, built once per instance and never to be edited,
+        with its ``marshal`` bytes and its JSON text: ``describe`` copies
+        the descriptor, and ``ExecutionTrace.to_jsonl`` writes the text for
+        a trace's ``alg`` while the alg marshals to those bytes.  Marshal
+        version 2 writes values, their exact types and key order only (no
+        references), so it tells True from 1 and 5.0 from 5, as JSON does
+        and ``==`` does not."""
+        d = {
             "kind": self.kind.value,
             "timing": self.timing.value,
             "no_out": self.no_out,
@@ -276,6 +297,7 @@ class AlgorithmInstance:
             "roles": None if self.roles is None else self.roles.describe(),
             "permissive": self.permissive,
         }
+        return d, marshal.dumps(d, 2), _dumps(d)
 
 
 def instance_from_descriptor(d: Dict[str, object]) -> AlgorithmInstance:
@@ -297,7 +319,7 @@ def instance_from_descriptor(d: Dict[str, object]) -> AlgorithmInstance:
                          f"the line of {instance.kind.value} with these parameters")
     instance = _bound(instance, d["n"], d["t"], d["permissive"])
     # Roles follow from (kind, n, t, permissive); a described set must match.
-    if d.get("roles") != instance.roles.describe():
+    if d.get("roles") != instance.described[0]["roles"]:
         raise ValueError(
             f"algorithm roles {d.get('roles')!r} are not those of "
             f"n={instance.n}, t={instance.t}"

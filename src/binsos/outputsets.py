@@ -172,6 +172,28 @@ def _descriptor_fields(d: object, what: str, **types: Optional[type]) -> Dict[st
     return d
 
 
+def _compact_encoder() -> Callable[[object], str]:
+    """``json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+    check_circular=False).encode`` with its C encoder built once: ``encode``
+    builds one on every call, which costs more than encoding a trace's
+    header.  ``encode`` itself where the interpreter has no C encoder or
+    builds it from other arguments.  Without the check, a cycle raises
+    RecursionError; nothing the kernel writes has one."""
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+    try:
+        iterencode = json.encoder.c_make_encoder(
+            None, encoder.default, json.encoder.encode_basestring_ascii, None,
+            ":", ",", True, False, True,
+        )
+    except TypeError:  # c_make_encoder is None, or takes other arguments
+        return encoder.encode
+    return lambda o: "".join(iterencode(o, 0))
+
+
+#: The encoder of every JSON record written whole: sorted keys, no spaces.
+_dumps = _compact_encoder()
+
+
 def _read_json(text: str, what: str) -> object:
     """The JSON value in ``text``; a ValueError naming ``what`` if the text is
     not JSON, is nested too deeply to read, or an object in it repeats a key."""

@@ -34,14 +34,16 @@ delivered (the medium never suppresses information).
 A recorded run logs one event per delivery and per statement executed, of
 the six kinds in ``EVENT_FIELDS``, the one event table.  Each kind has a
 fixed set of fields: ``kind`` its name, ``tag`` a string, ``value`` 0, 1
-or None, and every other field an int.  ``seq`` numbers the events from 0,
-``t`` is the move (0 for the root settle, j for the j-th move of the
+or None, and every other field an int.  In memory an event is a row, a
+tuple of its kind and then its other fields in the table's order; in a
+trace file it is one JSON object per line.  ``seq`` numbers the events
+from 0, ``t`` is the move (0 for the root settle, j for the j-th move of the
 schedule and one more for the deadline step; under synchrony 2(r-1) for
 round r's communication step and one more for its computation step),
 ``pid`` the acting process, ``stmt`` its statement index, ``slot`` the
 statement it crashes before, ``ctr`` its pick counter, and ``sender`` and
 ``index`` name an item by its emitter and emission ordinal.
-``ExecutionTrace.to_jsonl`` writes each event with its kind's line
+``ExecutionTrace.to_jsonl`` writes each row with its kind's line
 formatter, and ``ExecutionTrace.parse`` rejects an event line the table
 does not allow, and a final record whose outputs or termination the
 kernel never writes.
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import marshal
 import operator
 import random
 from dataclasses import dataclass, field
@@ -66,7 +69,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .algorithms import instance_from_descriptor
 from .outputsets import (
-    OutputSet, SystemConfig, Timing, Value, _descriptor_fields, _read_json, output_set,
+    OutputSet, SystemConfig, Timing, Value, _descriptor_fields, _dumps, _read_json, output_set,
 )
 from .patterns import FailurePattern, _classes
 from .program import (
@@ -104,7 +107,8 @@ TRACE_FORMAT = "binsos-trace"
 TRACE_VERSION = 4
 
 #: The one event table: each kind of event the kernel logs, with its fields
-#: in sorted order.
+#: in sorted order.  An event is a row: its kind, then its other fields in
+#: this order.
 EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     "observe": ("index", "kind", "pid", "sender", "seq", "t", "tag", "value"),
     "communicate": ("index", "kind", "pid", "seq", "stmt", "t", "tag", "value"),
@@ -174,12 +178,22 @@ def read_schedule(doc: object) -> Tuple[Move, ...]:
 
 @dataclass
 class ExecutionTrace:
-    """Full record of one execution, sufficient to replay it bit-exactly."""
+    """Full record of one execution, sufficient to replay it bit-exactly.
+
+    ``events`` holds rows (see ``EVENT_FIELDS``).  In a recorded run's
+    trace ``described`` is the bound instance's
+    ``AlgorithmInstance.described``: ``to_jsonl`` writes its JSON text while
+    ``header["alg"]`` is still the descriptor, value for value and type for
+    type, and encodes ``header["alg"]`` afresh once it is edited.
+    """
 
     header: Optional[Dict[str, object]]
-    events: List[Dict[str, object]]
+    events: List[tuple]
     outputs: Tuple[Value, ...]
     termination: str
+    described: Optional[Tuple[Dict[str, object], bytes, str]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def recorded(self) -> bool:
@@ -201,17 +215,9 @@ class ExecutionTrace:
     def to_jsonl(self) -> str:
         if not self.recorded:
             raise ValueError("trace was produced without event recording")
-        lines = [_dumps(self.header)]
-        lines.extend([_LINE[e["kind"]](e) for e in self.events])
-        lines.append(
-            _dumps(
-                {
-                    "kind": "final",
-                    "outputs": list(self.outputs),
-                    "termination": self.termination,
-                }
-            )
-        )
+        lines = [_header_line(self.header, self.described)]
+        lines += [_LINE[row[0]](row) for row in self.events]
+        lines.append(_FINAL_LINE % (_dumps(self.outputs), _dumps(self.termination)))
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -240,34 +246,64 @@ class ExecutionTrace:
                 f"trace final record termination {final['termination']!r} must be "
                 f"{ALL_DONE!r} or {QUIESCENT!r}"
             )
-        events = [_read_event(line, number) for number, line in lines[1:-1]]
+        events = [_row(_read_event(line, number)) for number, line in lines[1:-1]]
         return ExecutionTrace(header, events, outputs, final["termination"])
 
 
-#: The encoder of the header and the final record: sorted keys, no spaces.
-_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: The header's keys, of which "alg" sorts first.
+_HEADER_KEYS = frozenset(("alg", "choices", "format", "fp", "schedule", "version"))
+
+#: The final record, as ``_dumps`` writes it, less its outputs and termination.
+_FINAL_LINE = '{"kind":"final","outputs":%s,"termination":%s}'
+
+
+def _header_line(header: Dict[str, object], described) -> str:
+    """``_dumps(header)``, but with the text of ``described`` (see
+    ``ExecutionTrace``) for the alg while the header is the kernel's six
+    keys and its alg marshals as that descriptor does."""
+    if described is None or header.keys() != _HEADER_KEYS:
+        return _dumps(header)
+    try:
+        edited = marshal.dumps(header["alg"], 2) != described[1]
+    except ValueError:  # a type marshal does not write, so not the descriptor
+        edited = True
+    if edited:
+        return _dumps(header)
+    rest = _dumps({**header, "alg": None})  # '{"alg":null,' and then the rest
+    return '{"alg":' + described[2] + rest[len('{"alg":null'):]
+
 
 _VALUE_JSON = {0: "0", 1: "1", None: "null"}
 
 
 def _line_formatter(kind: str, fields: Tuple[str, ...]):
-    """The function that writes an event of ``kind`` as ``_dumps`` would:
-    its int fields through ``%d``, then ``tag`` and ``value``, which sort
-    after every int field."""
-    ints = [name for name in fields if name not in ("kind", "tag", "value")]
-    spec = dict.fromkeys(ints, "%d")
+    """The function that writes a row of ``kind`` as ``_dumps`` writes its
+    event, with one ``%``: the template holds the kind and the keys in
+    sorted order, and the row's other fields fill it in the same order, the
+    int fields through ``%d``, then ``tag`` and ``value``, which sort after
+    every int field."""
+    spec = dict.fromkeys(fields, "%d")
     spec.update(kind=f'"{kind}"', tag="%s", value="%s")
     template = "{" + ",".join(f'"{name}":{spec[name]}' for name in fields) + "}"
-    get_ints = operator.itemgetter(*ints)
     quote = json.encoder.encode_basestring_ascii
     if "tag" in fields:
-        return lambda e: template % (*get_ints(e), quote(e["tag"]), _VALUE_JSON[e["value"]])
+        return lambda r: template % (*r[1:-2], quote(r[-2]), _VALUE_JSON[r[-1]])
     if "value" in fields:
-        return lambda e: template % (*get_ints(e), _VALUE_JSON[e["value"]])
-    return lambda e: template % get_ints(e)
+        return lambda r: template % (*r[1:-1], _VALUE_JSON[r[-1]])
+    return lambda r: template % r[1:]
 
 
 _LINE = {kind: _line_formatter(kind, fields) for kind, fields in EVENT_FIELDS.items()}
+
+_ROW_OF = {
+    kind: operator.itemgetter("kind", *[name for name in fields if name != "kind"])
+    for kind, fields in EVENT_FIELDS.items()
+}
+
+
+def _row(event: Dict[str, object]) -> tuple:
+    """The row of an event given as a dict of its kind's fields."""
+    return _ROW_OF[event["kind"]](event)
 
 
 def _read_event(line: str, number: int) -> Dict[str, object]:
@@ -387,11 +423,12 @@ class _Kernel:
         # Deadline() holds once the deadline step begins; always under sync.
         self.deadline = cfg.timing is Timing.SYNC
         self.record = record
-        self.events: List[Dict[str, object]] = []  # each a row of EVENT_FIELDS
+        self.events: List[tuple] = []  # each a row of EVENT_FIELDS
         self.now = 0
         programs = instance.programs()
+        crashes = dict(fp.crashes)
         self.procs = [
-            _Proc(pid, programs[pid - 1], fp.slot_of(pid))
+            _Proc(pid, programs[pid - 1], crashes.get(pid))
             for pid in range(1, cfg.n + 1)
         ]
         if record:
@@ -403,12 +440,14 @@ class _Kernel:
                 "fp": fp.describe(),
                 "schedule": [],  # the moves, as the run lands them
             }
+            self.described = instance.described
         else:
             # Unrecorded traces are throwaway runs: their outputs are all
             # that is read, so they carry no header.
-            self.header = None
+            self.header = self.described = None
         for proc in self.procs:
-            self._maybe_finish(proc)
+            if not proc.program.statements:  # only these finish before a step
+                self._maybe_finish(proc)
 
     # -- guard and expression evaluation -------------------------------------
 
@@ -443,8 +482,7 @@ class _Kernel:
     def _crash(self, proc: _Proc) -> None:
         proc.status = _CRASHED
         if self.record:
-            self.events.append({"kind": "crash", "pid": proc.pid, "seq": len(self.events),
-                                "slot": proc.pc, "t": self.now})
+            self.events.append(("crash", proc.pid, len(self.events), proc.pc, self.now))
 
     def _maybe_finish(self, proc: _Proc) -> None:
         if proc.pc >= len(proc.program.statements):
@@ -482,9 +520,8 @@ class _Kernel:
         if isinstance(stmt, Pick):
             value = self.choices.pick(proc.pid, proc.pick_counter, stmt.candidates)
             if self.record:
-                self.events.append({"ctr": proc.pick_counter, "kind": "pick", "pid": proc.pid,
-                                    "seq": len(self.events), "stmt": proc.pc, "t": self.now,
-                                    "value": value})
+                self.events.append(("pick", proc.pick_counter, proc.pid, len(self.events),
+                                    proc.pc, self.now, value))
             proc.pick_counter += 1
             proc.locals[stmt.dest] = value
         elif isinstance(stmt, SetLocal):
@@ -498,17 +535,16 @@ class _Kernel:
                 raise KernelError(f"process {proc.pid} output twice")
             proc.output = value
             if self.record:
-                self.events.append({"kind": "output", "pid": proc.pid, "seq": len(self.events),
-                                    "stmt": proc.pc, "t": self.now, "value": value})
+                self.events.append(("output", proc.pid, len(self.events), proc.pc, self.now,
+                                    value))
         elif isinstance(stmt, Communicate):
             item = InfoItem(
                 proc.pid, proc.emission_counter, stmt.tag, self._expr(proc, stmt.value)
             )
             proc.emission_counter += 1
             if self.record:
-                self.events.append({"index": item.index, "kind": "communicate",
-                                    "pid": proc.pid, "seq": len(self.events), "stmt": proc.pc,
-                                    "t": self.now, "tag": item.tag, "value": item.value})
+                self.events.append(("communicate", item.index, proc.pid, len(self.events),
+                                    proc.pc, self.now, item.tag, item.value))
             self.emit(item)
         elif isinstance(stmt, Wait):
             # The awaited atom holds; a binding wait takes the value first
@@ -521,8 +557,7 @@ class _Kernel:
 
     def _log_step(self, proc: _Proc) -> None:
         if self.record:
-            self.events.append({"kind": "step", "pid": proc.pid, "seq": len(self.events),
-                                "stmt": proc.pc, "t": self.now})
+            self.events.append(("step", proc.pid, len(self.events), proc.pc, self.now))
 
     def deliver(self, proc: _Proc, item: InfoItem) -> None:
         pair = (item.tag, item.value)
@@ -531,13 +566,12 @@ class _Kernel:
                 proc.first = {**proc.first, item.tag: item.value}
             proc.seen |= {pair, (item.tag, None)}
         if self.record:
-            self.events.append({"index": item.index, "kind": "observe", "pid": proc.pid,
-                                "sender": item.sender, "seq": len(self.events), "t": self.now,
-                                "tag": item.tag, "value": item.value})
+            self.events.append(("observe", item.index, proc.pid, item.sender, len(self.events),
+                                self.now, item.tag, item.value))
 
     def finalize(self, termination: str) -> ExecutionTrace:
         outputs = tuple(p.output for p in self.procs)
-        return ExecutionTrace(self.header, self.events, outputs, termination)
+        return ExecutionTrace(self.header, self.events, outputs, termination, self.described)
 
 
 class _SyncKernel(_Kernel):
@@ -1214,6 +1248,10 @@ def search_async(instance, cfg: SystemConfig, max_states: int) -> SearchOutcome:
 # ---------------------------------------------------------------------------
 # Medium property audit.
 
+#: Where ``medium_check`` reads a row: an observe and a communicate row both
+#: end with ``t``, ``tag`` and ``value``, at these places.
+_T, _TAG, _VALUE = 5, 6, 7
+
 
 def medium_check(trace: ExecutionTrace) -> List[str]:
     """Scan an event log for violations of the four medium properties.
@@ -1225,46 +1263,46 @@ def medium_check(trace: ExecutionTrace) -> List[str]:
     if not trace.recorded:
         raise PreconditionError("cannot audit a trace without an event log")
     violations: List[str] = []
-    communicated: Dict[Tuple[int, int], Dict[str, object]] = {}
-    observed_by: Dict[Tuple[int, int], Dict[int, Dict[str, object]]] = {}
+    communicated: Dict[Tuple[int, int], tuple] = {}  # (pid, index) -> its row
+    observed_by: Dict[Tuple[int, int], Dict[int, tuple]] = {}  # (sender, index) -> pid -> row
     crashed = set()
-    for event in trace.events:
-        kind = event["kind"]
-        if kind == "communicate":
-            communicated[(event["pid"], event["index"])] = event
-        elif kind == "observe":
-            key = (event["sender"], event["index"])
-            observed_by.setdefault(key, {})[event["pid"]] = event
-        elif kind == "crash":
-            crashed.add(event["pid"])
+    for row in trace.events:
+        kind = row[0]
+        if kind == "communicate":  # kind, index, pid, seq, stmt, t, tag, value
+            communicated[(row[2], row[1])] = row
+        elif kind == "observe":  # kind, index, pid, sender, seq, t, tag, value
+            observed_by.setdefault((row[3], row[1]), {})[row[2]] = row
+        elif kind == "crash":  # kind, pid, seq, slot, t
+            crashed.add(row[1])
     correct = set(range(1, trace.n + 1)) - crashed
+    observed = sorted(observed_by.items())
 
-    for key, receivers in sorted(observed_by.items()):
+    for key, receivers in observed:
         comm = communicated.get(key)
         for pid, obs in sorted(receivers.items()):
-            if comm is None or comm["seq"] > obs["seq"]:
+            if comm is None or comm[3] > obs[4]:  # their seqs
                 violations.append(
                     f"C-Validity: process {pid} observed item {key} "
                     f"never previously communicated"
                 )
-            elif (comm["tag"], comm["value"]) != (obs["tag"], obs["value"]):
+            elif comm[_TAG:] != obs[_TAG:]:
                 violations.append(
                     f"C-Validity: item {key} observed by {pid} with corrupted "
-                    f"payload {obs['tag']}({obs['value']})"
+                    f"payload {obs[_TAG]}({obs[_VALUE]})"
                 )
 
     if correct:
         for key, comm in sorted(communicated.items()):
-            if comm["pid"] not in correct:
+            if key[0] not in correct:
                 continue
             receivers = observed_by.get(key, {})
             if not (set(receivers) & correct):
                 violations.append(
                     f"C-Local-Termination: item {key} communicated by correct "
-                    f"process {comm['pid']} observed by no correct process"
+                    f"process {key[0]} observed by no correct process"
                 )
 
-    for key, receivers in sorted(observed_by.items()):
+    for key, receivers in observed:
         missing = correct - set(receivers)
         if missing:
             violations.append(
@@ -1273,19 +1311,19 @@ def medium_check(trace: ExecutionTrace) -> List[str]:
             )
 
     if trace.timing is Timing.SYNC:
-        for key, receivers in sorted(observed_by.items()):
+        for key, receivers in observed:
             comm = communicated.get(key)
             if comm is None:
                 continue  # already a C-Validity violation
-            if comm["t"] % 2 != COMM:
+            if comm[_T] % 2 != COMM:
                 violations.append(
                     f"C-Synchrony: item {key} communicated outside a "
-                    f"communication step (tick {comm['t']})"
+                    f"communication step (tick {comm[_T]})"
                 )
             for pid, obs in sorted(receivers.items()):
-                if obs["t"] != comm["t"]:
+                if obs[_T] != comm[_T]:
                     violations.append(
                         f"C-Synchrony: item {key} communicated at tick "
-                        f"{comm['t']} but observed by {pid} at tick {obs['t']}"
+                        f"{comm[_T]} but observed by {pid} at tick {obs[_T]}"
                     )
     return violations

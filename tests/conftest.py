@@ -1,8 +1,9 @@
 """Shared pytest plumbing: surface acceptance verdicts in the summary, the
 acceptance-4 audit instances, the n <= 4 and n <= 5 table reports, each
 failure pattern's representative at the crash slots, an asynchronous run
-that lands every item as early as it can, a kind's builder patched for
-one test, and an instance outside the six algorithms' wire vocabulary."""
+that lands every item as early as it can, a trace's events as dicts, a
+kind's builder patched for one test, and an instance outside the six
+algorithms' wire vocabulary."""
 
 import time
 
@@ -14,7 +15,7 @@ from binsos.checker import ExplorationBudget, check_table
 from binsos.outputsets import SystemConfig, Timing, tight_condition
 from binsos.patterns import NO_CRASHES, FailurePattern
 from binsos.program import Communicate, LocalRef, Observed, Output, Program, Wait
-from binsos.simkernel import _BLOCKED, _AsyncKernel
+from binsos.simkernel import _BLOCKED, EVENT_FIELDS, _AsyncKernel
 
 ACCEPTANCE_LINES = []
 
@@ -64,6 +65,20 @@ def run_eager(inst, cfg, choices, fp=NO_CRASHES):
             yield ready[0], list(kernel.pending[ready[0] - 1])
 
     return kernel.run(moves())
+
+
+#: Each kind's row as field names: the kind, then its other fields in table
+#: order.
+ROW_FIELDS = {
+    kind: ("kind", *[name for name in fields if name != "kind"])
+    for kind, fields in EVENT_FIELDS.items()
+}
+
+
+def event_dicts(trace):
+    """The events of ``trace`` as dicts, each row zipped with its kind's
+    fields."""
+    return [dict(zip(ROW_FIELDS[row[0]], row)) for row in trace.events]
 
 
 def stretch_representative(fp, programs):

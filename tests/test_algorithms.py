@@ -4,6 +4,7 @@ behavioral guarantees each algorithm's correctness argument claims."""
 import itertools
 
 import pytest
+from conftest import event_dicts
 
 from binsos import algorithms
 from binsos.algorithms import (
@@ -244,7 +245,7 @@ class TestInstanceForLine:
         inst = instance_for_line(10, Timing.SYNC).bind(2, 1)
         trace = run_sync(inst, SystemConfig(2, 1, Timing.SYNC), ScriptedChoices(), NO_CRASHES)
         # Round 2's computation step is tick 2 * (2 - 1) + 1.
-        assert [(e["pid"], e["t"]) for e in trace.events] == [(1, 3), (2, 3)]
+        assert [(e["pid"], e["t"]) for e in event_dicts(trace)] == [(1, 3), (2, 3)]
         assert trace.output_set() is OutputSet.ZERO
 
     def test_untagged_program_in_a_sync_instance_rejected_at_bind(self, patch_builder):

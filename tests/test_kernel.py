@@ -1,16 +1,18 @@
 """Execution kernel: lock-step rounds, schedules of moves, audit, replay."""
 
+import dataclasses
 import json
+import random
 import re
 
 import pytest
-from conftest import run_eager
+from conftest import audit_instances, event_dicts, run_eager
 
 from binsos.algorithms import AlgorithmInstance, AlgorithmKind, instance_for_line
 from binsos.checker import sample_traces, witness
 from binsos.outputsets import OutputSet, SystemConfig, Timing, tight_condition
 from binsos.patterns import NO_CRASHES, FailurePattern
-from binsos.program import ScriptedChoices, SeededChoices
+from binsos.program import COMM, ScriptedChoices, SeededChoices
 from binsos.simkernel import (
     EVENT_FIELDS,
     TRACE_VERSION,
@@ -19,6 +21,7 @@ from binsos.simkernel import (
     medium_check,
     read_schedule,
     replay,
+    _row,
     run_async,
     run_sync,
 )
@@ -55,7 +58,7 @@ class TestSyncConsensusRuns:
         cfg = SystemConfig(1, 0, Timing.SYNC)
         trace = run_sync(inst, cfg, ScriptedChoices({(1, 0): 0}), NO_CRASHES)
         assert trace.outputs == (0,)
-        observed = [e for e in trace.events if e["kind"] == "observe"]
+        observed = [e for e in event_dicts(trace) if e["kind"] == "observe"]
         assert observed and observed[0]["pid"] == 1 and observed[0]["sender"] == 1
 
     def test_crash_after_propose_still_delivers(self):
@@ -83,7 +86,7 @@ class TestAsyncDisagreementRuns:
         for pid in roles.flip_group:
             first = next(
                 e
-                for e in trace.events
+                for e in event_dicts(trace)
                 if e["kind"] == "observe" and e["pid"] == pid and e["tag"] == "OUTPUT"
             )
             assert trace.outputs[pid - 1] == 1 ^ first["value"]
@@ -164,13 +167,13 @@ class TestDeterminismAndReplay:
             cfg = SystemConfig(5, 1, timing)
             trace = next(
                 trace for trace in sample_traces(inst, cfg, 50, meta_seed=5, record=True)
-                if any(e["kind"] == "crash" for e in trace.events)
+                if any(e["kind"] == "crash" for e in event_dicts(trace))
             )
             final = {"kind": "final", "outputs": list(trace.outputs),
                      "termination": trace.termination}
             expected = [
                 json.dumps(record, sort_keys=True, separators=(",", ":"))
-                for record in [trace.header, *trace.events, final]
+                for record in [trace.header, *event_dicts(trace), final]
             ]
             assert trace.to_jsonl().split("\n") == expected + [""]
         assert len(kinds) == 6
@@ -202,13 +205,13 @@ class TestDeterminismAndReplay:
             text = trace.to_jsonl()
             assert text.split("\n") == [
                 json.dumps(record, sort_keys=True, separators=(",", ":"))
-                for record in [trace.header, *trace.events, final]
+                for record in [trace.header, *event_dicts(trace), final]
             ] + [""]
             parsed = ExecutionTrace.parse(text)
             assert parsed.events == trace.events and parsed.to_jsonl() == text
             seen.add((trace.header["alg"]["kind"], trace.timing))
-            seen.update(e["kind"] for e in trace.events)
-            seen.update(("pick", e["value"]) for e in trace.events if e["kind"] == "pick")
+            seen.update(e["kind"] for e in event_dicts(trace))
+            seen.update(("pick", e["value"]) for e in event_dicts(trace) if e["kind"] == "pick")
         runs = {(kind.value, timing) for kind in AlgorithmKind for timing in Timing}
         assert len(seen & runs) == 9  # each algorithm under each timing it admits
         assert set(EVENT_FIELDS) | {("pick", None)} <= seen
@@ -243,17 +246,18 @@ class TestTraceInvariants:
         for trace in self.traces():
             for pid in range(1, trace.n + 1):
                 outputs = [
-                    e for e in trace.events if e["kind"] == "output" and e["pid"] == pid
+                    e for e in event_dicts(trace) if e["kind"] == "output" and e["pid"] == pid
                 ]
                 assert len(outputs) <= 1
 
     def test_no_events_after_crash(self):
         for trace in self.traces():
+            events = event_dicts(trace)
             for pid in range(1, trace.n + 1):
-                seqs = [e["seq"] for e in trace.events if e["pid"] == pid]
+                seqs = [e["seq"] for e in events if e["pid"] == pid]
                 crashes = [
                     e["seq"]
-                    for e in trace.events
+                    for e in events
                     if e["pid"] == pid and e["kind"] == "crash"
                 ]
                 if crashes:
@@ -269,7 +273,7 @@ class TestTraceInvariants:
         the one before it along ``seq``, or an observe at a step before its
         item's communicate."""
         faults, last, sent = [], 0, {}
-        for event in trace.events:
+        for event in event_dicts(trace):
             if event["t"] < last:
                 faults.append(event)
             last = event["t"]
@@ -308,25 +312,28 @@ class TestTraceInvariants:
         ]
         assert quiescent, "expected some quiescent executions"
         for trace in quiescent:
+            events = event_dicts(trace)
             communicated = {
                 (e["pid"], e["index"])
-                for e in trace.events
+                for e in events
                 if e["kind"] == "communicate"
             }
             for key in communicated:
                 observers = {
                     e["pid"]
-                    for e in trace.events
+                    for e in events
                     if e["kind"] == "observe" and (e["sender"], e["index"]) == key
                 }
-                crashed = {e["pid"] for e in trace.events if e["kind"] == "crash"}
+                crashed = {e["pid"] for e in events if e["kind"] == "crash"}
                 assert set(range(1, trace.n + 1)) - crashed <= observers
 
 
 class TestForgedTraces:
     def forged(self, events, timing=Timing.SYNC, n=2):
+        """A trace of ``events``, given as dicts, each made a row as
+        ``ExecutionTrace.parse`` makes it."""
         header = {"alg": {"n": n, "t": 0, "timing": timing.value}}
-        return ExecutionTrace(header, events, (None,) * n, "ALL_DONE")
+        return ExecutionTrace(header, [_row(e) for e in events], (None,) * n, "ALL_DONE")
 
     def test_observe_without_communicate(self):
         events = [
@@ -344,8 +351,9 @@ class TestForgedTraces:
     def test_corrupted_payload_breaks_validity(self):
         trace = self.recorded_sync_run()
         assert medium_check(trace) == []
-        obs = next(e for e in trace.events if e["kind"] == "observe")
+        at, obs = next((i, e) for i, e in enumerate(event_dicts(trace)) if e["kind"] == "observe")
         obs["value"] = 1 - obs["value"]
+        trace.events[at] = _row(obs)
         assert medium_check(trace) == [
             f"C-Validity: item {(obs['sender'], obs['index'])} observed by {obs['pid']} "
             f"with corrupted payload {obs['tag']}({obs['value']})"
@@ -353,15 +361,17 @@ class TestForgedTraces:
 
     def test_communicate_at_a_computation_tick_breaks_synchrony(self):
         trace = self.recorded_sync_run()
-        comm = next(e for e in trace.events if e["kind"] == "communicate")
+        events = event_dicts(trace)
+        comm = next(e for e in events if e["kind"] == "communicate")
         key = (comm["pid"], comm["index"])
         # Move the item and its observations together, so that only the
         # tick's parity is wrong.
-        for event in trace.events:
+        for at, event in enumerate(events):
             if event is comm or (
                 event["kind"] == "observe" and (event["sender"], event["index"]) == key
             ):
                 event["t"] += 1
+                trace.events[at] = _row(event)
         assert medium_check(trace) == [
             f"C-Synchrony: item {key} communicated outside a communication step "
             f"(tick {comm['t']})"
@@ -396,6 +406,202 @@ class TestForgedTraces:
         ]
         violations = medium_check(self.forged(events))
         assert any("C-Local-Termination" in v for v in violations)
+
+
+def medium_check_of_dicts(trace, events):
+    """``medium_check`` as it was when it read ``events`` as dicts: the
+    reference for the auditor of rows."""
+    violations = []
+    communicated = {}
+    observed_by = {}
+    crashed = set()
+    for event in events:
+        kind = event["kind"]
+        if kind == "communicate":
+            communicated[(event["pid"], event["index"])] = event
+        elif kind == "observe":
+            key = (event["sender"], event["index"])
+            observed_by.setdefault(key, {})[event["pid"]] = event
+        elif kind == "crash":
+            crashed.add(event["pid"])
+    correct = set(range(1, trace.n + 1)) - crashed
+
+    for key, receivers in sorted(observed_by.items()):
+        comm = communicated.get(key)
+        for pid, obs in sorted(receivers.items()):
+            if comm is None or comm["seq"] > obs["seq"]:
+                violations.append(
+                    f"C-Validity: process {pid} observed item {key} "
+                    f"never previously communicated"
+                )
+            elif (comm["tag"], comm["value"]) != (obs["tag"], obs["value"]):
+                violations.append(
+                    f"C-Validity: item {key} observed by {pid} with corrupted "
+                    f"payload {obs['tag']}({obs['value']})"
+                )
+
+    if correct:
+        for key, comm in sorted(communicated.items()):
+            if comm["pid"] not in correct:
+                continue
+            receivers = observed_by.get(key, {})
+            if not (set(receivers) & correct):
+                violations.append(
+                    f"C-Local-Termination: item {key} communicated by correct "
+                    f"process {comm['pid']} observed by no correct process"
+                )
+
+    for key, receivers in sorted(observed_by.items()):
+        missing = correct - set(receivers)
+        if missing:
+            violations.append(
+                f"C-Global-Termination: item {key} observed by "
+                f"{sorted(receivers)} but not by correct {sorted(missing)}"
+            )
+
+    if trace.timing is Timing.SYNC:
+        for key, receivers in sorted(observed_by.items()):
+            comm = communicated.get(key)
+            if comm is None:
+                continue
+            if comm["t"] % 2 != COMM:
+                violations.append(
+                    f"C-Synchrony: item {key} communicated outside a "
+                    f"communication step (tick {comm['t']})"
+                )
+            for pid, obs in sorted(receivers.items()):
+                if obs["t"] != comm["t"]:
+                    violations.append(
+                        f"C-Synchrony: item {key} communicated at tick "
+                        f"{comm['t']} but observed by {pid} at tick {obs['t']}"
+                    )
+    return violations
+
+
+class TestRowAuditor:
+    """``medium_check`` reads rows by position and must find what the dict
+    auditor finds, in its order."""
+
+    def corrupted(self, events, how, rng):
+        """A copy of ``events`` (dicts) with one corruption ``how`` at a
+        seeded place, or unchanged if ``how`` is None or has no place."""
+        events = [dict(e) for e in events]
+        kinds = {"drop observe": "observe", "drop communicate": "communicate",
+                 "flip value": "observe", "shift tick": None, "add crash": None}
+        places = [i for i, e in enumerate(events) if kinds.get(how) in (None, e["kind"])]
+        if how is None or not places:
+            return events
+        at = rng.choice(places)
+        if how.startswith("drop"):
+            del events[at]
+        elif how == "flip value":
+            value = events[at]["value"]
+            events[at]["value"] = 0 if value is None else 1 - value
+        elif how == "shift tick":
+            events[at]["t"] += rng.choice((-1, 1, 2))
+        else:
+            live = sorted({e["pid"] for e in events} - {e["pid"] for e in events
+                                                        if e["kind"] == "crash"})
+            if not live:
+                return events
+            events.insert(at, {"kind": "crash", "pid": rng.choice(live), "seq": at,
+                               "slot": 0, "t": events[at]["t"]})
+        return events
+
+    @staticmethod
+    def audit_rows(trace, events):
+        """``medium_check`` of ``trace`` with ``events`` (dicts) as its rows."""
+        rows = [_row(e) for e in events]
+        return medium_check(ExecutionTrace(trace.header, rows, trace.outputs, trace.termination))
+
+    def test_rows_give_the_dict_auditors_violations(self):
+        # Each corruption alone, and each followed by an added crash, which
+        # can only shrink the correct processes (and so the violations).
+        hows = ("drop observe", "drop communicate", "flip value", "shift tick")
+        rng = random.Random(31)
+        found = dict.fromkeys((None, *hows), 0)
+        crash_mattered = 0
+        for inst, cfg, share in audit_instances(per_algorithm=60):
+            for trace in sample_traces(inst, cfg, share, meta_seed=7, record=True):
+                events = event_dicts(trace)
+                for how in (None, *hows):
+                    forged = self.corrupted(events, how, rng)
+                    crashed = self.corrupted(forged, "add crash", rng)
+                    expected = [medium_check_of_dicts(trace, e) for e in (forged, crashed)]
+                    assert [self.audit_rows(trace, e) for e in (forged, crashed)] == expected
+                    found[how] += bool(expected[0])
+                    crash_mattered += expected[0] != expected[1]
+        assert found[None] == 0
+        assert all(found[how] >= 20 for how in hows), found
+        assert crash_mattered >= 20
+
+
+class TestDescribedHeader:
+    """``to_jsonl`` writes the instance's cached descriptor text only while
+    a trace's ``alg`` is that descriptor, value for value and type for
+    type."""
+
+    INST = instance_for_line(7, Timing.ASYNC).bind(5, 2)
+    CFG = SystemConfig(5, 2, Timing.ASYNC)
+
+    def recorded(self, seed=0):
+        return run_async(self.INST, self.CFG, SeededChoices(seed), NO_CRASHES, random.Random(seed))
+
+    @staticmethod
+    def header_line(trace):
+        return trace.to_jsonl().partition("\n")[0]
+
+    @staticmethod
+    def dumps(record):
+        return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+    def test_an_edited_alg_is_written_as_edited(self):
+        for edit in [
+            lambda h: h["alg"]["roles"].update(zero_group=[2, 1]),
+            lambda h: h["alg"]["roles"]["flip_group"].append(9),
+            lambda h: h["alg"].update(line=3),
+            lambda h: h["alg"].pop("permissive"),
+            lambda h: h["alg"].update(permissive=0),  # == False
+            lambda h: h["alg"].update(n=5.0),  # == 5
+            lambda h: h["alg"]["roles"]["init_group"].__setitem__(0, True),  # == 1
+            lambda h: h.update(alg=dict(h["alg"], n=6)),
+            lambda h: h.update(alg=[1]),
+            lambda h: h.update(version=TRACE_VERSION + 1),
+            lambda h: h.update(extra=1),
+            lambda h: h.pop("schedule"),
+        ]:
+            trace = self.recorded()
+            edit(trace.header)
+            assert self.header_line(trace) == self.dumps(trace.header)
+            assert self.header_line(trace) != self.header_line(self.recorded())
+
+    def test_an_unedited_alg_is_the_descriptor_text(self):
+        trace = self.recorded(3)
+        assert trace.header["alg"] == self.INST.describe()
+        assert self.header_line(trace) == self.dumps(trace.header)
+        trace.header["alg"] = self.INST.describe()  # an equal descriptor
+        assert self.header_line(trace) == self.dumps(trace.header)
+        # The cached text is what is written, until the alg is edited.
+        marked = dataclasses.replace(trace, described=(*trace.described[:2], '"text"'))
+        assert self.header_line(marked).startswith('{"alg":"text","choices":')
+        marked.header["alg"]["roles"]["init_group"][0] = True
+        assert self.header_line(marked) == self.dumps(marked.header)
+
+    def test_editing_a_descriptor_or_a_header_changes_no_other_header(self):
+        expected = self.header_line(self.recorded(1))
+        described = self.INST.describe()
+        described["roles"]["zero_group"].append(9)
+        described["n"] = 9
+        edited = self.recorded(1)
+        edited.header["alg"]["roles"]["one_group"].clear()
+        edited.header["alg"]["t"] = 0
+        later = self.recorded(1)
+        assert later.header["alg"] == self.INST.describe() != described
+        assert self.header_line(later) == expected == self.dumps(later.header)
+        parsed = ExecutionTrace.parse(later.to_jsonl())
+        parsed.header["alg"]["kind"] = "all_output"
+        assert self.header_line(parsed) == self.dumps(parsed.header)
+        assert self.header_line(self.recorded(1)) == expected
 
 
 class TestRejections:

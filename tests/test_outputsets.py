@@ -1,5 +1,6 @@
 """Output-set combinatorics, the 16-line table, and condition predicates."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from binsos.outputsets import (
     sos,
     sos_mask,
     tight_condition,
+    _compact_encoder,
 )
 
 
@@ -129,3 +131,21 @@ def test_system_config_validation():
 def test_output_set_rejects_non_binary():
     with pytest.raises(ValueError):
         output_set((0, 2))
+
+
+@pytest.mark.parametrize("c_encoder", [True, False])
+def test_compact_encoder_writes_what_json_dumps_writes(monkeypatch, c_encoder):
+    # Built once from the C encoder, or, without one, JSONEncoder.encode.
+    if not c_encoder:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    dumps = _compact_encoder()
+    assert (getattr(dumps, "__self__", None) is None) == c_encoder  # encode is a bound method
+    for record in [
+        {"version": 4, "alg": {"n": 5, "roles": {"zero_group": [2, 1]}}, "format": "x"},
+        {"b": [None, True, False, 0, 1, -7, 2.5, 1e300], "a": {}, "c": []},
+        {"tag": 'q"u\\ot\u00e9\n'},
+        (0, 1, None),
+        "ALL_DONE",
+        [[1, [[2, 0], [3, 1]]]],
+    ]:
+        assert dumps(record) == json.dumps(record, sort_keys=True, separators=(",", ":"))
